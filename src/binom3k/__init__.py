@@ -1,6 +1,6 @@
 """Certified numeric verification of closed forms for the series
-sum_{k>=1} z^k w(k) / (k^a C(3k,k)) with unit, Fibonacci, Lucas, and
-Horadam weights w."""
+sum_{k>=1} z^k w(k) / (k^a C(3k,k)) with unit, Fibonacci and Lucas
+weights w."""
 
 from .closed_forms import (A_rhs, B_rhs, C_rhs, FAMILIES, TheoremParams,
                            XYPair, batir_rhs, phi, theorem_lhs_spec,
@@ -20,7 +20,7 @@ from .series import (ConvergenceClass, SeriesSpec, SumResult, UNIT_WEIGHT,
 from .verifier import (VerificationReport, differential_check, sweep, verify,
                        verify_all)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "A_rhs", "B_rhs", "C_rhs", "FAMILIES", "TheoremParams", "XYPair",

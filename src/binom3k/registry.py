@@ -50,9 +50,6 @@ def _weight_to_json(w: Weight) -> dict:
     obj = {"kind": w.kind}
     if w.kind != "unit":
         obj["m"] = w.m
-    if w.kind == "horadam":
-        h = w.params
-        obj["params"] = [h.p, h.q, h.a, h.b]
     return obj
 
 
@@ -60,22 +57,19 @@ def _weight_from_json(obj: dict) -> Weight:
     kind = obj["kind"]
     if kind == "unit":
         return UNIT_WEIGHT
-    if kind == "horadam":
-        return Weight(kind, obj["m"], HoradamParams(*obj["params"]))
     return Weight(kind, obj["m"])
 
 
-def _z_to_json(z) -> Union[str, dict]:
-    if isinstance(z, Fraction):
-        return f"{z.numerator}/{z.denominator}"
-    return expressions.to_json(z)
+def _z_to_json(z: Fraction) -> str:
+    return f"{z.numerator}/{z.denominator}"
 
 
-def _z_from_json(obj) -> Union[Fraction, expressions.Expr]:
-    if isinstance(obj, str):
-        num, _, den = obj.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return expressions.from_json(obj)
+def _z_from_json(obj) -> Fraction:
+    if not isinstance(obj, str):
+        raise InvalidParams(f"series argument must be a rational string "
+                            f"like '8/3', got {obj!r}")
+    num, _, den = obj.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def _params_to_json(params: TheoremParams) -> dict:

@@ -3,114 +3,75 @@
 The binomial C(3k,k) grows like (27/4)^k sqrt(3/(4 pi k)), so the series
 is geometric for |z| g < 27/4 (g the exponential growth rate of the
 weight), sits on the convergence boundary at equality, and is divergent
-beyond it.  Geometric sums carry a rigorous tail bracket; boundary sums
-go through Euler-Maclaurin (positive case) or CRVZ alternating-series
-acceleration, both with an a-posteriori stability check.
+beyond it; the comparison is made exactly on the rational z.
+
+Every sum runs through one exact integer kernel, :func:`_scaled_terms`:
+the terms t_k 2^B as floored Python integers, with a proven bound on the
+accumulated roundoff (:func:`_roundoff_ulps`).  Geometric sums pick their
+cutoff K directly from a float estimate of the term magnitudes, sum once,
+and report a tail that is the window certificate plus that roundoff.
+Boundary sums go through Euler-Maclaurin (positive case) or CRVZ
+alternating-series acceleration, both with an a-posteriori stability check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf
 
-from . import expressions
 from .errors import MaxTermsExceeded, NotGeometric, Unsupported
-from .precision import PrecisionContext, max_terms
-from .sequences import HoradamParams, fib, horadam
+from .precision import PrecisionContext, golden_ratio, max_terms
+from .sequences import fib, lucas
 
 BOUNDARY_DIGITS_BUDGET = 12
-_DOUBLING_START = 64
 _RATIO_WINDOW = 32
-_BOUNDARY_TOL = mpf(10) ** -6
+_GUARD_BITS = 48
+_GROW_DIVISOR = 16  # a cutoff that fails its certificate grows by K/16
+
+_LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
+_BINET_CONJ = -((math.sqrt(5) - 1) / 2) ** 2  # (psi/phi), psi = -1/phi
+_BITS_PER_DIGIT = math.log2(10)
 
 
 @dataclass(frozen=True)
 class Weight:
-    """Per-term factor w(k): 1, F(mk), L(mk) or W(mk)."""
+    """Per-term factor w(k): 1, F(mk) or L(mk)."""
 
-    kind: str  # "unit" | "fib" | "lucas" | "horadam"
+    kind: str  # "unit" | "fib" | "lucas"
     m: int = 0
-    params: Optional[HoradamParams] = None
 
     def __post_init__(self):
-        if self.kind not in ("unit", "fib", "lucas", "horadam"):
+        if self.kind not in ("unit", "fib", "lucas"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "horadam":
-            if self.params is None:
-                raise ValueError("horadam weight needs params")
-            if self.m < 0:
-                raise ValueError("horadam weight needs m >= 0")
+        if self.kind == "unit" and self.m != 0:
+            raise ValueError("unit weight takes no index")
 
     def growth_rate(self, ctx: PrecisionContext) -> mpf:
-        """Limit of |w(k+1)/w(k)| (dominant-root growth per step of k)."""
-        with ctx.workdps():
-            if self.kind == "unit":
-                return mpf(1)
-            if self.kind in ("fib", "lucas"):
-                alpha = (1 + mp.sqrt(5)) / 2
-                return alpha ** abs(self.m)
-            alpha, beta, _ = self.params.roots(ctx)
-            return max(abs(alpha), abs(beta)) ** self.m
-
-    def values(self) -> Iterator[int]:
-        """Exact w(k) for k = 1, 2, 3, ... computed incrementally."""
-        return _weight_values(self)
-
-    def _horadam_values(self) -> Iterator[int]:
-        p, q = self.params.p, self.params.q
-        w = [self.params.a, self.params.b]
-        j = 1
-        while True:
-            while len(w) <= self.m * j:
-                w.append(p * w[-1] + q * w[-2])
-            yield w[self.m * j]
-            j += 1
+        """Limit of |w(k+1)/w(k)|: phi^|m| (1 for the unit weight)."""
+        return golden_ratio(ctx) ** abs(self.m) if self.m else mpf(1)
 
 
 UNIT_WEIGHT = Weight("unit")
-
-
-def _weight_values(weight: Weight) -> Iterator[int]:
-    if weight.kind == "unit":
-        return itertools.repeat(1)
-    if weight.kind == "horadam":
-        return weight._horadam_values()
-    return _fib_lucas_values(weight.m, weight.kind == "lucas")
-
-
-def _fib_lucas_values(m: int, want_lucas: bool) -> Iterator[int]:
-    # walk (F(mk), F(mk+1)) with the addition formula; valid for any sign of m
-    fm, fm1 = fib(m), fib(m + 1)
-    fm_1 = fm1 - fm  # F(m-1)
-    a, b = 0, 1      # (F(0), F(1))
-    while True:
-        a, b = fm * b + fm_1 * a, fm1 * b + fm * a
-        yield 2 * b - a if want_lucas else a
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
     """One left-hand series: term k is z^k w(k) / (k^a C(3k,k)), k >= 1."""
 
-    z: Union[Fraction, expressions.Expr]
+    z: Fraction
     a: int
     weight: Weight = UNIT_WEIGHT
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.z, Fraction):
+            raise TypeError("z must be a Fraction")
         if self.a not in (0, 1, 2):
             raise ValueError("exponent a must be 0, 1 or 2")
-
-    def z_value(self, ctx: PrecisionContext) -> mpf:
-        with ctx.workdps():
-            if isinstance(self.z, Fraction):
-                return mpf(self.z.numerator) / mpf(self.z.denominator)
-            return expressions.eval_expr(self.z, ctx)
 
 
 @dataclass(frozen=True)
@@ -137,33 +98,174 @@ def binom_3k_k(k: int) -> int:
     return math.comb(3 * k, k)
 
 
+def _vanishes(spec: SeriesSpec) -> bool:
+    """Every term is exactly zero: z = 0, or the weight F(0 k)."""
+    return spec.z == 0 or (spec.weight.kind == "fib" and spec.weight.m == 0)
+
+
+def _radius_side(spec: SeriesSpec) -> int:
+    """Sign of rho - 1 for rho = 4|z| phi^|m| / 27, decided exactly.
+
+    rho < 1 iff phi^|m| = (L + F sqrt5)/2 < 27/(4|z|), L = L(|m|) and
+    F = F(|m|), i.e. iff F sqrt5 < c = 27/(2|z|) - L.  The unit weight is
+    |m| = 0 (F = 0, L = 2), which reduces this to 4|z| against 27.
+    """
+    n = abs(spec.weight.m)
+    c = Fraction(27, 2) / abs(spec.z) - lucas(n)
+    if c < 0:
+        return 1
+    lhs, rhs = 5 * fib(n) ** 2, c * c
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
-    """Limit-ratio classification against the radius 27/4."""
+    """Exact classification against the radius 27/4; rho is kept as an mpf."""
+    z = spec.z
+    if z == 0:
+        return ConvergenceClass("geometric", mpf(0))
     with ctx.workdps():
-        z = spec.z_value(ctx)
-        if z == 0:
-            return ConvergenceClass("geometric", mpf(0))
-        rho = abs(z) * spec.weight.growth_rate(ctx) * mpf(4) / 27
-        if rho < 1 - _BOUNDARY_TOL:
-            return ConvergenceClass("geometric", rho)
-        if rho > 1 + _BOUNDARY_TOL:
-            return ConvergenceClass("divergent_formal", rho)
-        kind = "boundary_positive" if z > 0 else "boundary_alternating"
-        return ConvergenceClass(kind, rho)
+        rho = (mpf(abs(z.numerator)) / z.denominator
+               * spec.weight.growth_rate(ctx) * 4 / 27)
+    side = _radius_side(spec)
+    if side < 0:
+        return ConvergenceClass("geometric", rho)
+    if side > 0:
+        return ConvergenceClass("divergent_formal", rho)
+    kind = "boundary_positive" if z > 0 else "boundary_alternating"
+    return ConvergenceClass(kind, rho)
 
 
-def _terms(spec: SeriesSpec, ctx: PrecisionContext) -> Iterator[mpf]:
-    """Signed term values t_k at working precision, k = 1, 2, ..."""
-    z = spec.z_value(ctx)
-    weights = _weight_values(spec.weight)
-    t = z / 3  # z^1 / C(3,1)
+# -- the integer kernel ----------------------------------------------------
+
+def _scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
+    """The terms t_k 2^bits, k = 1, 2, ..., as floored integers.
+
+    With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
+    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), one floor division per step.  A
+    Fibonacci or Lucas weight rides along as the pair (b_k F(mk),
+    b_k F(mk+1)), advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]];
+    L(mk) = 2 F(mk+1) - F(mk).
+    """
+    p, q = spec.z.numerator, spec.z.denominator
+    p2, q3, a = 2 * p, 3 * q, spec.a
     k = 1
+    if spec.weight.kind == "unit":
+        t = (p << bits) // q3
+        while True:
+            yield t // k ** a if a else t
+            t = t * (p2 * (k + 1) * (2 * k + 1)) // (q3 * (3 * k + 1) * (3 * k + 2))
+            k += 1
+    m = spec.weight.m
+    f0, f1, f2 = fib(m - 1), fib(m), fib(m + 1)
+    x, y = (f1 * p << bits) // q3, (f2 * p << bits) // q3
+    want_lucas = spec.weight.kind == "lucas"
     while True:
-        yield t * next(weights) / mpf(k) ** spec.a
-        # z^(k+1)/C(3k+3,k+1) from z^k/C(3k,k)
-        t *= z * (k + 1) * (2 * k + 1) * (2 * k + 2)
-        t /= (3 * k + 1) * (3 * k + 2) * (3 * k + 3)
+        w = 2 * y - x if want_lucas else x
+        yield w // k ** a if a else w
+        num = p2 * (k + 1) * (2 * k + 1)
+        den = q3 * (3 * k + 1) * (3 * k + 2)
+        x, y = num * (f0 * x + f1 * y) // den, num * (f1 * x + f2 * y) // den
         k += 1
+
+
+def _growth_constant(spec: SeriesSpec) -> float:
+    """c = 2|z| phi^|m| / 3, so that rho = 2c/9."""
+    return 2 * abs(float(spec.z)) * math.exp(abs(spec.weight.m) * _LOG_PHI) / 3
+
+
+def _step_growth(spec: SeriesSpec, k: int) -> float:
+    """g_k = |b_{k+1}/b_k| phi^|m| = c (k+1)(2k+1) / ((3k+1)(3k+2)).
+
+    The growth bound of the kernel state from step k to k+1; it decreases
+    in k to rho."""
+    return (_growth_constant(spec) * (k + 1) * (2 * k + 1)
+            / ((3 * k + 1) * (3 * k + 2)))
+
+
+def _rise_end(spec: SeriesSpec) -> float:
+    """First k >= 1 with g_k <= 1 (math.inf when there is none).
+
+    The state magnitudes rise up to this index and fall after it.  g_k <= 1
+    is the quadratic (9-2c) k^2 + (9-3c) k + (2-c) >= 0; its root is
+    rounded and then corrected against g itself.
+    """
+    c = _growth_constant(spec)
+    if 2 * c >= 9:
+        return math.inf
+    qa, qb, qc = 9 - 2 * c, 9 - 3 * c, 2 - c
+    disc = qb * qb - 4 * qa * qc
+    k = 1 if disc < 0 else max(1, math.ceil((math.sqrt(disc) - qb) / (2 * qa)))
+    while k > 1 and _step_growth(spec, k - 1) <= 1:
+        k -= 1
+    while _step_growth(spec, k) > 1:
+        k += 1
+    return k
+
+
+def _log_base(spec: SeriesSpec, k: int) -> float:
+    """ln |z^k / C(3k,k)|."""
+    return (k * math.log(abs(spec.z)) - math.lgamma(3 * k + 1)
+            + math.lgamma(k + 1) + math.lgamma(2 * k + 1))
+
+
+def _log_term(spec: SeriesSpec, k: int) -> float:
+    """ln |t_k|, the weight by Binet's formula."""
+    n = abs(spec.weight.m) * k
+    value = _log_base(spec, k) - spec.a * math.log(k)
+    if spec.weight.kind == "fib":
+        value += n * _LOG_PHI - math.log(5) / 2 + math.log1p(-_BINET_CONJ ** n)
+    elif spec.weight.kind == "lucas":
+        value += n * _LOG_PHI + math.log1p(_BINET_CONJ ** n)
+    return value
+
+
+def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
+    """Bound on sum_{k<=K} |t_k 2^B - (term k of _scaled_terms)|, any B.
+
+    Each step floors every state component (error < 1 each, so < s in the
+    2-norm: s = 1 unit, sqrt2 pair) and multiplies the inherited error by
+    at most g_k = |b_{k+1}/b_k| phi^|m| (Q^m is symmetric with norm
+    phi^|m|).  The g_k > 1 form a prefix, so the state error at step k is
+    below s k G with G the product of that prefix, up to K.  Reading a
+    term costs c = 1 (sqrt5 for L = 2y - x) times that over k^a, plus 1
+    for the division by k^a.  G is evaluated in floats with a factor 2
+    of slack.
+    """
+    if K < 1 or _vanishes(spec):
+        return 0
+    top = min(_rise_end(spec), K)
+    log_growth = (_log_base(spec, top) - _log_base(spec, 1)
+                  + (top - 1) * abs(spec.weight.m) * _LOG_PHI)
+    s = 1.0 if spec.weight.kind == "unit" else math.sqrt(2)
+    c = math.sqrt(5) if spec.weight.kind == "lucas" else 1.0
+    spread = (K * (K + 1) / 2, K, 1 + math.log(K))[spec.a]  # sum k^(1-a)
+    return math.ceil(2 * c * s * math.exp(log_growth) * spread) + K
+
+
+def _log2_term(spec: SeriesSpec, k: int) -> float:
+    return _log_term(spec, k) / math.log(2)
+
+
+def _kernel_bits(spec: SeriesSpec, K: int, finest: float) -> int:
+    """Scale B for sums of up to K terms: their roundoff bound sits
+    _GUARD_BITS below 2^finest."""
+    return (max(0, math.ceil(-finest)) + _roundoff_ulps(spec, K).bit_length()
+            + _GUARD_BITS)
+
+
+def _working_bits(spec: SeriesSpec, K: int) -> int:
+    """Scale B carrying working precision relative to the first term."""
+    return _kernel_bits(spec, K, _log2_term(spec, 1) - mp.prec)
+
+
+def _window_end(spec: SeriesSpec, K: int) -> float:
+    """log2 of the last term of the window after K: every window term
+    must be resolved for its ratios to mean anything."""
+    return _log2_term(spec, K + _RATIO_WINDOW + 1)
+
+
+def _unscale(n: int, bits: int) -> mpf:
+    return mp.ldexp(mpf(n), -bits)
 
 
 def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
@@ -171,8 +273,11 @@ def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
     if K < 1:
         raise ValueError("K must be >= 1")
     with ctx.workdps():
-        gen = _terms(spec, ctx)
-        return sum(next(gen) for _ in range(K))
+        if _vanishes(spec):
+            return mpf(0)
+        bits = _working_bits(spec, K)
+        terms = _scaled_terms(spec, bits)
+        return _unscale(sum(next(terms) for _ in range(K)), bits)
 
 
 def _certified_tail(lookahead: list[mpf], rho: mpf) -> mpf:
@@ -204,20 +309,58 @@ def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
     if not cls.is_geometric:
         raise NotGeometric(f"series is {cls.kind}, tail bound needs geometric")
     with ctx.workdps():
-        if spec.z_value(ctx) == 0:
+        if _vanishes(spec):
             return mpf(0)
-        gen = _terms(spec, ctx)
+        bits = _kernel_bits(spec, K + _RATIO_WINDOW + 1,
+                            _window_end(spec, K) - mp.prec)
+        terms = _scaled_terms(spec, bits)
         for _ in range(K):
-            next(gen)
-        lookahead = [next(gen) for _ in range(_RATIO_WINDOW + 1)]
+            next(terms)
+        lookahead = [_unscale(next(terms), bits) for _ in range(_RATIO_WINDOW + 1)]
         return _certified_tail(lookahead, cls.rho)
+
+
+def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
+    """Smallest K whose estimated window certificate |t_{K+1}|/(1 - rho-hat)
+    is below 10^-digits, from float log-magnitudes of the terms.
+
+    rho-hat mirrors _certified_tail: the larger of rho and g_{K+1} (which
+    bounds every smooth term ratio from K+1 on), times 1 + delta.  Past the
+    rise of the terms the estimate falls monotonically in K, so the search
+    starts there and bisects up to the budget.
+    """
+    delta = min(1e-3, (1 - rho) / 8)
+    log_eps = -digits * math.log(10) + math.log1p(-2.0 ** -16)
+
+    def fits(K: int) -> bool:
+        rho_hat = max(rho, _step_growth(spec, K + 1)) * (1 + delta)
+        return rho_hat < 1 and _log_term(spec, K + 1) - math.log1p(-rho_hat) < log_eps
+
+    lo = max(1, _rise_end(spec) - 1)
+    if lo > budget or not fits(budget):
+        raise MaxTermsExceeded(
+            f"needed more than {budget} terms for {digits} digits")
+    if fits(lo):
+        return lo
+    hi = budget
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
     """Sum until the certified tail drops below 10^-digits.
 
-    The cutoff K is probed on a doubling schedule starting at 64; raises
-    MaxTermsExceeded once K would pass the context's term budget.
+    The cutoff K comes straight from the term-magnitude estimate of
+    _cutoff; the kernel sums K terms once plus the window, and the tail is
+    the window certificate plus the kernel's roundoff bound and the final
+    rounding to working precision.  Should the certificate miss the target,
+    K grows by K/16 and the sum is redone.  Raises MaxTermsExceeded as soon
+    as K would pass the context's term budget.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -226,27 +369,26 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
         raise NotGeometric(f"series is {cls.kind}; use sum_boundary at the radius")
     budget = max_terms(ctx)
     with ctx.workdps():
-        if spec.z_value(ctx) == 0:
+        if _vanishes(spec):
             return SumResult(mpf(0), 0, mpf(0))
         threshold = mpf(10) ** (-digits)
-        gen = _terms(spec, ctx)
-        total = mpf(0)
-        produced = 0
-        pending: list[mpf] = []
-        K = _DOUBLING_START
+        K = _cutoff(spec, digits, float(cls.rho), budget)
         while True:
+            bits = _kernel_bits(spec, K, min(-digits * _BITS_PER_DIGIT,
+                                             _window_end(spec, K)))
+            terms = _scaled_terms(spec, bits)
+            value = _unscale(sum(next(terms) for _ in range(K)), bits)
+            lookahead = [_unscale(next(terms), bits)
+                         for _ in range(_RATIO_WINDOW + 1)]
+            tail = (_certified_tail(lookahead, cls.rho)
+                    + _unscale(_roundoff_ulps(spec, K), bits)
+                    + abs(value) * mp.ldexp(1, 1 - mp.prec))
+            if tail < threshold:
+                return SumResult(value, K, tail)
+            K += max(1, K // _GROW_DIVISOR)
             if K > budget:
                 raise MaxTermsExceeded(
                     f"needed more than {budget} terms for {digits} digits")
-            while produced < K:
-                total += pending.pop(0) if pending else next(gen)
-                produced += 1
-            while len(pending) < _RATIO_WINDOW + 1:
-                pending.append(next(gen))
-            tail = _certified_tail(pending, cls.rho)
-            if tail < threshold:
-                return SumResult(total, K, tail)
-            K *= 2
 
 
 # -- boundary summation -------------------------------------------------
@@ -288,22 +430,18 @@ def _boundary_positive(spec: SeriesSpec, digits: int, ctx: PrecisionContext,
                        K: int = 16384) -> SumResult:
     if spec.a != 2 or spec.weight.kind != "unit":
         raise Unsupported("boundary-positive summation supports a=2, unit weight only")
-    gen = _terms(spec, ctx)
-    head = mpf(0)
-    for _ in range(K):
-        head += next(gen)
-    value = head + _euler_maclaurin_tail(K)
+    bits = _working_bits(spec, K)
+    terms = _scaled_terms(spec, bits)
+    half = sum(next(terms) for _ in range(K // 2))
+    head = half + sum(next(terms) for _ in range(K - K // 2))
+    value = _unscale(head, bits) + _euler_maclaurin_tail(K)
     # stability check: the half-depth evaluation must already agree
-    gen2 = _terms(spec, ctx)
-    half = mpf(0)
-    for _ in range(K // 2):
-        half += next(gen2)
-    alt = half + _euler_maclaurin_tail(K // 2)
+    alt = _unscale(half, bits) + _euler_maclaurin_tail(K // 2)
     stability = abs(value - alt)
     if stability > mpf(10) ** (-digits):
         raise Unsupported(
             f"boundary acceleration unstable: {stability} at {digits} digits")
-    return SumResult(value, K, stability)
+    return SumResult(value, K, stability + _unscale(_roundoff_ulps(spec, K), bits))
 
 
 def _crvz_alternating(abs_terms: list[mpf]) -> mpf:
@@ -326,20 +464,23 @@ def _boundary_alternating(spec: SeriesSpec, digits: int,
     if spec.a not in (1, 2):
         raise Unsupported("boundary-alternating summation needs a in {1, 2}")
     n = 4 * digits + 24
-    gen = _terms(spec, ctx)
-    terms = [next(gen) for _ in range(n + 8)]
-    if any(terms[i] * terms[i + 1] >= 0 for i in range(len(terms) - 1)):
+    bits = _working_bits(spec, n + 8)
+    terms = _scaled_terms(spec, bits)
+    scaled = [next(terms) for _ in range(n + 8)]
+    if any(scaled[i] * scaled[i + 1] >= 0 for i in range(len(scaled) - 1)):
         raise Unsupported("terms do not alternate in sign")
     # series starts at k=1 with a negative term: sum = -sum_j (-1)^j |t_{j+1}|
-    sign = mpf(1) if terms[0] > 0 else mpf(-1)
-    abs_terms = [abs(t) for t in terms]
+    sign = 1 if scaled[0] > 0 else -1
+    abs_terms = [_unscale(abs(t), bits) for t in scaled]
     low = sign * _crvz_alternating(abs_terms[:n])
     high = sign * _crvz_alternating(abs_terms)
     stability = abs(high - low)
     if stability > mpf(10) ** (-digits):
         raise Unsupported(
             f"alternating acceleration unstable: {stability} at {digits} digits")
-    return SumResult(high, n + 8, stability)
+    # the CRVZ weights are at most 1 in size, so the summed roundoff bounds theirs
+    return SumResult(high, n + 8,
+                     stability + _unscale(_roundoff_ulps(spec, n + 8), bits))
 
 
 def sum_boundary_detailed(spec: SeriesSpec, digits: int,

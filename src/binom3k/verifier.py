@@ -61,7 +61,12 @@ def _matched_digits(lhs: mpf, rhs: mpf, cap: int) -> int:
 
 
 def _context_for(digits: int, ctx: Optional[PrecisionContext]) -> PrecisionContext:
-    return ctx if ctx is not None else make_context(digits + 10)
+    if ctx is None:
+        return make_context(digits + 10)
+    if ctx.target_digits < digits:
+        raise ValueError(f"context targets {ctx.target_digits} digits, "
+                         f"fewer than the {digits} requested")
+    return ctx
 
 
 def verify(record: IdentityRecord, digits: int,
@@ -126,7 +131,7 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             reports = pool.starmap(
-                _verify_task, [(record, digits) for record in records])
+                _verify_task, [(record, digits, ctx) for record in records])
     else:
         reports = [verify(record, digits, ctx) for record in records]
     summary = {
@@ -138,8 +143,9 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
     return summary
 
 
-def _verify_task(record: IdentityRecord, digits: int) -> VerificationReport:
-    return verify(record, digits)
+def _verify_task(record: IdentityRecord, digits: int,
+                 ctx: Optional[PrecisionContext]) -> VerificationReport:
+    return verify(record, digits, ctx)
 
 
 def sweep(family: str, grid: Iterable[Union[TheoremParams, dict]],

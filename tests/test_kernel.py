@@ -1,0 +1,166 @@
+"""The exact integer summation kernel, its roundoff bound and the cutoff
+chosen from it, checked against exact rational arithmetic."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binom3k.errors import InvalidParams, MaxTermsExceeded
+from binom3k.precision import make_context
+from binom3k.registry import builtin_catalog, get_record, record_from_json
+from binom3k.sequences import fib, lucas
+from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _radius_side,
+                            _roundoff_ulps, _scaled_terms, classify,
+                            sum_to_digits, tail_bound)
+from binom3k.verifier import verify, verify_all
+
+
+def exact_term(spec, k):
+    weight = {"unit": lambda n: 1, "fib": fib, "lucas": lucas}[spec.weight.kind]
+    return (spec.z ** k * weight(spec.weight.m * k)
+            / (k ** spec.a * math.comb(3 * k, k)))
+
+
+def to_fraction(x):
+    man, exp = x.man_exp  # exact, but without the sign
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def exact_partial_sum(spec, K):
+    return sum((exact_term(spec, k) for k in range(1, K + 1)), Fraction(0))
+
+
+weights = st.one_of(
+    st.just(UNIT_WEIGHT),
+    st.builds(Weight, st.sampled_from(["fib", "lucas"]), st.integers(-4, 4)))
+
+
+@st.composite
+def geometric_specs(draw):
+    weight = draw(weights)
+    z = Fraction(draw(st.integers(-2000, 2000)), draw(st.integers(1, 300)))
+    spec = SeriesSpec(z, draw(st.sampled_from([0, 1, 2])), weight)
+    if spec.z != 0 and _radius_side(spec) >= 0:
+        # fold onto the geometric side, keeping the sign of z
+        spec = SeriesSpec(z / (1 + 8 * abs(z)), spec.a, weight)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=geometric_specs(), K=st.integers(1, 40), bits=st.integers(0, 160))
+def test_kernel_sum_within_its_roundoff_bound(spec, K, bits):
+    assert classify(spec, make_context(20)).is_geometric
+    terms = _scaled_terms(spec, bits)
+    kernel = sum(next(terms) for _ in range(K))
+    exact = exact_partial_sum(spec, K) * 2 ** bits
+    assert abs(kernel - exact) <= _roundoff_ulps(spec, K)
+
+
+def test_roundoff_bound_near_the_radius():
+    # the state magnitude rises for hundreds of steps before it falls
+    for z in (Fraction(67, 10), Fraction(-67, 10)):
+        spec = SeriesSpec(z, 0, UNIT_WEIGHT)
+        K = 300
+        terms = _scaled_terms(spec, 20)
+        kernel = sum(next(terms) for _ in range(K))
+        exact = exact_partial_sum(spec, K) * 2 ** 20
+        assert abs(kernel - exact) <= _roundoff_ulps(spec, K)
+
+
+def _rest_bound(spec, N):
+    """Proven bound on sum_{k>N} |t_k| for a unit weight: every ratio
+    |t_{k+1}/t_k| = r_k (k/(k+1))^a from k = N+1 on is at most r_{N+1},
+    since r_k = 2|z|(k+1)(2k+1) / (3(3k+1)(3k+2)) decreases in k."""
+    k = N + 1
+    r = abs(spec.z) * Fraction(2 * (k + 1) * (2 * k + 1),
+                               3 * (3 * k + 1) * (3 * k + 2))
+    assert r < 1
+    return abs(exact_term(spec, k)) / (1 - r)
+
+
+@pytest.mark.parametrize("z, digits", [
+    (Fraction(8, 3), 25), (Fraction(20, 3), 6), (Fraction(-27, 5), 25)])
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_tail_brackets_the_exact_remainder(z, digits, a):
+    spec = SeriesSpec(z, a, UNIT_WEIGHT)
+    ctx = make_context(digits + 10)
+    result = sum_to_digits(spec, digits, ctx)
+    value, tail = to_fraction(result.value), to_fraction(result.tail)
+    assert tail < Fraction(1, 10 ** digits)
+    # the full sum lies within _rest_bound(spec, N) of the exact head to N
+    N = result.terms_used + 400
+    head = exact_partial_sum(spec, N)
+    assert abs(head - value) + _rest_bound(spec, N) <= tail
+
+
+@pytest.mark.parametrize("z, a, kind, m", [
+    (Fraction(20, 3), 2, "unit", 0), (Fraction(-77, 12), 0, "unit", 0),
+    (Fraction(54, 25), 1, "lucas", 1), (Fraction(-1, 10), 2, "fib", 3)])
+def test_direct_cutoff_does_not_overshoot(z, a, kind, m):
+    spec = SeriesSpec(z, a, UNIT_WEIGHT if kind == "unit" else Weight(kind, m))
+    ctx = make_context(40)
+    result = sum_to_digits(spec, 30, ctx)
+    assert to_fraction(result.tail) < Fraction(1, 10 ** 30)
+    # a sixteenth fewer terms would not have met the target
+    fewer = result.terms_used - max(1, result.terms_used // 16)
+    assert to_fraction(tail_bound(spec, fewer, ctx)) >= Fraction(1, 10 ** 30)
+
+
+def test_classification_is_exact_near_the_radius():
+    spec = SeriesSpec(Fraction(27, 4) - Fraction(1, 10 ** 8), 2, UNIT_WEIGHT)
+    ctx = make_context(30)
+    assert classify(spec, ctx).kind == "geometric"
+    with pytest.raises(MaxTermsExceeded):
+        sum_to_digits(spec, 20, ctx)
+    beyond = SeriesSpec(Fraction(27, 4) + Fraction(1, 10 ** 8), 2, UNIT_WEIGHT)
+    assert classify(beyond, ctx).kind == "divergent_formal"
+
+
+@pytest.mark.parametrize("kind", ["fib", "lucas"])
+@pytest.mark.parametrize("m", [-3, 1, 2])
+def test_weighted_classification_matches_phi(kind, m):
+    # phi^|m| is irrational, so z = 27/(4 phi^|m|) rounded either way
+    # lands strictly on one side
+    phi_m = ((1 + 5 ** 0.5) / 2) ** abs(m)
+    ctx = make_context(20)
+    for scale, kind_expected in ((0.999999, "geometric"),
+                                 (1.000001, "divergent_formal")):
+        z = Fraction(27 * scale / (4 * phi_m)).limit_denominator(10 ** 9)
+        assert classify(SeriesSpec(z, 2, Weight(kind, m)), ctx).kind == kind_expected
+
+
+def test_weights_other_than_unit_fib_lucas_are_rejected():
+    with pytest.raises(ValueError):
+        Weight("horadam", 2)
+    with pytest.raises(ValueError):
+        Weight("unit", 3)
+    with pytest.raises(TypeError):
+        SeriesSpec(2.5, 2)
+
+
+def test_expression_valued_z_is_rejected():
+    one = {"kind": "int", "args": ["1"]}
+    obj = {"id": "x", "note": "",
+           "lhs": {"z": one, "a": 2, "weight": {"kind": "unit"}},
+           "rhs": {"expr": one}, "validity": "", "convergence": "geometric",
+           "tags": []}
+    with pytest.raises(InvalidParams):
+        record_from_json(obj)
+
+
+def test_verify_rejects_a_context_below_the_target():
+    record = get_record(builtin_catalog(), "eq-italy")
+    with pytest.raises(ValueError):
+        verify(record, 40, make_context(30))
+
+
+def test_verify_all_honours_the_context_in_parallel(catalog):
+    ctx = make_context(40, 64)
+    serial = verify_all(catalog, 30, ctx, jobs=1)
+    parallel = verify_all(catalog, 30, ctx, jobs=2)
+    statuses = [(r.identity_id, r.status) for r in serial["reports"]]
+    assert statuses == [(r.identity_id, r.status) for r in parallel["reports"]]
+    assert any("MaxTermsExceeded" in r.detail for r in parallel["reports"])
