@@ -23,8 +23,8 @@ from .precision import make_context
 from .registry import builtin_catalog, get_record, load_catalog, scan_perfect_square
 from .sequences import HoradamParams
 from .series import sum_to_digits
-from .verifier import (FAIL, VerificationReport, differential_check, verify,
-                       verify_all)
+from .verifier import (FAIL, VerificationReport, differential_check,
+                       summary_counts, verify, verify_all)
 from .verifier import sweep as run_sweep
 
 MD_DIGIT_LIMIT = 25
@@ -60,13 +60,7 @@ def _report_obj(report: VerificationReport, digits: int) -> dict:
 
 
 def _suite_json(reports: list[VerificationReport], digits: int) -> str:
-    suite = {
-        "digits": digits,
-        "pass": sum(r.status.startswith("PASS") for r in reports),
-        "fail": sum(r.status == FAIL for r in reports),
-        "skipped": sum(r.status == "SKIPPED_DIVERGENT" for r in reports),
-    }
-    obj = {"suite": suite,
+    obj = {"suite": {"digits": digits, **summary_counts(reports)},
            "reports": [_report_obj(r, digits) for r in reports]}
     return json.dumps(obj, indent=2) + "\n"
 

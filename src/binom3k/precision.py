@@ -5,7 +5,8 @@ from a :class:`PrecisionContext`.  The context separates what the caller
 wants (``target_digits``) from what the computation carries internally
 (``working_digits``), with guard digits absorbing roundoff and an extra
 budget of ``ceil(log10(max_expected_terms))`` digits absorbing the
-accumulation error of long summations.
+accumulation error of long summations.  ``max_terms`` is the term budget
+a summation under the context may use.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ class PrecisionContext:
     target_digits: int
     guard_digits: int = DEFAULT_GUARD_DIGITS
     working_digits: int = 0
+    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
         if self.target_digits < 1:
             raise ValueError("target_digits must be >= 1")
         if self.working_digits < self.target_digits + self.guard_digits:
             raise ValueError("working_digits must be >= target_digits + guard_digits")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
 
     def workdps(self):
         """mpmath context manager setting the working precision."""
@@ -51,14 +55,12 @@ def make_context(target_digits: int, max_expected_terms: int = DEFAULT_MAX_TERMS
         raise ValueError("max_expected_terms must be >= 1")
     extra = math.ceil(math.log10(max_expected_terms)) if max_expected_terms > 1 else 0
     working = target_digits + guard_digits + extra
-    ctx = PrecisionContext(target_digits, guard_digits, working)
-    object.__setattr__(ctx, "_max_terms", max_expected_terms)
-    return ctx
+    return PrecisionContext(target_digits, guard_digits, working, max_expected_terms)
 
 
 def max_terms(ctx: PrecisionContext) -> int:
     """Term budget the context was built for."""
-    return getattr(ctx, "_max_terms", DEFAULT_MAX_TERMS)
+    return ctx.max_terms
 
 
 def real_cbrt(x) -> mpf:

@@ -9,7 +9,10 @@ Every sum runs through one exact integer kernel, :func:`_scaled_terms`:
 the terms t_k 2^B as floored Python integers, with a proven bound on the
 accumulated roundoff (:func:`_roundoff_ulps`).  Geometric sums pick their
 cutoff K directly from a float estimate of the term magnitudes, sum once,
-and report a tail that is the window certificate plus that roundoff.
+and report a tail that is the window certificate plus that roundoff.  The
+certificate works on the kernel's scaled integers: the worst ratio of the
+window is found by exact cross-multiplication, and the only mpf arithmetic
+between the kernel and the tail is one quotient and one shift by 2^-B.
 Boundary sums go through Euler-Maclaurin (positive case) or CRVZ
 alternating-series acceleration, both with an a-posteriori stability check.
 """
@@ -280,27 +283,39 @@ def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
         return _unscale(sum(next(terms) for _ in range(K)), bits)
 
 
-def _certified_tail(lookahead: list[mpf], rho: mpf) -> mpf:
-    """Upper bound on the omitted tail from a window of upcoming terms.
+def _certified_tail(window: list[int], rho: mpf) -> mpf:
+    """Upper bound on the omitted tail from a window of upcoming terms,
+    given as the kernel's scaled integers t_k 2^B; the bound is returned in
+    the same scale, for the caller to shift by 2^-B once.
 
-    rho-hat is the limit ratio with a safety margin, checked against every
-    ratio in the window; the window maximum takes over if the limit has not
-    been reached yet.  Sound because unit-weight ratios increase
-    monotonically to rho and weighted ratios converge exponentially fast.
+    rho-hat = rho (1 + delta) is the limit ratio with a safety margin,
+    checked against every ratio |t_{i+1}/t_i| of the window (zero terms
+    skipped); the window maximum, times 1 + delta, takes over if the limit
+    has not been reached yet.  The maximum is found by exact integer
+    cross-multiplication; the mpf work is one quotient for it, the margin
+    and the bound |t_{K+1}| / (1 - rho-hat).  Sound for unit weights
+    because their ratios are monotone: they fall to rho for a = 0 (the
+    first ratio of the window bounds every later one) and rise to it for
+    a = 1, 2.  Weighted ratios converge to rho exponentially fast.
     """
-    first = abs(lookahead[0])
+    first = abs(window[0])
     if first == 0:
         return mpf(0)
+    num, den = 0, 1  # the worst ratio so far, num/den
+    prev = first
+    for t in window[1:]:
+        t = abs(t)
+        if prev and t * den > num * prev:
+            num, den = t, prev
+        prev = t
     delta = min(mpf("1e-3"), (1 - rho) / 8)
     rho_hat = rho * (1 + delta)
-    ratios = [abs(lookahead[i + 1]) / abs(lookahead[i])
-              for i in range(len(lookahead) - 1) if lookahead[i] != 0]
-    worst = max(ratios) if ratios else mpf(0)
+    worst = mpf(num) / den
     if worst > rho_hat:
         rho_hat = worst * (1 + delta)
     if rho_hat >= 1:
         raise NotGeometric(f"term ratios reach {rho_hat}; no geometric tail")
-    return first / (1 - rho_hat)
+    return mpf(first) / (1 - rho_hat)
 
 
 def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
@@ -316,18 +331,17 @@ def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
         terms = _scaled_terms(spec, bits)
         for _ in range(K):
             next(terms)
-        lookahead = [_unscale(next(terms), bits) for _ in range(_RATIO_WINDOW + 1)]
-        return _certified_tail(lookahead, cls.rho)
+        window = [next(terms) for _ in range(_RATIO_WINDOW + 1)]
+        return mp.ldexp(_certified_tail(window, cls.rho), -bits)
 
 
-def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
-    """Smallest K whose estimated window certificate |t_{K+1}|/(1 - rho-hat)
-    is below 10^-digits, from float log-magnitudes of the terms.
+def _cutoff_fits(spec: SeriesSpec, digits: int, rho: float):
+    """The cutoff estimate as a predicate of K: is the window certificate
+    |t_{K+1}|/(1 - rho-hat) below 10^-digits, from float log-magnitudes of
+    the terms?
 
     rho-hat mirrors _certified_tail: the larger of rho and g_{K+1} (which
-    bounds every smooth term ratio from K+1 on), times 1 + delta.  Past the
-    rise of the terms the estimate falls monotonically in K, so the search
-    starts there and bisects up to the budget.
+    bounds every smooth term ratio from K+1 on), times 1 + delta.
     """
     delta = min(1e-3, (1 - rho) / 8)
     log_eps = -digits * math.log(10) + math.log1p(-2.0 ** -16)
@@ -336,13 +350,30 @@ def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
         rho_hat = max(rho, _step_growth(spec, K + 1)) * (1 + delta)
         return rho_hat < 1 and _log_term(spec, K + 1) - math.log1p(-rho_hat) < log_eps
 
+    return fits
+
+
+def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
+    """Smallest K >= rise - 1 that _cutoff_fits accepts; MaxTermsExceeded
+    when that K is beyond the budget.
+
+    Past the rise of the terms the estimate falls monotonically in K, so
+    the search starts there, doubles K until the estimate fits (capped at
+    the budget) and bisects the last doubling: about 2 log2(K / rise)
+    probes, however large the budget.
+    """
+    fits = _cutoff_fits(spec, digits, rho)
     lo = max(1, _rise_end(spec) - 1)
-    if lo > budget or not fits(budget):
-        raise MaxTermsExceeded(
-            f"needed more than {budget} terms for {digits} digits")
-    if fits(lo):
+    if lo <= budget and fits(lo):
         return lo
-    hi = budget
+    hi = lo
+    while True:
+        if hi >= budget:
+            raise MaxTermsExceeded(
+                f"needed more than {budget} terms for {digits} digits")
+        lo, hi = hi, min(2 * hi, budget)
+        if fits(hi):
+            break
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if fits(mid):
@@ -378,10 +409,9 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
                                              _window_end(spec, K)))
             terms = _scaled_terms(spec, bits)
             value = _unscale(sum(next(terms) for _ in range(K)), bits)
-            lookahead = [_unscale(next(terms), bits)
-                         for _ in range(_RATIO_WINDOW + 1)]
-            tail = (_certified_tail(lookahead, cls.rho)
-                    + _unscale(_roundoff_ulps(spec, K), bits)
+            window = [next(terms) for _ in range(_RATIO_WINDOW + 1)]
+            tail = (mp.ldexp(_certified_tail(window, cls.rho)
+                             + _roundoff_ulps(spec, K), -bits)
                     + abs(value) * mp.ldexp(1, 1 - mp.prec))
             if tail < threshold:
                 return SumResult(value, K, tail)

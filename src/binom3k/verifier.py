@@ -1,14 +1,20 @@
 """Comparison engine: certified series brackets vs. closed-form values.
 
-A verification sums the left-hand series with a certified tail bound and
-evaluates the right-hand closed form at higher working precision; PASS
-demands both a digit match (target - 2, absorbing final roundoff) and
-bracket consistency |lhs - rhs| <= 3 tail.  Boundary records are verified
-at a reduced digit target; records beyond the radius are skipped.
+A verification sums the left-hand series with a certified tail bound
+(:func:`series.sum_to_digits`) and evaluates the right-hand closed form at
+the context's working precision.  PASS demands both a digit match of
+target - 2 (absorbing final roundoff) and bracket consistency
+|lhs - rhs| <= 3 tail + slack, the slack covering the roundoff of both
+sides at working precision.  The matched-digit count is exact integer work
+on the binary form of the difference, with no logarithm.  Boundary records
+are verified at a reduced digit target of :data:`BOUNDARY_TARGET`; records
+beyond the radius are skipped.  :func:`summary_counts` is the one place
+that counts pass, fail and skipped reports.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -28,6 +34,8 @@ SKIPPED_DIVERGENT = "SKIPPED_DIVERGENT"
 PASS_BOUNDARY_REDUCED = "PASS_BOUNDARY_REDUCED"
 
 BOUNDARY_TARGET = 10
+
+_LOG10_2 = math.log10(2)
 
 
 @dataclass
@@ -50,14 +58,29 @@ class VerificationReport:
 
 
 def _matched_digits(lhs: mpf, rhs: mpf, cap: int) -> int:
-    """Floor of -log10 of the difference, relative unless |rhs| < 1."""
+    """floor(-log10 diff) clamped to [0, cap], diff the difference relative
+    to |rhs| unless |rhs| < 1, in which case it is absolute.
+
+    Exact on the binary value diff = man 2^exp: d digits match iff
+    man 10^d <= 2^-exp.  The bit lengths give an estimate of d that
+    integer comparisons then correct, so a diff that is the binary
+    rounding of 10^-d, lying just above it, counts d - 1 digits.
+    """
     diff = abs(lhs - rhs)
     if abs(rhs) >= 1:
         diff = diff / abs(rhs)
     if diff == 0:
         return cap
-    digits = int(mp.floor(-mp.log10(diff)))
-    return min(max(digits, 0), cap)
+    man, exp = diff.man_exp
+    if exp >= 0:
+        return 0
+    limit = 1 << -exp
+    digits = min(cap, max(0, math.floor((-exp - man.bit_length()) * _LOG10_2)))
+    while digits > 0 and man * 10 ** digits > limit:
+        digits -= 1
+    while digits < cap and man * 10 ** (digits + 1) <= limit:
+        digits += 1
+    return digits
 
 
 def _context_for(digits: int, ctx: Optional[PrecisionContext]) -> PrecisionContext:
@@ -134,13 +157,18 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
                 _verify_task, [(record, digits, ctx) for record in records])
     else:
         reports = [verify(record, digits, ctx) for record in records]
-    summary = {
-        "pass": sum(r.status in (PASS, PASS_BOUNDARY_REDUCED) for r in reports),
-        "fail": sum(r.status == FAIL for r in reports),
-        "skipped": sum(r.status == SKIPPED_DIVERGENT for r in reports),
-        "reports": reports,
+    return {**summary_counts(reports), "reports": reports}
+
+
+def summary_counts(reports: Iterable[VerificationReport]) -> dict:
+    """Reports that passed (in full or boundary-reduced), failed, and were
+    skipped beyond the radius."""
+    statuses = [r.status for r in reports]
+    return {
+        "pass": statuses.count(PASS) + statuses.count(PASS_BOUNDARY_REDUCED),
+        "fail": statuses.count(FAIL),
+        "skipped": statuses.count(SKIPPED_DIVERGENT),
     }
-    return summary
 
 
 def _verify_task(record: IdentityRecord, digits: int,

@@ -5,16 +5,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binom3k.errors import InvalidParams, MaxTermsExceeded
+from binom3k.errors import InvalidParams, MaxTermsExceeded, NotGeometric
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record, record_from_json
 from binom3k.sequences import fib, lucas
-from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _radius_side,
-                            _roundoff_ulps, _scaled_terms, classify,
-                            sum_to_digits, tail_bound)
+from binom3k.series import (_RATIO_WINDOW, SeriesSpec, UNIT_WEIGHT, Weight,
+                            _certified_tail, _cutoff, _cutoff_fits, _log2_term,
+                            _radius_side, _rise_end, _roundoff_ulps,
+                            _scaled_terms, classify, sum_to_digits, tail_bound)
 from binom3k.verifier import verify, verify_all
 
 
@@ -164,3 +166,85 @@ def test_verify_all_honours_the_context_in_parallel(catalog):
     statuses = [(r.identity_id, r.status) for r in serial["reports"]]
     assert statuses == [(r.identity_id, r.status) for r in parallel["reports"]]
     assert any("MaxTermsExceeded" in r.detail for r in parallel["reports"])
+
+
+# -- the cutoff search and the integer window certificate ------------------
+
+CUTOFF_GRID = [
+    (Fraction(8, 3), UNIT_WEIGHT), (Fraction(-8, 3), UNIT_WEIGHT),
+    (Fraction(20, 3), UNIT_WEIGHT), (Fraction(-77, 12), UNIT_WEIGHT),
+    (Fraction(54, 25), Weight("fib", 1)), (Fraction(-2), Weight("fib", 2)),
+    (Fraction(54, 25), Weight("lucas", 1)), (Fraction(-1, 10), Weight("lucas", 3)),
+]
+
+
+def _scan_cutoff(spec, digits, rho):
+    """Smallest K >= rise - 1 that the cutoff estimate accepts, by a linear
+    scan."""
+    fits = _cutoff_fits(spec, digits, rho)
+    K = max(1, _rise_end(spec) - 1)
+    while not fits(K):
+        K += 1
+    return K
+
+
+@pytest.mark.parametrize("z, weight", CUTOFF_GRID)
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("digits", [10, 35, 60])
+def test_cutoff_search_matches_a_linear_scan(z, weight, a, digits):
+    spec = SeriesSpec(z, a, weight)
+    rho = float(classify(spec, make_context(digits + 10)).rho)
+    K = _scan_cutoff(spec, digits, rho)
+    assert _cutoff(spec, digits, rho, 10 ** 6) == K
+    assert _cutoff(spec, digits, rho, K) == K
+    with pytest.raises(MaxTermsExceeded):
+        _cutoff(spec, digits, rho, K - 1)
+
+
+def _exact_certificate(window, rho):
+    """The rule of _certified_tail in exact rationals: (bound, rho-hat)."""
+    first = abs(window[0])
+    delta = min(Fraction(1, 1000), (1 - rho) / 8)
+    rho_hat = rho * (1 + delta)
+    worst = max(Fraction(abs(t), abs(s)) for s, t in zip(window, window[1:]) if s)
+    if worst > rho_hat:
+        rho_hat = worst * (1 + delta)
+    return first / (1 - rho_hat), rho_hat
+
+
+@pytest.mark.parametrize("z, weight", CUTOFF_GRID)
+@pytest.mark.parametrize("a", [0, 2])
+@pytest.mark.parametrize("K", [1, 40, 300])
+def test_integer_certificate_matches_the_exact_rule(z, weight, a, K):
+    spec = SeriesSpec(z, a, weight)
+    ctx = make_context(30)
+    with ctx.workdps():
+        rho = classify(spec, ctx).rho
+        # every window term resolved to about 64 bits
+        bits = max(0, math.ceil(-_log2_term(spec, K + _RATIO_WINDOW + 1))) + 64
+        terms = _scaled_terms(spec, bits)
+        for _ in range(K):
+            next(terms)
+        window = [next(terms) for _ in range(_RATIO_WINDOW + 1)]
+        exact, rho_hat = _exact_certificate(window, to_fraction(rho))
+        if rho_hat >= 1:
+            with pytest.raises(NotGeometric):
+                _certified_tail(window, rho)
+            return
+        bound = to_fraction(_certified_tail(window, rho))
+        # a few roundings of rho-hat, amplified by the one 1 - rho-hat
+        assert abs(bound - exact) <= exact * Fraction(4, 2 ** mp.prec) / (1 - rho_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(num=st.integers(-6000, 6000).filter(bool), den=st.integers(1000, 1300),
+       a=st.sampled_from([0, 1, 2]), digits=st.integers(5, 25))
+def test_tail_brackets_the_exact_remainder_for_any_geometric_z(num, den, a, digits):
+    spec = SeriesSpec(Fraction(num, den), a, UNIT_WEIGHT)
+    ctx = make_context(digits + 10)
+    result = sum_to_digits(spec, digits, ctx)
+    value, tail = to_fraction(result.value), to_fraction(result.tail)
+    assert tail < Fraction(1, 10 ** digits)
+    N = result.terms_used + 40
+    head = exact_partial_sum(spec, N)
+    assert abs(head - value) + _rest_bound(spec, N) <= tail

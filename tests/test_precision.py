@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from mpmath import mp, mpf
 
@@ -47,3 +50,14 @@ def test_golden_pair_relations():
         beta = golden_conjugate(ctx)
         assert abs(alpha * beta + 1) < mpf(10) ** -40
         assert abs(alpha + beta - 1) < mpf(10) ** -40
+
+
+def test_term_budget_is_a_field():
+    ctx = make_context(40, 64)
+    assert ctx.max_terms == 64
+    assert "max_terms=64" in repr(ctx)
+    assert ctx != make_context(40)
+    kept = dataclasses.replace(ctx, guard_digits=12)
+    assert max_terms(kept) == 64
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    assert max_terms(pickle.loads(pickle.dumps(ctx))) == 64

@@ -1,14 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
 from binom3k import expressions as ex
+from binom3k.cli import _suite_json
 from binom3k.closed_forms import TheoremParams, XYPair
 from binom3k.errors import DomainError
 from binom3k.registry import IdentityRecord
 from binom3k.series import SeriesSpec, UNIT_WEIGHT
 from binom3k.verifier import (differential_check, sweep, verify, verify_all)
+from binom3k.verifier import (FAIL, PASS, PASS_BOUNDARY_REDUCED,
+                              SKIPPED_DIVERGENT, VerificationReport,
+                              summary_counts)
 
 
 def test_verify_italy(record_of):
@@ -117,3 +122,11 @@ def test_differential_check_bad_level():
 def test_differential_check_domain():
     with pytest.raises(DomainError):
         differential_check("A_to_B", XYPair(Fraction(3), Fraction(3)), 40)
+
+
+def test_summary_counts_feed_the_json_suite():
+    reports = [VerificationReport(str(i), 30, status) for i, status in
+               enumerate([PASS, PASS_BOUNDARY_REDUCED, FAIL, SKIPPED_DIVERGENT, PASS])]
+    assert summary_counts(reports) == {"pass": 3, "fail": 1, "skipped": 1}
+    suite = json.loads(_suite_json(reports, 30))["suite"]
+    assert suite == {"digits": 30, "pass": 3, "fail": 1, "skipped": 1}
