@@ -1,28 +1,31 @@
-"""Programmatic construction of the built-in catalog.
+"""The built-in catalog, built in code.
 
-The shipped ``data/builtin_catalog.json`` is the serialized output of
-:func:`build_records`; run ``python -m binom3k._builtin`` to regenerate
-it after editing.  Keeping the constructors here (rather than editing the
-JSON by hand) preserves the exact expression trees for every surd form.
+:func:`build_records` is the one source of the 73 built-in records;
+:func:`~.registry.builtin_catalog` calls it on first use.  Expression
+records carry the exact expression tree of every surd form; family
+records carry their :class:`~.closed_forms.TheoremParams`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
-from .closed_forms import TheoremParams
-from .expressions import GOLDEN, PI, arctan, cbrt, intlit, log, ratlit, sqrt
+from .closed_forms import TheoremParams, theorem_lhs_spec
+from .expressions import GOLDEN, PI, arctan, cbrt, log, ratlit, sqrt
 from .precision import make_context
-from .registry import IdentityRecord, save_catalog
-from .series import SeriesSpec, UNIT_WEIGHT, Weight, classify
+from .registry import IdentityRecord
+from .series import SeriesSpec, classify
 
 _CTX = make_context(20)
 S3 = sqrt(3)
 F = Fraction
 
 
-def _record(rid, note, z, a, rhs, validity, tags, weight=UNIT_WEIGHT):
-    lhs = SeriesSpec(z, a, weight, label=rid)
+def _record(rid, note, lhs, rhs, validity, tags):
+    """A record labelled with its id, of the convergence class classify
+    finds, tagged divergent-formal beyond the radius."""
+    lhs = replace(lhs, label=rid)
     kind = classify(lhs, _CTX).kind
     if kind.startswith("divergent"):
         tags = tuple(tags) + ("divergent-formal",)
@@ -58,7 +61,8 @@ def _positive_records():
     for t, (rid, z, rhs) in enumerate(rows):
         note = f"perfect-square argument t={t}"
         validity = "z = 27/4 is the convergence boundary" if t == 0 else "|z| < 27/4"
-        out.append(_record(rid, note, z, 2, rhs, validity, ("section1-positive",)))
+        out.append(_record(rid, note, SeriesSpec(z, 2), rhs, validity,
+                           ("section1-positive",)))
     return out
 
 
@@ -99,7 +103,7 @@ def _alternating_records():
         note = f"negated perfect-square argument t={t}"
         validity = ("z = -27/4 is the convergence boundary" if t == 0
                     else "|z| < 27/4")
-        out.append(_record(rid, note, z, 2, rhs, validity,
+        out.append(_record(rid, note, SeriesSpec(z, 2), rhs, validity,
                            ("section1-alternating",)))
     return out
 
@@ -110,7 +114,8 @@ def _xy_records():
 
     def add(rid, z, a, rhs, note):
         validity = "|z| < 27/4" if abs(z) < F(27, 4) else "divergent as written"
-        recs.append(_record(rid, note, z, a, rhs, validity, ("xy-block",)))
+        recs.append(_record(rid, note, SeriesSpec(z, a), rhs, validity,
+                            ("xy-block",)))
 
     # (x, y) = (8, 1): z = 8/3 (the a=2 level is eq-italy)
     add("xy-8-1-a1", F(8, 3), 1,
@@ -231,18 +236,13 @@ def _trig_records():
          + c6 * (c6 - 1) / 2 * log(4 / (c6 + 1) ** 3),
          "variant F at pi/6"),
     ]
-    return [_record(rid, note, z, a, rhs, "|z| < 27/4", ("trig",))
+    return [_record(rid, note, SeriesSpec(z, a), rhs, "|z| < 27/4", ("trig",))
             for rid, z, a, rhs, note in rows]
 
 
 def _family_record(rid, note, params, tags):
-    from .closed_forms import theorem_lhs_spec
-    lhs = theorem_lhs_spec(params)
-    kind = classify(lhs, _CTX).kind
-    if kind.startswith("divergent"):
-        tags = tuple(tags) + ("divergent-formal",)
-    return IdentityRecord(rid, note, lhs, params,
-                          "family constraints hold", kind, tuple(tags))
+    return _record(rid, note, theorem_lhs_spec(params), params,
+                   "family constraints hold", tags)
 
 
 def _example_records():
@@ -256,7 +256,8 @@ def _example_records():
                                TP("THM1_FIB", r=1), ("thm1-example",)))
     a2 = cbrt(GOLDEN ** 2)
     recs.append(_record(
-        "thm1-luc-r1", "a=2 golden family, L, r=1 (formal)", F(-27), 2,
+        "thm1-luc-r1", "a=2 golden family, L, r=1 (formal)",
+        SeriesSpec(F(-27), 2),
         _batir_form(S3 / (2 * a2 + 1), GOLDEN / (a2 - 1) ** 3),
         "divergent as written", ("thm1-example",)))
     recs.append(_family_record("thm1-fib-r2", "a=2 golden family, F, r=2",
@@ -308,14 +309,3 @@ def _example_records():
 def build_records():
     return (_positive_records() + _alternating_records() + _xy_records()
             + _trig_records() + _example_records())
-
-
-def main(out_path="src/binom3k/data/builtin_catalog.json"):
-    records = build_records()
-    save_catalog(records, out_path)
-    print(f"wrote {len(records)} records to {out_path}")
-
-
-if __name__ == "__main__":
-    import sys
-    main(*sys.argv[1:])

@@ -2,9 +2,11 @@
 
 Each :class:`IdentityRecord` pairs a left-hand :class:`~.series.SeriesSpec`
 with a right-hand side given either as an exact expression tree or as a
-bound closed-form family.  The built-in catalog ships as a JSON data file
-inside the package; every record's stored convergence class is re-checked
-against :func:`~.series.classify` at load time.
+bound closed-form family.  The built-in catalog is built in code by
+:mod:`._builtin` on first use; user catalogs are JSON files read by
+:func:`load_catalog` and written by :func:`save_catalog`.  Every record's
+stored convergence class is re-checked against :func:`~.series.classify`
+when a catalog is loaded or built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
@@ -24,8 +25,6 @@ from .errors import InvalidParams
 from .precision import PrecisionContext, make_context
 from .sequences import HoradamParams
 from .series import ConvergenceClass, SeriesSpec, UNIT_WEIGHT, Weight, classify
-
-_DATA_FILE = "builtin_catalog.json"
 
 
 @dataclass(frozen=True)
@@ -160,12 +159,12 @@ _builtin_cache: Optional[list[IdentityRecord]] = None
 
 
 def builtin_catalog() -> list[IdentityRecord]:
-    """The packaged catalog (validated once, cached, treated as immutable)."""
+    """The built-in catalog (built and validated once, cached, treated as
+    immutable)."""
     global _builtin_cache
     if _builtin_cache is None:
-        data = resources.files("binom3k") / "data" / _DATA_FILE
-        records = [record_from_json(obj)
-                   for obj in json.loads(data.read_text(encoding="utf-8"))]
+        from ._builtin import build_records  # _builtin imports this module
+        records = build_records()
         _check_catalog(records)
         _builtin_cache = records
     return list(_builtin_cache)

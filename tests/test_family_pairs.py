@@ -1,0 +1,104 @@
+"""Every family is an (x, y) pair of the substitution z = 27xy/(x+y)^2."""
+
+from fractions import Fraction
+
+import pytest
+from mpmath import mpf
+
+from binom3k.closed_forms import (_FAMILY_TABLE, TheoremParams, batir_rhs,
+                                  theorem_lhs_spec, theorem_rhs)
+from binom3k.errors import DomainError
+from binom3k.precision import golden_conjugate, golden_ratio, make_context
+from binom3k.sequences import HoradamParams
+
+
+def _rs(values):
+    return [{"r": r} for r in values]
+
+
+def _nm(pairs):
+    return [{"n": n, "m": m} for n, m in pairs]
+
+
+_PQ = [{"p": p, "q": q} for p in (-2, -3) for q in (5, 6)]
+
+# the theorem-sweep grid of the benchmark's sweep workload
+SWEEP_GRID = {
+    "THM1_FIB": _rs(range(1, 9)),
+    "THM1_LUC": _rs(range(2, 9)),
+    "COR2_FIB": _rs(range(1, 5)),
+    "COR2_LUC": _rs(range(1, 5)),
+    "THM3_V1": _nm([(n, m) for n in range(3, 9) for m in range(1, n)
+                    if (n, m) != (3, 1)]),
+    "THM3_V2": _nm([(n, m) for n in range(2, 9) for m in range(2, n + 1)]),
+    "THM3_V3": _nm([(n, m) for n in range(2, 9) for m in range(1, n + 1)
+                    if (n, m) != (3, 2)]),
+    "THM3_V4": _nm([(n, 1) for n in range(2, 9)]),
+    "THM3_V5": _nm([(n, m) for n in range(2, 9) for m in range(2, n + 1)]),
+    "THM3_V6": _nm([(n, m) for n in range(2, 9) for m in range(1, n + 1)
+                    if (n, m) != (2, 2)]),
+    "THM4_FIB": _rs(range(1, 7)),
+    "COR5_FIB": _rs(range(1, 7)),
+    "THM6_FIB": _rs(range(1, 7)),
+    "THM4_LUC": _rs(range(2, 7)),
+    "COR5_LUC": _rs(range(2, 7)),
+    "THM6_LUC": _rs(range(2, 7)),
+    "THM7_FIB": _PQ, "THM7_LUC": _PQ,
+    "THM9_FIB": _PQ, "THM9_LUC": _PQ,
+    "THM10_FIB": _PQ, "THM10_LUC": _PQ,
+}
+
+_POINTS = [TheoremParams(family, **point)
+           for family, points in SWEEP_GRID.items() for point in points]
+_POINTS += [TheoremParams(family, r=r, horadam=HoradamParams(*h))
+            for family in ("HORADAM_A2", "HORADAM_A1")
+            for h in ((2, 1, 0, 1), (1, 1, 1, 3)) for r in range(1, 7)]
+
+
+@pytest.mark.parametrize("params", _POINTS, ids=TheoremParams.describe)
+def test_pair_gives_the_series_argument(params, ctx30):
+    spec = theorem_lhs_spec(params)
+    _, pairs = _FAMILY_TABLE[params.family]
+    with ctx30.workdps():
+        branches = pairs(params, ctx30)
+        z = mpf(spec.z.numerator) / spec.z.denominator
+        if spec.weight.kind == "unit":
+            expected = [z]
+        else:  # the Binet branches sit at z alpha^m and z beta^m
+            m = spec.weight.m
+            expected = [z * golden_ratio(ctx30) ** m,
+                        z * golden_conjugate(ctx30) ** m]
+        assert len(branches) == len(expected)
+        for (_, x, y), want in zip(branches, expected):
+            x, y = mpf(x), mpf(y)
+            got = 27 * x * y / (x + y) ** 2
+            assert abs(got - want) <= mpf(10) ** -(ctx30.working_digits - 5)
+
+
+@pytest.mark.parametrize("family", ["THM3_V2", "THM3_V3"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zero_argument_is_exactly_zero(family, n, ctx30):
+    params = TheoremParams(family, n=n, m=n)
+    assert theorem_lhs_spec(params).z == 0
+    assert theorem_rhs(params, ctx30) == 0
+
+
+@pytest.mark.parametrize("family", ["THM1_LUC", "COR2_LUC"])
+def test_lucas_r0_is_the_boundary_value(family, ctx30):
+    params = TheoremParams(family, r=0)
+    assert theorem_lhs_spec(params).z == Fraction(27, 4)
+    value = theorem_rhs(params, ctx30)
+    expected = batir_rhs(Fraction(27, 4), ctx30)
+    assert abs(value - expected) <= mpf(10) ** -(ctx30.working_digits - 5)
+
+
+@pytest.mark.parametrize("params", [
+    TheoremParams("THM3_V1", n=3, m=1),  # z = -12
+    TheoremParams("THM4_LUC", r=1),      # z = -27
+    TheoremParams("THM6_LUC", r=1),
+    TheoremParams("HORADAM_A1", r=2, horadam=HoradamParams(1, 2, 0, 1)),
+])
+def test_divergent_point_raises(params):
+    ctx = make_context(30)
+    with pytest.raises(DomainError):
+        theorem_rhs(params, ctx)
