@@ -13,20 +13,18 @@ from fractions import Fraction
 
 from .closed_forms import TheoremParams, theorem_lhs_spec
 from .expressions import GOLDEN, PI, arctan, cbrt, log, ratlit, sqrt
-from .precision import make_context
 from .registry import IdentityRecord
-from .series import SeriesSpec, classify
+from .series import SeriesSpec, convergence_kind
 
-_CTX = make_context(20)
 S3 = sqrt(3)
 F = Fraction
 
 
 def _record(rid, note, lhs, rhs, validity, tags):
-    """A record labelled with its id, of the convergence class classify
-    finds, tagged divergent-formal beyond the radius."""
+    """A record labelled with its id, of the convergence class
+    convergence_kind finds, tagged divergent-formal beyond the radius."""
     lhs = replace(lhs, label=rid)
-    kind = classify(lhs, _CTX).kind
+    kind = convergence_kind(lhs)
     if kind.startswith("divergent"):
         tags = tuple(tags) + ("divergent-formal",)
     return IdentityRecord(rid, note, lhs, rhs, validity, kind, tuple(tags))

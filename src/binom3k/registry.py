@@ -5,8 +5,8 @@ with a right-hand side given either as an exact expression tree or as a
 bound closed-form family.  The built-in catalog is built in code by
 :mod:`._builtin` on first use; user catalogs are JSON files read by
 :func:`load_catalog` and written by :func:`save_catalog`.  Every record's
-stored convergence class is re-checked against :func:`~.series.classify`
-when a catalog is loaded or built.
+stored convergence class is re-checked against
+:func:`~.series.convergence_kind` when a catalog is loaded or built.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from mpmath import mpf
 from . import expressions
 from .closed_forms import TheoremParams, theorem_lhs_spec, theorem_rhs
 from .errors import InvalidParams
-from .precision import PrecisionContext, make_context
+from .precision import PrecisionContext
 from .sequences import HoradamParams
-from .series import ConvergenceClass, SeriesSpec, UNIT_WEIGHT, Weight, classify
+# classify stays a name of this module: bench/spans.py times registry.classify
+from .series import (ConvergenceClass, SeriesSpec, UNIT_WEIGHT, Weight,
+                     classify, convergence_kind)  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -127,13 +129,12 @@ def record_from_json(obj: dict) -> IdentityRecord:
 # -- catalog loading -----------------------------------------------------
 
 def _check_catalog(records: list[IdentityRecord]) -> None:
-    ctx = make_context(20)
     seen = set()
     for record in records:
         if record.id in seen:
             raise ValueError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
-        actual = classify(record.lhs, ctx).kind
+        actual = convergence_kind(record.lhs)
         if actual != record.convergence:
             raise ValueError(
                 f"record {record.id!r} declares convergence "
@@ -202,8 +203,7 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
         params = TheoremParams(family, r=params.r, n=params.n, m=params.m,
                                p=params.p, q=params.q, horadam=params.horadam)
     lhs = theorem_lhs_spec(params)  # raises InvalidParams on bad params
-    ctx = make_context(20)
-    kind = classify(lhs, ctx).kind
+    kind = convergence_kind(lhs)
     if kind == "divergent_formal":
         raise InvalidParams(
             f"{params.describe()}: series argument exceeds the radius 27/4")

@@ -5,9 +5,12 @@ is geometric for |z| g < 27/4 (g the exponential growth rate of the
 weight), sits on the convergence boundary at equality, and is divergent
 beyond it; the comparison is made exactly on the rational z.
 
-Every sum runs through one exact integer kernel, :func:`_scaled_terms`:
-the terms t_k 2^B as floored Python integers, with a proven bound on the
-accumulated roundoff (:func:`_roundoff_ulps`).  Geometric sums pick their
+Every sum runs through one exact integer kernel, :func:`_kernel`: the
+terms t_k 2^B as floored Python integers, summed in one generator-free loop
+per weight kind, with a proven bound on the accumulated roundoff
+(:func:`_roundoff_ulps`).  :func:`_scaled_terms` yields the same integers
+one by one and is kept as the per-term reference the kernel is tested
+against.  Geometric sums pick their
 cutoff K directly from a float estimate of the term magnitudes, sum once,
 and report a tail that is the window certificate plus that roundoff.  The
 certificate works on the kernel's scaled integers: the worst ratio of the
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
@@ -121,27 +125,33 @@ def _radius_side(spec: SeriesSpec) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def convergence_kind(spec: SeriesSpec) -> str:
+    """The ConvergenceClass kind of the series, decided exactly on z."""
+    side = _radius_side(spec) if spec.z else -1
+    if side < 0:
+        return "geometric"
+    if side > 0:
+        return "divergent_formal"
+    return "boundary_positive" if spec.z > 0 else "boundary_alternating"
+
+
 def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
-    """Exact classification against the radius 27/4; rho is kept as an mpf."""
+    """The exact convergence_kind, with rho kept as an mpf."""
+    kind = convergence_kind(spec)
     z = spec.z
     if z == 0:
-        return ConvergenceClass("geometric", mpf(0))
+        return ConvergenceClass(kind, mpf(0))
     with ctx.workdps():
         rho = (mpf(abs(z.numerator)) / z.denominator
                * spec.weight.growth_rate(ctx) * 4 / 27)
-    side = _radius_side(spec)
-    if side < 0:
-        return ConvergenceClass("geometric", rho)
-    if side > 0:
-        return ConvergenceClass("divergent_formal", rho)
-    kind = "boundary_positive" if z > 0 else "boundary_alternating"
     return ConvergenceClass(kind, rho)
 
 
 # -- the integer kernel ----------------------------------------------------
 
 def _scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
-    """The terms t_k 2^bits, k = 1, 2, ..., as floored integers.
+    """The terms t_k 2^bits, k = 1, 2, ..., as floored integers: the
+    per-term reference that :func:`_kernel` is tested against.
 
     With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
     2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), one floor division per step.  A
@@ -169,6 +179,97 @@ def _scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
         den = q3 * (3 * k + 1) * (3 * k + 2)
         x, y = num * (f0 * x + f1 * y) // den, num * (f1 * x + f2 * y) // den
         k += 1
+
+
+def _divisors(a: int, k: int, stop: int):
+    """k^a for a = 1, 2 over k .. stop-1."""
+    ks = range(k, stop)
+    return ks if a == 1 else map(mul, ks, ks)
+
+
+def _unit_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
+    """Sum of the unit-weight terms k .. stop-1 from the kernel state at k,
+    and the state at stop.
+
+    The state is (t, n, dn, n2, d, dd, d2): t = b_k 2^B floored, the
+    ratio's numerator n and denominator d at k, their first differences dn
+    and dd, and their constant second differences n2 and d2.
+    """
+    t, n, dn, n2, d, dd, d2 = state
+    s = 0
+    if a == 0:
+        for _ in range(k, stop):
+            s += t
+            t = t * n // d
+            n += dn
+            dn += n2
+            d += dd
+            dd += d2
+    else:
+        for div in _divisors(a, k, stop):
+            s += t // div
+            t = t * n // d
+            n += dn
+            dn += n2
+            d += dd
+            dd += d2
+    return s, (t, n, dn, n2, d, dd, d2)
+
+
+def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
+    """_unit_run for a Fibonacci or Lucas weight: the state is
+    (x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2), with the pair
+    (x, y) = (b_k F(mk), b_k F(mk+1)) 2^B and Q^m = [[f0, f1], [f1, f2]]."""
+    x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2 = state
+    s = 0
+    if a == 0:
+        for _ in range(k, stop):
+            s += 2 * y - x if lucas else x
+            x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
+            n += dn
+            dn += n2
+            d += dd
+            dd += d2
+    else:
+        for div in _divisors(a, k, stop):
+            s += (2 * y - x if lucas else x) // div
+            x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
+            n += dn
+            dn += n2
+            d += dd
+            dd += d2
+    return s, (x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2)
+
+
+def _kernel(spec: SeriesSpec, bits: int, K: int, window: int = 0,
+            mark: int = 0) -> tuple[int, list[int], int]:
+    """The sum of the scaled terms t_k 2^bits for k <= K, the next
+    ``window`` terms one by one, and the sum for k <= mark (mark <= K).
+
+    The integers are exactly those of :func:`_scaled_terms`, with no
+    generator: the ratio's numerator 2p(k+1)(2k+1) and denominator
+    3q(3k+1)(3k+2) are quadratics in k, advanced by their differences, so
+    a step is one multiply and one floor division per state component.
+    """
+    p, q = spec.z.numerator, spec.z.denominator
+    p2, q3 = 2 * p, 3 * q
+    # (n, dn, n2, d, dd, d2) at k = 1
+    ratio = (6 * p2, 9 * p2, 4 * p2, 20 * q3, 36 * q3, 18 * q3)
+    if spec.weight.kind == "unit":
+        run, state = _unit_run, ((p << bits) // q3,) + ratio
+    else:
+        m = spec.weight.m
+        f0, f1, f2 = fib(m - 1), fib(m), fib(m + 1)
+        run = _pair_run
+        state = ((f1 * p << bits) // q3, (f2 * p << bits) // q3, f0, f1, f2,
+                 spec.weight.kind == "lucas") + ratio
+    marked, state = run(state, 1, mark + 1, spec.a)
+    head, state = run(state, mark + 1, K + 1, spec.a)
+    terms = []
+    for k in range(K + 1, K + 1 + window):
+        term, state = run(state, k, k + 1, spec.a)
+        terms.append(term)
+    return marked + head, terms, marked
 
 
 def _growth_constant(spec: SeriesSpec) -> float:
@@ -223,7 +324,7 @@ def _log_term(spec: SeriesSpec, k: int) -> float:
 
 
 def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
-    """Bound on sum_{k<=K} |t_k 2^B - (term k of _scaled_terms)|, any B.
+    """Bound on sum_{k<=K} |t_k 2^B - (term k of the kernel)|, any B.
 
     Each step floors every state component (error < 1 each, so < s in the
     2-norm: s = 1 unit, sqrt2 pair) and multiplies the inherited error by
@@ -249,16 +350,15 @@ def _log2_term(spec: SeriesSpec, k: int) -> float:
     return _log_term(spec, k) / math.log(2)
 
 
-def _kernel_bits(spec: SeriesSpec, K: int, finest: float) -> int:
-    """Scale B for sums of up to K terms: their roundoff bound sits
-    _GUARD_BITS below 2^finest."""
-    return (max(0, math.ceil(-finest)) + _roundoff_ulps(spec, K).bit_length()
-            + _GUARD_BITS)
+def _kernel_bits(roundoff: int, finest: float) -> int:
+    """Scale B for a sum whose _roundoff_ulps bound is ``roundoff``: the
+    bound sits _GUARD_BITS below 2^finest."""
+    return max(0, math.ceil(-finest)) + roundoff.bit_length() + _GUARD_BITS
 
 
-def _working_bits(spec: SeriesSpec, K: int) -> int:
+def _working_bits(spec: SeriesSpec, roundoff: int) -> int:
     """Scale B carrying working precision relative to the first term."""
-    return _kernel_bits(spec, K, _log2_term(spec, 1) - mp.prec)
+    return _kernel_bits(roundoff, _log2_term(spec, 1) - mp.prec)
 
 
 def _window_end(spec: SeriesSpec, K: int) -> float:
@@ -278,9 +378,8 @@ def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
     with ctx.workdps():
         if _vanishes(spec):
             return mpf(0)
-        bits = _working_bits(spec, K)
-        terms = _scaled_terms(spec, bits)
-        return _unscale(sum(next(terms) for _ in range(K)), bits)
+        bits = _working_bits(spec, _roundoff_ulps(spec, K))
+        return _unscale(_kernel(spec, bits, K)[0], bits)
 
 
 def _certified_tail(window: list[int], rho: mpf) -> mpf:
@@ -326,12 +425,9 @@ def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
     with ctx.workdps():
         if _vanishes(spec):
             return mpf(0)
-        bits = _kernel_bits(spec, K + _RATIO_WINDOW + 1,
+        bits = _kernel_bits(_roundoff_ulps(spec, K + _RATIO_WINDOW + 1),
                             _window_end(spec, K) - mp.prec)
-        terms = _scaled_terms(spec, bits)
-        for _ in range(K):
-            next(terms)
-        window = [next(terms) for _ in range(_RATIO_WINDOW + 1)]
+        window = _kernel(spec, bits, K, _RATIO_WINDOW + 1)[1]
         return mp.ldexp(_certified_tail(window, cls.rho), -bits)
 
 
@@ -405,13 +501,12 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
         threshold = mpf(10) ** (-digits)
         K = _cutoff(spec, digits, float(cls.rho), budget)
         while True:
-            bits = _kernel_bits(spec, K, min(-digits * _BITS_PER_DIGIT,
-                                             _window_end(spec, K)))
-            terms = _scaled_terms(spec, bits)
-            value = _unscale(sum(next(terms) for _ in range(K)), bits)
-            window = [next(terms) for _ in range(_RATIO_WINDOW + 1)]
-            tail = (mp.ldexp(_certified_tail(window, cls.rho)
-                             + _roundoff_ulps(spec, K), -bits)
+            roundoff = _roundoff_ulps(spec, K)
+            bits = _kernel_bits(roundoff, min(-digits * _BITS_PER_DIGIT,
+                                              _window_end(spec, K)))
+            head, window, _ = _kernel(spec, bits, K, _RATIO_WINDOW + 1)
+            value = _unscale(head, bits)
+            tail = (mp.ldexp(_certified_tail(window, cls.rho) + roundoff, -bits)
                     + abs(value) * mp.ldexp(1, 1 - mp.prec))
             if tail < threshold:
                 return SumResult(value, K, tail)
@@ -460,10 +555,9 @@ def _boundary_positive(spec: SeriesSpec, digits: int, ctx: PrecisionContext,
                        K: int = 16384) -> SumResult:
     if spec.a != 2 or spec.weight.kind != "unit":
         raise Unsupported("boundary-positive summation supports a=2, unit weight only")
-    bits = _working_bits(spec, K)
-    terms = _scaled_terms(spec, bits)
-    half = sum(next(terms) for _ in range(K // 2))
-    head = half + sum(next(terms) for _ in range(K - K // 2))
+    roundoff = _roundoff_ulps(spec, K)
+    bits = _working_bits(spec, roundoff)
+    head, _, half = _kernel(spec, bits, K, mark=K // 2)
     value = _unscale(head, bits) + _euler_maclaurin_tail(K)
     # stability check: the half-depth evaluation must already agree
     alt = _unscale(half, bits) + _euler_maclaurin_tail(K // 2)
@@ -471,7 +565,7 @@ def _boundary_positive(spec: SeriesSpec, digits: int, ctx: PrecisionContext,
     if stability > mpf(10) ** (-digits):
         raise Unsupported(
             f"boundary acceleration unstable: {stability} at {digits} digits")
-    return SumResult(value, K, stability + _unscale(_roundoff_ulps(spec, K), bits))
+    return SumResult(value, K, stability + _unscale(roundoff, bits))
 
 
 def _crvz_alternating(abs_terms: list[mpf]) -> mpf:
@@ -494,9 +588,9 @@ def _boundary_alternating(spec: SeriesSpec, digits: int,
     if spec.a not in (1, 2):
         raise Unsupported("boundary-alternating summation needs a in {1, 2}")
     n = 4 * digits + 24
-    bits = _working_bits(spec, n + 8)
-    terms = _scaled_terms(spec, bits)
-    scaled = [next(terms) for _ in range(n + 8)]
+    roundoff = _roundoff_ulps(spec, n + 8)
+    bits = _working_bits(spec, roundoff)
+    scaled = _kernel(spec, bits, 0, n + 8)[1]
     if any(scaled[i] * scaled[i + 1] >= 0 for i in range(len(scaled) - 1)):
         raise Unsupported("terms do not alternate in sign")
     # series starts at k=1 with a negative term: sum = -sum_j (-1)^j |t_{j+1}|
@@ -509,8 +603,7 @@ def _boundary_alternating(spec: SeriesSpec, digits: int,
         raise Unsupported(
             f"alternating acceleration unstable: {stability} at {digits} digits")
     # the CRVZ weights are at most 1 in size, so the summed roundoff bounds theirs
-    return SumResult(high, n + 8,
-                     stability + _unscale(_roundoff_ulps(spec, n + 8), bits))
+    return SumResult(high, n + 8, stability + _unscale(roundoff, bits))
 
 
 def sum_boundary_detailed(spec: SeriesSpec, digits: int,
