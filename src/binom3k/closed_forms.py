@@ -416,27 +416,3 @@ def thm7_intermediate(params: TheoremParams, branch: str,
 def thm1_fib_rhs(r: int, ctx: PrecisionContext) -> mpf:
     """Shorthand for theorem_rhs of the first golden-ratio family."""
     return theorem_rhs(TheoremParams("THM1_FIB", r=r), ctx)
-
-
-# The acceptance suite compares the Horadam family at the Fibonacci and
-# Lucas parameters with the golden family through these three names, at
-# the current mpmath precision and also at the divergent r = 1, where
-# they give the formal value of the closed form.
-
-def _formal(params: TheoremParams) -> mpf:
-    level, pairs = _FAMILY_TABLE[params.family]
-    return sum(c * _formulas(level, mpf(x), mpf(y))
-               for c, x, y in pairs(params, PrecisionContext(1, 0, mp.dps)))
-
-
-def _thm1_fib(r: int) -> mpf:
-    return _formal(TheoremParams("THM1_FIB", r=r))
-
-
-def _thm1_luc(r: int) -> mpf:
-    return _formal(TheoremParams("THM1_LUC", r=r))
-
-
-def _horadam_value(params: HoradamParams, r: int, level: int) -> mpf:
-    family = "HORADAM_A2" if level == 2 else "HORADAM_A1"
-    return _formal(TheoremParams(family, r=r, horadam=params))

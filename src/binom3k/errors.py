@@ -25,7 +25,8 @@ class MaxTermsExceeded(Binom3kError):
 
 class Unsupported(Binom3kError):
     """The request is outside the implemented budget (e.g. too many digits
-    at the convergence boundary, or a divergent series)."""
+    at the convergence boundary, a divergent series, or a proved tail bound
+    that misses its digit target)."""
 
 
 class InvalidParams(Binom3kError):

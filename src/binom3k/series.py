@@ -10,12 +10,23 @@ terms t_k 2^B as floored Python integers, summed in one generator-free loop
 per weight kind, with a proven bound on the accumulated roundoff
 (:func:`_roundoff_ulps`).  :func:`_scaled_terms` yields the same integers
 one by one and is kept as the per-term reference the kernel is tested
-against.  Geometric sums pick their
-cutoff K directly from a float estimate of the term magnitudes, sum once,
-and report a tail that is the window certificate plus that roundoff.  The
-certificate works on the kernel's scaled integers: the worst ratio of the
-window is found by exact cross-multiplication, and the only mpf arithmetic
-between the kernel and the tail is one quotient and one shift by 2^-B.
+against.
+
+A geometric sum picks its cutoff K from a float estimate of its tail bound,
+sums once, and checks the bound in exact rationals (:func:`_tail_ulps`):
+
+    sum_{k>K} |t_k| <= |t_{K+1}| s / (1 - g_{K+1}).
+
+g_k = |b_{k+1}/b_k| phi^|m| = 2|z| phi^|m| (k+1)(2k+1) / (3(3k+1)(3k+2)),
+b_k = z^k / C(3k,k), decreases to rho = 4|z| phi^|m| / 27 for all k >= 0
+(the k-derivative of the fraction has numerator -(9k^2 + 10k + 3)), so it
+bounds every later step of b_k phi^|mk| / k^a.  By Binet, |F(n)| sqrt5 and
+|L(n)| lie in [phi^n - 1, phi^n + 1], so every later |w(mk)| is at most
+|w(m(K+1))| phi^(|m|(k-K-1)) times s = (1 + eps)/(1 - eps), eps =
+phi^(-|m|(K+1)); s = 1 for the unit weight and L(0).  phi^|m| enters
+through rational bounds on sqrt5 and the kernel's roundoff is added to the
+read term, so a tail reported below 10^-d is proved.
+
 Boundary sums go through Euler-Maclaurin (positive case) or CRVZ
 alternating-series acceleration, both with an a-posteriori stability check.
 """
@@ -35,9 +46,9 @@ from .precision import PrecisionContext, golden_ratio, max_terms
 from .sequences import fib, lucas
 
 BOUNDARY_DIGITS_BUDGET = 12
-_RATIO_WINDOW = 32
 _GUARD_BITS = 48
-_GROW_DIVISOR = 16  # a cutoff that fails its certificate grows by K/16
+_SQRT5_LO = Fraction(math.isqrt(5 << 128), 1 << 64)  # sqrt5 within 2^-64
+_SQRT5_HI = _SQRT5_LO + Fraction(1, 1 << 64)
 
 _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 _BINET_CONJ = -((math.sqrt(5) - 1) / 2) ** 2  # (psi/phi), psi = -1/phi
@@ -277,13 +288,13 @@ def _growth_constant(spec: SeriesSpec) -> float:
     return 2 * abs(float(spec.z)) * math.exp(abs(spec.weight.m) * _LOG_PHI) / 3
 
 
-def _step_growth(spec: SeriesSpec, k: int) -> float:
-    """g_k = |b_{k+1}/b_k| phi^|m| = c (k+1)(2k+1) / ((3k+1)(3k+2)).
+def _step_growth(c: float, k: int) -> float:
+    """g_k = |b_{k+1}/b_k| phi^|m| = c (k+1)(2k+1) / ((3k+1)(3k+2)) for the
+    growth constant c of the spec.
 
     The growth bound of the kernel state from step k to k+1; it decreases
     in k to rho."""
-    return (_growth_constant(spec) * (k + 1) * (2 * k + 1)
-            / ((3 * k + 1) * (3 * k + 2)))
+    return c * (k + 1) * (2 * k + 1) / ((3 * k + 1) * (3 * k + 2))
 
 
 def _rise_end(spec: SeriesSpec) -> float:
@@ -299,9 +310,9 @@ def _rise_end(spec: SeriesSpec) -> float:
     qa, qb, qc = 9 - 2 * c, 9 - 3 * c, 2 - c
     disc = qb * qb - 4 * qa * qc
     k = 1 if disc < 0 else max(1, math.ceil((math.sqrt(disc) - qb) / (2 * qa)))
-    while k > 1 and _step_growth(spec, k - 1) <= 1:
+    while k > 1 and _step_growth(c, k - 1) <= 1:
         k -= 1
-    while _step_growth(spec, k) > 1:
+    while _step_growth(c, k) > 1:
         k += 1
     return k
 
@@ -361,14 +372,15 @@ def _working_bits(spec: SeriesSpec, roundoff: int) -> int:
     return _kernel_bits(roundoff, _log2_term(spec, 1) - mp.prec)
 
 
-def _window_end(spec: SeriesSpec, K: int) -> float:
-    """log2 of the last term of the window after K: every window term
-    must be resolved for its ratios to mean anything."""
-    return _log2_term(spec, K + _RATIO_WINDOW + 1)
-
-
 def _unscale(n: int, bits: int) -> mpf:
     return mp.ldexp(mpf(n), -bits)
+
+
+def _ceil_to_prec(n: int) -> int:
+    """n >= 0 rounded up to mp.prec significant bits, so that mpf(n) is
+    exact."""
+    drop = max(0, n.bit_length() - mp.prec)
+    return -(-n >> drop) << drop
 
 
 def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
@@ -382,74 +394,77 @@ def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
         return _unscale(_kernel(spec, bits, K)[0], bits)
 
 
-def _certified_tail(window: list[int], rho: mpf) -> mpf:
-    """Upper bound on the omitted tail from a window of upcoming terms,
-    given as the kernel's scaled integers t_k 2^B; the bound is returned in
-    the same scale, for the caller to shift by 2^-B once.
+def _phi_power(n: int, sqrt5: Fraction) -> Fraction:
+    """phi^n = (L(n) + F(n) sqrt5) / 2, n >= 0, with sqrt5 replaced by a
+    rational bound on it (the same side of phi^n as of sqrt5)."""
+    return (lucas(n) + fib(n) * sqrt5) / 2
 
-    rho-hat = rho (1 + delta) is the limit ratio with a safety margin,
-    checked against every ratio |t_{i+1}/t_i| of the window (zero terms
-    skipped); the window maximum, times 1 + delta, takes over if the limit
-    has not been reached yet.  The maximum is found by exact integer
-    cross-multiplication; the mpf work is one quotient for it, the margin
-    and the bound |t_{K+1}| / (1 - rho-hat).  Sound for unit weights
-    because their ratios are monotone: they fall to rho for a = 0 (the
-    first ratio of the window bounds every later one) and rise to it for
-    a = 1, 2.  Weighted ratios converge to rho exponentially fast.
+
+def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
+    """Proved bound on the tail sum_{k>K} |t_k| 2^B plus the roundoff of
+    the kernel's head, from the kernel's term ``term`` at K+1 and the bound
+    ``roundoff`` = _roundoff_ulps(spec, K+1) on both.
+
+    The bound is (|term| + roundoff) s / (1 - g_{K+1}) (see the module
+    docstring), in exact rationals: g from an upper bound on phi^|m|, s
+    from a lower bound on phi^(|m|(K+1)).  Since s / (1 - g) >= 1, the
+    roundoff it carries covers both the read term and the head.  Raises
+    NotGeometric when g_{K+1} >= 1.
     """
-    first = abs(window[0])
-    if first == 0:
-        return mpf(0)
-    num, den = 0, 1  # the worst ratio so far, num/den
-    prev = first
-    for t in window[1:]:
-        t = abs(t)
-        if prev and t * den > num * prev:
-            num, den = t, prev
-        prev = t
-    delta = min(mpf("1e-3"), (1 - rho) / 8)
-    rho_hat = rho * (1 + delta)
-    worst = mpf(num) / den
-    if worst > rho_hat:
-        rho_hat = worst * (1 + delta)
-    if rho_hat >= 1:
-        raise NotGeometric(f"term ratios reach {rho_hat}; no geometric tail")
-    return mpf(first) / (1 - rho_hat)
+    n, k = abs(spec.weight.m), K + 1
+    g = (abs(spec.z) * _phi_power(n, _SQRT5_HI)
+         * Fraction(2 * (k + 1) * (2 * k + 1), 3 * (3 * k + 1) * (3 * k + 2)))
+    if g >= 1:
+        raise NotGeometric(
+            f"term ratio bound {float(g):.6g} after {K} terms; no geometric tail")
+    bound = (abs(term) + roundoff) / (1 - g)
+    if n:
+        phi_n = _phi_power(n * k, _SQRT5_LO)
+        bound *= (phi_n + 1) / (phi_n - 1)
+    return bound
 
 
 def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
-    """Certified bound on |sum of terms beyond K| for geometric series."""
-    cls = classify(spec, ctx)
-    if not cls.is_geometric:
-        raise NotGeometric(f"series is {cls.kind}, tail bound needs geometric")
+    """Proved bound on |sum of terms beyond K| for geometric series.
+
+    The bound is |t_{K+1}| s / (1 - g_{K+1}) in exact rationals, t_{K+1}
+    resolved to working precision with its roundoff added: g_k decreases
+    in k, so it bounds every later term ratio, and s is the Binet slack of
+    the weight (see the module docstring).  Rounded up to an mpf."""
+    kind = convergence_kind(spec)
+    if kind != "geometric":
+        raise NotGeometric(f"series is {kind}, tail bound needs geometric")
     with ctx.workdps():
         if _vanishes(spec):
             return mpf(0)
-        bits = _kernel_bits(_roundoff_ulps(spec, K + _RATIO_WINDOW + 1),
-                            _window_end(spec, K) - mp.prec)
-        window = _kernel(spec, bits, K, _RATIO_WINDOW + 1)[1]
-        return mp.ldexp(_certified_tail(window, cls.rho), -bits)
+        roundoff = _roundoff_ulps(spec, K + 1)
+        bits = _kernel_bits(roundoff, _log2_term(spec, K + 1) - mp.prec)
+        term = _kernel(spec, bits, K, 1)[1][0]
+        ulps = math.ceil(_tail_ulps(spec, K, term, roundoff))
+        return _unscale(_ceil_to_prec(ulps), bits)
 
 
-def _cutoff_fits(spec: SeriesSpec, digits: int, rho: float):
-    """The cutoff estimate as a predicate of K: is the window certificate
-    |t_{K+1}|/(1 - rho-hat) below 10^-digits, from float log-magnitudes of
-    the terms?
-
-    rho-hat mirrors _certified_tail: the larger of rho and g_{K+1} (which
-    bounds every smooth term ratio from K+1 on), times 1 + delta.
-    """
-    delta = min(1e-3, (1 - rho) / 8)
+def _cutoff_fits(spec: SeriesSpec, digits: int):
+    """The cutoff estimate as a predicate of K: is the bound of
+    _tail_ulps, |t_{K+1}| s / (1 - g_{K+1}), below 10^-digits, from float
+    log-magnitudes of the terms?  A margin of 2^-16 of the target is left
+    for the roundoff and the float error."""
+    c = _growth_constant(spec)
+    n = abs(spec.weight.m)
     log_eps = -digits * math.log(10) + math.log1p(-2.0 ** -16)
 
     def fits(K: int) -> bool:
-        rho_hat = max(rho, _step_growth(spec, K + 1)) * (1 + delta)
-        return rho_hat < 1 and _log_term(spec, K + 1) - math.log1p(-rho_hat) < log_eps
+        g = _step_growth(c, K + 1)
+        if g >= 1:
+            return False
+        eps = math.exp(-n * (K + 1) * _LOG_PHI) if n else 0.0
+        return (_log_term(spec, K + 1) + math.log1p(eps) - math.log1p(-eps)
+                - math.log1p(-g) < log_eps)
 
     return fits
 
 
-def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
+def _cutoff(spec: SeriesSpec, digits: int, budget: int) -> int:
     """Smallest K >= rise - 1 that _cutoff_fits accepts; MaxTermsExceeded
     when that K is beyond the budget.
 
@@ -458,7 +473,7 @@ def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
     the budget) and bisects the last doubling: about 2 log2(K / rise)
     probes, however large the budget.
     """
-    fits = _cutoff_fits(spec, digits, rho)
+    fits = _cutoff_fits(spec, digits)
     lo = max(1, _rise_end(spec) - 1)
     if lo <= budget and fits(lo):
         return lo
@@ -480,40 +495,41 @@ def _cutoff(spec: SeriesSpec, digits: int, rho: float, budget: int) -> int:
 
 
 def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
-    """Sum until the certified tail drops below 10^-digits.
+    """Sum with a proved tail below 10^-digits.
 
-    The cutoff K comes straight from the term-magnitude estimate of
-    _cutoff; the kernel sums K terms once plus the window, and the tail is
-    the window certificate plus the kernel's roundoff bound and the final
-    rounding to working precision.  Should the certificate miss the target,
-    K grows by K/16 and the sum is redone.  Raises MaxTermsExceeded as soon
-    as K would pass the context's term budget.
+    The cutoff K comes from the float estimate of _cutoff; the kernel sums
+    K terms once and reads term K+1.  The tail is |t_{K+1}| s / (1 - g_{K+1})
+    in exact rationals (g_k decreases in k, s is the Binet slack of the
+    weight; see the module docstring), plus the kernel's roundoff bound and
+    the rounding of the value to working precision, rounded up and checked
+    against 10^-digits in integers, once.  Raises ValueError when
+    ``digits`` exceeds the context's target, MaxTermsExceeded when K would
+    pass the context's term budget, and Unsupported when the bound misses
+    10^-digits at that K.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    cls = classify(spec, ctx)
-    if not cls.is_geometric:
-        raise NotGeometric(f"series is {cls.kind}; use sum_boundary at the radius")
-    budget = max_terms(ctx)
+    if ctx.target_digits < digits:
+        raise ValueError(f"context targets {ctx.target_digits} digits, "
+                         f"fewer than the {digits} requested")
+    kind = convergence_kind(spec)
+    if kind != "geometric":
+        raise NotGeometric(f"series is {kind}; use sum_boundary at the radius")
     with ctx.workdps():
         if _vanishes(spec):
             return SumResult(mpf(0), 0, mpf(0))
-        threshold = mpf(10) ** (-digits)
-        K = _cutoff(spec, digits, float(cls.rho), budget)
-        while True:
-            roundoff = _roundoff_ulps(spec, K)
-            bits = _kernel_bits(roundoff, min(-digits * _BITS_PER_DIGIT,
-                                              _window_end(spec, K)))
-            head, window, _ = _kernel(spec, bits, K, _RATIO_WINDOW + 1)
-            value = _unscale(head, bits)
-            tail = (mp.ldexp(_certified_tail(window, cls.rho) + roundoff, -bits)
-                    + abs(value) * mp.ldexp(1, 1 - mp.prec))
-            if tail < threshold:
-                return SumResult(value, K, tail)
-            K += max(1, K // _GROW_DIVISOR)
-            if K > budget:
-                raise MaxTermsExceeded(
-                    f"needed more than {budget} terms for {digits} digits")
+        K = _cutoff(spec, digits, max_terms(ctx))
+        roundoff = _roundoff_ulps(spec, K + 1)
+        bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
+        head, (term,), _ = _kernel(spec, bits, K, 1)
+        # the value rounds to working precision within |head| 2^(1-prec) units
+        ulps = _ceil_to_prec(math.ceil(_tail_ulps(spec, K, term, roundoff))
+                             + (abs(head) >> (mp.prec - 1)) + 1)
+        tail = _unscale(ulps, bits)
+        if ulps * 10 ** digits >= 1 << bits:
+            raise Unsupported(f"tail bound {mp.nstr(tail, 5)} after {K} terms "
+                              f"is not below 10^-{digits}")
+        return SumResult(_unscale(head, bits), K, tail)
 
 
 # -- boundary summation -------------------------------------------------
@@ -612,13 +628,13 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
     if digits > BOUNDARY_DIGITS_BUDGET:
         raise Unsupported(
             f"boundary summation is budgeted for {BOUNDARY_DIGITS_BUDGET} digits")
-    cls = classify(spec, ctx)
+    kind = convergence_kind(spec)
     with ctx.workdps():
-        if cls.kind == "boundary_positive":
+        if kind == "boundary_positive":
             return _boundary_positive(spec, digits, ctx)
-        if cls.kind == "boundary_alternating":
+        if kind == "boundary_alternating":
             return _boundary_alternating(spec, digits, ctx)
-    raise Unsupported(f"series is {cls.kind}, not a boundary case")
+    raise Unsupported(f"series is {kind}, not a boundary case")
 
 
 def sum_boundary(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> mpf:

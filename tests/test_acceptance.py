@@ -12,9 +12,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from binom3k.closed_forms import (A_rhs, TheoremParams, XYPair,
-                                  _horadam_value, _thm1_fib, _thm1_luc,
-                                  theorem_rhs)
+from binom3k.closed_forms import A_rhs, TheoremParams, XYPair, theorem_rhs
 from binom3k.errors import InvalidParams
 from binom3k.precision import make_context
 from binom3k.registry import instantiate, scan_perfect_square
@@ -172,13 +170,14 @@ def test_criterion_7_theorem_sweeps():
 def test_criterion_8_horadam():
     ok = True
     ctx = make_context(35)
-    with ctx.workdps():
-        fib_params = HoradamParams(1, 1, 0, 1)
-        luc_params = HoradamParams(1, 1, 2, 1)
-        for r in range(1, 6):
-            diff_f = abs(_horadam_value(fib_params, r, 2) - _thm1_fib(r))
-            diff_l = abs(_horadam_value(luc_params, r, 2) - _thm1_luc(r))
-            ok = ok and diff_f < mpf(10) ** -25 and diff_l < mpf(10) ** -25
+    # W(1,1,0,1) is Fibonacci and W(1,1,2,1) Lucas; r = 1 is divergent
+    for params, family in ((HoradamParams(1, 1, 0, 1), "THM1_FIB"),
+                           (HoradamParams(1, 1, 2, 1), "THM1_LUC")):
+        for r in range(2, 6):
+            horadam = theorem_rhs(
+                TheoremParams("HORADAM_A2", r=r, horadam=params), ctx)
+            golden = theorem_rhs(TheoremParams(family, r=r), ctx)
+            ok = ok and abs(horadam - golden) < mpf(10) ** -25
     pell = HoradamParams(2, 1, 0, 1)
     for level, family in ((2, "HORADAM_A2"), (1, "HORADAM_A1")):
         record = instantiate(

@@ -2,21 +2,23 @@
 chosen from it, checked against exact rational arithmetic."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binom3k.errors import InvalidParams, MaxTermsExceeded, NotGeometric
+from binom3k import series
+from binom3k.errors import (InvalidParams, MaxTermsExceeded, NotGeometric,
+                            Unsupported)
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record, record_from_json
 from binom3k.sequences import fib, lucas
-from binom3k.series import (_RATIO_WINDOW, SeriesSpec, UNIT_WEIGHT, Weight,
-                            _certified_tail, _cutoff, _cutoff_fits, _log2_term,
-                            _radius_side, _rise_end, _roundoff_ulps,
-                            _scaled_terms, classify, sum_to_digits, tail_bound)
+from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _cutoff,
+                            _cutoff_fits, _radius_side, _rise_end,
+                            _roundoff_ulps, _scaled_terms, _tail_ulps,
+                            classify, sum_to_digits, tail_bound)
 from binom3k.verifier import verify, verify_all
 
 
@@ -168,7 +170,7 @@ def test_verify_all_honours_the_context_in_parallel(catalog):
     assert any("MaxTermsExceeded" in r.detail for r in parallel["reports"])
 
 
-# -- the cutoff search and the integer window certificate ------------------
+# -- the cutoff search and the exact tail bound ------------------------------
 
 CUTOFF_GRID = [
     (Fraction(8, 3), UNIT_WEIGHT), (Fraction(-8, 3), UNIT_WEIGHT),
@@ -178,10 +180,10 @@ CUTOFF_GRID = [
 ]
 
 
-def _scan_cutoff(spec, digits, rho):
+def _scan_cutoff(spec, digits):
     """Smallest K >= rise - 1 that the cutoff estimate accepts, by a linear
     scan."""
-    fits = _cutoff_fits(spec, digits, rho)
+    fits = _cutoff_fits(spec, digits)
     K = max(1, _rise_end(spec) - 1)
     while not fits(K):
         K += 1
@@ -193,23 +195,34 @@ def _scan_cutoff(spec, digits, rho):
 @pytest.mark.parametrize("digits", [10, 35, 60])
 def test_cutoff_search_matches_a_linear_scan(z, weight, a, digits):
     spec = SeriesSpec(z, a, weight)
-    rho = float(classify(spec, make_context(digits + 10)).rho)
-    K = _scan_cutoff(spec, digits, rho)
-    assert _cutoff(spec, digits, rho, 10 ** 6) == K
-    assert _cutoff(spec, digits, rho, K) == K
+    K = _scan_cutoff(spec, digits)
+    assert _cutoff(spec, digits, 10 ** 6) == K
+    assert _cutoff(spec, digits, K) == K
     with pytest.raises(MaxTermsExceeded):
-        _cutoff(spec, digits, rho, K - 1)
+        _cutoff(spec, digits, K - 1)
 
 
-def _exact_certificate(window, rho):
-    """The rule of _certified_tail in exact rationals: (bound, rho-hat)."""
-    first = abs(window[0])
-    delta = min(Fraction(1, 1000), (1 - rho) / 8)
-    rho_hat = rho * (1 + delta)
-    worst = max(Fraction(abs(t), abs(s)) for s, t in zip(window, window[1:]) if s)
-    if worst > rho_hat:
-        rho_hat = worst * (1 + delta)
-    return first / (1 - rho_hat), rho_hat
+# continued-fraction convergents: F(n+1)/F(n) > phi for even n, < for odd n
+PHI_HI = Fraction(1346269, 832040)
+PHI_LO = Fraction(832040, 514229)
+
+
+def _weighted_rest_bound(spec, N):
+    """Bound on sum_{k>N} |t_k| for any weight, derived apart from the
+    package: |b_k| <= |b_{N+1}| r^(k-N-1) with r = r_{N+1} the largest unit
+    ratio from N+1 on, k^a >= (N+1)^a, and |w(mk)| <= c (phi^(|m|k) + 1)
+    with c = 1/sqrt5 for F and 1 for L; phi is replaced by rational bounds."""
+    k, n = N + 1, abs(spec.weight.m)
+    r = abs(spec.z) * Fraction(2 * (k + 1) * (2 * k + 1),
+                               3 * (3 * k + 1) * (3 * k + 2))
+    base = abs(spec.z) ** k / math.comb(3 * k, k) / k ** spec.a
+    if spec.weight.kind == "unit":
+        return base / (1 - r)
+    if spec.weight.kind == "fib" and n == 0:
+        return Fraction(0)  # every F(0 k) is 0
+    c = 1 / (2 * PHI_LO - 1) if spec.weight.kind == "fib" else 1
+    assert r * PHI_HI ** n < 1
+    return base * c * (PHI_HI ** (n * k) / (1 - r * PHI_HI ** n) + 1 / (1 - r))
 
 
 @pytest.mark.parametrize("z, weight", CUTOFF_GRID)
@@ -217,34 +230,81 @@ def _exact_certificate(window, rho):
 @pytest.mark.parametrize("K", [1, 40, 300])
 def test_integer_certificate_matches_the_exact_rule(z, weight, a, K):
     spec = SeriesSpec(z, a, weight)
-    ctx = make_context(30)
-    with ctx.workdps():
-        rho = classify(spec, ctx).rho
-        # every window term resolved to about 64 bits
-        bits = max(0, math.ceil(-_log2_term(spec, K + _RATIO_WINDOW + 1))) + 64
-        terms = _scaled_terms(spec, bits)
-        for _ in range(K):
-            next(terms)
-        window = [next(terms) for _ in range(_RATIO_WINDOW + 1)]
-        exact, rho_hat = _exact_certificate(window, to_fraction(rho))
-        if rho_hat >= 1:
+    term = exact_term(spec, K + 1)
+    if weight.kind == "unit":
+        # term K+1 exactly and no roundoff: the bound is _rest_bound itself
+        if abs(z) * Fraction(2 * (K + 2) * (2 * K + 3),
+                             3 * (3 * K + 4) * (3 * K + 5)) >= 1:
             with pytest.raises(NotGeometric):
-                _certified_tail(window, rho)
+                _tail_ulps(spec, K, term, 0)
             return
-        bound = to_fraction(_certified_tail(window, rho))
-        # a few roundings of rho-hat, amplified by the one 1 - rho-hat
-        assert abs(bound - exact) <= exact * Fraction(4, 2 ** mp.prec) / (1 - rho_hat)
+        assert _tail_ulps(spec, K, term, 0) == _rest_bound(spec, K)
+        return
+    bound = _tail_ulps(spec, K, term, 0)
+    # sound: at least the exact sum of 300 more terms plus the rest after them
+    N = K + 300
+    rest = sum((abs(exact_term(spec, k)) for k in range(K + 1, N + 1)),
+               Fraction(0))
+    assert rest + _weighted_rest_bound(spec, N) <= bound
+    # the same formula with phi replaced by bounds on it: at least its value
+    # for phi known to 80 digits, at most its value for phi to 5 digits
+    n, k = abs(weight.m), K + 1
+    ratio = Fraction(2 * (k + 1) * (2 * k + 1), 3 * (3 * k + 1) * (3 * k + 2))
+
+    def formula(phi_g, phi_eps):
+        g, eps = abs(z) * phi_g ** n * ratio, phi_eps ** -(n * k)
+        return abs(term) / (1 - g) * (1 + eps) / (1 - eps)
+
+    fine_hi, fine_lo = Fraction(fib(201), fib(200)), Fraction(fib(200), fib(199))
+    assert formula(fine_lo, fine_hi) <= bound
+    assert bound <= formula(Fraction(16181, 10000), Fraction(1618, 1000))
 
 
-@settings(max_examples=40, deadline=None)
-@given(num=st.integers(-6000, 6000).filter(bool), den=st.integers(1000, 1300),
-       a=st.sampled_from([0, 1, 2]), digits=st.integers(5, 25))
-def test_tail_brackets_the_exact_remainder_for_any_geometric_z(num, den, a, digits):
-    spec = SeriesSpec(Fraction(num, den), a, UNIT_WEIGHT)
+def test_tail_bound_counts_the_roundoff_of_the_read_term():
+    spec = SeriesSpec(Fraction(20, 3), 2, UNIT_WEIGHT)
+    assert (_tail_ulps(spec, 300, 5, 3) == _tail_ulps(spec, 300, -8, 0)
+            == 8 * _tail_ulps(spec, 300, 1, 0))
+
+
+@pytest.mark.parametrize("z, a, kind, m", [
+    (Fraction(20, 3), 2, "unit", 0), (Fraction(-77, 12), 0, "unit", 0),
+    (Fraction(54, 25), 1, "lucas", 1), (Fraction(-1, 10), 2, "fib", 3)])
+def test_a_cutoff_one_term_short_raises(z, a, kind, m, monkeypatch):
+    spec = SeriesSpec(z, a, UNIT_WEIGHT if kind == "unit" else Weight(kind, m))
+    ctx = make_context(40)
+    K = sum_to_digits(spec, 30, ctx).terms_used
+    monkeypatch.setattr(series, "_cutoff", lambda spec, digits, budget: K - 1)
+    with pytest.raises(Unsupported, match=r"not below 10\^-30"):
+        sum_to_digits(spec, 30, ctx)
+
+
+def test_digits_beyond_the_context_target_fail_at_once():
+    spec = SeriesSpec(Fraction(1, 2), 2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="fewer than the 50 requested"):
+        sum_to_digits(spec, 50, make_context(10, 10 ** 5))
+    assert time.perf_counter() - start < 1
+
+
+@st.composite
+def weighted_geometric_z(draw):
+    weight = draw(weights)
+    n = abs(weight.m)
+    # |z| < 6 (L(n) + 1)^-1 keeps rho = 4|z| phi^n / 27 below 8/9
+    z = Fraction(draw(st.integers(-6000, 6000).filter(bool)),
+                 draw(st.integers(1000, 1300)))
+    return z / (lucas(n) + 1) if n else z, weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(zw=weighted_geometric_z(), a=st.sampled_from([0, 1, 2]),
+       digits=st.integers(5, 25))
+def test_tail_brackets_the_exact_remainder_for_any_geometric_z(zw, a, digits):
+    spec = SeriesSpec(zw[0], a, zw[1])
     ctx = make_context(digits + 10)
     result = sum_to_digits(spec, digits, ctx)
     value, tail = to_fraction(result.value), to_fraction(result.tail)
     assert tail < Fraction(1, 10 ** digits)
     N = result.terms_used + 40
     head = exact_partial_sum(spec, N)
-    assert abs(head - value) + _rest_bound(spec, N) <= tail
+    assert abs(head - value) + _weighted_rest_bound(spec, N) <= tail
