@@ -1,9 +1,10 @@
 """Command-line front end: list, evaluate, verify, sweep, and scan.
 
-Exit codes: 0 when every verification passes (or is legitimately skipped
-or boundary-reduced), 1 on any FAIL, 2 on usage errors.  JSON output uses
-decimal strings for all high-precision numbers so it round-trips without
-binary-float loss; Markdown tables truncate displayed values at 25 digits.
+Exit codes: 0 when every verification passes (or is skipped as
+divergent), 1 on any FAIL, 2 on usage errors, an option the subcommand
+does not take among them.  JSON output uses decimal strings for all
+high-precision numbers so it round-trips without binary-float loss;
+Markdown tables truncate displayed values at 25 digits.
 """
 
 from __future__ import annotations
@@ -91,12 +92,12 @@ def _suite_csv(reports: list[VerificationReport], digits: int) -> str:
     import io
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(["id", "status", "matched_digits", "terms_used",
-                     "tail", "elapsed_ms"])
+    fields = ["id", "status", "matched_digits", "terms_used", "tail",
+              "elapsed_ms"]
+    writer.writerow(fields)
     for r in reports:
         obj = _report_obj(r, digits)
-        writer.writerow([obj["id"], obj["status"], obj["matched_digits"],
-                         obj["terms_used"], obj["tail"], obj["elapsed_ms"]])
+        writer.writerow([obj[name] for name in fields])
     return buffer.getvalue()
 
 
@@ -111,7 +112,9 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _exit_code(reports: list[VerificationReport]) -> int:
+def _report(args, reports: list[VerificationReport]) -> int:
+    """Emit the reports in ``--format``; exit code 1 on any FAIL."""
+    _emit(_RENDERERS[args.format](reports, args.digits), args.out)
     return 1 if any(r.status == FAIL for r in reports) else 0
 
 
@@ -138,19 +141,25 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--digits", type=_positive_digits, default=30,
-                        help="decimal digits to certify (5-1000, default 30)")
-    parser.add_argument("--max-terms", type=_max_terms_arg, default=10**6,
-                        help="term budget for summation (default 1000000)")
-    parser.add_argument("--format", choices=("json", "md", "csv"),
-                        default="md", help="output format (default md)")
+def _add_common(parser: argparse.ArgumentParser, digits: bool = True,
+                formats: tuple = ("json", "md", "csv"),
+                catalog: bool = True) -> None:
+    if digits:
+        parser.add_argument("--digits", type=_positive_digits, default=30,
+                            help="decimal digits to certify (5-1000, default 30)")
+        parser.add_argument("--max-terms", type=_max_terms_arg, default=10**6,
+                            help="term budget for summation (default 1000000)")
+    if formats:
+        parser.add_argument("--format", choices=formats, default="md",
+                            help="output format (default md)")
     parser.add_argument("--out", help="write output to this file")
-    parser.add_argument("--catalog", help="load this catalog JSON instead "
-                        "of the built-in one")
+    if catalog:
+        parser.add_argument("--catalog", help="load this catalog JSON instead "
+                            "of the built-in one")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="binom3k",
         description="Certify closed-form evaluations of the series "
@@ -158,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="list catalog records")
-    _add_common(p)
+    _add_common(p, digits=False, formats=("json", "md"))
 
     p = sub.add_parser("eval", help="sum one record's series numerically")
     p.add_argument("--id", required=True, help="catalog record id")
-    _add_common(p)
+    _add_common(p, formats=())
 
     p = sub.add_parser("verify", help="verify one record")
     p.add_argument("--id", required=True, help="catalog record id")
@@ -180,13 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "assignments, e.g. r=3 or p=-2,q=5 (repeatable)")
     p.add_argument("--horadam", metavar="P,Q,A,B",
                    help="recurrence parameters for the HORADAM families")
-    _add_common(p)
+    _add_common(p, catalog=False)
 
     p = sub.add_parser("scan", help="list rational arguments z=(81-t^2)/12 "
                                     "with integer t")
     p.add_argument("--t-max", type=int, default=8,
                    help="largest t to scan (default 8)")
-    p.add_argument("--out", help="write output to this file")
+    _add_common(p, digits=False, formats=(), catalog=False)
 
     p = sub.add_parser("check-derivatives",
                        help="numerically check the derivative chain between "
@@ -194,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, choices=("A_to_B", "B_to_C"))
     p.add_argument("--x", type=_fraction_arg, required=True)
     p.add_argument("--y", type=_fraction_arg, required=True)
-    _add_common(p)
+    _add_common(p, catalog=False)
 
     return parser
 
 
 def _load(args) -> list:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return builtin_catalog()
 
@@ -235,8 +244,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    catalog = _load(args)
-    record = get_record(catalog, args.id)
+    record = get_record(_load(args), args.id)
     ctx = make_context(args.digits + 10, args.max_terms)
     if record.convergence != "geometric":
         print(f"record {args.id} is not geometric "
@@ -253,21 +261,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    catalog = _load(args)
-    record = get_record(catalog, args.id)
+    record = get_record(_load(args), args.id)
     ctx = make_context(args.digits + 10, args.max_terms)
     reports = [verify(record, args.digits, ctx)]
-    _emit(_RENDERERS[args.format](reports, args.digits), args.out)
-    return _exit_code(reports)
+    return _report(args, reports)
 
 
 def _cmd_verify_all(args) -> int:
     catalog = _load(args)
     ctx = make_context(args.digits + 10, args.max_terms)
     summary = verify_all(catalog, args.digits, ctx, jobs=args.jobs)
-    reports = summary["reports"]
-    _emit(_RENDERERS[args.format](reports, args.digits), args.out)
-    return _exit_code(reports)
+    return _report(args, summary["reports"])
 
 
 def _cmd_sweep(args) -> int:
@@ -287,8 +291,7 @@ def _cmd_sweep(args) -> int:
             for point in points]
     ctx = make_context(args.digits + 10, args.max_terms)
     reports = run_sweep(args.family, grid, args.digits, ctx)
-    _emit(_RENDERERS[args.format](reports, args.digits), args.out)
-    return _exit_code(reports)
+    return _report(args, reports)
 
 
 def _cmd_scan(args) -> int:
@@ -302,8 +305,7 @@ def _cmd_check_derivatives(args) -> int:
     ctx = make_context(args.digits + 10, args.max_terms)
     report = differential_check(args.level, XYPair(args.x, args.y),
                                 args.digits, ctx)
-    _emit(_RENDERERS[args.format]([report], args.digits), args.out)
-    return _exit_code([report])
+    return _report(args, [report])
 
 
 _COMMANDS = {

@@ -24,9 +24,9 @@ class MaxTermsExceeded(Binom3kError):
 
 
 class Unsupported(Binom3kError):
-    """The request is outside the implemented budget (e.g. too many digits
-    at the convergence boundary, a divergent series, or a proved tail bound
-    that misses its digit target)."""
+    """The request is outside what can be proved: a boundary summation of
+    a series off the boundary (or divergent on it), or a proved tail bound
+    that misses its digit target."""
 
 
 class InvalidParams(Binom3kError):

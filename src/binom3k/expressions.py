@@ -10,6 +10,7 @@ be re-evaluated at any precision without loss.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -19,9 +20,17 @@ from mpmath import mp, mpf
 from .errors import DomainError
 from .precision import PrecisionContext, real_cbrt
 
-_LEAF_KINDS = frozenset({"int", "rat", "pi", "golden_ratio"})
 _UNARY_KINDS = frozenset({"sqrt", "cbrt", "log", "arctan", "neg"})
 _BINARY_KINDS = frozenset({"add", "sub", "mul", "div"})
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _operator(kind: str, reflected: bool = False):
+    """The Expr method building ``kind`` from self and a coerced operand."""
+    def method(self, other):
+        operands = (_coerce(other), self) if reflected else (self, _coerce(other))
+        return Expr(kind, operands)
+    return method
 
 
 @dataclass(frozen=True)
@@ -30,29 +39,14 @@ class Expr:
     args: tuple = ()
 
     # -- constructors used throughout the catalog builder -------------
-    def __add__(self, other):
-        return Expr("add", (self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Expr("add", (_coerce(other), self))
-
-    def __sub__(self, other):
-        return Expr("sub", (self, _coerce(other)))
-
-    def __rsub__(self, other):
-        return Expr("sub", (_coerce(other), self))
-
-    def __mul__(self, other):
-        return Expr("mul", (self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Expr("mul", (_coerce(other), self))
-
-    def __truediv__(self, other):
-        return Expr("div", (self, _coerce(other)))
-
-    def __rtruediv__(self, other):
-        return Expr("div", (_coerce(other), self))
+    __add__ = _operator("add")
+    __radd__ = _operator("add", reflected=True)
+    __sub__ = _operator("sub")
+    __rsub__ = _operator("sub", reflected=True)
+    __mul__ = _operator("mul")
+    __rmul__ = _operator("mul", reflected=True)
+    __truediv__ = _operator("div")
+    __rtruediv__ = _operator("div", reflected=True)
 
     def __neg__(self):
         return Expr("neg", (self,))
@@ -144,12 +138,8 @@ def _eval(expr: Expr) -> mpf:
         return mp.log(val)
     if kind == "arctan":
         return mp.atan(_eval(expr.args[0]))
-    if kind == "add":
-        return _eval(expr.args[0]) + _eval(expr.args[1])
-    if kind == "sub":
-        return _eval(expr.args[0]) - _eval(expr.args[1])
-    if kind == "mul":
-        return _eval(expr.args[0]) * _eval(expr.args[1])
+    if kind in _ARITHMETIC:
+        return _ARITHMETIC[kind](_eval(expr.args[0]), _eval(expr.args[1]))
     if kind == "div":
         den = _eval(expr.args[1])
         if den == 0:

@@ -4,9 +4,9 @@ Each :class:`IdentityRecord` pairs a left-hand :class:`~.series.SeriesSpec`
 with a right-hand side given either as an exact expression tree or as a
 bound closed-form family.  The built-in catalog is built in code by
 :mod:`._builtin` on first use; user catalogs are JSON files read by
-:func:`load_catalog` and written by :func:`save_catalog`.  Every record's
-stored convergence class is re-checked against
-:func:`~.series.convergence_kind` when a catalog is loaded or built.
+:func:`load_catalog` (which checks each stored convergence class against
+:func:`~.series.convergence_kind`) and written by :func:`save_catalog`.
+Built-in records take their class from it; ids must be unique.
 """
 
 from __future__ import annotations
@@ -128,17 +128,12 @@ def record_from_json(obj: dict) -> IdentityRecord:
 
 # -- catalog loading -----------------------------------------------------
 
-def _check_catalog(records: list[IdentityRecord]) -> None:
+def _check_ids(records: list[IdentityRecord]) -> None:
     seen = set()
     for record in records:
         if record.id in seen:
             raise ValueError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
-        actual = convergence_kind(record.lhs)
-        if actual != record.convergence:
-            raise ValueError(
-                f"record {record.id!r} declares convergence "
-                f"{record.convergence!r} but classifies as {actual!r}")
 
 
 def load_catalog(path: Union[str, Path]) -> list[IdentityRecord]:
@@ -146,7 +141,13 @@ def load_catalog(path: Union[str, Path]) -> list[IdentityRecord]:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     records = [record_from_json(obj) for obj in data]
-    _check_catalog(records)
+    _check_ids(records)
+    for record in records:
+        actual = convergence_kind(record.lhs)
+        if actual != record.convergence:
+            raise ValueError(
+                f"record {record.id!r} declares convergence "
+                f"{record.convergence!r} but classifies as {actual!r}")
     return records
 
 
@@ -160,13 +161,13 @@ _builtin_cache: Optional[list[IdentityRecord]] = None
 
 
 def builtin_catalog() -> list[IdentityRecord]:
-    """The built-in catalog (built and validated once, cached, treated as
+    """The built-in catalog (built once, its ids checked, cached, treated as
     immutable)."""
     global _builtin_cache
     if _builtin_cache is None:
         from ._builtin import build_records  # _builtin imports this module
         records = build_records()
-        _check_catalog(records)
+        _check_ids(records)
         _builtin_cache = records
     return list(_builtin_cache)
 
@@ -206,7 +207,7 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     kind = convergence_kind(lhs)
     if kind == "divergent_formal":
         raise InvalidParams(
-            f"{params.describe()}: series argument exceeds the radius 27/4")
+            f"{params.describe()}: the series diverges at the radius 27/4 or beyond")
     slug = params.describe().lower().replace(" ", "-").replace("=", "")
     return IdentityRecord(
         id=slug.replace("_", "-"),

@@ -27,8 +27,15 @@ phi^(-|m|(K+1)); s = 1 for the unit weight and L(0).  phi^|m| enters
 through rational bounds on sqrt5 and the kernel's roundoff is added to the
 read term, so a tail reported below 10^-d is proved.
 
-Boundary sums go through Euler-Maclaurin (positive case) or CRVZ
-alternating-series acceleration, both with an a-posteriori stability check.
+On the radius the terms behave like (+-1)^k k^(1/2 - a), so only z = 27/4
+with a = 2 and z = -27/4 with a = 1, 2 converge; :func:`sum_boundary`
+proves them to the requested digits.  At 27/4 the tail after K terms is
+telescoped by a truncated asymptotic series P (:func:`_telescope`).  At
+-27/4, 1/C(3k,k) = 2k B(k+1, 2k) gives |z|^k / (k C(3k,k)) = 2 int_0^1
+x(t)^k dt / (1-t), x(t) = |z| t (1-t)^2 in [0, 1], and 1/k = int_0^1
+u^(k-1) du, so |t_{j+1}| are moments of a positive measure on [0, 1]:
+CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier, Exp. Math. 2000,
+Algorithm 1) with n terms is within |t_1| / T_n(3).
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import count
 from operator import mul
 from typing import Iterator, Optional
 
@@ -45,7 +54,6 @@ from .errors import MaxTermsExceeded, NotGeometric, Unsupported
 from .precision import PrecisionContext, golden_ratio, max_terms
 from .sequences import fib, lucas
 
-BOUNDARY_DIGITS_BUDGET = 12
 _GUARD_BITS = 48
 _SQRT5_LO = Fraction(math.isqrt(5 << 128), 1 << 64)  # sqrt5 within 2^-64
 _SQRT5_HI = _SQRT5_LO + Fraction(1, 1 << 64)
@@ -53,6 +61,7 @@ _SQRT5_HI = _SQRT5_LO + Fraction(1, 1 << 64)
 _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 _BINET_CONJ = -((math.sqrt(5) - 1) / 2) ** 2  # (psi/phi), psi = -1/phi
 _BITS_PER_DIGIT = math.log2(10)
+_LOG10_CRVZ_RATE = math.log10(3 + math.sqrt(8))
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,6 @@ class Weight:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "unit" and self.m != 0:
             raise ValueError("unit weight takes no index")
-
-    def growth_rate(self, ctx: PrecisionContext) -> mpf:
-        """Limit of |w(k+1)/w(k)|: phi^|m| (1 for the unit weight)."""
-        return golden_ratio(ctx) ** abs(self.m) if self.m else mpf(1)
 
 
 UNIT_WEIGHT = Weight("unit")
@@ -141,21 +146,19 @@ def convergence_kind(spec: SeriesSpec) -> str:
     side = _radius_side(spec) if spec.z else -1
     if side < 0:
         return "geometric"
-    if side > 0:
+    # on the radius the terms behave like (+-1)^k k^(1/2 - a)
+    if side > 0 or spec.a < (2 if spec.z > 0 else 1):
         return "divergent_formal"
     return "boundary_positive" if spec.z > 0 else "boundary_alternating"
 
 
 def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
     """The exact convergence_kind, with rho kept as an mpf."""
-    kind = convergence_kind(spec)
     z = spec.z
-    if z == 0:
-        return ConvergenceClass(kind, mpf(0))
     with ctx.workdps():
         rho = (mpf(abs(z.numerator)) / z.denominator
-               * spec.weight.growth_rate(ctx) * 4 / 27)
-    return ConvergenceClass(kind, rho)
+               * golden_ratio(ctx) ** abs(spec.weight.m) * 4 / 27)
+    return ConvergenceClass(convergence_kind(spec), rho)
 
 
 # -- the integer kernel ----------------------------------------------------
@@ -252,10 +255,10 @@ def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
     return s, (x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2)
 
 
-def _kernel(spec: SeriesSpec, bits: int, K: int, window: int = 0,
-            mark: int = 0) -> tuple[int, list[int], int]:
-    """The sum of the scaled terms t_k 2^bits for k <= K, the next
-    ``window`` terms one by one, and the sum for k <= mark (mark <= K).
+def _kernel(spec: SeriesSpec, bits: int, K: int,
+            window: int = 0) -> tuple[int, list[int]]:
+    """The sum of the scaled terms t_k 2^bits for k <= K and the next
+    ``window`` terms one by one.
 
     The integers are exactly those of :func:`_scaled_terms`, with no
     generator: the ratio's numerator 2p(k+1)(2k+1) and denominator
@@ -274,13 +277,12 @@ def _kernel(spec: SeriesSpec, bits: int, K: int, window: int = 0,
         run = _pair_run
         state = ((f1 * p << bits) // q3, (f2 * p << bits) // q3, f0, f1, f2,
                  spec.weight.kind == "lucas") + ratio
-    marked, state = run(state, 1, mark + 1, spec.a)
-    head, state = run(state, mark + 1, K + 1, spec.a)
+    head, state = run(state, 1, K + 1, spec.a)
     terms = []
     for k in range(K + 1, K + 1 + window):
         term, state = run(state, k, k + 1, spec.a)
         terms.append(term)
-    return marked + head, terms, marked
+    return head, terms
 
 
 def _growth_constant(spec: SeriesSpec) -> float:
@@ -357,19 +359,10 @@ def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
     return math.ceil(2 * c * s * math.exp(log_growth) * spread) + K
 
 
-def _log2_term(spec: SeriesSpec, k: int) -> float:
-    return _log_term(spec, k) / math.log(2)
-
-
 def _kernel_bits(roundoff: int, finest: float) -> int:
     """Scale B for a sum whose _roundoff_ulps bound is ``roundoff``: the
     bound sits _GUARD_BITS below 2^finest."""
     return max(0, math.ceil(-finest)) + roundoff.bit_length() + _GUARD_BITS
-
-
-def _working_bits(spec: SeriesSpec, roundoff: int) -> int:
-    """Scale B carrying working precision relative to the first term."""
-    return _kernel_bits(roundoff, _log2_term(spec, 1) - mp.prec)
 
 
 def _unscale(n: int, bits: int) -> mpf:
@@ -390,7 +383,8 @@ def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
     with ctx.workdps():
         if _vanishes(spec):
             return mpf(0)
-        bits = _working_bits(spec, _roundoff_ulps(spec, K))
+        bits = _kernel_bits(_roundoff_ulps(spec, K),  # working precision
+                            _log_term(spec, 1) / math.log(2) - mp.prec)
         return _unscale(_kernel(spec, bits, K)[0], bits)
 
 
@@ -425,12 +419,9 @@ def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
 
 
 def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
-    """Proved bound on |sum of terms beyond K| for geometric series.
-
-    The bound is |t_{K+1}| s / (1 - g_{K+1}) in exact rationals, t_{K+1}
-    resolved to working precision with its roundoff added: g_k decreases
-    in k, so it bounds every later term ratio, and s is the Binet slack of
-    the weight (see the module docstring).  Rounded up to an mpf."""
+    """Proved bound on |sum of terms beyond K| for geometric series: the
+    bound of the module docstring, t_{K+1} resolved to working precision
+    with its roundoff added, rounded up to an mpf."""
     kind = convergence_kind(spec)
     if kind != "geometric":
         raise NotGeometric(f"series is {kind}, tail bound needs geometric")
@@ -438,7 +429,7 @@ def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
         if _vanishes(spec):
             return mpf(0)
         roundoff = _roundoff_ulps(spec, K + 1)
-        bits = _kernel_bits(roundoff, _log2_term(spec, K + 1) - mp.prec)
+        bits = _kernel_bits(roundoff, _log_term(spec, K + 1) / math.log(2) - mp.prec)
         term = _kernel(spec, bits, K, 1)[1][0]
         ulps = math.ceil(_tail_ulps(spec, K, term, roundoff))
         return _unscale(_ceil_to_prec(ulps), bits)
@@ -494,24 +485,38 @@ def _cutoff(spec: SeriesSpec, digits: int, budget: int) -> int:
     return hi
 
 
-def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
-    """Sum with a proved tail below 10^-digits.
-
-    The cutoff K comes from the float estimate of _cutoff; the kernel sums
-    K terms once and reads term K+1.  The tail is |t_{K+1}| s / (1 - g_{K+1})
-    in exact rationals (g_k decreases in k, s is the Binet slack of the
-    weight; see the module docstring), plus the kernel's roundoff bound and
-    the rounding of the value to working precision, rounded up and checked
-    against 10^-digits in integers, once.  Raises ValueError when
-    ``digits`` exceeds the context's target, MaxTermsExceeded when K would
-    pass the context's term budget, and Unsupported when the bound misses
-    10^-digits at that K.
-    """
+def _check_digits(digits: int, ctx: PrecisionContext) -> None:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if ctx.target_digits < digits:
         raise ValueError(f"context targets {ctx.target_digits} digits, "
                          f"fewer than the {digits} requested")
+
+
+def _certified(value: int, error: int, bits: int, terms: int,
+               digits: int) -> SumResult:
+    """value 2^-bits with the error bound ``error`` 2^-bits plus the value's
+    rounding to working precision (|value| 2^(1-prec)), rounded up to an
+    exact mpf and checked against 10^-digits in integers: Unsupported when
+    it misses."""
+    ulps = _ceil_to_prec(error + (abs(value) >> (mp.prec - 1)) + 1)
+    tail = _unscale(ulps, bits)
+    if ulps * 10 ** digits >= 1 << bits:
+        raise Unsupported(f"tail bound {mp.nstr(tail, 5)} after {terms} terms "
+                          f"is not below 10^-{digits}")
+    return SumResult(_unscale(value, bits), terms, tail)
+
+
+def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
+    """Sum with a proved tail below 10^-digits.
+
+    K comes from the float estimate of _cutoff; one kernel pass sums K
+    terms and reads term K+1, whose tail bound (module docstring) is
+    checked once by _certified.  Raises ValueError when ``digits`` exceeds
+    the context's target, MaxTermsExceeded past the term budget, and
+    Unsupported when the bound misses 10^-digits.
+    """
+    _check_digits(digits, ctx)
     kind = convergence_kind(spec)
     if kind != "geometric":
         raise NotGeometric(f"series is {kind}; use sum_boundary at the radius")
@@ -521,120 +526,135 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
         K = _cutoff(spec, digits, max_terms(ctx))
         roundoff = _roundoff_ulps(spec, K + 1)
         bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
-        head, (term,), _ = _kernel(spec, bits, K, 1)
-        # the value rounds to working precision within |head| 2^(1-prec) units
-        ulps = _ceil_to_prec(math.ceil(_tail_ulps(spec, K, term, roundoff))
-                             + (abs(head) >> (mp.prec - 1)) + 1)
-        tail = _unscale(ulps, bits)
-        if ulps * 10 ** digits >= 1 << bits:
-            raise Unsupported(f"tail bound {mp.nstr(tail, 5)} after {K} terms "
-                              f"is not below 10^-{digits}")
-        return SumResult(_unscale(head, bits), K, tail)
+        head, (term,) = _kernel(spec, bits, K, 1)
+        return _certified(head, math.ceil(_tail_ulps(spec, K, term, roundoff)),
+                          bits, K, digits)
 
 
 # -- boundary summation -------------------------------------------------
 
-# Stirling-series coefficients of E(k) in ln C(3k,k) =
-# k ln(27/4) + ln sqrt(3/(4 pi k)) + E(k), E(k) = e1/k + e3/k^3 + e5/k^5 + ...
-_E1 = Fraction(-7, 72)
-_E3 = Fraction(235, 77760)
-_E5 = Fraction(-7987, 9797760)
+def _telescope_coeffs(J: int, F: int) -> list[int]:
+    """2^F b_j, floored, j < J, for P(k) = sum_j b_j k^(1-j) with eps(k) =
+    P(k)/r(k) - P(k+1) - 1 = O(k^-J), r(k) = t_{k+1}/t_k at z = 27/4, a = 2.
 
-
-def _tail_series_coeffs() -> list[mpf]:
-    """Coefficients c_j of exp(-E(k)) = sum_j c_j k^-j, j = 0..3."""
-    e1, e3 = mpf(_E1.numerator) / _E1.denominator, mpf(_E3.numerator) / _E3.denominator
-    return [mpf(1), -e1, e1 ** 2 / 2, -e3 - e1 ** 3 / 6]
-
-
-def _euler_maclaurin_tail(K: int) -> mpf:
-    """sum_{k>K} (27/4)^k / (k^2 C(3k,k)) via the asymptotic term expansion.
-
-    Each term is sqrt(4 pi/3) k^(-3/2) exp(-E(k)); Euler-Maclaurin with
-    three derivative corrections on the truncated power series.  The
-    truncation error is O(K^(-9/2)), far below the 12-digit budget for
-    the K used here.
+    In u = 1/k, eps (9(2+u)) = 2(1+u)(3+u)(3+2u) P(k) - 9(2+u)(P(k+1) + 1)
+    with P(k+1) = sum_j b_j u^(j-1) (1+u)^(1-j).  Its u^(n-1) coefficient
+    loses b_n and vanishes when 9(2n-1) b_{n-1} = 18 [n=1] + 9 [n=2] -
+    22 b_{n-2} - 4 b_{n-3} + sum_{j<n-1} b_j (18 C(1-j, n-j) + 9 C(1-j,
+    n-1-j)); each b_j is added to the later equations once found.
     """
-    a = mpf(K + 1)
-    total = mpf(0)
-    for j, c in enumerate(_tail_series_coeffs()):
-        p = mpf(3) / 2 + j
-        integral = c * a ** (1 - p) / (p - 1)
-        f0 = c * a ** (-p)
-        f1 = -c * p * a ** (-p - 1)
-        f3 = -c * p * (p + 1) * (p + 2) * a ** (-p - 3)
-        total += integral + f0 / 2 - f1 / 12 + f3 / 720
-    return mp.sqrt(4 * mp.pi / 3) * total
+    acc = [0] * (J + 4)
+    acc[1], acc[2] = 18 << F, 9 << F
+    b = []
+    for j in range(J):
+        bj = acc[j + 1] // (9 * (2 * j + 1))
+        b.append(bj)
+        acc[j + 2] -= 22 * bj
+        acc[j + 3] -= 4 * bj
+        prev = 1 - j  # C(1-j, m-1) at m = 2
+        for m in range(2, J - j + 1):
+            cur = prev * (2 - j - m) // m
+            acc[j + m] += bj * (18 * cur + 9 * prev)
+            prev = cur
+    return b
 
 
-def _boundary_positive(spec: SeriesSpec, digits: int, ctx: PrecisionContext,
-                       K: int = 16384) -> SumResult:
-    if spec.a != 2 or spec.weight.kind != "unit":
-        raise Unsupported("boundary-positive summation supports a=2, unit weight only")
+def _telescope(K: int, J: int, F: int) -> tuple[Fraction, Fraction]:
+    """Exact P(K) and eta >= sup_{k>=K} |eps(k)| for the b_j of
+    _telescope_coeffs.  With p(x) = x^(J-2) P(x), M(k) = 9k^J (2k+1)
+    (k+1)^(J-2) turns eps into the integer polynomial (times 2^F) Q(k) =
+    2(3k+1)(3k+2)(k+1)^(J-1) p(k) - 9k^J (2k+1)(p(k+1) + (k+1)^(J-2)),
+    whose k^(2J) term cancels as b_0 = 2.  M(k) >= 18 k^(2J-1), so |eps(k)|
+    <= sum_i |Q_i| k^(i-2J+1) / 18, which falls in k.
+    """
+    p = _telescope_coeffs(J, F)[::-1]
+    g = p
+    for _ in range(J - 1):  # (x+1)^(J-1) p(x)
+        g = [u + v for u, v in zip(g + [0], [0] + g)]
+    h = list(p)  # p(x+1), by Taylor shift
+    for i in range(J - 1):
+        for j in range(J - 2, i - 1, -1):
+            h[j] += h[j + 1]
+    q = [4 * u + 18 * v + 18 * w
+         for u, v, w in zip(g + [0, 0], [0] + g + [0], [0, 0] + g)]
+    for i, u in enumerate(h):
+        u += math.comb(J - 2, i) << F
+        q[J + i] -= 9 * u
+        q[J + i + 1] -= 18 * u
+    assert q[-1] == 0  # exactly, since b_0 = 2
+    value = reduce(lambda v, c: v * K + c, reversed(p), 0)
+    eta = reduce(lambda v, c: v * K + abs(c), reversed(q[:-1]), 0)
+    return (Fraction(value, K ** (J - 2) << F),
+            Fraction(eta, 18 * K ** (2 * J - 1) << F))
+
+
+def _boundary_positive(spec: SeriesSpec, digits: int, budget: int):
+    """(sum, error bound, scale, terms) at z = 27/4, a = 2: K terms plus
+    t_K P(K).  Summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1} (1 + eps(k))
+    over k >= K puts the tail within eta t_K P(K) / (1 - eta) of t_K P(K).
+    K ~ digits^2/32 balances the head against the O(J^2) coefficients; J
+    is the least with 4 J! / ((2 pi K)^J sqrt K) < 10^-(digits+3), the
+    bound in floats as b_J grows like J! / (2 pi)^J.
+    """
+    K = max(16, digits * digits // 32)
+    if K > budget:
+        raise MaxTermsExceeded(f"needed {K} terms for {digits} digits")
+    excess = digits + 3 + math.log10(4 / math.sqrt(K))
+    J = next(j for j in count(2) if math.lgamma(j + 1) / math.log(10)
+             - j * math.log10(2 * math.pi * K) + excess <= 0)
     roundoff = _roundoff_ulps(spec, K)
-    bits = _working_bits(spec, roundoff)
-    head, _, half = _kernel(spec, bits, K, mark=K // 2)
-    value = _unscale(head, bits) + _euler_maclaurin_tail(K)
-    # stability check: the half-depth evaluation must already agree
-    alt = _unscale(half, bits) + _euler_maclaurin_tail(K // 2)
-    stability = abs(value - alt)
-    if stability > mpf(10) ** (-digits):
-        raise Unsupported(
-            f"boundary acceleration unstable: {stability} at {digits} digits")
-    return SumResult(value, K, stability + _unscale(roundoff, bits))
+    bits = _kernel_bits(roundoff * K, -digits * _BITS_PER_DIGIT)
+    head, (term,) = _kernel(spec, bits, K - 1, 1)
+    factor, eta = _telescope(K, J, bits)
+    if eta >= 1:
+        raise Unsupported(f"no telescoping bound after {K} terms")
+    error = roundoff + 1 + factor * (roundoff + eta * (term + roundoff) / (1 - eta))
+    return head + term + math.floor(term * factor), math.ceil(error), bits, K
 
 
-def _crvz_alternating(abs_terms: list[mpf]) -> mpf:
-    """CRVZ acceleration of sum_{j>=0} (-1)^j a_j from the first n |terms|."""
-    n = len(abs_terms)
-    d = (3 + mp.sqrt(8)) ** n
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    s = mpf(0)
-    for k in range(n):
+def _crvz(moments: list[int]) -> tuple[int, int]:
+    """(s, d): s/d is the CRVZ value of sum_j (-1)^j a_j from n moments a_j
+    of a positive measure on [0, 1], within a_0 / d, d = T_n(3); the
+    weights c_k of s = sum_k c_k a_k satisfy 0 < |c_k| < d."""
+    n = len(moments)
+    d, prev = 3, 1  # T_1(3), T_0(3)
+    for _ in range(n - 1):
+        d, prev = 6 * d - prev, d
+    b, c, s = -1, -d, 0
+    for k, a in enumerate(moments):
         c = b - c
-        s += c * abs_terms[k]
-        b *= (k + n) * (k - n) / ((k + mpf(1) / 2) * (k + 1))
-    return s / d
+        s += c * a
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return s, d
 
 
-def _boundary_alternating(spec: SeriesSpec, digits: int,
-                          ctx: PrecisionContext) -> SumResult:
-    if spec.a not in (1, 2):
-        raise Unsupported("boundary-alternating summation needs a in {1, 2}")
-    n = 4 * digits + 24
-    roundoff = _roundoff_ulps(spec, n + 8)
-    bits = _working_bits(spec, roundoff)
-    scaled = _kernel(spec, bits, 0, n + 8)[1]
-    if any(scaled[i] * scaled[i + 1] >= 0 for i in range(len(scaled) - 1)):
-        raise Unsupported("terms do not alternate in sign")
-    # series starts at k=1 with a negative term: sum = -sum_j (-1)^j |t_{j+1}|
-    sign = 1 if scaled[0] > 0 else -1
-    abs_terms = [_unscale(abs(t), bits) for t in scaled]
-    low = sign * _crvz_alternating(abs_terms[:n])
-    high = sign * _crvz_alternating(abs_terms)
-    stability = abs(high - low)
-    if stability > mpf(10) ** (-digits):
-        raise Unsupported(
-            f"alternating acceleration unstable: {stability} at {digits} digits")
-    # the CRVZ weights are at most 1 in size, so the summed roundoff bounds theirs
-    return SumResult(high, n + 8, stability + _unscale(roundoff, bits))
+def _boundary_alternating(spec: SeriesSpec, digits: int, budget: int):
+    """(sum, error bound, scale, terms) at z = -27/4, a = 1, 2: -sum_j (-1)^j
+    |t_{j+1}| by CRVZ on n = ceil((digits + 3) / log10(3 + sqrt8)) moments
+    (module docstring); as |c_k| < d, the kernel's roundoff enters once."""
+    n = math.ceil((digits + 3) / _LOG10_CRVZ_RATE)
+    if n > budget:
+        raise MaxTermsExceeded(f"needed {n} terms for {digits} digits")
+    roundoff = _roundoff_ulps(spec, n)
+    bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
+    terms = _kernel(spec, bits, 0, n)[1]
+    s, d = _crvz([abs(t) for t in terms])
+    error = (abs(terms[0]) + roundoff) // d + roundoff + 2
+    return -(s // d), error, bits, n
 
 
 def sum_boundary_detailed(spec: SeriesSpec, digits: int,
                           ctx: PrecisionContext) -> SumResult:
-    """Boundary summation with terms/stability attached (internal to verify)."""
-    if digits > BOUNDARY_DIGITS_BUDGET:
-        raise Unsupported(
-            f"boundary summation is budgeted for {BOUNDARY_DIGITS_BUDGET} digits")
+    """Sum of a convergent series at z = +-27/4 with a proved tail below
+    10^-digits, raising as sum_to_digits does (Unsupported off it)."""
+    _check_digits(digits, ctx)
     kind = convergence_kind(spec)
+    if not kind.startswith("boundary"):
+        raise Unsupported(f"series is {kind}, not a boundary case")
     with ctx.workdps():
-        if kind == "boundary_positive":
-            return _boundary_positive(spec, digits, ctx)
-        if kind == "boundary_alternating":
-            return _boundary_alternating(spec, digits, ctx)
-    raise Unsupported(f"series is {kind}, not a boundary case")
+        method = (_boundary_positive if kind == "boundary_positive"
+                  else _boundary_alternating)
+        return _certified(*method(spec, digits, max_terms(ctx)), digits)
 
 
 def sum_boundary(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> mpf:

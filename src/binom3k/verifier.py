@@ -1,15 +1,15 @@
 """Comparison engine: certified series brackets vs. closed-form values.
 
 A verification sums the left-hand series with a certified tail bound
-(:func:`series.sum_to_digits`) and evaluates the right-hand closed form at
-the context's working precision.  PASS demands both a digit match of
-target - 2 (absorbing final roundoff) and bracket consistency
-|lhs - rhs| <= 3 tail + slack, the slack covering the roundoff of both
-sides at working precision.  The matched-digit count is exact integer work
-on the binary form of the difference, with no logarithm.  Boundary records
-are verified at a reduced digit target of :data:`BOUNDARY_TARGET`; records
-beyond the radius are skipped.  :func:`summary_counts` is the one place
-that counts pass, fail and skipped reports.
+(:func:`series.sum_to_digits`, or :func:`series.sum_boundary_detailed` at
+z = +-27/4) and evaluates the right-hand closed form at the context's
+working precision.  PASS demands both a digit match of target - 2
+(absorbing final roundoff) and bracket consistency |lhs - rhs| <= 3 tail +
+slack, the slack covering the roundoff of both sides at working precision.
+The matched-digit count is exact integer work on the binary form of the
+difference, with no logarithm.  Records whose series diverges are skipped.
+:func:`summary_counts` is the one place that counts pass, fail and skipped
+reports.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .series import sum_boundary_detailed, sum_to_digits
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED_DIVERGENT = "SKIPPED_DIVERGENT"
-PASS_BOUNDARY_REDUCED = "PASS_BOUNDARY_REDUCED"
-
-BOUNDARY_TARGET = 10
 
 _LOG10_2 = math.log10(2)
 
@@ -54,7 +51,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.status in (PASS, PASS_BOUNDARY_REDUCED, SKIPPED_DIVERGENT)
+        return self.status in (PASS, SKIPPED_DIVERGENT)
 
 
 def _matched_digits(lhs: mpf, rhs: mpf, cap: int) -> int:
@@ -104,35 +101,26 @@ def verify(record: IdentityRecord, digits: int,
         report.params = record.rhs
     if record.convergence == "divergent_formal":
         report.status = SKIPPED_DIVERGENT
-        report.detail = "series argument exceeds the radius 27/4"
+        report.detail = "the series diverges (beyond or on the radius 27/4)"
         report.elapsed = time.perf_counter() - start
         return report
     try:
         with ctx.workdps():
             rhs = record.rhs_value(ctx)
-            if record.convergence == "geometric":
-                result = sum_to_digits(record.lhs, digits, ctx)
-                lhs = result.value
-                matched = _matched_digits(lhs, rhs, digits)
-                # allowance for roundoff of both pipelines at working precision
-                slack = (mpf(10) ** (-(ctx.working_digits - 5))
-                         * max(mpf(1), abs(rhs)))
-                if matched >= digits - 2 and abs(lhs - rhs) <= 3 * result.tail + slack:
-                    report.status = PASS
-                else:
-                    report.detail = (f"matched {matched} digits; "
-                                     f"|lhs-rhs| = {mp.nstr(abs(lhs - rhs), 5)} "
-                                     f"vs tail {mp.nstr(result.tail, 5)}")
+            summed = (sum_to_digits if record.convergence == "geometric"
+                      else sum_boundary_detailed)
+            result = summed(record.lhs, digits, ctx)
+            lhs = result.value
+            matched = _matched_digits(lhs, rhs, digits)
+            # allowance for roundoff of both pipelines at working precision
+            slack = (mpf(10) ** (-(ctx.working_digits - 5))
+                     * max(mpf(1), abs(rhs)))
+            if matched >= digits - 2 and abs(lhs - rhs) <= 3 * result.tail + slack:
+                report.status = PASS
             else:
-                target = min(digits, BOUNDARY_TARGET)
-                result = sum_boundary_detailed(record.lhs, target, ctx)
-                lhs = result.value
-                matched = _matched_digits(lhs, rhs, digits)
-                if matched >= target:
-                    report.status = PASS_BOUNDARY_REDUCED
-                else:
-                    report.detail = (f"boundary sum matched only {matched} "
-                                     f"of {target} digits")
+                report.detail = (f"matched {matched} digits; "
+                                 f"|lhs-rhs| = {mp.nstr(abs(lhs - rhs), 5)} "
+                                 f"vs tail {mp.nstr(result.tail, 5)}")
             report.lhs_value = lhs
             report.rhs_value = rhs
             report.matched_digits = matched
@@ -161,11 +149,10 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
 
 
 def summary_counts(reports: Iterable[VerificationReport]) -> dict:
-    """Reports that passed (in full or boundary-reduced), failed, and were
-    skipped beyond the radius."""
+    """Reports that passed, failed, and were skipped beyond the radius."""
     statuses = [r.status for r in reports]
     return {
-        "pass": statuses.count(PASS) + statuses.count(PASS_BOUNDARY_REDUCED),
+        "pass": statuses.count(PASS),
         "fail": statuses.count(FAIL),
         "skipped": statuses.count(SKIPPED_DIVERGENT),
     }
@@ -228,7 +215,7 @@ def differential_check(level: str, pair: XYPair, digits: int,
         closed = upper(pair, ctx)
         required = digits // 3
         matched = _matched_digits(transformed, closed, digits)
-    report = VerificationReport(
+    return VerificationReport(
         identity_id=f"diff-{level}-{x}-{y}".replace(".", "p"),
         target_digits=digits,
         status=PASS if matched >= required else FAIL,
@@ -238,4 +225,3 @@ def differential_check(level: str, pair: XYPair, digits: int,
         detail=f"central difference h = 1e-{digits}/3" if matched >= required
         else f"only {matched} of {required} digits agree",
     )
-    return report

@@ -120,3 +120,26 @@ def test_verify_all_custom_catalog(tmp_path, capsys):
     obj = json.loads(out_of(capsys))
     assert obj["suite"]["pass"] == len(catalog)
     assert obj["suite"]["fail"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--id", "eq-italy", "--format", "json"],
+    ["list", "--digits", "500", "--max-terms", "64"],
+    ["list", "--format", "csv"],
+    ["check-derivatives", "--level", "A_to_B", "--x", "9", "--y", "1",
+     "--catalog", "/nonexistent.json"],
+    ["sweep", "--family", "THM1_FIB", "--point", "r=2",
+     "--catalog", "/nonexistent.json"],
+    ["scan", "--digits", "40"],
+])
+def test_options_a_subcommand_ignores_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    capsys.readouterr()
+
+
+def test_verify_boundary_record_at_full_digits(capsys):
+    assert run(["verify", "--id", "alt-27-4", "--digits", "60",
+                "--format", "json"]) == 0
+    report = json.loads(out_of(capsys))["reports"][0]
+    assert report["status"] == "PASS"
+    assert report["matched_digits"] >= 58

@@ -114,3 +114,28 @@ def test_instantiate_horadam():
     record = instantiate("HORADAM_A2", params)
     assert record.convergence == "geometric"
     assert record.rhs == params
+
+
+def test_builtin_records_are_classified_once(monkeypatch):
+    from binom3k import _builtin, registry, series
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return series.convergence_kind(spec)
+
+    monkeypatch.setattr(_builtin, "convergence_kind", counted)
+    monkeypatch.setattr(registry, "convergence_kind", counted)
+    monkeypatch.setattr(registry, "_builtin_cache", None)
+    records = builtin_catalog()
+    assert len(calls) == len(records) == 73
+    assert all(r.convergence == series.convergence_kind(r.lhs) for r in records)
+
+
+def test_builtin_catalog_rejects_duplicate_ids(monkeypatch):
+    from binom3k import _builtin, registry
+    build = _builtin.build_records
+    monkeypatch.setattr(_builtin, "build_records", lambda: build()[:2] * 2)
+    monkeypatch.setattr(registry, "_builtin_cache", None)
+    with pytest.raises(ValueError, match="duplicate"):
+        builtin_catalog()

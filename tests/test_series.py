@@ -133,7 +133,7 @@ def test_sum_boundary_rejects_unsupported():
         sum_boundary(unit_spec(Fraction(27, 4), a=0), 10, ctx)
     with pytest.raises(Unsupported):
         sum_boundary(unit_spec(Fraction(8, 3)), 10, ctx)
-    with pytest.raises(Unsupported):
+    with pytest.raises(ValueError):
         sum_boundary(unit_spec(Fraction(27, 4)), 50, ctx)
 
 

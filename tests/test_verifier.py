@@ -11,9 +11,8 @@ from binom3k.errors import DomainError
 from binom3k.registry import IdentityRecord
 from binom3k.series import SeriesSpec, UNIT_WEIGHT
 from binom3k.verifier import (differential_check, sweep, verify, verify_all)
-from binom3k.verifier import (FAIL, PASS, PASS_BOUNDARY_REDUCED,
-                              SKIPPED_DIVERGENT, VerificationReport,
-                              summary_counts)
+from binom3k.verifier import (FAIL, PASS, SKIPPED_DIVERGENT,
+                              VerificationReport, summary_counts)
 
 
 def test_verify_italy(record_of):
@@ -24,9 +23,13 @@ def test_verify_italy(record_of):
 
 
 def test_verify_boundary(record_of):
-    report = verify(record_of("eq-27-4"), 40)
-    assert report.status == "PASS_BOUNDARY_REDUCED"
-    assert report.matched_digits >= 10
+    for record_id in ("eq-27-4", "alt-27-4"):
+        report = verify(record_of(record_id), 40)
+        assert report.status == "PASS"
+        assert report.matched_digits >= 38
+        assert report.tail < mpf(10) ** -40
+        assert (abs(report.lhs_value - report.rhs_value)
+                <= report.tail + mpf(10) ** -45)
 
 
 def test_verify_divergent(record_of):
@@ -126,7 +129,7 @@ def test_differential_check_domain():
 
 def test_summary_counts_feed_the_json_suite():
     reports = [VerificationReport(str(i), 30, status) for i, status in
-               enumerate([PASS, PASS_BOUNDARY_REDUCED, FAIL, SKIPPED_DIVERGENT, PASS])]
+               enumerate([PASS, PASS, FAIL, SKIPPED_DIVERGENT, PASS])]
     assert summary_counts(reports) == {"pass": 3, "fail": 1, "skipped": 1}
     suite = json.loads(_suite_json(reports, 30))["suite"]
     assert suite == {"digits": 30, "pass": 3, "fail": 1, "skipped": 1}
