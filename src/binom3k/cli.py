@@ -24,9 +24,8 @@ from .errors import Binom3kError
 from .precision import make_context
 from .registry import builtin_catalog, get_record, load_catalog, scan_perfect_square
 from .sequences import HoradamParams
-from .series import sum_to_digits
 from .verifier import (FAIL, VerificationReport, differential_check,
-                       summary_counts, verify, verify_all)
+                       sum_record, summary_counts, verify, verify_all)
 from .verifier import sweep as run_sweep
 
 MD_DIGIT_LIMIT = 25
@@ -246,13 +245,8 @@ def _cmd_list(args) -> int:
 def _cmd_eval(args) -> int:
     record = get_record(_load(args), args.id)
     ctx = make_context(args.digits + 10, args.max_terms)
-    if record.convergence != "geometric":
-        print(f"record {args.id} is not geometric "
-              f"({record.convergence}); use 'verify' instead",
-              file=sys.stderr)
-        return 2
     with ctx.workdps():
-        result = sum_to_digits(record.lhs, args.digits, ctx)
+        result = sum_record(record, args.digits, ctx)
         text = (f"{args.id}: {_num_str(result.value, args.digits)} "
                 f"({result.terms_used} terms, tail "
                 f"{_num_str(result.tail, 5)})\n")

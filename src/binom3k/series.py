@@ -30,12 +30,16 @@ read term, so a tail reported below 10^-d is proved.
 On the radius the terms behave like (+-1)^k k^(1/2 - a), so only z = 27/4
 with a = 2 and z = -27/4 with a = 1, 2 converge; :func:`sum_boundary`
 proves them to the requested digits.  At 27/4 the tail after K terms is
-telescoped by a truncated asymptotic series P (:func:`_telescope`).  At
--27/4, 1/C(3k,k) = 2k B(k+1, 2k) gives |z|^k / (k C(3k,k)) = 2 int_0^1
-x(t)^k dt / (1-t), x(t) = |z| t (1-t)^2 in [0, 1], and 1/k = int_0^1
-u^(k-1) du, so |t_{j+1}| are moments of a positive measure on [0, 1]:
+telescoped by a truncated asymptotic series P (:func:`_telescope`).
+
+For z < 0, |z| <= 27/4 and a = 1, 2, 1/C(3k,k) = 2k B(k+1, 2k) gives
+|z|^k / (k C(3k,k)) = 2 int_0^1 x(t)^k dt / (1-t), x(t) = |z| t (1-t)^2 in
+[0, rho] within [0, 1], and 1/k = int_0^1 u^(k-1) du, so with the weight 1
+or L(0) = 2 the |t_{j+1}| are moments of a positive measure on [0, 1]:
 CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier, Exp. Math. 2000,
-Algorithm 1) with n terms is within |t_1| / T_n(3).
+Algorithm 1) with n terms is within |t_1| / T_n(3) (:func:`_crvz_sum`).
+It sums z = -27/4, and every geometric such series whose kernel cutoff
+would exceed 8n terms.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 _BINET_CONJ = -((math.sqrt(5) - 1) / 2) ** 2  # (psi/phi), psi = -1/phi
 _BITS_PER_DIGIT = math.log2(10)
 _LOG10_CRVZ_RATE = math.log10(3 + math.sqrt(8))
+# CRVZ replaces the kernel when the kernel needs more than this many terms
+# per CRVZ term: an exact CRVZ step is one bignum product, about 7 kernel
+# steps at 1000 digits (measured)
+_CRVZ_CROSSOVER = 8
 
 
 @dataclass(frozen=True)
@@ -512,8 +520,11 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
 
     K comes from the float estimate of _cutoff; one kernel pass sums K
     terms and reads term K+1, whose tail bound (module docstring) is
-    checked once by _certified.  Raises ValueError when ``digits`` exceeds
-    the context's target, MaxTermsExceeded past the term budget, and
+    checked once by _certified.  A series that CRVZ proves (z < 0, a = 1,
+    2, weight 1 or L(0)) goes to _crvz_sum instead when the estimate still
+    misses at _CRVZ_CROSSOVER times its n terms, whatever the budget.
+    Raises ValueError when ``digits`` exceeds the context's target,
+    MaxTermsExceeded past the term budget of the method used, and
     Unsupported when the bound misses 10^-digits.
     """
     _check_digits(digits, ctx)
@@ -523,6 +534,9 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
     with ctx.workdps():
         if _vanishes(spec):
             return SumResult(mpf(0), 0, mpf(0))
+        if (spec.z < 0 and spec.a and not spec.weight.m and not
+                _cutoff_fits(spec, digits)(_CRVZ_CROSSOVER * _crvz_terms(digits))):
+            return _certified(*_crvz_sum(spec, digits, max_terms(ctx)), digits)
         K = _cutoff(spec, digits, max_terms(ctx))
         roundoff = _roundoff_ulps(spec, K + 1)
         bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
@@ -628,11 +642,18 @@ def _crvz(moments: list[int]) -> tuple[int, int]:
     return s, d
 
 
-def _boundary_alternating(spec: SeriesSpec, digits: int, budget: int):
-    """(sum, error bound, scale, terms) at z = -27/4, a = 1, 2: -sum_j (-1)^j
-    |t_{j+1}| by CRVZ on n = ceil((digits + 3) / log10(3 + sqrt8)) moments
-    (module docstring); as |c_k| < d, the kernel's roundoff enters once."""
-    n = math.ceil((digits + 3) / _LOG10_CRVZ_RATE)
+def _crvz_terms(digits: int) -> int:
+    """n = ceil((digits + 3) / log10(3 + sqrt8)), so that |t_1| / T_n(3) <
+    2 |t_1| 10^-(digits+3) falls below 10^-digits: |t_1| = |z| w / 3 <= 9/2."""
+    return math.ceil((digits + 3) / _LOG10_CRVZ_RATE)
+
+
+def _crvz_sum(spec: SeriesSpec, digits: int, budget: int):
+    """(sum, error bound, scale, terms) for z < 0, |z| <= 27/4, a = 1, 2 and
+    the weight 1 or L(0): -sum_j (-1)^j |t_{j+1}| by CRVZ on _crvz_terms
+    moments (module docstring); as |c_k| < d, the kernel's roundoff enters
+    once."""
+    n = _crvz_terms(digits)
     if n > budget:
         raise MaxTermsExceeded(f"needed {n} terms for {digits} digits")
     roundoff = _roundoff_ulps(spec, n)
@@ -653,7 +674,7 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
         raise Unsupported(f"series is {kind}, not a boundary case")
     with ctx.workdps():
         method = (_boundary_positive if kind == "boundary_positive"
-                  else _boundary_alternating)
+                  else _crvz_sum)
         return _certified(*method(spec, digits, max_terms(ctx)), digits)
 
 

@@ -1,15 +1,15 @@
 """Comparison engine: certified series brackets vs. closed-form values.
 
 A verification sums the left-hand series with a certified tail bound
-(:func:`series.sum_to_digits`, or :func:`series.sum_boundary_detailed` at
-z = +-27/4) and evaluates the right-hand closed form at the context's
-working precision.  PASS demands both a digit match of target - 2
-(absorbing final roundoff) and bracket consistency |lhs - rhs| <= 3 tail +
-slack, the slack covering the roundoff of both sides at working precision.
-The matched-digit count is exact integer work on the binary form of the
-difference, with no logarithm.  Records whose series diverges are skipped.
-:func:`summary_counts` is the one place that counts pass, fail and skipped
-reports.
+(:func:`sum_record`: :func:`series.sum_to_digits`, or
+:func:`series.sum_boundary_detailed` at z = +-27/4) and evaluates the
+right-hand closed form at the context's working precision.  PASS demands
+both a digit match of target - 2 (absorbing final roundoff) and bracket
+consistency |lhs - rhs| <= 3 tail + slack, the slack covering the roundoff
+of both sides at working precision.  The matched-digit count is exact
+integer work on the binary form of the difference, with no logarithm.
+Records whose series diverges are skipped.  :func:`summary_counts` is the
+one place that counts pass, fail and skipped reports.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
 from .errors import Binom3kError, DomainError, InvalidParams
 from .precision import PrecisionContext, make_context
 from .registry import IdentityRecord, instantiate
-from .series import sum_boundary_detailed, sum_to_digits
+from .series import SumResult, sum_boundary_detailed, sum_to_digits
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -89,6 +89,16 @@ def _context_for(digits: int, ctx: Optional[PrecisionContext]) -> PrecisionConte
     return ctx
 
 
+def sum_record(record: IdentityRecord, digits: int,
+               ctx: PrecisionContext) -> SumResult:
+    """The record's series to ``digits`` digits with a proved tail:
+    sum_to_digits when it is geometric, else sum_boundary_detailed, which
+    refuses a divergent series."""
+    summed = (sum_to_digits if record.convergence == "geometric"
+              else sum_boundary_detailed)
+    return summed(record.lhs, digits, ctx)
+
+
 def verify(record: IdentityRecord, digits: int,
            ctx: Optional[PrecisionContext] = None) -> VerificationReport:
     """Verify one catalog record to the requested digit target."""
@@ -107,9 +117,7 @@ def verify(record: IdentityRecord, digits: int,
     try:
         with ctx.workdps():
             rhs = record.rhs_value(ctx)
-            summed = (sum_to_digits if record.convergence == "geometric"
-                      else sum_boundary_detailed)
-            result = summed(record.lhs, digits, ctx)
+            result = sum_record(record, digits, ctx)
             lhs = result.value
             matched = _matched_digits(lhs, rhs, digits)
             # allowance for roundoff of both pipelines at working precision

@@ -123,7 +123,7 @@ def test_criterion_6_trig_records(catalog, record_of):
 
 def _sweep_ok(family, points, digits=25):
     reports = sweep(family, points, digits)
-    good = all(r.status in ("PASS", "PASS_BOUNDARY_REDUCED") for r in reports)
+    good = all(r.status == "PASS" for r in reports)
     _PASS_REPORTS.extend(r for r in reports if r.status == "PASS")
     return good and len(reports) == len(points)
 
@@ -131,7 +131,7 @@ def _sweep_ok(family, points, digits=25):
 def test_criterion_7_theorem_sweeps():
     start = time.perf_counter()
     ok = _sweep_ok("THM1_FIB", [{"r": r} for r in range(1, 9)])
-    # r = 0 sits on the boundary and is accepted at the reduced target
+    # r = 0 sits on the boundary z = 27/4 and is certified at the full target
     ok = ok and _sweep_ok("THM1_LUC", [{"r": r} for r in (0, 2, 3, 4, 5, 6, 7, 8)])
     for family in ("COR2_FIB", "COR2_LUC"):
         ok = ok and _sweep_ok(family, [{"r": r} for r in range(1, 5)])

@@ -3,9 +3,11 @@ import io
 import json
 
 import pytest
+from mpmath import mpf
 
 from binom3k.cli import run
-from binom3k.registry import builtin_catalog, save_catalog
+from binom3k.precision import make_context
+from binom3k.registry import builtin_catalog, get_record, save_catalog
 
 
 def out_of(capsys):
@@ -71,9 +73,14 @@ def test_eval(capsys):
     assert "1.0414595864" in out_of(capsys)
 
 
-def test_eval_rejects_boundary(capsys):
-    assert run(["eval", "--id", "eq-27-4"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("record_id", ["eq-27-4", "alt-27-4"])
+def test_eval_sums_boundary_records(record_id, capsys):
+    assert run(["eval", "--id", record_id, "--digits", "40"]) == 0
+    printed = out_of(capsys).split()[1]
+    ctx = make_context(50)
+    with ctx.workdps():
+        rhs = get_record(builtin_catalog(), record_id).rhs_value(ctx)
+        assert abs(mpf(printed) - rhs) < mpf(10) ** -38 * abs(rhs)
 
 
 def test_csv_format(capsys):
