@@ -83,6 +83,25 @@ def test_eval_sums_boundary_records(record_id, capsys):
         assert abs(mpf(printed) - rhs) < mpf(10) ** -38 * abs(rhs)
 
 
+def test_eval_meets_a_term_budget_only_crvz_can(capsys):
+    # the kernel would need 184,303 terms; CRVZ needs 1,311
+    assert run(["eval", "--id", "alt-20-3", "--digits", "1000",
+                "--max-terms", "2000"]) == 0
+    printed = out_of(capsys).split()[1]
+    ctx = make_context(1010)
+    with ctx.workdps():
+        rhs = get_record(builtin_catalog(), "alt-20-3").rhs_value(ctx)
+        assert abs(mpf(printed) - rhs) < mpf(10) ** -998 * abs(rhs)
+
+
+@pytest.mark.parametrize("record_id", ["xy-27-neg8-a2", "thm1-luc-r1"])
+def test_eval_refuses_divergent_records(record_id, capsys):
+    assert run(["eval", "--id", record_id, "--digits", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "divergent_formal" in captured.err
+
+
 def test_csv_format(capsys):
     assert run(["verify", "--id", "trig-D-pi6", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(out_of(capsys))))
