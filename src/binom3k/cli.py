@@ -126,11 +126,15 @@ def _positive_digits(text: str) -> int:
     return value
 
 
-def _max_terms_arg(text: str) -> int:
-    value = int(text)
-    if value < 64:
-        raise argparse.ArgumentTypeError("max-terms must be >= 64")
-    return value
+def _at_least(low: int, option: str):
+    """argparse type: an integer no less than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{option} must be >= {low}")
+        return value
+    parse.__name__ = option  # argparse names it in "invalid ... value"
+    return parse
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -146,7 +150,8 @@ def _add_common(parser: argparse.ArgumentParser, digits: bool = True,
     if digits:
         parser.add_argument("--digits", type=_positive_digits, default=30,
                             help="decimal digits to certify (5-1000, default 30)")
-        parser.add_argument("--max-terms", type=_max_terms_arg, default=10**6,
+        parser.add_argument("--max-terms", type=_at_least(64, "max-terms"),
+                            default=10**6,
                             help="term budget for summation (default 1000000)")
     if formats:
         parser.add_argument("--format", choices=formats, default="md",
@@ -177,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify-all", help="verify every catalog record")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_at_least(1, "jobs"),
+                   default=os.cpu_count() or 1,
                    help="parallel verifications (default: cpu count)")
     _add_common(p)
 
@@ -244,7 +250,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_eval(args) -> int:
     record = get_record(_load(args), args.id)
-    ctx = make_context(args.digits + 10, args.max_terms)
+    ctx = make_context(args.digits, args.max_terms)
     with ctx.workdps():
         result = sum_record(record, args.digits, ctx)
         text = (f"{args.id}: {_num_str(result.value, args.digits)} "
@@ -256,14 +262,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     record = get_record(_load(args), args.id)
-    ctx = make_context(args.digits + 10, args.max_terms)
+    ctx = make_context(args.digits, args.max_terms)
     reports = [verify(record, args.digits, ctx)]
     return _report(args, reports)
 
 
 def _cmd_verify_all(args) -> int:
     catalog = _load(args)
-    ctx = make_context(args.digits + 10, args.max_terms)
+    ctx = make_context(args.digits, args.max_terms)
     summary = verify_all(catalog, args.digits, ctx, jobs=args.jobs)
     return _report(args, summary["reports"])
 
@@ -283,7 +289,7 @@ def _cmd_sweep(args) -> int:
         return 2
     grid = [TheoremParams(args.family, horadam=horadam, **point)
             for point in points]
-    ctx = make_context(args.digits + 10, args.max_terms)
+    ctx = make_context(args.digits, args.max_terms)
     reports = run_sweep(args.family, grid, args.digits, ctx)
     return _report(args, reports)
 
@@ -296,7 +302,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check_derivatives(args) -> int:
-    ctx = make_context(args.digits + 10, args.max_terms)
+    ctx = make_context(args.digits, args.max_terms)
     report = differential_check(args.level, XYPair(args.x, args.y),
                                 args.digits, ctx)
     return _report(args, [report])
@@ -327,7 +333,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (Binom3kError, KeyError, FileNotFoundError, ValueError) as exc:
+    except (Binom3kError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,66 +1,66 @@
 """Decimal-precision bookkeeping and basic arbitrary-precision helpers.
 
 All real arithmetic in this package runs on mpmath under a precision set
-from a :class:`PrecisionContext`.  The context separates what the caller
-wants (``target_digits``) from what the computation carries internally
-(``working_digits``), with guard digits absorbing roundoff and an extra
-budget of ``ceil(log10(max_expected_terms))`` digits absorbing the
-accumulation error of long summations.  ``max_terms`` is the term budget
-a summation under the context may use.
+from a :class:`PrecisionContext`.  A context holds the digits a request
+asks for (``target_digits``) and a term budget (``max_terms``) that bounds
+how many terms a summation under it may use and nothing else.  It carries
+``working_digits = target_digits + GUARD_DIGITS`` internally, whatever the
+budget; :func:`context_for` is the one place that builds the context of a
+request or refuses one that targets fewer digits than asked for.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
 
-DEFAULT_GUARD_DIGITS = 10
+# digits carried beyond the target, absorbing the roundoff of the closed
+# forms and of the final rounding of a sum
+GUARD_DIGITS = 26
 DEFAULT_MAX_TERMS = 10**6
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
     target_digits: int
-    guard_digits: int = DEFAULT_GUARD_DIGITS
-    working_digits: int = 0
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
         if self.target_digits < 1:
             raise ValueError("target_digits must be >= 1")
-        if self.working_digits < self.target_digits + self.guard_digits:
-            raise ValueError("working_digits must be >= target_digits + guard_digits")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+
+    @property
+    def working_digits(self) -> int:
+        return self.target_digits + GUARD_DIGITS
 
     def workdps(self):
         """mpmath context manager setting the working precision."""
         return mpmath.workdps(self.working_digits)
 
-    @property
-    def target_eps(self) -> mpf:
-        return mpf(10) ** (-self.target_digits)
+
+def make_context(target_digits: int,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> PrecisionContext:
+    """A context for ``target_digits`` digits and up to ``max_terms`` terms."""
+    return PrecisionContext(target_digits, max_terms)
 
 
-def make_context(target_digits: int, max_expected_terms: int = DEFAULT_MAX_TERMS,
-                 guard_digits: int = DEFAULT_GUARD_DIGITS) -> PrecisionContext:
-    """Build a context whose working precision covers a summation of up to
-    ``max_expected_terms`` terms at ``target_digits`` requested digits."""
-    if target_digits < 1:
-        raise ValueError("target_digits must be >= 1")
-    if max_expected_terms < 1:
-        raise ValueError("max_expected_terms must be >= 1")
-    extra = math.ceil(math.log10(max_expected_terms)) if max_expected_terms > 1 else 0
-    working = target_digits + guard_digits + extra
-    return PrecisionContext(target_digits, guard_digits, working, max_expected_terms)
-
-
-def max_terms(ctx: PrecisionContext) -> int:
-    """Term budget the context was built for."""
-    return ctx.max_terms
+def context_for(digits: int,
+                ctx: Optional[PrecisionContext] = None) -> PrecisionContext:
+    """The context of a request for ``digits`` digits: ``ctx``, or a default
+    one when it is None.  ValueError when ``ctx`` targets fewer digits."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if ctx is None:
+        return make_context(digits)
+    if ctx.target_digits < digits:
+        raise ValueError(f"context targets {ctx.target_digits} digits, "
+                         f"fewer than the {digits} requested")
+    return ctx
 
 
 def real_cbrt(x) -> mpf:

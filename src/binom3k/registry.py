@@ -21,12 +21,12 @@ from mpmath import mpf
 
 from . import expressions
 from .closed_forms import TheoremParams, theorem_lhs_spec, theorem_rhs
-from .errors import InvalidParams
+from .errors import Binom3kError, InvalidParams
 from .precision import PrecisionContext
 from .sequences import HoradamParams
 # classify stays a name of this module: bench/spans.py times registry.classify
-from .series import (ConvergenceClass, SeriesSpec, UNIT_WEIGHT, Weight,
-                     classify, convergence_kind)  # noqa: F401
+from .series import (SeriesSpec, UNIT_WEIGHT, Weight,  # noqa: F401
+                     classify, convergence_kind)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class IdentityRecord:
     lhs: SeriesSpec
     rhs: Union[expressions.Expr, TheoremParams]
     validity: str
-    convergence: str  # ConvergenceClass kind expected for lhs
+    convergence: str  # series.convergence_kind of lhs
     tags: tuple = ()
 
     def rhs_value(self, ctx: PrecisionContext) -> mpf:
@@ -56,9 +56,7 @@ def _weight_to_json(w: Weight) -> dict:
 
 def _weight_from_json(obj: dict) -> Weight:
     kind = obj["kind"]
-    if kind == "unit":
-        return UNIT_WEIGHT
-    return Weight(kind, obj["m"])
+    return UNIT_WEIGHT if kind == "unit" else Weight(kind, obj["m"])
 
 
 def _z_to_json(z: Fraction) -> str:
@@ -137,10 +135,20 @@ def _check_ids(records: list[IdentityRecord]) -> None:
 
 
 def load_catalog(path: Union[str, Path]) -> list[IdentityRecord]:
-    """Load and validate a catalog JSON file."""
+    """Load and validate a catalog JSON file, a list of records; a
+    malformed record raises ValueError naming its index."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    records = [record_from_json(obj) for obj in data]
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: a catalog is a JSON list of records")
+    records = []
+    for index, obj in enumerate(data):
+        try:
+            records.append(record_from_json(obj))
+        except (Binom3kError, ArithmeticError, LookupError, TypeError,
+                ValueError) as exc:
+            raise ValueError(f"{path}: record {index} is malformed: "
+                             f"{type(exc).__name__}: {exc}") from exc
     _check_ids(records)
     for record in records:
         actual = convergence_kind(record.lhs)

@@ -138,4 +138,4 @@ def check_fl_identity(ident: str, n: int, m_or_r: int = 0,
         else:
             raise ValueError(f"unknown identity {ident!r}")
         scale = max(abs(lhs), abs(rhs), mpf(1))
-        return abs(lhs - rhs) <= scale * ctx.target_eps
+        return abs(lhs - rhs) <= scale * mpf(10) ** -ctx.target_digits

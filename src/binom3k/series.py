@@ -55,7 +55,7 @@ from typing import Iterator, Optional
 from mpmath import mp, mpf
 
 from .errors import MaxTermsExceeded, NotGeometric, Unsupported
-from .precision import PrecisionContext, golden_ratio, max_terms
+from .precision import PrecisionContext, context_for, golden_ratio
 from .sequences import fib, lucas
 
 _GUARD_BITS = 48
@@ -82,6 +82,8 @@ class Weight:
     def __post_init__(self):
         if self.kind not in ("unit", "fib", "lucas"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if type(self.m) is not int:
+            raise TypeError(f"weight index m must be an int, got {self.m!r}")
         if self.kind == "unit" and self.m != 0:
             raise ValueError("unit weight takes no index")
 
@@ -101,8 +103,8 @@ class SeriesSpec:
     def __post_init__(self):
         if not isinstance(self.z, Fraction):
             raise TypeError("z must be a Fraction")
-        if self.a not in (0, 1, 2):
-            raise ValueError("exponent a must be 0, 1 or 2")
+        if type(self.a) is not int or self.a not in (0, 1, 2):
+            raise ValueError(f"exponent a must be 0, 1 or 2, got {self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -493,14 +495,6 @@ def _cutoff(spec: SeriesSpec, digits: int, budget: int) -> int:
     return hi
 
 
-def _check_digits(digits: int, ctx: PrecisionContext) -> None:
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if ctx.target_digits < digits:
-        raise ValueError(f"context targets {ctx.target_digits} digits, "
-                         f"fewer than the {digits} requested")
-
-
 def _certified(value: int, error: int, bits: int, terms: int,
                digits: int) -> SumResult:
     """value 2^-bits with the error bound ``error`` 2^-bits plus the value's
@@ -527,7 +521,7 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
     MaxTermsExceeded past the term budget of the method used, and
     Unsupported when the bound misses 10^-digits.
     """
-    _check_digits(digits, ctx)
+    context_for(digits, ctx)
     kind = convergence_kind(spec)
     if kind != "geometric":
         raise NotGeometric(f"series is {kind}; use sum_boundary at the radius")
@@ -536,8 +530,8 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
             return SumResult(mpf(0), 0, mpf(0))
         if (spec.z < 0 and spec.a and not spec.weight.m and not
                 _cutoff_fits(spec, digits)(_CRVZ_CROSSOVER * _crvz_terms(digits))):
-            return _certified(*_crvz_sum(spec, digits, max_terms(ctx)), digits)
-        K = _cutoff(spec, digits, max_terms(ctx))
+            return _certified(*_crvz_sum(spec, digits, ctx.max_terms), digits)
+        K = _cutoff(spec, digits, ctx.max_terms)
         roundoff = _roundoff_ulps(spec, K + 1)
         bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
         head, (term,) = _kernel(spec, bits, K, 1)
@@ -668,14 +662,14 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
                           ctx: PrecisionContext) -> SumResult:
     """Sum of a convergent series at z = +-27/4 with a proved tail below
     10^-digits, raising as sum_to_digits does (Unsupported off it)."""
-    _check_digits(digits, ctx)
+    context_for(digits, ctx)
     kind = convergence_kind(spec)
     if not kind.startswith("boundary"):
         raise Unsupported(f"series is {kind}, not a boundary case")
     with ctx.workdps():
         method = (_boundary_positive if kind == "boundary_positive"
                   else _crvz_sum)
-        return _certified(*method(spec, digits, max_terms(ctx)), digits)
+        return _certified(*method(spec, digits, ctx.max_terms), digits)
 
 
 def sum_boundary(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> mpf:

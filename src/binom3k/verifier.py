@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 from .closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
                            theorem_rhs)
 from .errors import Binom3kError, DomainError, InvalidParams
-from .precision import PrecisionContext, make_context
+from .precision import PrecisionContext, context_for
 from .registry import IdentityRecord, instantiate
 from .series import SumResult, sum_boundary_detailed, sum_to_digits
 
@@ -80,15 +80,6 @@ def _matched_digits(lhs: mpf, rhs: mpf, cap: int) -> int:
     return digits
 
 
-def _context_for(digits: int, ctx: Optional[PrecisionContext]) -> PrecisionContext:
-    if ctx is None:
-        return make_context(digits + 10)
-    if ctx.target_digits < digits:
-        raise ValueError(f"context targets {ctx.target_digits} digits, "
-                         f"fewer than the {digits} requested")
-    return ctx
-
-
 def sum_record(record: IdentityRecord, digits: int,
                ctx: PrecisionContext) -> SumResult:
     """The record's series to ``digits`` digits with a proved tail:
@@ -104,7 +95,7 @@ def verify(record: IdentityRecord, digits: int,
     """Verify one catalog record to the requested digit target."""
     if digits < 5:
         raise ValueError("digits must be >= 5")
-    ctx = _context_for(digits, ctx)
+    ctx = context_for(digits, ctx)
     start = time.perf_counter()
     report = VerificationReport(record.id, digits, FAIL)
     if isinstance(record.rhs, TheoremParams):
@@ -208,7 +199,7 @@ def differential_check(level: str, pair: XYPair, digits: int,
     """
     if level not in ("A_to_B", "B_to_C"):
         raise ValueError(f"level must be 'A_to_B' or 'B_to_C', got {level!r}")
-    ctx = _context_for(digits, ctx)
+    ctx = context_for(digits, ctx)
     lower, upper = (A_rhs, B_rhs) if level == "A_to_B" else (B_rhs, C_rhs)
     start = time.perf_counter()
     with ctx.workdps():

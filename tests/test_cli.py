@@ -169,3 +169,48 @@ def test_verify_boundary_record_at_full_digits(capsys):
     report = json.loads(out_of(capsys))["reports"][0]
     assert report["status"] == "PASS"
     assert report["matched_digits"] >= 58
+
+
+def _italy(section=None, **changes):
+    """A catalog of the eq-italy record's JSON object with ``changes``
+    made to the object, or to its ``section``."""
+    from binom3k.registry import record_to_json
+    obj = record_to_json(get_record(builtin_catalog(), "eq-italy"))
+    (obj[section] if section else obj).update(changes)
+    return [obj]
+
+
+@pytest.mark.parametrize("data", [
+    _italy("lhs", z="1/0"),
+    {"records": []},
+    [5],
+    _italy("rhs", expr={"kind": "sqrt", "args": []}),
+    _italy("rhs", expr={"kind": "sqrt"}),
+    _italy("lhs", a=2.0),
+    _italy("lhs", weight={"kind": "fib", "m": 2.0}),
+    _italy("lhs", weight={"kind": "fib", "m": "x"}),
+    _italy(tags=5),
+], ids=["z-1/0", "top-level-object", "record-not-object", "node-without-arg",
+        "node-without-args", "a-float", "m-float", "m-string", "tags-int"])
+def test_a_malformed_catalog_is_a_usage_error(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["list", "--catalog", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    if isinstance(data, list):
+        assert "record 0 is malformed" in err
+
+
+def test_a_catalog_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert run(["list", "--catalog", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_all_rejects_fewer_than_one_job(jobs, capsys):
+    assert run(["verify-all", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jobs must be >= 1" in captured.err

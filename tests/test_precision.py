@@ -4,17 +4,29 @@ import pickle
 import pytest
 from mpmath import mp, mpf
 
-from binom3k.precision import (golden_conjugate, golden_ratio, make_context,
-                               max_terms, real_cbrt)
+from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
+                               golden_conjugate, golden_ratio, make_context,
+                               real_cbrt)
 
 
 @pytest.mark.parametrize("target,terms,expected", [
-    (50, 100000, 65),   # 50 + 10 guard + 5 for the term count
-    (10, 10, 21),
-    (30, 1, 40),
+    (50, 100000, 76),   # 50 + 26 guard digits, whatever the budget
+    (10, 10, 36),
+    (30, 1, 56),
+    (30, 64, 56),
+    (30, 2000, 56),
+    (30, 10 ** 6, 56),
 ])
 def test_working_digits(target, terms, expected):
     assert make_context(target, terms).working_digits == expected
+    assert expected == target + GUARD_DIGITS
+
+
+def test_a_context_has_two_settable_fields():
+    names = [f.name for f in dataclasses.fields(PrecisionContext)]
+    assert names == ["target_digits", "max_terms"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(make_context(30), working_digits=40)
 
 
 def test_invalid_arguments():
@@ -25,7 +37,18 @@ def test_invalid_arguments():
 
 
 def test_max_terms_recorded():
-    assert max_terms(make_context(10, 5000)) == 5000
+    assert make_context(10, 5000).max_terms == 5000
+
+
+def test_context_for_builds_or_checks_the_request():
+    assert context_for(40) == make_context(40)
+    ctx = make_context(50, 64)
+    assert context_for(40, ctx) is ctx
+    assert context_for(50, ctx) is ctx
+    with pytest.raises(ValueError, match="fewer than the 51 requested"):
+        context_for(51, ctx)
+    with pytest.raises(ValueError):
+        context_for(0, ctx)
 
 
 def test_real_cbrt_sign_preserving():
@@ -57,7 +80,8 @@ def test_term_budget_is_a_field():
     assert ctx.max_terms == 64
     assert "max_terms=64" in repr(ctx)
     assert ctx != make_context(40)
-    kept = dataclasses.replace(ctx, guard_digits=12)
-    assert max_terms(kept) == 64
+    kept = dataclasses.replace(ctx, target_digits=50)
+    assert kept.max_terms == 64
+    assert kept.working_digits == 50 + GUARD_DIGITS
     assert pickle.loads(pickle.dumps(ctx)) == ctx
-    assert max_terms(pickle.loads(pickle.dumps(ctx))) == 64
+    assert pickle.loads(pickle.dumps(ctx)).max_terms == 64

@@ -20,6 +20,18 @@ def test_binom_3k_k(k, expected):
     assert binom_3k_k(k) == expected
 
 
+@pytest.mark.parametrize("a", [2.0, True, "2"])
+def test_spec_rejects_an_exponent_that_is_not_an_int(a):
+    with pytest.raises(ValueError, match="exponent a"):
+        SeriesSpec(Fraction(8, 3), a)
+
+
+@pytest.mark.parametrize("m", [2.0, "x", None])
+def test_weight_rejects_an_index_that_is_not_an_int(m):
+    with pytest.raises(TypeError, match="weight index m"):
+        Weight("fib", m)
+
+
 def test_classify_geometric(ctx30):
     cls = classify(unit_spec(Fraction(8, 3)), ctx30)
     assert cls.kind == "geometric"

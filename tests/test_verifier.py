@@ -69,6 +69,17 @@ def test_verify_max_terms_budget(record_of):
     assert "MaxTermsExceeded" in report.detail
 
 
+def test_a_term_budget_leaves_the_answer_bit_identical(record_of):
+    from binom3k.precision import make_context
+    record = record_of("xy-8-1d8-a2")
+    tight = verify(record, 30, make_context(30, 64))
+    default = verify(record, 30, make_context(30))
+    assert tight.status == default.status == "PASS"
+    assert tight.terms_used == default.terms_used == 23
+    for name in ("lhs_value", "rhs_value", "tail"):
+        assert getattr(tight, name).man_exp == getattr(default, name).man_exp
+
+
 def test_verify_all_builtin_small(catalog):
     summary = verify_all(catalog, 15)
     assert summary["fail"] == 0
