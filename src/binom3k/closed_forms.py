@@ -238,6 +238,10 @@ class TheoremParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParams(f"unknown family {self.family!r}")
+        for name in ("r", "n", "m", "p", "q"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise InvalidParams(f"{name} must be an int, got {value!r}")
 
     def describe(self) -> str:
         parts = [self.family]

@@ -110,18 +110,29 @@ def record_to_json(record: IdentityRecord) -> dict:
     }
 
 
+def _text(obj: dict, name: str) -> str:
+    value = obj[name]
+    if not isinstance(value, str):
+        raise InvalidParams(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def record_from_json(obj: dict) -> IdentityRecord:
+    record_id, note, validity = (_text(obj, name)
+                                 for name in ("id", "note", "validity"))
+    tags = obj["tags"]
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise InvalidParams(f"tags must be a list of strings, got {tags!r}")
     lhs_obj = obj["lhs"]
     lhs = SeriesSpec(_z_from_json(lhs_obj["z"]), lhs_obj["a"],
-                     _weight_from_json(lhs_obj["weight"]), label=obj["id"])
+                     _weight_from_json(lhs_obj["weight"]), label=record_id)
     rhs_obj = obj["rhs"]
     if "family" in rhs_obj:
         rhs = _params_from_json(rhs_obj["family"])
     else:
         rhs = expressions.from_json(rhs_obj["expr"])
-    return IdentityRecord(obj["id"], obj["note"], lhs, rhs,
-                          obj["validity"], obj["convergence"],
-                          tuple(obj["tags"]))
+    return IdentityRecord(record_id, note, lhs, rhs, validity,
+                          obj["convergence"], tuple(tags))
 
 
 # -- catalog loading -----------------------------------------------------

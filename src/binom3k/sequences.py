@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from .errors import InvalidParams
 from .precision import PrecisionContext, golden_ratio, golden_conjugate
 
 
@@ -58,6 +59,10 @@ class HoradamParams:
     b: int
 
     def __post_init__(self):
+        for name in ("p", "q", "a", "b"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidParams(f"Horadam {name} must be an int, got {value!r}")
         if self.p * self.p + 4 * self.q <= 0:
             raise ValueError("p^2 + 4q must be positive (real distinct roots)")
 

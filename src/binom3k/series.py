@@ -12,8 +12,12 @@ per weight kind, with a proven bound on the accumulated roundoff
 one by one and is kept as the per-term reference the kernel is tested
 against.
 
-A geometric sum picks its cutoff K from a float estimate of its tail bound,
-sums once, and checks the bound in exact rationals (:func:`_tail_ulps`):
+A geometric sum picks its cutoff K as the first at which a float estimate
+of its tail bound meets the target (:func:`_cutoff_fits`).  The search
+starts from Stirling's closed-form estimate of that K (:func:`_cutoff_seed`,
+a few Newton steps in floats) and confirms it with the float estimate at
+the seed and its neighbour.  It then sums once, and checks the bound
+exactly in integers (:func:`_tail_ulps`):
 
     sum_{k>K} |t_k| <= |t_{K+1}| s / (1 - g_{K+1}).
 
@@ -24,8 +28,9 @@ bounds every later step of b_k phi^|mk| / k^a.  By Binet, |F(n)| sqrt5 and
 |L(n)| lie in [phi^n - 1, phi^n + 1], so every later |w(mk)| is at most
 |w(m(K+1))| phi^(|m|(k-K-1)) times s = (1 + eps)/(1 - eps), eps =
 phi^(-|m|(K+1)); s = 1 for the unit weight and L(0).  phi^|m| enters
-through rational bounds on sqrt5 and the kernel's roundoff is added to the
-read term, so a tail reported below 10^-d is proved.
+through integer bounds on sqrt5 2^64 and the kernel's roundoff is added to
+the read term, so a tail reported below 10^-d is proved.  Whether rho < 1
+is decided in integers too (:func:`_radius_side`).
 
 On the radius the terms behave like (+-1)^k k^(1/2 - a), so only z = 27/4
 with a = 2 and z = -27/4 with a = 1, 2 converge; :func:`sum_boundary`
@@ -59,12 +64,12 @@ from .precision import PrecisionContext, context_for, golden_ratio
 from .sequences import fib, lucas
 
 _GUARD_BITS = 48
-_SQRT5_LO = Fraction(math.isqrt(5 << 128), 1 << 64)  # sqrt5 within 2^-64
-_SQRT5_HI = _SQRT5_LO + Fraction(1, 1 << 64)
+_SQRT5_FLOOR = math.isqrt(5 << 128)  # floor(sqrt5 2^64)
 
 _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 _BINET_CONJ = -((math.sqrt(5) - 1) / 2) ** 2  # (psi/phi), psi = -1/phi
 _BITS_PER_DIGIT = math.log2(10)
+_LOG_STIRLING = math.log(4 * math.pi / 3) / 2  # C(3k,k) ~ (27/4)^k sqrt(3/(4 pi k))
 _LOG10_CRVZ_RATE = math.log10(3 + math.sqrt(8))
 # CRVZ replaces the kernel when the kernel needs more than this many terms
 # per CRVZ term: an exact CRVZ step is one bignum product, about 7 kernel
@@ -137,17 +142,20 @@ def _vanishes(spec: SeriesSpec) -> bool:
 
 
 def _radius_side(spec: SeriesSpec) -> int:
-    """Sign of rho - 1 for rho = 4|z| phi^|m| / 27, decided exactly.
+    """Sign of rho - 1 for rho = 4|z| phi^|m| / 27, decided exactly in
+    integers.
 
     rho < 1 iff phi^|m| = (L + F sqrt5)/2 < 27/(4|z|), L = L(|m|) and
-    F = F(|m|), i.e. iff F sqrt5 < c = 27/(2|z|) - L.  The unit weight is
-    |m| = 0 (F = 0, L = 2), which reduces this to 4|z| against 27.
+    F = F(|m|); with z = p/q that is 2|p| F sqrt5 < u = 27q - 2|p| L, i.e.
+    u >= 0 and 5 F^2 (2|p|)^2 < u^2.  The unit weight is |m| = 0 (F = 0,
+    L = 2), which reduces this to 4|p| against 27q.
     """
     n = abs(spec.weight.m)
-    c = Fraction(27, 2) / abs(spec.z) - lucas(n)
-    if c < 0:
+    p2, q = 2 * abs(spec.z.numerator), spec.z.denominator
+    u = 27 * q - p2 * lucas(n)
+    if u < 0:
         return 1
-    lhs, rhs = 5 * fib(n) ** 2, c * c
+    lhs, rhs = 5 * (fib(n) * p2) ** 2, u * u
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -398,34 +406,32 @@ def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
         return _unscale(_kernel(spec, bits, K)[0], bits)
 
 
-def _phi_power(n: int, sqrt5: Fraction) -> Fraction:
-    """phi^n = (L(n) + F(n) sqrt5) / 2, n >= 0, with sqrt5 replaced by a
-    rational bound on it (the same side of phi^n as of sqrt5)."""
-    return (lucas(n) + fib(n) * sqrt5) / 2
-
-
 def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
     """Proved bound on the tail sum_{k>K} |t_k| 2^B plus the roundoff of
     the kernel's head, from the kernel's term ``term`` at K+1 and the bound
     ``roundoff`` = _roundoff_ulps(spec, K+1) on both.
 
     The bound is (|term| + roundoff) s / (1 - g_{K+1}) (see the module
-    docstring), in exact rationals: g from an upper bound on phi^|m|, s
-    from a lower bound on phi^(|m|(K+1)).  Since s / (1 - g) >= 1, the
-    roundoff it carries covers both the read term and the head.  Raises
-    NotGeometric when g_{K+1} >= 1.
+    docstring), in integers.  With S = floor(sqrt5 2^64), phi^n = (L(n) +
+    F(n) sqrt5)/2 lies in [(L(n) 2^64 + F(n) S) / 2^65, (L(n) 2^64 + F(n)
+    (S + 1)) / 2^65]: g takes the upper end for n = |m|, s = (A + 2^65) /
+    (A - 2^65) the lower end A / 2^65 for n = |m|(K+1).  Since s / (1 - g)
+    >= 1, the roundoff it carries covers both the read term and the head.
+    Raises NotGeometric when g_{K+1} >= 1.
     """
     n, k = abs(spec.weight.m), K + 1
-    g = (abs(spec.z) * _phi_power(n, _SQRT5_HI)
-         * Fraction(2 * (k + 1) * (2 * k + 1), 3 * (3 * k + 1) * (3 * k + 2)))
-    if g >= 1:
-        raise NotGeometric(
-            f"term ratio bound {float(g):.6g} after {K} terms; no geometric tail")
-    bound = (abs(term) + roundoff) / (1 - g)
+    gn = abs(spec.z.numerator) * 2 * (k + 1) * (2 * k + 1)  # g = gn / gd
+    gd = spec.z.denominator * 3 * (3 * k + 1) * (3 * k + 2)
+    num, den = abs(term) + roundoff, 1
     if n:
-        phi_n = _phi_power(n * k, _SQRT5_LO)
-        bound *= (phi_n + 1) / (phi_n - 1)
-    return bound
+        gn *= (lucas(n) << 64) + fib(n) * (_SQRT5_FLOOR + 1)
+        gd <<= 65
+        phi_n = (lucas(n * k) << 64) + fib(n * k) * _SQRT5_FLOOR
+        num, den = num * (phi_n + (1 << 65)), phi_n - (1 << 65)
+    if gn >= gd:
+        raise NotGeometric(
+            f"term ratio bound {gn / gd:.6g} after {K} terms; no geometric tail")
+    return Fraction(num * gd, den * (gd - gn))
 
 
 def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
@@ -465,34 +471,74 @@ def _cutoff_fits(spec: SeriesSpec, digits: int):
     return fits
 
 
+def _cutoff_seed(spec: SeriesSpec, digits: int) -> float:
+    """Stirling's estimate of the K that _cutoff_fits first accepts.
+
+    By Stirling, |z^k / C(3k,k)| ~ (4|z|/27)^k sqrt(4 pi k / 3), and by
+    Binet the weight adds |m| k ln phi (less ln sqrt5 for F), so ln |t_k| ~
+    k ln rho + (1/2 - a) ln k + c; g_k tends to rho.  k = K + 1 solves
+    k ln rho + (1/2 - a) ln k + c = -digits ln 10 + ln(1 - rho), by Newton
+    steps in floats from the root without the ln k term.  math.inf when
+    rho >= 1 in floats.
+    """
+    rho = 2 * _growth_constant(spec) / 9
+    if rho >= 1:
+        return math.inf
+    log_rho = math.log(rho)
+    b = 0.5 - spec.a
+    c = _LOG_STIRLING - (math.log(5) / 2 if spec.weight.kind == "fib" else 0)
+    target = -digits * math.log(10) + math.log1p(-rho) - c
+    k = max(1.0, target / log_rho)
+    for _ in range(4):
+        slope = log_rho + b / k
+        if slope >= 0:
+            break
+        k = max(1.0, k - (k * log_rho + b * math.log(k) - target) / slope)
+    return math.ceil(k) - 1
+
+
 def _cutoff(spec: SeriesSpec, digits: int, budget: int) -> int:
     """Smallest K >= rise - 1 that _cutoff_fits accepts; MaxTermsExceeded
     when that K is beyond the budget.
 
-    Past the rise of the terms the estimate falls monotonically in K, so
-    the search starts there, doubles K until the estimate fits (capped at
-    the budget) and bisects the last doubling: about 2 log2(K / rise)
-    probes, however large the budget.
+    Past the rise of the terms the estimate falls monotonically in K.  The
+    search starts at _cutoff_seed, clamped to [rise - 1, budget], and
+    confirms it with the estimate there and one term before (or after):
+    two probes when the seed is on the mark.  When it misses, the search
+    gallops away from it, doubling the step, and bisects the last step.
     """
     fits = _cutoff_fits(spec, digits)
+    too_many = f"needed more than {budget} terms for {digits} digits"
     lo = max(1, _rise_end(spec) - 1)
-    if lo <= budget and fits(lo):
-        return lo
-    hi = lo
-    while True:
-        if hi >= budget:
-            raise MaxTermsExceeded(
-                f"needed more than {budget} terms for {digits} digits")
-        lo, hi = hi, min(2 * hi, budget)
-        if fits(hi):
-            break
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    if lo > budget:
+        raise MaxTermsExceeded(too_many)
+    K = min(max(lo, _cutoff_seed(spec, digits)), budget)
+    step = 1
+    if fits(K):  # bracket (bad, good] below K
+        good = K
+        while True:
+            if good == lo:
+                return lo
+            bad = max(lo, good - step)
+            if not fits(bad):
+                break
+            good, step = bad, 2 * step
+    else:  # bracket (bad, good] above K
+        bad = K
+        while True:
+            if bad >= budget:
+                raise MaxTermsExceeded(too_many)
+            good = min(budget, bad + step)
+            if fits(good):
+                break
+            bad, step = good, 2 * step
+    while good - bad > 1:
+        mid = (bad + good) // 2
         if fits(mid):
-            hi = mid
+            good = mid
         else:
-            lo = mid
-    return hi
+            bad = mid
+    return good
 
 
 def _certified(value: int, error: int, bits: int, terms: int,

@@ -214,3 +214,40 @@ def test_verify_all_rejects_fewer_than_one_job(jobs, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "jobs must be >= 1" in captured.err
+
+
+def _record(record_id, section=None, **changes):
+    """The JSON object of built-in record ``record_id``, with ``changes``
+    made to the object, to its ``lhs``, or to its family parameters."""
+    from binom3k.registry import record_to_json
+    obj = record_to_json(get_record(builtin_catalog(), record_id))
+    part = {None: obj, "lhs": obj["lhs"], "family": obj["rhs"].get("family")}
+    part[section].update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("records, index, message", [
+    ([_record("thm1-fib-r1", "family", r=2.5)], 0, "r must be an int, got 2.5"),
+    ([_record("thm1-fib-r1", "family", r=True)], 0, "r must be an int, got True"),
+    ([_record("eq-italy"), _record("thm1-fib-r1", id=5)], 1,
+     "id must be a string, got 5"),
+    ([_record("eq-italy", tags="abc")], 0,
+     "tags must be a list of strings, got 'abc'"),
+    ([_record("eq-italy", tags=["a", 1])], 0, "tags must be a list of strings"),
+    ([_record("eq-italy", note=None)], 0, "note must be a string, got None"),
+    ([_record("eq-italy", validity=7)], 0, "validity must be a string, got 7"),
+], ids=["r-float", "r-bool", "id-int", "tags-string", "tags-int-item",
+        "note-null", "validity-int"])
+@pytest.mark.parametrize("command", [["list"], ["verify-all", "--digits", "10",
+                                                "--jobs", "1"]])
+def test_a_record_field_of_the_wrong_type_is_a_usage_error(
+        records, index, message, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(records))
+    assert run(command + ["--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"record {index} is malformed" in captured.err
+    assert message in captured.err
+    assert "Traceback" not in captured.err

@@ -219,3 +219,17 @@ def test_horadam_matches_named_families(ctx30):
             ctx30)
         assert (abs(luc_like - theorem_rhs(TheoremParams("THM1_LUC", r=r), ctx30))
                 < mpf(10) ** -26)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TheoremParams("THM1_FIB", r=2.5),
+    lambda: TheoremParams("THM1_FIB", r=True),
+    lambda: TheoremParams("THM3_V1", n=4, m="2"),
+    lambda: TheoremParams("THM7_FIB", p=-2.0, q=5),
+    lambda: HoradamParams(1.0, 1, 0, 1),
+    lambda: HoradamParams(1, 1, False, 1),
+], ids=["r-float", "r-bool", "m-string", "p-float", "horadam-p-float",
+        "horadam-a-bool"])
+def test_family_parameters_must_be_ints(build):
+    with pytest.raises(InvalidParams, match="must be"):
+        build()

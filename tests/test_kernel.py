@@ -313,3 +313,78 @@ def test_tail_brackets_the_exact_remainder_for_any_geometric_z(zw, a, digits):
     N = K + 40
     head = exact_partial_sum(spec, N)
     assert abs(head - value) + _weighted_rest_bound(spec, N) <= tail
+
+
+# -- the seeded cutoff and the integer radius test ---------------------------
+
+SLOW_Z = [Fraction(20, 3), Fraction(77, 12), Fraction(27, 5)]
+
+
+@pytest.mark.parametrize("z", SLOW_Z)
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("digits", [100, 300])
+def test_seeded_cutoff_matches_a_linear_scan_on_long_sums(z, a, digits):
+    spec = SeriesSpec(z, a, UNIT_WEIGHT)
+    K = _scan_cutoff(spec, digits)
+    assert _cutoff(spec, digits, 10 ** 6) == K
+    assert _cutoff(spec, digits, K) == K
+    with pytest.raises(MaxTermsExceeded, match=f"more than {K - 1} terms"):
+        _cutoff(spec, digits, K - 1)
+
+
+@pytest.mark.parametrize("z, weight",
+                         CUTOFF_GRID + [(z, UNIT_WEIGHT) for z in SLOW_Z])
+def test_cutoff_confirms_its_seed_in_few_probes(z, weight, monkeypatch):
+    probes = []
+
+    def counting_fits(spec, digits):
+        fits = _cutoff_fits(spec, digits)
+        return lambda K: probes.append(K) or fits(K)
+
+    monkeypatch.setattr(series, "_cutoff_fits", counting_fits)
+    for a in (0, 1, 2):
+        for digits in range(10, 301):
+            probes.clear()
+            _cutoff(SeriesSpec(z, a, weight), digits, 10 ** 6)
+            assert 1 <= len(probes) <= 5, (a, digits, probes)
+
+
+def _fraction_radius_side(spec):
+    """Sign of rho - 1 by the rational formula: c = 27/(2|z|) - L(|m|)
+    against F(|m|) sqrt5."""
+    n = abs(spec.weight.m)
+    c = Fraction(27, 2) / abs(spec.z) - lucas(n)
+    if c < 0:
+        return 1
+    lhs, rhs = 5 * fib(n) ** 2, c * c
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _near_radius_specs():
+    """z within about 1e-12 of the radius 27/(4 phi^m), on both sides."""
+    phi = (1 + math.sqrt(5)) / 2
+    for m in range(7):
+        q = 10 ** 13 + 7 * m
+        centre = round(27 * q / (4 * phi ** m))
+        for p in range(centre - 3, centre + 4):
+            for sign in (1, -1):
+                weight = Weight("lucas", m) if m else UNIT_WEIGHT
+                yield SeriesSpec(Fraction(sign * p, q), 0, weight)
+
+
+def test_integer_radius_test_matches_the_rational_formula():
+    grid = [SeriesSpec(Fraction(p, q), 0, Weight(kind, m) if m else UNIT_WEIGHT)
+            for p in range(-60, 61) if p for q in range(1, 21)
+            for m in range(-4, 5) for kind in ("fib", "lucas")]
+    boundary = [SeriesSpec(Fraction(s * 27, 4), a, w) for s in (1, -1)
+                for a in (0, 1, 2) for w in (UNIT_WEIGHT, Weight("lucas", 0))]
+    near = list(_near_radius_specs())
+    for spec in grid + boundary + near:
+        assert _radius_side(spec) == _fraction_radius_side(spec), spec
+    assert {_radius_side(spec) for spec in boundary} == {0}
+    sides = [_radius_side(spec) for spec in near]
+    assert sides.count(1) > 10 and sides.count(-1) > 10
+    # the near pairs do lie within 1e-12 of rho = 1
+    phi = (1 + math.sqrt(5)) / 2
+    assert all(abs(4 * abs(float(s.z)) * phi ** abs(s.weight.m) / 27 - 1) < 1e-12
+               for s in near)
