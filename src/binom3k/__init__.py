@@ -15,8 +15,7 @@ from .registry import (IdentityRecord, builtin_catalog, get_record,
 from .sequences import (FIBONACCI_PARAMS, LUCAS_PARAMS, HoradamParams, fib,
                         horadam, lucas)
 from .series import (ConvergenceClass, SeriesSpec, SumResult, UNIT_WEIGHT,
-                     Weight, classify, partial_sum, sum_boundary,
-                     sum_to_digits, tail_bound)
+                     Weight, classify, sum_boundary_detailed, sum_to_digits)
 from .verifier import (VerificationReport, differential_check, sweep, verify,
                        verify_all)
 
@@ -33,7 +32,7 @@ __all__ = [
     "FIBONACCI_PARAMS", "LUCAS_PARAMS", "HoradamParams", "fib", "horadam",
     "lucas",
     "ConvergenceClass", "SeriesSpec", "SumResult", "UNIT_WEIGHT", "Weight",
-    "classify", "partial_sum", "sum_boundary", "sum_to_digits", "tail_bound",
+    "classify", "sum_boundary_detailed", "sum_to_digits",
     "VerificationReport", "differential_check", "sweep", "verify",
     "verify_all",
     "__version__",

@@ -227,6 +227,8 @@ def _parse_point(text: str) -> dict:
         if name not in ("r", "n", "m", "p", "q") or not value:
             raise ValueError(f"bad grid assignment {item!r} "
                              "(expected r/n/m/p/q = integer)")
+        if name in point:
+            raise ValueError(f"grid point {text!r} assigns {name} twice")
         point[name] = int(value)
     return point
 
@@ -275,8 +277,13 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    horadam_family = args.family.startswith("HORADAM")
+    if horadam_family != (args.horadam is not None):
+        needs = "needs" if horadam_family else "takes no"
+        print(f"{args.family} {needs} --horadam", file=sys.stderr)
+        return 2
     horadam = None
-    if args.horadam:
+    if horadam_family:
         parts = [int(v) for v in args.horadam.split(",")]
         if len(parts) != 4:
             print("--horadam expects four integers P,Q,A,B", file=sys.stderr)

@@ -399,24 +399,3 @@ def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:
         z = Fraction((-1) ** r * 27, lucas(r) ** 2)
     return SeriesSpec(z, a, UNIT_WEIGHT, label)
 
-
-def thm7_intermediate(params: TheoremParams, branch: str,
-                      ctx: PrecisionContext) -> mpf:
-    """One Binet branch of the weighted a=2 family.
-
-    The alpha branch is the base identity at (x, y) = (F_p alpha^q,
-    -F_{p+q}); the beta branch at (F_{p+q}, -beta^q F_p).  (alpha -
-    beta)/sqrt5 and alpha + beta recombine to the Fibonacci- and
-    Lucas-weighted sums.
-    """
-    if branch not in ("alpha", "beta"):
-        raise ValueError(f"branch must be 'alpha' or 'beta', got {branch!r}")
-    _validate(TheoremParams("THM7_FIB", p=params.p, q=params.q))
-    with ctx.workdps():
-        _, x, y = _binet(True)(params, ctx)[0 if branch == "alpha" else 1]
-        return _series(2, x, y)
-
-
-def thm1_fib_rhs(r: int, ctx: PrecisionContext) -> mpf:
-    """Shorthand for theorem_rhs of the first golden-ratio family."""
-    return theorem_rhs(TheoremParams("THM1_FIB", r=r), ctx)

@@ -8,9 +8,9 @@ beyond it; the comparison is made exactly on the rational z.
 Every sum runs through one exact integer kernel, :func:`_kernel`: the
 terms t_k 2^B as floored Python integers, summed in one generator-free loop
 per weight kind, with a proven bound on the accumulated roundoff
-(:func:`_roundoff_ulps`).  :func:`_scaled_terms` yields the same integers
-one by one and is kept as the per-term reference the kernel is tested
-against.
+(:func:`_roundoff_ulps`).  :func:`sum_to_digits` sums a geometric series
+and :func:`sum_boundary_detailed` the convergent series on the radius;
+nothing else in the package sums.
 
 A geometric sum picks its cutoff K as the first at which a float estimate
 of its tail bound meets the target (:func:`_cutoff_fits`).  The search
@@ -33,9 +33,10 @@ the read term, so a tail reported below 10^-d is proved.  Whether rho < 1
 is decided in integers too (:func:`_radius_side`).
 
 On the radius the terms behave like (+-1)^k k^(1/2 - a), so only z = 27/4
-with a = 2 and z = -27/4 with a = 1, 2 converge; :func:`sum_boundary`
-proves them to the requested digits.  At 27/4 the tail after K terms is
-telescoped by a truncated asymptotic series P (:func:`_telescope`).
+with a = 2 and z = -27/4 with a = 1, 2 converge;
+:func:`sum_boundary_detailed` proves them to the requested digits.  At 27/4
+the tail after K terms is telescoped by a truncated asymptotic series P
+(:func:`_telescope`).
 
 For z < 0, |z| <= 27/4 and a = 1, 2, 1/C(3k,k) = 2k B(k+1, 2k) gives
 |z|^k / (k C(3k,k)) = 2 int_0^1 x(t)^k dt / (1-t), x(t) = |z| t (1-t)^2 in
@@ -55,7 +56,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import count
 from operator import mul
-from typing import Iterator, Optional
+from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -129,13 +130,6 @@ class SumResult:
     tail: mpf
 
 
-def binom_3k_k(k: int) -> int:
-    """Exact C(3k, k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return math.comb(3 * k, k)
-
-
 def _vanishes(spec: SeriesSpec) -> bool:
     """Every term is exactly zero: z = 0, or the weight F(0 k)."""
     return spec.z == 0 or (spec.weight.kind == "fib" and spec.weight.m == 0)
@@ -171,7 +165,8 @@ def convergence_kind(spec: SeriesSpec) -> str:
 
 
 def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
-    """The exact convergence_kind, with rho kept as an mpf."""
+    """The exact convergence_kind, with rho kept as an mpf.  No path of the
+    package calls it; the benchmark reads its rho."""
     z = spec.z
     with ctx.workdps():
         rho = (mpf(abs(z.numerator)) / z.denominator
@@ -180,38 +175,6 @@ def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
 
 
 # -- the integer kernel ----------------------------------------------------
-
-def _scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
-    """The terms t_k 2^bits, k = 1, 2, ..., as floored integers: the
-    per-term reference that :func:`_kernel` is tested against.
-
-    With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
-    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), one floor division per step.  A
-    Fibonacci or Lucas weight rides along as the pair (b_k F(mk),
-    b_k F(mk+1)), advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]];
-    L(mk) = 2 F(mk+1) - F(mk).
-    """
-    p, q = spec.z.numerator, spec.z.denominator
-    p2, q3, a = 2 * p, 3 * q, spec.a
-    k = 1
-    if spec.weight.kind == "unit":
-        t = (p << bits) // q3
-        while True:
-            yield t // k ** a if a else t
-            t = t * (p2 * (k + 1) * (2 * k + 1)) // (q3 * (3 * k + 1) * (3 * k + 2))
-            k += 1
-    m = spec.weight.m
-    f0, f1, f2 = fib(m - 1), fib(m), fib(m + 1)
-    x, y = (f1 * p << bits) // q3, (f2 * p << bits) // q3
-    want_lucas = spec.weight.kind == "lucas"
-    while True:
-        w = 2 * y - x if want_lucas else x
-        yield w // k ** a if a else w
-        num = p2 * (k + 1) * (2 * k + 1)
-        den = q3 * (3 * k + 1) * (3 * k + 2)
-        x, y = num * (f0 * x + f1 * y) // den, num * (f1 * x + f2 * y) // den
-        k += 1
-
 
 def _divisors(a: int, k: int, stop: int):
     """k^a for a = 1, 2 over k .. stop-1."""
@@ -278,10 +241,13 @@ def _kernel(spec: SeriesSpec, bits: int, K: int,
     """The sum of the scaled terms t_k 2^bits for k <= K and the next
     ``window`` terms one by one.
 
-    The integers are exactly those of :func:`_scaled_terms`, with no
-    generator: the ratio's numerator 2p(k+1)(2k+1) and denominator
-    3q(3k+1)(3k+2) are quadratics in k, advanced by their differences, so
-    a step is one multiply and one floor division per state component.
+    With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
+    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), floored at every step.  A Fibonacci
+    or Lucas weight rides along as the pair (b_k F(mk), b_k F(mk+1)),
+    advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]], and
+    L(mk) = 2 F(mk+1) - F(mk).  The ratio's numerator and denominator are
+    quadratics in k, advanced by their differences, so a step is one
+    multiply and one floor division per state component.
     """
     p, q = spec.z.numerator, spec.z.denominator
     p2, q3 = 2 * p, 3 * q
@@ -394,18 +360,6 @@ def _ceil_to_prec(n: int) -> int:
     return -(-n >> drop) << drop
 
 
-def partial_sum(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
-    """Sum of the first K terms at working precision."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    with ctx.workdps():
-        if _vanishes(spec):
-            return mpf(0)
-        bits = _kernel_bits(_roundoff_ulps(spec, K),  # working precision
-                            _log_term(spec, 1) / math.log(2) - mp.prec)
-        return _unscale(_kernel(spec, bits, K)[0], bits)
-
-
 def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
     """Proved bound on the tail sum_{k>K} |t_k| 2^B plus the roundoff of
     the kernel's head, from the kernel's term ``term`` at K+1 and the bound
@@ -432,23 +386,6 @@ def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
         raise NotGeometric(
             f"term ratio bound {gn / gd:.6g} after {K} terms; no geometric tail")
     return Fraction(num * gd, den * (gd - gn))
-
-
-def tail_bound(spec: SeriesSpec, K: int, ctx: PrecisionContext) -> mpf:
-    """Proved bound on |sum of terms beyond K| for geometric series: the
-    bound of the module docstring, t_{K+1} resolved to working precision
-    with its roundoff added, rounded up to an mpf."""
-    kind = convergence_kind(spec)
-    if kind != "geometric":
-        raise NotGeometric(f"series is {kind}, tail bound needs geometric")
-    with ctx.workdps():
-        if _vanishes(spec):
-            return mpf(0)
-        roundoff = _roundoff_ulps(spec, K + 1)
-        bits = _kernel_bits(roundoff, _log_term(spec, K + 1) / math.log(2) - mp.prec)
-        term = _kernel(spec, bits, K, 1)[1][0]
-        ulps = math.ceil(_tail_ulps(spec, K, term, roundoff))
-        return _unscale(_ceil_to_prec(ulps), bits)
 
 
 def _cutoff_fits(spec: SeriesSpec, digits: int):
@@ -570,7 +507,7 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
     context_for(digits, ctx)
     kind = convergence_kind(spec)
     if kind != "geometric":
-        raise NotGeometric(f"series is {kind}; use sum_boundary at the radius")
+        raise NotGeometric(f"series is {kind}; use sum_boundary_detailed at the radius")
     with ctx.workdps():
         if _vanishes(spec):
             return SumResult(mpf(0), 0, mpf(0))
@@ -717,7 +654,3 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
                   else _crvz_sum)
         return _certified(*method(spec, digits, ctx.max_terms), digits)
 
-
-def sum_boundary(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> mpf:
-    """Value of a boundary series, correct to at least ``digits`` digits."""
-    return sum_boundary_detailed(spec, digits, ctx).value

@@ -141,7 +141,7 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             reports = pool.starmap(
-                _verify_task, [(record, digits, ctx) for record in records])
+                verify, [(record, digits, ctx) for record in records])
     else:
         reports = [verify(record, digits, ctx) for record in records]
     return {**summary_counts(reports), "reports": reports}
@@ -155,11 +155,6 @@ def summary_counts(reports: Iterable[VerificationReport]) -> dict:
         "fail": statuses.count(FAIL),
         "skipped": statuses.count(SKIPPED_DIVERGENT),
     }
-
-
-def _verify_task(record: IdentityRecord, digits: int,
-                 ctx: Optional[PrecisionContext]) -> VerificationReport:
-    return verify(record, digits, ctx)
 
 
 def sweep(family: str, grid: Iterable[Union[TheoremParams, dict]],
@@ -206,12 +201,12 @@ def differential_check(level: str, pair: XYPair, digits: int,
         x, y = pair.values(ctx)
         if x == y:
             raise DomainError("differential check is singular at x = y")
+        closed = upper(pair, ctx)  # the given pair is checked first
         h = mpf(10) ** (-mpf(digits) / 3)
         f_plus = lower(XYPair(x + h, y), ctx)
         f_minus = lower(XYPair(x - h, y), ctx)
         derivative = (f_plus - f_minus) / (2 * h)
         transformed = x * (x + y) / (y - x) * derivative
-        closed = upper(pair, ctx)
         required = digits // 3
         matched = _matched_digits(transformed, closed, digits)
     return VerificationReport(

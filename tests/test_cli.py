@@ -130,6 +130,30 @@ def test_sweep_bad_point(capsys):
     capsys.readouterr()
 
 
+def test_sweep_point_assigning_a_name_twice_is_a_usage_error(capsys):
+    assert run(["sweep", "--family", "THM1_FIB", "--point", "r=2,r=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "assigns r twice" in captured.err
+
+
+@pytest.mark.parametrize("family", ["HORADAM_A2", "HORADAM_A1"])
+def test_sweep_of_a_horadam_family_needs_its_recurrence(family, capsys):
+    assert run(["sweep", "--family", family, "--point", "r=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{family} needs --horadam" in captured.err
+
+
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+def test_check_derivatives_names_the_given_pair(level, capsys):
+    assert run(["check-derivatives", "--level", level, "--x", "-1",
+                "--y", "1", "--digits", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x/y = -1.0 outside validity window" in captured.err
+
+
 def test_check_derivatives_command(capsys):
     assert run(["check-derivatives", "--level", "A_to_B", "--x", "9",
                 "--y", "1", "--digits", "30", "--format", "json"]) == 0
@@ -157,6 +181,8 @@ def test_verify_all_custom_catalog(tmp_path, capsys):
     ["sweep", "--family", "THM1_FIB", "--point", "r=2",
      "--catalog", "/nonexistent.json"],
     ["scan", "--digits", "40"],
+    ["sweep", "--family", "THM1_FIB", "--point", "r=2",
+     "--horadam", "1,1,0,1"],
 ])
 def test_options_a_subcommand_ignores_are_usage_errors(argv, capsys):
     assert run(argv) == 2

@@ -5,14 +5,14 @@ from mpmath import mp, mpf, sqrt
 
 from binom3k.closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
                                   batir_rhs, phi, theorem_lhs_spec,
-                                  theorem_rhs, thm1_fib_rhs, thm7_intermediate,
-                                  trig_rhs)
+                                  theorem_rhs, trig_rhs)
 from binom3k.errors import DomainError, InvalidParams, SingularInput
 from binom3k.expressions import eval_expr
 from binom3k.precision import make_context
 from binom3k.registry import get_record
-from binom3k.sequences import HoradamParams
+from binom3k.sequences import HoradamParams, fib
 from binom3k.series import sum_to_digits
+from reference import unit_series
 
 
 def expr_value(record, ctx):
@@ -167,29 +167,35 @@ def test_family_closed_forms_match_series(ctx30):
         assert abs(summed.value - rhs) < mpf(10) ** -24, params.describe()
 
 
-def test_thm1_fib_shorthand(ctx30):
-    assert (abs(thm1_fib_rhs(1, ctx30)
-                - theorem_rhs(TheoremParams("THM1_FIB", r=1), ctx30)) == 0)
+def thm7_branches(p, q, ctx):
+    """S_alpha and S_beta: the base form A at (F_p alpha^q, -F_(p+q)) and
+    at (F_(p+q), -beta^q F_p)."""
+    with ctx.workdps():
+        alpha, beta = (1 + mp.sqrt(5)) / 2, (1 - mp.sqrt(5)) / 2
+        return (A_rhs(XYPair(fib(p) * alpha ** q, -fib(p + q)), ctx),
+                A_rhs(XYPair(fib(p + q), -beta ** q * fib(p)), ctx))
 
 
 def test_thm7_binet_recombination(ctx40):
-    params = TheoremParams("THM7_FIB", p=-2, q=5)
+    ia, ib = thm7_branches(-2, 5, ctx40)
     with ctx40.workdps():
-        ia = thm7_intermediate(params, "alpha", ctx40)
-        ib = thm7_intermediate(params, "beta", ctx40)
-        fib_value = theorem_rhs(params, ctx40)
+        fib_value = theorem_rhs(TheoremParams("THM7_FIB", p=-2, q=5), ctx40)
         luc_value = theorem_rhs(TheoremParams("THM7_LUC", p=-2, q=5), ctx40)
         assert abs((ia - ib) / mp.sqrt(5) - fib_value) < mpf(10) ** -35
         assert abs(ia + ib - luc_value) < mpf(10) ** -35
 
 
 def test_thm7_intermediate_is_base_form(ctx30):
-    # the alpha branch is the two-parameter form at (F_p alpha^q, -F_{p+q})
-    params = TheoremParams("THM7_FIB", p=-2, q=5)
+    # each branch sums the unit series at z alpha^m or z beta^m, with
+    # z = -27 F_p F_(p+q) / F_q^2 = 54/25 and m = 2p + q = 1 at (-2, 5)
+    spec = theorem_lhs_spec(TheoremParams("THM7_FIB", p=-2, q=5))
+    assert (spec.z, spec.weight.m) == (Fraction(54, 25), 1)
+    ia, ib = thm7_branches(-2, 5, ctx30)
     with ctx30.workdps():
-        alpha = (1 + mp.sqrt(5)) / 2
-        direct = A_rhs(XYPair(-alpha ** 5, mpf(-2)), ctx30)
-        assert abs(thm7_intermediate(params, "alpha", ctx30) - direct) < mpf(10) ** -26
+        alpha, beta = (1 + mp.sqrt(5)) / 2, (1 - mp.sqrt(5)) / 2
+        z = mpf(54) / 25
+        assert abs(ia - unit_series(z * alpha, 2)) < mpf(10) ** -26
+        assert abs(ib - unit_series(z * beta, 2)) < mpf(10) ** -26
 
 
 @pytest.mark.parametrize("params", [

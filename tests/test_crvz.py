@@ -12,7 +12,8 @@ from binom3k.errors import MaxTermsExceeded
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record
 from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _crvz_terms,
-                            _cutoff, partial_sum, sum_to_digits, tail_bound)
+                            _cutoff, sum_to_digits)
+from reference import kernel_bracket, to_fraction
 
 LUCAS_0 = Weight("lucas", 0)
 
@@ -33,10 +34,9 @@ def test_sum_agrees_with_the_kernel_alone(spec, digits):
     result = sum_to_digits(spec, digits, ctx)
     assert result.tail < mpf(10) ** -digits
     K = _cutoff(spec, digits, 10 ** 6)
-    with ctx.workdps():
-        reference = partial_sum(spec, K, ctx)
-        gap = abs(result.value - reference)
-    assert gap <= result.tail + tail_bound(spec, K, ctx)
+    centre, radius = kernel_bracket(spec, K, digits)
+    gap = abs(to_fraction(result.value) - centre)
+    assert gap <= to_fraction(result.tail) + radius
 
 
 @pytest.mark.parametrize("spec", [

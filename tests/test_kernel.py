@@ -17,24 +17,11 @@ from binom3k.registry import builtin_catalog, get_record, record_from_json
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _cutoff,
                             _cutoff_fits, _radius_side, _rise_end,
-                            _roundoff_ulps, _scaled_terms, _tail_ulps,
-                            classify, sum_to_digits, tail_bound)
+                            _roundoff_ulps, _tail_ulps, classify,
+                            sum_to_digits)
 from binom3k.verifier import verify, verify_all
-
-
-def exact_term(spec, k):
-    weight = {"unit": lambda n: 1, "fib": fib, "lucas": lucas}[spec.weight.kind]
-    return (spec.z ** k * weight(spec.weight.m * k)
-            / (k ** spec.a * math.comb(3 * k, k)))
-
-
-def to_fraction(x):
-    man, exp = x.man_exp  # exact, but without the sign
-    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
-
-
-def exact_partial_sum(spec, K):
-    return sum((exact_term(spec, k) for k in range(1, K + 1)), Fraction(0))
+from reference import (exact_partial_sum, exact_term, kernel_bracket,
+                       rest_bound, scaled_terms, to_fraction)
 
 
 weights = st.one_of(
@@ -57,7 +44,7 @@ def geometric_specs(draw):
 @given(spec=geometric_specs(), K=st.integers(1, 40), bits=st.integers(0, 160))
 def test_kernel_sum_within_its_roundoff_bound(spec, K, bits):
     assert classify(spec, make_context(20)).is_geometric
-    terms = _scaled_terms(spec, bits)
+    terms = scaled_terms(spec, bits)
     kernel = sum(next(terms) for _ in range(K))
     exact = exact_partial_sum(spec, K) * 2 ** bits
     assert abs(kernel - exact) <= _roundoff_ulps(spec, K)
@@ -68,21 +55,10 @@ def test_roundoff_bound_near_the_radius():
     for z in (Fraction(67, 10), Fraction(-67, 10)):
         spec = SeriesSpec(z, 0, UNIT_WEIGHT)
         K = 300
-        terms = _scaled_terms(spec, 20)
+        terms = scaled_terms(spec, 20)
         kernel = sum(next(terms) for _ in range(K))
         exact = exact_partial_sum(spec, K) * 2 ** 20
         assert abs(kernel - exact) <= _roundoff_ulps(spec, K)
-
-
-def _rest_bound(spec, N):
-    """Proven bound on sum_{k>N} |t_k| for a unit weight: every ratio
-    |t_{k+1}/t_k| = r_k (k/(k+1))^a from k = N+1 on is at most r_{N+1},
-    since r_k = 2|z|(k+1)(2k+1) / (3(3k+1)(3k+2)) decreases in k."""
-    k = N + 1
-    r = abs(spec.z) * Fraction(2 * (k + 1) * (2 * k + 1),
-                               3 * (3 * k + 1) * (3 * k + 2))
-    assert r < 1
-    return abs(exact_term(spec, k)) / (1 - r)
 
 
 @pytest.mark.parametrize("z, digits", [
@@ -94,10 +70,10 @@ def test_tail_brackets_the_exact_remainder(z, digits, a):
     result = sum_to_digits(spec, digits, ctx)
     value, tail = to_fraction(result.value), to_fraction(result.tail)
     assert tail < Fraction(1, 10 ** digits)
-    # the full sum lies within _rest_bound(spec, N) of the exact head to N
+    # the full sum lies within rest_bound(spec, N) of the exact head to N
     N = result.terms_used + 400
     head = exact_partial_sum(spec, N)
-    assert abs(head - value) + _rest_bound(spec, N) <= tail
+    assert abs(head - value) + rest_bound(spec, N) <= tail
 
 
 @pytest.mark.parametrize("z, a, kind, m", [
@@ -110,7 +86,7 @@ def test_direct_cutoff_does_not_overshoot(z, a, kind, m):
     assert to_fraction(result.tail) < Fraction(1, 10 ** 30)
     # a sixteenth fewer terms would not have met the target
     fewer = result.terms_used - max(1, result.terms_used // 16)
-    assert to_fraction(tail_bound(spec, fewer, ctx)) >= Fraction(1, 10 ** 30)
+    assert kernel_bracket(spec, fewer, 30)[1] >= Fraction(1, 10 ** 30)
 
 
 def test_classification_is_exact_near_the_radius():
@@ -232,13 +208,13 @@ def test_integer_certificate_matches_the_exact_rule(z, weight, a, K):
     spec = SeriesSpec(z, a, weight)
     term = exact_term(spec, K + 1)
     if weight.kind == "unit":
-        # term K+1 exactly and no roundoff: the bound is _rest_bound itself
+        # term K+1 exactly and no roundoff: the bound is rest_bound itself
         if abs(z) * Fraction(2 * (K + 2) * (2 * K + 3),
                              3 * (3 * K + 4) * (3 * K + 5)) >= 1:
             with pytest.raises(NotGeometric):
                 _tail_ulps(spec, K, term, 0)
             return
-        assert _tail_ulps(spec, K, term, 0) == _rest_bound(spec, K)
+        assert _tail_ulps(spec, K, term, 0) == rest_bound(spec, K)
         return
     bound = _tail_ulps(spec, K, term, 0)
     # sound: at least the exact sum of 300 more terms plus the rest after them

@@ -5,9 +5,10 @@ from mpmath import mp, mpf
 
 from binom3k.errors import MaxTermsExceeded, Unsupported
 from binom3k.precision import make_context
-from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, binom_3k_k,
-                            classify, partial_sum, sum_boundary,
-                            sum_to_digits, tail_bound)
+from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _kernel,
+                            _roundoff_ulps, classify, sum_boundary_detailed,
+                            sum_to_digits)
+from reference import kernel_bracket, to_fraction, unit_series
 
 
 def unit_spec(z, a=2):
@@ -17,7 +18,9 @@ def unit_spec(z, a=2):
 
 @pytest.mark.parametrize("k,expected", [(1, 3), (2, 15), (3, 84), (4, 495)])
 def test_binom_3k_k(k, expected):
-    assert binom_3k_k(k) == expected
+    # term k of the kernel at z = 1, a = 0 is 2^64 / C(3k,k), floored
+    term = _kernel(unit_spec(1, a=0), 64, k - 1, 1)[1][0]
+    assert round(Fraction(1 << 64, term)) == expected
 
 
 @pytest.mark.parametrize("a", [2.0, True, "2"])
@@ -58,23 +61,23 @@ def test_classify_weighted(ctx30):
         assert abs(cls.rho - mpf(1) / 10 * alpha ** 3 * 4 / 27) < mpf(10) ** -12
 
 
-def test_partial_sum_hand_values(ctx30):
-    spec = unit_spec(Fraction(8, 3))
-    with ctx30.workdps():
-        one = partial_sum(spec, 1, ctx30)
-        two = partial_sum(spec, 2, ctx30)
-        assert abs(one - mpf(8) / 9) < mpf(10) ** -35
-        # 8/9 + (8/3)^2 / (4 * 15) = 136/135
-        assert abs(two - mpf(136) / 135) < mpf(10) ** -35
+def test_partial_sum_hand_values():
+    spec, bits = unit_spec(Fraction(8, 3)), 120
+    # 8/9, and 8/9 + (8/3)^2 / (4 * 15) = 136/135
+    for K, exact in ((1, Fraction(8, 9)), (2, Fraction(136, 135))):
+        head = _kernel(spec, bits, K)[0]
+        assert abs(head - exact * 2 ** bits) <= _roundoff_ulps(spec, K)
 
 
-def test_tail_bound_fast_and_slow(ctx30):
-    assert tail_bound(unit_spec(Fraction(8, 3)), 50, ctx30) < mpf(10) ** -20
-    assert tail_bound(unit_spec(Fraction(20, 3)), 100, ctx30) > mpf(10) ** -2
+def test_tail_bound_fast_and_slow():
+    fast = kernel_bracket(unit_spec(Fraction(8, 3)), 50, 30)[1]
+    slow = kernel_bracket(unit_spec(Fraction(20, 3)), 100, 30)[1]
+    assert fast < Fraction(1, 10 ** 20)
+    assert slow > Fraction(1, 100)
 
 
-def test_tail_bound_zero_argument(ctx30):
-    assert tail_bound(unit_spec(Fraction(0)), 10, ctx30) == 0
+def test_tail_bound_zero_argument():
+    assert kernel_bracket(unit_spec(Fraction(0)), 10, 30) == (0, 0)
 
 
 def test_sum_to_digits_italy(ctx40):
@@ -96,9 +99,7 @@ def test_sum_to_digits_alternating(ctx30):
     with ctx.workdps():
         # brute-force oracle at raised precision
         with mp.workdps(60):
-            reference = mp.nsum(
-                lambda k: mpf(-1) ** k / (k ** 2 * binom_3k_k(int(k))),
-                [1, mp.inf])
+            reference = unit_series(mpf(-1), 2)
         assert abs(result.value - reference) < mpf(10) ** -20
         assert mp.nstr(result.value, 3) == "-0.318"
 
@@ -115,13 +116,14 @@ def test_bracket_is_sound(ctx30):
         for a in (0, 1, 2):
             spec = unit_spec(z, a)
             result = sum_to_digits(spec, 25, ctx30)
-            deep = partial_sum(spec, result.terms_used + 400, ctx30)
-            assert abs(deep - result.value) <= result.tail
+            centre, radius = kernel_bracket(spec, result.terms_used + 400, 30)
+            assert (abs(centre - to_fraction(result.value)) + radius
+                    <= to_fraction(result.tail))
 
 
 def test_sum_boundary_positive():
     ctx = make_context(25)
-    value = sum_boundary(unit_spec(Fraction(27, 4)), 10, ctx)
+    value = sum_boundary_detailed(unit_spec(Fraction(27, 4)), 10, ctx).value
     with ctx.workdps():
         reference = 2 * mp.pi ** 2 / 3 - 2 * mp.log(2) ** 2
         assert abs(value - reference) < mpf(10) ** -10
@@ -130,7 +132,7 @@ def test_sum_boundary_positive():
 
 def test_sum_boundary_alternating():
     ctx = make_context(25)
-    value = sum_boundary(unit_spec(Fraction(-27, 4)), 10, ctx)
+    value = sum_boundary_detailed(unit_spec(Fraction(-27, 4)), 10, ctx).value
     with ctx.workdps():
         # surd closed form: 6 arctan^2(sqrt3/(2 cbrt(3+2sqrt2)+1)) ...
         u = mp.cbrt(3 + 2 * mp.sqrt(2))
@@ -142,11 +144,11 @@ def test_sum_boundary_alternating():
 def test_sum_boundary_rejects_unsupported():
     ctx = make_context(25)
     with pytest.raises(Unsupported):
-        sum_boundary(unit_spec(Fraction(27, 4), a=0), 10, ctx)
+        sum_boundary_detailed(unit_spec(Fraction(27, 4), a=0), 10, ctx)
     with pytest.raises(Unsupported):
-        sum_boundary(unit_spec(Fraction(8, 3)), 10, ctx)
+        sum_boundary_detailed(unit_spec(Fraction(8, 3)), 10, ctx)
     with pytest.raises(ValueError):
-        sum_boundary(unit_spec(Fraction(27, 4)), 50, ctx)
+        sum_boundary_detailed(unit_spec(Fraction(27, 4)), 50, ctx)
 
 
 def test_weighted_sum_matches_componentwise(ctx30):
@@ -158,9 +160,7 @@ def test_weighted_sum_matches_componentwise(ctx30):
     with ctx30.workdps():
         alpha = (1 + mp.sqrt(5)) / 2
         beta = (1 - mp.sqrt(5)) / 2
-        def s(zz):
-            return mp.nsum(lambda k: zz ** k / (k ** 2 * binom_3k_k(int(k))),
-                           [1, mp.inf])
         zf = mpf(z.numerator) / z.denominator
-        reference = (s(zf * alpha ** m) - s(zf * beta ** m)) / mp.sqrt(5)
+        reference = (unit_series(zf * alpha ** m, 2)
+                     - unit_series(zf * beta ** m, 2)) / mp.sqrt(5)
         assert abs(result.value - reference) < mpf(10) ** -24

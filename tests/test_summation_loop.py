@@ -1,5 +1,5 @@
 """The generator-free summation loop against the per-term reference
-_scaled_terms, and the exact convergence kind without rho."""
+scaled_terms, and the exact convergence kind without rho."""
 
 from fractions import Fraction
 
@@ -11,15 +11,14 @@ from binom3k import series
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record
 from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _kernel,
-                            _scaled_terms, classify, convergence_kind,
-                            partial_sum, sum_boundary_detailed, sum_to_digits,
-                            tail_bound)
-from binom3k.verifier import verify
+                            classify, convergence_kind, sum_boundary_detailed,
+                            sum_to_digits)
+from reference import scaled_terms
 
 
 def reference_kernel(spec, bits, K, window=0):
-    """_kernel's result, term by term from _scaled_terms."""
-    terms = _scaled_terms(spec, bits)
+    """_kernel's result, term by term from scaled_terms."""
+    terms = scaled_terms(spec, bits)
     head = sum(next(terms) for _ in range(K))
     return head, [next(terms) for _ in range(window)]
 
@@ -65,25 +64,9 @@ def test_boundary_sums_match_the_reference(record_id, monkeypatch):
     SeriesSpec(Fraction(-1, 10), 2, Weight("fib", -3))])
 def test_geometric_sums_match_the_reference(spec, monkeypatch):
     ctx = make_context(40)
-    results = (sum_to_digits(spec, 30, ctx), tail_bound(spec, 50, ctx),
-               partial_sum(spec, 50, ctx))
+    result = sum_to_digits(spec, 30, ctx)
     monkeypatch.setattr(series, "_kernel", reference_kernel)
-    assert (sum_to_digits(spec, 30, ctx), tail_bound(spec, 50, ctx),
-            partial_sum(spec, 50, ctx)) == results
-
-
-def test_no_production_path_uses_the_reference(monkeypatch):
-    def unused(spec, bits):
-        raise AssertionError("_scaled_terms called")
-
-    monkeypatch.setattr(series, "_scaled_terms", unused)
-    catalog = builtin_catalog()
-    for record_id in ("eq-27-4", "alt-27-4", "eq-italy"):
-        assert verify(get_record(catalog, record_id), 30).ok
-    spec = SeriesSpec(Fraction(54, 25), 1, Weight("fib", 1))
-    ctx = make_context(30)
-    tail_bound(spec, 20, ctx)
-    partial_sum(spec, 20, ctx)
+    assert sum_to_digits(spec, 30, ctx) == result
 
 
 @pytest.mark.parametrize("record_id, digits", [
