@@ -219,7 +219,16 @@ def _load(args) -> list:
     return builtin_catalog()
 
 
-def _parse_point(text: str) -> dict:
+def _point_names(family: str) -> tuple:
+    """The names every grid point of ``family`` assigns, no more, no less."""
+    if family.startswith("THM3"):
+        return ("n", "m")
+    if family.startswith(("THM7", "THM9", "THM10")):
+        return ("p", "q")
+    return ("r",)
+
+
+def _parse_point(text: str, family: str) -> dict:
     point = {}
     for item in text.split(","):
         name, _, value = item.partition("=")
@@ -230,6 +239,10 @@ def _parse_point(text: str) -> dict:
         if name in point:
             raise ValueError(f"grid point {text!r} assigns {name} twice")
         point[name] = int(value)
+    names = _point_names(family)
+    if set(point) != set(names):
+        raise ValueError(f"grid point {text!r}: {family} takes exactly "
+                         f"{', '.join(names)}")
     return point
 
 
@@ -290,7 +303,7 @@ def _cmd_sweep(args) -> int:
             return 2
         horadam = HoradamParams(*parts)
     try:
-        points = [_parse_point(text) for text in args.point]
+        points = [_parse_point(text, args.family) for text in args.point]
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

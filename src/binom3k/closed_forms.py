@@ -3,11 +3,14 @@
 Batir's closed form of sum z^k/(k^2 C(3k,k)) goes through the cube-root
 auxiliary phi(z).  The substitution z = 27xy/(x+y)^2 turns it into the
 homogeneous two-parameter form A(x, y) (exponent a = 2); differentiating
-in x lowers the exponent of k and gives B (a = 1) and C (a = 0).  One
-evaluator computes cbrt x, cbrt y, the arctangent and the logarithm once
-and returns A, B or C; every closed form in this module is a choice of
-(x, y) fed to it.  The right column names the identity that gives x + y
-(checked by :func:`~.sequences.check_fl_identity`):
+in x lowers the exponent of k and gives B (a = 1) and C (a = 0).  Each
+level is homogeneous of degree 0, so it depends on the ratio t = y/x
+alone.  One evaluator, :func:`_level`, takes one cube root u = cbrt t,
+one arctangent and one logarithm and does the rest of the algebra in
+fixed-point integers, within 2^-prec max(1, |value|); every closed form
+in this module is a choice of (x, y) fed to it.  The right column names
+the identity that gives x + y (checked by
+:func:`~.sequences.check_fl_identity`):
 
 ============================  =====  ===============================  ======
 closed form                   level  pair (x, y)                      x + y
@@ -47,9 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_atan, mpf_cbrt,
+                          mpf_div, mpf_log, mpf_sub, round_nearest, to_fixed)
 
 from . import expressions
 from .errors import DomainError, InvalidParams, SingularInput
@@ -96,45 +102,98 @@ class XYPair:
             return _as_mpf(self.x, ctx), _as_mpf(self.y, ctx)
 
 
-def _check_window(x: mpf, y: mpf, strict: bool) -> None:
-    if y == 0:
-        raise DomainError("y must be nonzero")
-    ratio = x / y
-    if ratio > 1 or (ratio == 1 and not strict):
-        return
-    floor = -3 - 2 * mp.sqrt(2)  # -(sqrt2 + 1)^2
-    if ratio > floor * (1 - mpf(10) ** (5 - mp.dps)):  # roundoff at the floor
-        bound = ">" if strict else ">="
-        raise DomainError(
-            f"x/y = {ratio} outside validity window "
-            f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
+# Guard bits of the level evaluator's fixed point: its error stays below
+# 2^(12 - W) = 2^-8 ulp of the working precision (see _level).
+_GUARD_BITS = 20
 
 
 def _level(a: int, x: mpf, y: mpf) -> mpf:
-    """A (a = 2), B (a = 1) or C (a = 0) at (x, y) in the window."""
+    """A (a = 2), B (a = 1) or C (a = 0) at (x, y) in the window.
+
+    Every level is homogeneous of degree 0 in (x, y), so it depends only
+    on the ratio t = y/x and on u = cbrt t.  At x = 1 the levels read
+
+        at = atan(sqrt3 u / (2 - u)),   lg = log((1 + t) / (1 + u)^3),
+        A  = 6 at^2 - lg^2 / 2,
+        B  = u (2 sqrt3 (1 + u) at + (1 - u) lg) / (1 - t),
+        C  = 4t / (1 - t)^2 + u (1 + t) (2 sqrt3 (2u (1 + u^2) + 1 + tu) at
+             - (2u (1 - u^2) - 1 + tu) lg) / (3 (1 - t)^3).
+
+    The window x/y >= 1 (strict at a < 2) or x/y <= -(sqrt2 + 1)^2 is
+    t in (0, 1] or t in [-(3 - 2 sqrt2) / (1 - eps), 0), where eps =
+    10^(5 - dps) absorbs the roundoff of a pair computed on the lower end.
+    That end is tested in integers: s = |t| (1 - eps) lies at or below
+    3 - 2 sqrt2, the smaller root of s^2 - 6s + 1, iff s < 1 and
+    s^2 - 6s + 1 >= 0.
+
+    The evaluation works in W = prec + _GUARD_BITS bit fixed point: t is
+    one mpf division, u one cube root, at and lg one mpf_atan and one
+    mpf_log of fixed-point arguments, and sqrt3 is isqrt(3 * 4^W).  Only
+    the factor 1 - t, small near t = 1, stays in floating point as
+    (x - y)/x, so B and C keep their relative accuracy there.
+
+    Error budget, in units of 2^-W.  A floor costs 1 unit and a rounded
+    mpf step one ulp of its result, at most 4 units as every such result
+    is below 4 in magnitude; so t is within 2 units, u within 3 and sqrt3
+    within 1.  In the window 2 - u >= 1 bounds the slope of the atan
+    argument in u by 2 sqrt3 < 3.5, so at is within 16 units.  1 + u >=
+    0.44 bounds the slope of lg in u by 3/0.44 < 7, 1 + t > 0.82 its
+    slope in t by 1.3, and (1 + t)/(1 + u)^3 >= 1/4 its slope in that
+    argument by 4, so lg is within 33.  With |at| <= pi/3 and |lg| < 2.3
+    the value of A is within 2^9 units.  The numerators of B and C are
+    within 2^8 and 2^9 units.  Dividing by (1 - t)^k at most doubles that
+    per power where t <= 1/2; where t > 1/2 the numerators exceed 3, so
+    their relative error stays below 2^7 units.  B is thus within
+    2^9 max(1, |B|) units and C within 2^12 max(1, |C|).  Before its
+    final rounding to prec bits every value is within 2^(12 - W) max(1,
+    |value|) = 2^-8 2^-prec max(1, |value|), far inside the 26 guard
+    digits.
+    """
     if a < 2 and x == y:
         raise SingularInput(f"the a = {a} level is singular at x = y")
-    _check_window(x, y, strict=a < 2)
-    return _formulas(a, x, y)
-
-
-def _formulas(a: int, x: mpf, y: mpf) -> mpf:
-    """The level-a formula, unchecked.  Inside the window 2 cbrt x -
-    cbrt y, x + y and the log argument (x+y)/(cbrt x + cbrt y)^3 are all
-    nonzero, the last positive."""
-    cx, cy = real_cbrt(x), real_cbrt(y)
-    s3 = mp.sqrt(3)
-    at = mp.atan(s3 * cy / (2 * cx - cy))
-    lg = mp.log((x + y) / (cx + cy) ** 3)
+    if y == 0:
+        raise DomainError("y must be nonzero")
+    w = mp.prec + _GUARD_BITS
+    one = 1 << w
+    t = mpf_div(y._mpf_, x._mpf_, w) if x else fzero
+    tf = to_fixed(t, w)
+    if not t[1]:  # x = 0, or x or y is not finite
+        inside = False
+    elif t[0]:  # t < 0
+        n = 10 ** (mp.dps - 5)  # 1/eps
+        s = -tf * (n - 1) // n
+        inside = s < one and s * s - 6 * s * one + one * one >= 0
+    else:
+        inside = tf < one or (tf == one and a == 2)
+    if not inside:
+        bound = ">" if a < 2 else ">="
+        raise DomainError(
+            f"x/y = {x / y} outside validity window "
+            f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
+    u = to_fixed(mpf_cbrt(mpf_abs(t), w), w)
+    if t[0]:
+        u = -u
+    s3 = isqrt(3 << 2 * w)
+    at = to_fixed(mpf_atan(from_man_exp(s3 * u // (2 * one - u), -w), w), w)
+    lg = to_fixed(mpf_log(from_man_exp(
+        ((one + tf) << 3 * w) // (one + u) ** 3, -w), w), w)
     if a == 2:
-        return 6 * at ** 2 - lg ** 2 / 2
-    cxy = cx * cy
-    if a == 1:
-        return cxy / (x - y) * (2 * s3 * (cx + cy) * at + (cx - cy) * lg)
-    cx2, cy2, cx4, cy4 = cx * cx, cy * cy, x * cx, y * cy
-    return 4 * x * y / (x - y) ** 2 + cxy / 3 * (x + y) / (x - y) ** 3 * (
-        2 * s3 * (2 * cxy * (cx2 + cy2) + cx4 + cy4) * at
-        - (2 * cxy * (cx2 - cy2) - cx4 + cy4) * lg)
+        value = (6 * at * at - (lg * lg >> 1)) >> w
+    else:
+        # 1 - t = man 2^exp with exp < 0, as 0 < 1 - t < 2 is no integer
+        _, man, exp, _ = mpf_div(mpf_sub(x._mpf_, y._mpf_, w), x._mpf_, w)
+        if a == 1:
+            num = u * ((2 * s3 * (one + u) >> w) * at + (one - u) * lg) >> 2 * w
+            value = (num << -exp) // man
+        else:
+            u2, tu = u * u >> w, tf * u >> w
+            c_at = (2 * u * (one + u2) >> w) + one + tu
+            c_lg = (2 * u * (one - u2) >> w) - one + tu
+            bracket = (2 * s3 * c_at >> w) * at - c_lg * lg
+            num = (u * (one + tf) * bracket >> 3 * w) // 3
+            value = ((num << -3 * exp) // man ** 3
+                     + (4 * tf << -2 * exp) // man ** 2)
+    return mp.make_mpf(from_man_exp(value, -w, mp.prec, round_nearest))
 
 
 def _series(a: int, x, y) -> mpf:
@@ -298,7 +357,8 @@ def _validate(params: TheoremParams) -> None:
 
 
 # Pair functions: each maps (params, ctx) to the family's branches
-# (c, x, y), the family's value being the sum of c * S_a(x, y).
+# (c, x, y), the family's value being the sum of c * S_a(x, y); a branch
+# with c = 0 is not evaluated.
 
 def _golden(lucas_kind: bool, scale: int = 1):
     """The THM1 pair (alpha^2r, -+(-1)^r) at index scale * r."""
@@ -314,7 +374,10 @@ def _binet(lucas_kind: bool):
     def pairs(params: TheoremParams, ctx: PrecisionContext):
         p, q = params.p, params.q
         alpha, beta = golden_ratio(ctx), golden_conjugate(ctx)
-        c = 1 if lucas_kind else 1 / mp.sqrt(5)
+        if lucas_kind:
+            c = 1
+        else:  # at 2p + q = 0 every term has the weight F(0) = 0
+            c = 1 / mp.sqrt(5) if 2 * p + q else 0
         return ((c, fib(p) * alpha ** q, -fib(p + q)),
                 (c if lucas_kind else -c, fib(p + q), -beta ** q * fib(p)))
     return pairs
@@ -368,7 +431,8 @@ def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
     _validate(params)
     level, pairs = _FAMILY_TABLE[params.family]
     with ctx.workdps():
-        return sum(c * _series(level, x, y) for c, x, y in pairs(params, ctx))
+        return sum((c * _series(level, x, y)
+                    for c, x, y in pairs(params, ctx) if c), mpf(0))
 
 
 def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:

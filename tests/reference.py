@@ -1,14 +1,16 @@
-"""References the summation kernel is tested against: the per-term
-generator of its integers, exact rational terms and sums, mpmath's nsum of
-a unit series, and a proved bracket on a whole series read from one kernel
-pass."""
+"""References the package is tested against: the per-term generator of
+the summation kernel's integers, exact rational terms and sums, mpmath's
+nsum of a unit series, a proved bracket on a whole series read from one
+kernel pass, and the mpf evaluation of the closed-form levels at (x, y)."""
 
 import math
 from fractions import Fraction
 from typing import Iterator
 
-from mpmath import mp
+from mpmath import mp, mpf
 
+from binom3k.errors import DomainError, SingularInput
+from binom3k.precision import real_cbrt
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, _kernel, _kernel_bits,
                             _roundoff_ulps, _tail_ulps)
@@ -90,3 +92,47 @@ def kernel_bracket(spec, K, digits):
     head, (term,) = _kernel(spec, bits, K, 1)
     scale = Fraction(1, 1 << bits)
     return head * scale, _tail_ulps(spec, K, term, roundoff) * scale
+
+
+def check_window(x, y, strict):
+    """The validity window of the levels, tested on the mpf ratio x/y."""
+    if y == 0:
+        raise DomainError("y must be nonzero")
+    ratio = x / y
+    if ratio > 1 or (ratio == 1 and not strict):
+        return
+    floor = -3 - 2 * mp.sqrt(2)  # -(sqrt2 + 1)^2
+    if ratio > floor * (1 - mpf(10) ** (5 - mp.dps)):  # roundoff at the floor
+        bound = ">" if strict else ">="
+        raise DomainError(
+            f"x/y = {ratio} outside validity window "
+            f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
+
+
+def formulas(a, x, y):
+    """The level-a formula at (x, y) in mpf, unchecked: two cube roots, one
+    arctangent and one logarithm.  Inside the window 2 cbrt x - cbrt y,
+    x + y and the log argument (x+y)/(cbrt x + cbrt y)^3 are all nonzero,
+    the last positive."""
+    cx, cy = real_cbrt(x), real_cbrt(y)
+    s3 = mp.sqrt(3)
+    at = mp.atan(s3 * cy / (2 * cx - cy))
+    lg = mp.log((x + y) / (cx + cy) ** 3)
+    if a == 2:
+        return 6 * at ** 2 - lg ** 2 / 2
+    cxy = cx * cy
+    if a == 1:
+        return cxy / (x - y) * (2 * s3 * (cx + cy) * at + (cx - cy) * lg)
+    cx2, cy2, cx4, cy4 = cx * cx, cy * cy, x * cx, y * cy
+    return 4 * x * y / (x - y) ** 2 + cxy / 3 * (x + y) / (x - y) ** 3 * (
+        2 * s3 * (2 * cxy * (cx2 + cy2) + cx4 + cy4) * at
+        - (2 * cxy * (cx2 - cy2) - cx4 + cy4) * lg)
+
+
+def level(a, x, y):
+    """A (a = 2), B (a = 1) or C (a = 0) at the mpf pair (x, y), checked
+    as closed_forms._level checks it."""
+    if a < 2 and x == y:
+        raise SingularInput(f"the a = {a} level is singular at x = y")
+    check_window(x, y, strict=a < 2)
+    return formulas(a, x, y)

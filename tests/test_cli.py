@@ -137,6 +137,38 @@ def test_sweep_point_assigning_a_name_twice_is_a_usage_error(capsys):
     assert "assigns r twice" in captured.err
 
 
+@pytest.mark.parametrize("family, point, names", [
+    ("THM1_FIB", "r=2,n=5", "r"),  # a name the family does not take
+    ("THM7_FIB", "p=-2", "p, q"),  # a name the family needs
+])
+def test_sweep_point_must_assign_the_family_names(family, point, names, capsys):
+    assert run(["sweep", "--family", family, "--point", point,
+                "--digits", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{family} takes exactly {names}" in captured.err
+
+
+@pytest.mark.parametrize("family, point", [
+    ("THM4_LUC", "r=3"), ("THM3_V2", "m=2,n=3"), ("THM10_LUC", "q=5,p=-2")])
+def test_sweep_point_of_the_family_names_passes(family, point, capsys):
+    assert run(["sweep", "--family", family, "--point", point,
+                "--digits", "10"]) == 0
+    assert "| PASS |" in out_of(capsys)
+
+
+@pytest.mark.parametrize("digits", ["25", "60"])
+@pytest.mark.parametrize("family", ["THM7_FIB", "THM9_FIB", "THM10_FIB"])
+def test_sweep_of_a_vanishing_family_prints_an_exact_zero(family, digits,
+                                                          capsys):
+    # at 2p + q = 0 every term carries the weight F(0) = 0
+    assert run(["sweep", "--family", family, "--point", "p=-3,q=6",
+                "--digits", digits, "--format", "json"]) == 0
+    report = json.loads(out_of(capsys))["reports"][0]
+    assert (report["status"], report["lhs"], report["rhs"]) == (
+        "PASS", "0.0", "0.0")
+
+
 @pytest.mark.parametrize("family", ["HORADAM_A2", "HORADAM_A1"])
 def test_sweep_of_a_horadam_family_needs_its_recurrence(family, capsys):
     assert run(["sweep", "--family", family, "--point", "r=2"]) == 2
