@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .closed_forms import FAMILIES, TheoremParams, XYPair
-from .errors import Binom3kError
+from .closed_forms import FAMILIES, TheoremParams, XYPair, family_names
+from .errors import Binom3kError, InvalidParams
 from .precision import make_context
 from .registry import builtin_catalog, get_record, load_catalog, scan_perfect_square
 from .sequences import HoradamParams
@@ -219,16 +219,8 @@ def _load(args) -> list:
     return builtin_catalog()
 
 
-def _point_names(family: str) -> tuple:
-    """The names every grid point of ``family`` assigns, no more, no less."""
-    if family.startswith("THM3"):
-        return ("n", "m")
-    if family.startswith(("THM7", "THM9", "THM10")):
-        return ("p", "q")
-    return ("r",)
-
-
-def _parse_point(text: str, family: str) -> dict:
+def _parse_point(text: str, family: str,
+                 horadam: Optional[HoradamParams]) -> TheoremParams:
     point = {}
     for item in text.split(","):
         name, _, value = item.partition("=")
@@ -239,11 +231,10 @@ def _parse_point(text: str, family: str) -> dict:
         if name in point:
             raise ValueError(f"grid point {text!r} assigns {name} twice")
         point[name] = int(value)
-    names = _point_names(family)
-    if set(point) != set(names):
-        raise ValueError(f"grid point {text!r}: {family} takes exactly "
-                         f"{', '.join(names)}")
-    return point
+    try:
+        return TheoremParams(family, horadam=horadam, **point)
+    except InvalidParams as exc:
+        raise ValueError(f"grid point {text!r}: {exc}") from None
 
 
 # -- subcommands -----------------------------------------------------------
@@ -290,25 +281,22 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    horadam_family = args.family.startswith("HORADAM")
-    if horadam_family != (args.horadam is not None):
-        needs = "needs" if horadam_family else "takes no"
-        print(f"{args.family} {needs} --horadam", file=sys.stderr)
+    if "horadam" in family_names(args.family) and args.horadam is None:
+        print(f"{args.family} needs --horadam", file=sys.stderr)
         return 2
     horadam = None
-    if horadam_family:
+    if args.horadam is not None:
         parts = [int(v) for v in args.horadam.split(",")]
         if len(parts) != 4:
             print("--horadam expects four integers P,Q,A,B", file=sys.stderr)
             return 2
         horadam = HoradamParams(*parts)
     try:
-        points = [_parse_point(text, args.family) for text in args.point]
+        grid = [_parse_point(text, args.family, horadam)
+                for text in args.point]
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    grid = [TheoremParams(args.family, horadam=horadam, **point)
-            for point in points]
     ctx = make_context(args.digits, args.max_terms)
     reports = run_sweep(args.family, grid, args.digits, ctx)
     return _report(args, reports)

@@ -17,8 +17,8 @@ closed form                   level  pair (x, y)                      x + y
 ============================  =====  ===============================  ======
 batir_rhs(z)                  A      (phi(z)^3, 1)
 trig_rhs D, E / F             A / B  (cot^2 t, 1), (-cot^2 t, 1) / D
-THM1_FIB, THM4_FIB, THM6_FIB  A,B,C  (alpha^2r, (-1)^(r-1))           F1
-THM1_LUC, THM4_LUC, THM6_LUC  A,B,C  (alpha^2r, (-1)^r)               F2
+THM1_FIB, THM4_FIB, THM6_FIB  A,B,C  Horadam pair at W = F            F1
+THM1_LUC, THM4_LUC, THM6_LUC  A,B,C  Horadam pair at W = L            F2
 COR2_FIB/LUC, COR5_FIB/LUC    A, B   THM1 pair of that kind at 3r     F1, F2
 THM3_V1                       A      (F_n^2, (-1)^(n-m-1) F_m^2)      F3
 THM3_V2 / V3                  A      (F_(n+m), +-(-1)^m F_(n-m))      F4, F5
@@ -34,7 +34,11 @@ or L at index m = 2p + q; their two Binet branches sit at z alpha^m and
 z beta^m, and the family is (S_alpha - S_beta)/sqrt5 for F, S_alpha +
 S_beta for L.  For the Horadam family, (A, B) are the Binet coefficients
 of :meth:`~.sequences.HoradamParams.binet_coeffs` and alpha its root, so
-x + y = alpha^r delta W_r.
+x + y = alpha^r delta W_r.  The golden-ratio families are its pair at
+the Fibonacci recurrence W = F, where A = B = 1 and the pair is
+(alpha^2r, (-1)^(r-1)), and at the Lucas one W = L, where A = -B = sqrt5
+and the pair is sqrt5 (alpha^2r, (-1)^r).  Each family is one row of
+``_FAMILIES``.
 
 The closed forms hold on the window x/y >= 1 (strict at a < 2) or x/y <=
 -(sqrt2+1)^2, which is |z| <= 27/4 over real pairs.  A family pair with
@@ -61,19 +65,11 @@ from . import expressions
 from .errors import DomainError, InvalidParams, SingularInput
 from .precision import (PrecisionContext, golden_conjugate, golden_ratio,
                         real_cbrt)
-from .sequences import HoradamParams, fib, horadam, lucas
+from .sequences import (FIBONACCI_PARAMS, LUCAS_PARAMS, HoradamParams,
+                        fib, horadam, lucas)
 from .series import SeriesSpec, UNIT_WEIGHT, Weight
 
 Realish = Union[int, float, Fraction, mpf, expressions.Expr]
-
-FAMILIES = (
-    "THM1_FIB", "THM1_LUC", "COR2_FIB", "COR2_LUC",
-    "THM3_V1", "THM3_V2", "THM3_V3", "THM3_V4", "THM3_V5", "THM3_V6",
-    "THM4_FIB", "THM4_LUC", "COR5_FIB", "COR5_LUC",
-    "THM6_FIB", "THM6_LUC",
-    "THM7_FIB", "THM7_LUC", "THM9_FIB", "THM9_LUC", "THM10_FIB", "THM10_LUC",
-    "HORADAM_A2", "HORADAM_A1",
-)
 
 
 def _as_mpf(value: Realish, ctx: PrecisionContext) -> mpf:
@@ -281,9 +277,12 @@ def trig_rhs(variant: str, x: Realish, ctx: PrecisionContext) -> mpf:
 class TheoremParams:
     """Bound parameters of one closed-form family.
 
-    ``r`` indexes the golden-ratio families, ``(n, m)`` the six
-    Fibonacci/Lucas product identities, ``(p, q)`` the weighted-series
-    families, and ``horadam``+``r`` the generalized recurrence family.
+    A point sets exactly the names of its family's row in _FAMILIES:
+    ``r`` for the golden-ratio families, ``r`` and ``horadam`` for the
+    generalized recurrence ones, ``(n, m)`` for the six Fibonacci/Lucas
+    product identities and ``(p, q)`` for the weighted families.  Other
+    names raise InvalidParams here; a value out of the family's range, or
+    a missing ``horadam``, raises it when the point is evaluated.
     """
 
     family: str
@@ -295,12 +294,19 @@ class TheoremParams:
     horadam: Optional[HoradamParams] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise InvalidParams(f"unknown family {self.family!r}")
         for name in ("r", "n", "m", "p", "q"):
             value = getattr(self, name)
             if value is not None and type(value) is not int:
                 raise InvalidParams(f"{name} must be an int, got {value!r}")
+        names = family_names(self.family)
+        given = {name for name in ("r", "n", "m", "p", "q", "horadam")
+                 if getattr(self, name) is not None}
+        # a point may lack its recurrence here; the family's check refuses it
+        if not set(names) - {"horadam"} <= given <= set(names):
+            raise InvalidParams(
+                f"{self.family} takes exactly {', '.join(names)}")
 
     def describe(self) -> str:
         parts = [self.family]
@@ -319,59 +325,80 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParams(message)
 
 
-def _validate(params: TheoremParams) -> None:
-    fam = params.family
-    if fam in ("THM1_FIB", "COR2_FIB", "THM4_FIB", "COR5_FIB", "THM6_FIB",
-               "THM4_LUC", "COR5_LUC", "THM6_LUC"):
-        _require(params.r is not None and params.r >= 1,
-                 f"{fam} needs r >= 1")
-    elif fam == "THM1_LUC":
-        _require(params.r is not None and params.r >= 0,
-                 "THM1_LUC needs r >= 0")
-        _require(params.r != 1,
-                 "THM1_LUC excludes r = 1 (27/L_1^2 exceeds the radius)")
-    elif fam == "COR2_LUC":
-        _require(params.r is not None and params.r >= 0, "COR2_LUC needs r >= 0")
-    elif fam.startswith("THM3"):
-        n, m = params.n, params.m
-        _require(n is not None and m is not None, f"{fam} needs (n, m)")
-        if fam == "THM3_V1":
-            _require(n > m >= 1, "THM3_V1 needs n > m >= 1")
+# The three kinds of family below each return (check, branches, argument):
+# check(params) raises InvalidParams outside the family's range;
+# branches(params, ctx) gives the (c, x, y) whose sum of c * S_a(x, y) is
+# the family's value, a branch with c = 0 not evaluated; argument(params)
+# is the exact (z, weight) of the family's series.
+
+def _recurrence(fixed: Optional[HoradamParams] = None, scale: int = 1,
+                low: int = 1, excluded: Optional[int] = None):
+    """The Horadam pair (A alpha^2i, -B (-q)^i) at the index i = scale r
+    of the recurrence ``fixed``, or else of the point's own, on r >= low
+    with r != excluded."""
+    def recurrence(params: TheoremParams):
+        return fixed or params.horadam, scale * params.r
+
+    def check(params: TheoremParams) -> None:
+        fam, r = params.family, params.r
+        h, i = recurrence(params)
+        _require(h is not None, f"{fam} needs recurrence params")
+        _require(r >= low, f"{fam} needs r >= {low}")
+        _require(r != excluded, f"{fam} excludes r = {excluded} "
+                                f"(27/L_{excluded}^2 exceeds the radius)")
+        # F_i and L_i vanish at no index in range
+        _require(fixed or horadam(i, h) != 0,
+                 f"W_{i} = 0: series argument undefined")
+
+    def branches(params: TheoremParams, ctx: PrecisionContext):
+        h, i = recurrence(params)
+        A, B, alpha = h.binet_coeffs(ctx)
+        return ((1, A * alpha ** (2 * i), -B * (-h.q) ** i),)
+
+    def argument(params: TheoremParams):
+        h, i = recurrence(params)
+        ab = h.b * h.b - h.p * h.a * h.b - h.q * h.a * h.a  # A*B exactly
+        sign = 1 if i % 2 else -1  # (-1)^(i-1) as an int, also at i = 0
+        z = Fraction(sign * 27 * ab * h.q ** i,
+                     (h.p ** 2 + 4 * h.q) * horadam(i, h) ** 2)
+        return z, UNIT_WEIGHT
+
+    return check, branches, argument
+
+
+def _product(pair, strict: bool = False, ordered: bool = False):
+    """The integer pair (x, y) = pair(n, m) on n > m >= 1 (strict) or
+    n >= m >= 1, an ordered family needing x > y as well."""
+    def check(params: TheoremParams) -> None:
+        fam, n, m = params.family, params.n, params.m
+        if strict:
+            _require(n > m >= 1, f"{fam} needs n > m >= 1")
         else:
             _require(n >= m >= 1, f"{fam} needs n >= m >= 1")
-        if fam == "THM3_V4":
-            _require(lucas(n) * fib(m) > fib(n) * lucas(m),
-                     f"THM3_V4 needs L_n F_m > F_n L_m "
-                     f"(got {lucas(n) * fib(m)} <= {fib(n) * lucas(m)})")
-    elif fam.startswith(("THM7", "THM9", "THM10")):
-        p, q = params.p, params.q
-        _require(p is not None and q is not None, f"{fam} needs (p, q)")
-        _require(p <= -2, f"{fam} needs p <= -2")
-        _require(q >= 4, f"{fam} needs q >= 4")
-        _require(q > abs(p) + 1, f"{fam} needs q > |p| + 1")
-    elif fam.startswith("HORADAM"):
-        _require(params.horadam is not None, f"{fam} needs recurrence params")
-        _require(params.r is not None and params.r >= 1, f"{fam} needs r >= 1")
-        _require(horadam(params.r, params.horadam) != 0,
-                 f"W_{params.r} = 0: series argument undefined")
+        if ordered:
+            x, y = pair(n, m)
+            _require(x > y, f"{fam} needs L_n F_m > F_n L_m (got {x} <= {y})")
 
+    def branches(params: TheoremParams, ctx: PrecisionContext):
+        return ((1, *pair(params.n, params.m)),)
 
-# Pair functions: each maps (params, ctx) to the family's branches
-# (c, x, y), the family's value being the sum of c * S_a(x, y); a branch
-# with c = 0 is not evaluated.
+    def argument(params: TheoremParams):
+        x, y = pair(params.n, params.m)
+        return Fraction(27 * x * y, (x + y) ** 2), UNIT_WEIGHT
 
-def _golden(lucas_kind: bool, scale: int = 1):
-    """The THM1 pair (alpha^2r, -+(-1)^r) at index scale * r."""
-    def pairs(params: TheoremParams, ctx: PrecisionContext):
-        r = scale * params.r
-        sign = 1 if lucas_kind else -1
-        return ((1, golden_ratio(ctx) ** (2 * r), sign * (-1) ** r),)
-    return pairs
+    return check, branches, argument
 
 
 def _binet(lucas_kind: bool):
-    """The S_alpha and S_beta branches of the weighted families."""
-    def pairs(params: TheoremParams, ctx: PrecisionContext):
+    """The S_alpha and S_beta branches of the weight F or L at m = 2p + q,
+    on p <= -2, q >= 4 and q > |p| + 1."""
+    def check(params: TheoremParams) -> None:
+        fam, p, q = params.family, params.p, params.q
+        _require(p <= -2, f"{fam} needs p <= -2")
+        _require(q >= 4, f"{fam} needs q >= 4")
+        _require(q > abs(p) + 1, f"{fam} needs q > |p| + 1")
+
+    def branches(params: TheoremParams, ctx: PrecisionContext):
         p, q = params.p, params.q
         alpha, beta = golden_ratio(ctx), golden_conjugate(ctx)
         if lucas_kind:
@@ -380,44 +407,56 @@ def _binet(lucas_kind: bool):
             c = 1 / mp.sqrt(5) if 2 * p + q else 0
         return ((c, fib(p) * alpha ** q, -fib(p + q)),
                 (c if lucas_kind else -c, fib(p + q), -beta ** q * fib(p)))
-    return pairs
+
+    def argument(params: TheoremParams):
+        p, q = params.p, params.q
+        z = Fraction(-27 * fib(p) * fib(p + q), fib(q) ** 2)
+        return z, Weight("lucas" if lucas_kind else "fib", 2 * p + q)
+
+    return check, branches, argument
 
 
-def _horadam(params: TheoremParams, ctx: PrecisionContext):
-    h, r = params.horadam, params.r
-    A, B = h.binet_coeffs(ctx)
-    return ((1, A * h.roots(ctx)[0] ** (2 * r), -B * (-h.q) ** r),)
+_R, _NM, _PQ = ("r",), ("n", "m"), ("p", "q")
 
-
-# Integer pairs of the product identities over (n, m).
-_THM3_PAIRS = {
-    "THM3_V1": lambda n, m: (fib(n) ** 2, (-1) ** (n - m - 1) * fib(m) ** 2),
-    "THM3_V2": lambda n, m: (fib(n + m), (-1) ** m * fib(n - m)),
-    "THM3_V3": lambda n, m: (fib(n + m), (-1) ** (m - 1) * fib(n - m)),
-    "THM3_V4": lambda n, m: (lucas(n) * fib(m), lucas(m) * fib(n)),
-    "THM3_V5": lambda n, m: (lucas(n + m), (-1) ** m * lucas(n - m)),
-    "THM3_V6": lambda n, m: (lucas(n + m), (-1) ** (m - 1) * lucas(n - m)),
+# family -> (level a, names a point assigns, check, branches, argument)
+_FAMILIES = {
+    "THM1_FIB": (2, _R, *_recurrence(FIBONACCI_PARAMS)),
+    "THM1_LUC": (2, _R, *_recurrence(LUCAS_PARAMS, low=0, excluded=1)),
+    "COR2_FIB": (2, _R, *_recurrence(FIBONACCI_PARAMS, scale=3)),
+    "COR2_LUC": (2, _R, *_recurrence(LUCAS_PARAMS, scale=3, low=0)),
+    "THM3_V1": (2, _NM, *_product(
+        lambda n, m: (fib(n) ** 2, (-1) ** (n - m - 1) * fib(m) ** 2),
+        strict=True)),
+    "THM3_V2": (2, _NM, *_product(
+        lambda n, m: (fib(n + m), (-1) ** m * fib(n - m)))),
+    "THM3_V3": (2, _NM, *_product(
+        lambda n, m: (fib(n + m), (-1) ** (m - 1) * fib(n - m)))),
+    "THM3_V4": (2, _NM, *_product(
+        lambda n, m: (lucas(n) * fib(m), lucas(m) * fib(n)), ordered=True)),
+    "THM3_V5": (2, _NM, *_product(
+        lambda n, m: (lucas(n + m), (-1) ** m * lucas(n - m)))),
+    "THM3_V6": (2, _NM, *_product(
+        lambda n, m: (lucas(n + m), (-1) ** (m - 1) * lucas(n - m)))),
+    "THM4_FIB": (1, _R, *_recurrence(FIBONACCI_PARAMS)),
+    "THM4_LUC": (1, _R, *_recurrence(LUCAS_PARAMS)),
+    "COR5_FIB": (1, _R, *_recurrence(FIBONACCI_PARAMS, scale=3)),
+    "COR5_LUC": (1, _R, *_recurrence(LUCAS_PARAMS, scale=3)),
+    "THM6_FIB": (0, _R, *_recurrence(FIBONACCI_PARAMS)),
+    "THM6_LUC": (0, _R, *_recurrence(LUCAS_PARAMS)),
+    "THM7_FIB": (2, _PQ, *_binet(False)), "THM7_LUC": (2, _PQ, *_binet(True)),
+    "THM9_FIB": (1, _PQ, *_binet(False)), "THM9_LUC": (1, _PQ, *_binet(True)),
+    "THM10_FIB": (0, _PQ, *_binet(False)),
+    "THM10_LUC": (0, _PQ, *_binet(True)),
+    "HORADAM_A2": (2, ("r", "horadam"), *_recurrence()),
+    "HORADAM_A1": (1, ("r", "horadam"), *_recurrence()),
 }
 
-
-def _thm3(params: TheoremParams, ctx: PrecisionContext):
-    return ((1, *_THM3_PAIRS[params.family](params.n, params.m)),)
+FAMILIES = tuple(_FAMILIES)
 
 
-# family -> (level a, pair function)
-_FAMILY_TABLE = {
-    "THM1_FIB": (2, _golden(False)), "THM1_LUC": (2, _golden(True)),
-    "COR2_FIB": (2, _golden(False, 3)), "COR2_LUC": (2, _golden(True, 3)),
-    "THM3_V1": (2, _thm3), "THM3_V2": (2, _thm3), "THM3_V3": (2, _thm3),
-    "THM3_V4": (2, _thm3), "THM3_V5": (2, _thm3), "THM3_V6": (2, _thm3),
-    "THM4_FIB": (1, _golden(False)), "THM4_LUC": (1, _golden(True)),
-    "COR5_FIB": (1, _golden(False, 3)), "COR5_LUC": (1, _golden(True, 3)),
-    "THM6_FIB": (0, _golden(False)), "THM6_LUC": (0, _golden(True)),
-    "THM7_FIB": (2, _binet(False)), "THM7_LUC": (2, _binet(True)),
-    "THM9_FIB": (1, _binet(False)), "THM9_LUC": (1, _binet(True)),
-    "THM10_FIB": (0, _binet(False)), "THM10_LUC": (0, _binet(True)),
-    "HORADAM_A2": (2, _horadam), "HORADAM_A1": (1, _horadam),
-}
+def family_names(family: str) -> tuple[str, ...]:
+    """The parameter names every point of ``family`` assigns."""
+    return _FAMILIES[family][1]
 
 
 def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
@@ -428,38 +467,16 @@ def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
     the weighted radius); such points have no value, not even a formal
     one.
     """
-    _validate(params)
-    level, pairs = _FAMILY_TABLE[params.family]
+    level, _, check, branches, _ = _FAMILIES[params.family]
+    check(params)
     with ctx.workdps():
         return sum((c * _series(level, x, y)
-                    for c, x, y in pairs(params, ctx) if c), mpf(0))
+                    for c, x, y in branches(params, ctx) if c), mpf(0))
 
 
 def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:
     """The SeriesSpec whose sum theorem_rhs evaluates in closed form."""
-    _validate(params)
-    fam = params.family
-    a = _FAMILY_TABLE[fam][0]
-    label = params.describe()
-    if fam.startswith("THM3"):
-        x, y = _THM3_PAIRS[fam](params.n, params.m)
-        return SeriesSpec(Fraction(27 * x * y, (x + y) ** 2), a,
-                          UNIT_WEIGHT, label)
-    if fam.startswith(("THM7", "THM9", "THM10")):
-        p, q = params.p, params.q
-        z = Fraction(-27 * fib(p) * fib(p + q), fib(q) ** 2)
-        kind = "fib" if fam.endswith("FIB") else "lucas"
-        return SeriesSpec(z, a, Weight(kind, 2 * p + q), label)
-    if fam.startswith("HORADAM"):
-        h, r = params.horadam, params.r
-        ab = h.b * h.b - h.p * h.a * h.b - h.q * h.a * h.a  # A*B exactly
-        z = Fraction((-1) ** (r - 1) * 27 * ab * h.q ** r,
-                     (h.p ** 2 + 4 * h.q) * horadam(r, h) ** 2)
-        return SeriesSpec(z, a, UNIT_WEIGHT, label)
-    r = 3 * params.r if fam.startswith("COR") else params.r
-    if fam.endswith("FIB"):
-        z = Fraction((-1) ** (r - 1) * 27, 5 * fib(r) ** 2)
-    else:
-        z = Fraction((-1) ** r * 27, lucas(r) ** 2)
-    return SeriesSpec(z, a, UNIT_WEIGHT, label)
-
+    level, _, check, _, argument = _FAMILIES[params.family]
+    check(params)
+    z, weight = argument(params)
+    return SeriesSpec(z, level, weight, params.describe())

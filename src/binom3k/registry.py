@@ -218,10 +218,10 @@ def scan_perfect_square(t_max: int) -> list[Fraction]:
 
 
 def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
-    """Build a fresh record for one bound family instance."""
+    """Build a fresh record for one bound family instance; ``params``
+    must be a point of ``family``."""
     if params.family != family:
-        params = TheoremParams(family, r=params.r, n=params.n, m=params.m,
-                               p=params.p, q=params.q, horadam=params.horadam)
+        raise InvalidParams(f"{params.describe()} is not a point of {family}")
     lhs = theorem_lhs_spec(params)  # raises InvalidParams on bad params
     kind = convergence_kind(lhs)
     if kind == "divergent_formal":

@@ -23,15 +23,16 @@ def fib(n: int) -> int:
     return _fib_pair(n)[0]
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) by fast doubling, n >= 0."""
+def _fib_pair(n: int, p: int = 1, q: int = 1) -> tuple[int, int]:
+    """(U(n), U(n+1)) of U(n) = p U(n-1) + q U(n-2), U(0) = 0, U(1) = 1,
+    by fast doubling, n >= 0; the Fibonacci numbers at p = q = 1."""
     if n == 0:
         return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
+    a, b = _fib_pair(n >> 1, p, q)
+    c = a * (2 * b - p * a)
+    d = b * b + q * a * a
     if n & 1:
-        return d, c + d
+        return d, p * d + q * c
     return c, d
 
 
@@ -72,10 +73,10 @@ class HoradamParams:
             delta = mp.sqrt(self.p * self.p + 4 * self.q)
             return (self.p + delta) / 2, (self.p - delta) / 2, delta
 
-    def binet_coeffs(self, ctx: PrecisionContext) -> tuple[mpf, mpf]:
-        """(A, B) with W(n) = (A alpha^n - B beta^n) / delta."""
+    def binet_coeffs(self, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
+        """(A, B, alpha) with W(n) = (A alpha^n - B beta^n) / delta."""
         alpha, beta, _ = self.roots(ctx)
-        return self.b - self.a * beta, self.b - self.a * alpha
+        return self.b - self.a * beta, self.b - self.a * alpha, alpha
 
 
 FIBONACCI_PARAMS = HoradamParams(1, 1, 0, 1)
@@ -83,13 +84,12 @@ LUCAS_PARAMS = HoradamParams(1, 1, 2, 1)
 
 
 def horadam(n: int, params: HoradamParams) -> int:
-    """W(n) for n >= 0 under W(n) = p W(n-1) + q W(n-2), W(0)=a, W(1)=b."""
+    """W(n) for n >= 0 under W(n) = p W(n-1) + q W(n-2), W(0)=a, W(1)=b,
+    as (b - p a) U(n) + a U(n+1) with U from :func:`_fib_pair`."""
     if n < 0:
         raise ValueError("horadam is defined for n >= 0")
-    w0, w1 = params.a, params.b
-    for _ in range(n):
-        w0, w1 = w1, params.p * w1 + params.q * w0
-    return w0
+    u, u1 = _fib_pair(n, params.p, params.q)
+    return (params.b - params.p * params.a) * u + params.a * u1
 
 
 FL_IDENTITIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "LEMMA1", "LEMMA2")

@@ -46,7 +46,6 @@ class VerificationReport:
     terms_used: int = 0
     tail: Optional[mpf] = None
     elapsed: float = 0.0
-    params: Optional[TheoremParams] = None
     detail: str = ""
 
     @property
@@ -98,8 +97,6 @@ def verify(record: IdentityRecord, digits: int,
     ctx = context_for(digits, ctx)
     start = time.perf_counter()
     report = VerificationReport(record.id, digits, FAIL)
-    if isinstance(record.rhs, TheoremParams):
-        report.params = record.rhs
     if record.convergence == "divergent_formal":
         report.status = SKIPPED_DIVERGENT
         report.detail = "the series diverges (beyond or on the radius 27/4)"
@@ -162,8 +159,10 @@ def sweep(family: str, grid: Iterable[Union[TheoremParams, dict]],
           ) -> list[VerificationReport]:
     """Instantiate and verify the family at every grid point.
 
-    Invalid points (constraint violations, arguments beyond the radius)
-    appear as FAIL reports carrying the constraint message.
+    A point of another family, or a dict of names that are not exactly
+    the family's, raises InvalidParams.  Invalid values (constraint
+    violations, arguments beyond the radius) appear as FAIL reports
+    carrying the constraint message.
     """
     reports = []
     for point in grid:
@@ -174,10 +173,11 @@ def sweep(family: str, grid: Iterable[Union[TheoremParams, dict]],
         try:
             record = instantiate(family, params)
         except InvalidParams as exc:
+            if params.family != family:
+                raise
             reports.append(VerificationReport(
                 identity_id=f"{family.lower()}-invalid",
-                target_digits=digits, status=FAIL, params=params,
-                detail=str(exc)))
+                target_digits=digits, status=FAIL, detail=str(exc)))
             continue
         reports.append(verify(record, digits, ctx))
     return reports

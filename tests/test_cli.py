@@ -149,6 +149,14 @@ def test_sweep_point_must_assign_the_family_names(family, point, names, capsys):
     assert f"{family} takes exactly {names}" in captured.err
 
 
+def test_sweep_names_the_point_with_the_wrong_names(capsys):
+    assert run(["sweep", "--family", "THM1_FIB", "--point", "r=2",
+                "--point", "r=2,n=5", "--digits", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid point 'r=2,n=5': THM1_FIB takes exactly r" in captured.err
+
+
 @pytest.mark.parametrize("family, point", [
     ("THM4_LUC", "r=3"), ("THM3_V2", "m=2,n=3"), ("THM10_LUC", "q=5,p=-2")])
 def test_sweep_point_of_the_family_names_passes(family, point, capsys):
@@ -175,6 +183,14 @@ def test_sweep_of_a_horadam_family_needs_its_recurrence(family, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{family} needs --horadam" in captured.err
+
+
+def test_sweep_of_a_family_without_a_recurrence_refuses_horadam(capsys):
+    assert run(["sweep", "--family", "THM1_FIB", "--point", "r=2",
+                "--horadam", "2,1,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "THM1_FIB takes exactly r" in captured.err
 
 
 @pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from binom3k.closed_forms import (_FAMILY_TABLE, TheoremParams, batir_rhs,
-                                  theorem_lhs_spec, theorem_rhs)
-from binom3k.errors import DomainError
+from binom3k.closed_forms import (_FAMILIES, FAMILIES, TheoremParams,
+                                  batir_rhs, theorem_lhs_spec, theorem_rhs)
+from binom3k.errors import DomainError, InvalidParams
 from binom3k.precision import golden_conjugate, golden_ratio, make_context
-from binom3k.sequences import HoradamParams
+from binom3k.registry import instantiate
+from binom3k.sequences import HoradamParams, fib, lucas
+from binom3k.series import UNIT_WEIGHT
 
 
 def _rs(values):
@@ -58,7 +60,7 @@ _POINTS += [TheoremParams(family, r=r, horadam=HoradamParams(*h))
 @pytest.mark.parametrize("params", _POINTS, ids=TheoremParams.describe)
 def test_pair_gives_the_series_argument(params, ctx30):
     spec = theorem_lhs_spec(params)
-    _, pairs = _FAMILY_TABLE[params.family]
+    pairs = _FAMILIES[params.family][3]
     with ctx30.workdps():
         branches = pairs(params, ctx30)
         z = mpf(spec.z.numerator) / spec.z.denominator
@@ -102,3 +104,57 @@ def test_divergent_point_raises(params):
     ctx = make_context(30)
     with pytest.raises(DomainError):
         theorem_rhs(params, ctx)
+
+
+# (family, level, index scale, first r) of the golden-ratio families
+_GOLDEN = [
+    ("THM1_FIB", 2, 1, 1), ("THM1_LUC", 2, 1, 0), ("COR2_FIB", 2, 3, 1),
+    ("COR2_LUC", 2, 3, 0), ("THM4_FIB", 1, 1, 1), ("THM4_LUC", 1, 1, 1),
+    ("COR5_FIB", 1, 3, 1), ("COR5_LUC", 1, 3, 1), ("THM6_FIB", 0, 1, 1),
+    ("THM6_LUC", 0, 1, 1),
+]
+
+
+@pytest.mark.parametrize("family, level, scale, r", [
+    (family, level, scale, r) for family, level, scale, low in _GOLDEN
+    for r in [*range(low, 9), 10 ** 4] if (family, r) != ("THM1_LUC", 1)])
+def test_golden_argument_is_the_recurrence_formula(family, level, scale, r):
+    # the golden-ratio z of the paper, at the index r' = scale r
+    i = scale * r
+    if family.endswith("FIB"):
+        z = Fraction(27 * (-1) ** (i - 1), 5 * fib(i) ** 2)
+    else:
+        z = Fraction(27 * (-1) ** i, lucas(i) ** 2)
+    spec = theorem_lhs_spec(TheoremParams(family, r=r))
+    assert (spec.z, spec.a, spec.weight) == (z, level, UNIT_WEIGHT)
+
+
+# one valid point of each family, by the names it assigns
+_VALID = {
+    **{family: {"r": 2} for family, *_ in _GOLDEN},
+    **{f"THM3_V{v}": {"n": 4, "m": 2} for v in (1, 2, 3, 5, 6)},
+    "THM3_V4": {"n": 2, "m": 1},
+    **{f"THM{t}_{w}": {"p": -2, "q": 5}
+       for t in (7, 9, 10) for w in ("FIB", "LUC")},
+    **{f"HORADAM_A{a}": {"r": 2, "horadam": HoradamParams(2, 1, 0, 1)}
+       for a in (2, 1)},
+}
+
+
+def _mutants(point):
+    """The point with one name left out, and with one name added."""
+    for name in point:
+        yield {k: v for k, v in point.items() if k != name}
+    for name in ("r", "n", "m", "p", "q", "horadam"):
+        if name not in point:
+            value = HoradamParams(2, 1, 0, 1) if name == "horadam" else 3
+            yield {**point, name: value}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_family_takes_exactly_its_names(family):
+    point = _VALID[family]
+    assert instantiate(family, TheoremParams(family, **point)).id
+    for mutant in _mutants(point):
+        with pytest.raises(InvalidParams):
+            instantiate(family, TheoremParams(family, **mutant))

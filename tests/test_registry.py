@@ -108,6 +108,12 @@ def test_instantiate_rejects_bad_params():
         instantiate("THM3_V4", TheoremParams("THM3_V4", n=5, m=2))
 
 
+def test_instantiate_refuses_a_point_of_another_family():
+    with pytest.raises(InvalidParams, match="THM1_FIB r=2 is not a point "
+                                           "of THM4_FIB"):
+        instantiate("THM4_FIB", TheoremParams("THM1_FIB", r=2))
+
+
 def test_instantiate_horadam():
     params = TheoremParams("HORADAM_A2", r=3,
                            horadam=HoradamParams(2, 1, 0, 1))

@@ -34,9 +34,20 @@ def test_horadam_values(n, params, expected):
 
 
 def test_horadam_reduces_to_named_sequences():
-    for n in range(0, 16):
+    for n in [*range(0, 16), 10 ** 4, 3 * 10 ** 4 + 7]:
         assert horadam(n, FIBONACCI_PARAMS) == fib(n)
         assert horadam(n, LUCAS_PARAMS) == lucas(n)
+
+
+@given(p=st.integers(-4, 4), q=st.integers(-4, 4), a=st.integers(-5, 5),
+       b=st.integers(-5, 5), n=st.integers(0, 40))
+def test_horadam_matches_the_recurrence_stepped_term_by_term(p, q, a, b, n):
+    if p * p + 4 * q <= 0:
+        return
+    w0, w1 = a, b
+    for _ in range(n):
+        w0, w1 = w1, p * w1 + q * w0
+    assert horadam(n, HoradamParams(p, q, a, b)) == w0
 
 
 def test_horadam_recurrence():

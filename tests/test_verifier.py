@@ -7,8 +7,9 @@ from mpmath import mpf
 from binom3k import expressions as ex
 from binom3k.cli import _suite_json
 from binom3k.closed_forms import TheoremParams, XYPair
-from binom3k.errors import DomainError
+from binom3k.errors import DomainError, InvalidParams
 from binom3k.registry import IdentityRecord
+from binom3k.sequences import HoradamParams
 from binom3k.series import SeriesSpec, UNIT_WEIGHT
 from binom3k.verifier import (differential_check, sweep, verify, verify_all)
 from binom3k.verifier import (FAIL, PASS, SKIPPED_DIVERGENT,
@@ -118,6 +119,20 @@ def test_sweep_reports_invalid_points():
     assert reports[0].status == "FAIL"
     assert "r = 1" in reports[0].detail or "radius" in reports[0].detail
     assert reports[1].status == "PASS"
+
+
+def test_sweep_refuses_a_point_of_another_family():
+    with pytest.raises(InvalidParams, match="THM4_FIB r=2 is not a point "
+                                           "of THM1_FIB"):
+        sweep("THM1_FIB", [TheoremParams("THM4_FIB", r=2)], 10)
+
+
+def test_sweep_refuses_a_point_naming_what_its_family_does_not_take():
+    with pytest.raises(InvalidParams, match="THM1_FIB takes exactly r"):
+        sweep("THM1_FIB", [{"r": 2, "n": 5}], 10)
+    with pytest.raises(InvalidParams, match="THM1_FIB takes exactly r"):
+        sweep("THM1_FIB", [TheoremParams(
+            "THM1_FIB", r=2, horadam=HoradamParams(2, 1, 0, 1))], 10)
 
 
 @pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
