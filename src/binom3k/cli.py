@@ -57,6 +57,7 @@ def _report_obj(report: VerificationReport, digits: int) -> dict:
         "terms_used": report.terms_used,
         "tail": _num_str(report.tail, 5),
         "elapsed_ms": int(report.elapsed * 1000),
+        "detail": report.detail,
     }
 
 
@@ -92,7 +93,7 @@ def _suite_csv(reports: list[VerificationReport], digits: int) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     fields = ["id", "status", "matched_digits", "terms_used", "tail",
-              "elapsed_ms"]
+              "elapsed_ms", "detail"]
     writer.writerow(fields)
     for r in reports:
         obj = _report_obj(r, digits)
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="verify every catalog record")
     p.add_argument("--jobs", type=_at_least(1, "jobs"),
                    default=os.cpu_count() or 1,
-                   help="parallel verifications (default: cpu count)")
+                   help="processes, this one included (default: cpu count)")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="verify a parameter family on a grid")

@@ -217,6 +217,12 @@ def scan_perfect_square(t_max: int) -> list[Fraction]:
     return out
 
 
+def instance_id(params: TheoremParams) -> str:
+    """The record id of a family point, e.g. ``thm1-luc-r2``."""
+    slug = params.describe().lower().replace(" ", "-").replace("=", "")
+    return slug.replace("_", "-")
+
+
 def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     """Build a fresh record for one bound family instance; ``params``
     must be a point of ``family``."""
@@ -227,9 +233,8 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     if kind == "divergent_formal":
         raise InvalidParams(
             f"{params.describe()}: the series diverges at the radius 27/4 or beyond")
-    slug = params.describe().lower().replace(" ", "-").replace("=", "")
     return IdentityRecord(
-        id=slug.replace("_", "-"),
+        id=instance_id(params),
         note=f"instantiated family {params.describe()}",
         lhs=lhs, rhs=params,
         validity="family constraints hold",

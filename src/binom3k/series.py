@@ -71,6 +71,7 @@ _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 _BINET_CONJ = -((math.sqrt(5) - 1) / 2) ** 2  # (psi/phi), psi = -1/phi
 _BITS_PER_DIGIT = math.log2(10)
 _LOG_STIRLING = math.log(4 * math.pi / 3) / 2  # C(3k,k) ~ (27/4)^k sqrt(3/(4 pi k))
+_LOG_4_27 = math.log(4 / 27)  # rho = 4|z| phi^|m| / 27
 _LOG10_CRVZ_RATE = math.log10(3 + math.sqrt(8))
 # CRVZ replaces the kernel when the kernel needs more than this many terms
 # per CRVZ term: an exact CRVZ step is one bignum product, about 7 kernel
@@ -303,9 +304,15 @@ def _rise_end(spec: SeriesSpec) -> float:
     return k
 
 
+def _log_abs_z(spec: SeriesSpec) -> float:
+    """ln |z| from the numerator and denominator, so that a |z| below the
+    smallest float keeps its logarithm."""
+    return math.log(abs(spec.z.numerator)) - math.log(spec.z.denominator)
+
+
 def _log_base(spec: SeriesSpec, k: int) -> float:
     """ln |z^k / C(3k,k)|."""
-    return (k * math.log(abs(spec.z)) - math.lgamma(3 * k + 1)
+    return (k * _log_abs_z(spec) - math.lgamma(3 * k + 1)
             + math.lgamma(k + 1) + math.lgamma(2 * k + 1))
 
 
@@ -418,10 +425,10 @@ def _cutoff_seed(spec: SeriesSpec, digits: int) -> float:
     steps in floats from the root without the ln k term.  math.inf when
     rho >= 1 in floats.
     """
-    rho = 2 * _growth_constant(spec) / 9
-    if rho >= 1:
+    log_rho = _log_abs_z(spec) + abs(spec.weight.m) * _LOG_PHI + _LOG_4_27
+    if log_rho >= 0:
         return math.inf
-    log_rho = math.log(rho)
+    rho = math.exp(log_rho)
     b = 0.5 - spec.a
     c = _LOG_STIRLING - (math.log(5) / 2 if spec.weight.kind == "fib" else 0)
     target = -digits * math.log(10) + math.log1p(-rho) - c
@@ -492,6 +499,14 @@ def _certified(value: int, error: int, bits: int, terms: int,
     return SumResult(_unscale(value, bits), terms, tail)
 
 
+def _routes_to_crvz(spec: SeriesSpec, digits: int) -> bool:
+    """Whether sum_to_digits sums the geometric, non-vanishing ``spec`` by
+    CRVZ: z < 0, a = 1, 2, the weight 1 or L(0), and the kernel estimate
+    still missing the target at _CRVZ_CROSSOVER times CRVZ's n terms."""
+    return bool(spec.z < 0 and spec.a and not spec.weight.m and not
+                _cutoff_fits(spec, digits)(_CRVZ_CROSSOVER * _crvz_terms(digits)))
+
+
 def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
     """Sum with a proved tail below 10^-digits.
 
@@ -511,8 +526,7 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
     with ctx.workdps():
         if _vanishes(spec):
             return SumResult(mpf(0), 0, mpf(0))
-        if (spec.z < 0 and spec.a and not spec.weight.m and not
-                _cutoff_fits(spec, digits)(_CRVZ_CROSSOVER * _crvz_terms(digits))):
+        if _routes_to_crvz(spec, digits):
             return _certified(*_crvz_sum(spec, digits, ctx.max_terms), digits)
         K = _cutoff(spec, digits, ctx.max_terms)
         roundoff = _roundoff_ulps(spec, K + 1)
@@ -579,20 +593,27 @@ def _telescope(K: int, J: int, F: int) -> tuple[Fraction, Fraction]:
             Fraction(eta, 18 * K ** (2 * J - 1) << F))
 
 
+def _telescope_size(digits: int) -> tuple[int, int]:
+    """(K, J) of _boundary_positive.  K ~ digits^2/32 balances the head
+    against the O(J^2) coefficients; J is the least with 4 J! / ((2 pi K)^J
+    sqrt K) < 10^-(digits+3), the bound in floats as b_J grows like J! /
+    (2 pi)^J."""
+    K = max(16, digits * digits // 32)
+    excess = digits + 3 + math.log10(4 / math.sqrt(K))
+    J = next(j for j in count(2) if math.lgamma(j + 1) / math.log(10)
+             - j * math.log10(2 * math.pi * K) + excess <= 0)
+    return K, J
+
+
 def _boundary_positive(spec: SeriesSpec, digits: int, budget: int):
     """(sum, error bound, scale, terms) at z = 27/4, a = 2: K terms plus
     t_K P(K).  Summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1} (1 + eps(k))
     over k >= K puts the tail within eta t_K P(K) / (1 - eta) of t_K P(K).
-    K ~ digits^2/32 balances the head against the O(J^2) coefficients; J
-    is the least with 4 J! / ((2 pi K)^J sqrt K) < 10^-(digits+3), the
-    bound in floats as b_J grows like J! / (2 pi)^J.
+    K and J are _telescope_size's.
     """
-    K = max(16, digits * digits // 32)
+    K, J = _telescope_size(digits)
     if K > budget:
         raise MaxTermsExceeded(f"needed {K} terms for {digits} digits")
-    excess = digits + 3 + math.log10(4 / math.sqrt(K))
-    J = next(j for j in count(2) if math.lgamma(j + 1) / math.log(10)
-             - j * math.log10(2 * math.pi * K) + excess <= 0)
     roundoff = _roundoff_ulps(spec, K)
     bits = _kernel_bits(roundoff * K, -digits * _BITS_PER_DIGIT)
     head, (term,) = _kernel(spec, bits, K - 1, 1)
@@ -654,3 +675,57 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
                   else _crvz_sum)
         return _certified(*method(spec, digits, ctx.max_terms), digits)
 
+
+# -- planned cost -------------------------------------------------------------
+#
+# Nanoseconds of one summation step on a 2-vCPU x86_64 guest under CPython
+# 3.11, measured on steps of fixed width; the state of a geometric sum
+# shrinks from B bits to the roundoff as its terms fall, so its steps are
+# counted at half the working bits.  A kernel step of the unit weight at
+# a = 0 is one product and one floor division by single-digit (< 2^30)
+# integers; a >= 1 adds the division by k^a, the pair state doubles the
+# products and divisions, and a ratio denominator 27 q k^2 (or a k^2)
+# past 2^30 makes those divisions multi-digit.  A CRVZ term is a kernel
+# term read on its own plus one product with a weight of about n log2(3 +
+# sqrt8) bits; the telescope adds O(J^2) products of its coefficients.
+_STEP_NS = 300.0
+_STEP_NS_PER_BIT = 0.36
+_DIVISION_SHARE = 1.5  # a >= 1
+_PAIR_SHARE = 2.3
+_WIDE_NS_PER_BIT = 0.55
+_CRVZ_NS_PER_BIT = 6.5
+_TELESCOPE_NS_PER_BIT = 0.8  # per J^2
+
+
+def _kernel_ns(spec: SeriesSpec, K: float, bits: float) -> float:
+    """Planned ns of a kernel pass over K terms at ``bits`` working bits."""
+    share = ((_DIVISION_SHARE if spec.a else 1.0)
+             * (_PAIR_SHARE if spec.weight.kind != "unit" else 1.0))
+    narrow = math.isqrt((1 << 30) // (27 * spec.z.denominator))
+    wide = max(0.0, K - narrow)
+    if spec.a == 2:  # k^2 past 2^30
+        wide += max(0.0, K - (1 << 15))
+    return share * (K * (_STEP_NS + _STEP_NS_PER_BIT * bits / 2)
+                    + wide * _WIDE_NS_PER_BIT * bits / 2)
+
+
+def planned_ns(spec: SeriesSpec, digits: int, budget: int) -> float:
+    """Planned time in ns of summing ``spec`` to ``digits`` digits within a
+    budget of ``budget`` terms, for scheduling; 0 when no term is summed.
+
+    The method and its terms are the ones sum_to_digits and
+    sum_boundary_detailed choose, with a geometric cutoff from
+    _cutoff_seed, not the confirmed _cutoff, and every term count clamped
+    to the budget.  Never raises for a valid spec.
+    """
+    kind = convergence_kind(spec)
+    if kind == "divergent_formal" or _vanishes(spec):
+        return 0.0
+    bits = digits * _BITS_PER_DIGIT + _GUARD_BITS
+    if kind == "boundary_positive":
+        K, J = _telescope_size(digits)
+        return (_kernel_ns(spec, min(K, budget), bits)
+                + J * J * bits * _TELESCOPE_NS_PER_BIT)
+    if kind == "boundary_alternating" or _routes_to_crvz(spec, digits):
+        return min(_crvz_terms(digits), budget) * bits * _CRVZ_NS_PER_BIT
+    return _kernel_ns(spec, min(_cutoff_seed(spec, digits), budget), bits)

@@ -10,10 +10,15 @@ of both sides at working precision.  The matched-digit count is exact
 integer work on the binary form of the difference, with no logarithm.
 Records whose series diverges are skipped.  :func:`summary_counts` is the
 one place that counts pass, fail and skipped reports.
+
+:func:`verify_all` with ``jobs`` > 1 splits the records by their
+:func:`planned_cost` (:func:`lpt_partition`, longest first), verifies one
+part in this process and each other part in a forked child process.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,8 +30,9 @@ from .closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
                            theorem_rhs)
 from .errors import Binom3kError, DomainError, InvalidParams
 from .precision import PrecisionContext, context_for
-from .registry import IdentityRecord, instantiate
-from .series import SumResult, sum_boundary_detailed, sum_to_digits
+from .registry import IdentityRecord, instance_id, instantiate
+from .series import (SumResult, planned_ns, sum_boundary_detailed,
+                     sum_to_digits)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -129,18 +135,119 @@ def verify(record: IdentityRecord, digits: int,
     return report
 
 
+# Planned ns of a verification besides its sum (see series.planned_ns for
+# the host): the report and digit match, and the closed form.  A family's
+# level (a cube root, an arctangent and a logarithm in fixed point) takes
+# 60 us at 25 digits and 4 ms at 1000; an expression record's closed form,
+# typically an arctangent and a logarithm in mpmath, about half that at
+# 1000 digits.
+_REPORT_NS = 100_000.0
+_LEVEL_NS, _LEVEL_NS_PER_DIGIT2 = 60_000.0, 4.0
+_EXPR_NS, _EXPR_NS_PER_DIGIT2 = 80_000.0, 2.2
+
+
+def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:
+    """Planned ns of verify(record, digits) within a term budget, for
+    scheduling; 0 for a skipped record.  Never raises for a record that
+    verify accepts.
+
+    A family's closed form costs one level per branch: two for a
+    Fibonacci or Lucas weight, which Binet splits, else one.
+    """
+    if record.convergence == "divergent_formal":
+        return 0.0
+    square = digits * digits
+    if isinstance(record.rhs, TheoremParams):
+        branches = 1 if record.lhs.weight.kind == "unit" else 2
+        rhs = branches * (_LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * square)
+    else:
+        rhs = _EXPR_NS + _EXPR_NS_PER_DIGIT2 * square
+    return _REPORT_NS + rhs + planned_ns(record.lhs, digits, budget)
+
+
+def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
+    """Indices of ``costs`` in ``parts`` lists by greedy longest processing
+    time first (Graham 1969): largest cost first, each to the least-loaded
+    list (the first of equal loads).  Each list is in increasing order."""
+    loads = [(0.0, part) for part in range(parts)]
+    split = [[] for _ in range(parts)]
+    for index in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        load, part = heapq.heappop(loads)
+        split[part].append(index)
+        heapq.heappush(loads, (load + costs[index], part))
+    return [sorted(part) for part in split]
+
+
+def _verify_part(records, part, digits, ctx, sender) -> None:
+    """A forked child's work: send the (index, report) pairs of ``part``,
+    or the exception that stopped it."""
+    try:
+        result = [(i, verify(records[i], digits, ctx)) for i in part]
+    except BaseException as exc:  # the parent raises it
+        result = exc
+    sender.send(result)
+    sender.close()
+
+
 def verify_all(catalog: Sequence[IdentityRecord], digits: int,
                ctx: Optional[PrecisionContext] = None,
                jobs: int = 1) -> dict:
-    """Verify every record; failures are data, not exceptions."""
+    """Verify every record, reports in id order; failures are data, not
+    exceptions.
+
+    The records, sorted by id, are split into min(jobs, records) parts of
+    about equal planned_cost by lpt_partition.  This process verifies part
+    0, and one child process per other part, started from the default
+    multiprocessing context with a one-way pipe, verifies its part and
+    sends its reports back; under fork the records are inherited, not
+    pickled.  At one part no process starts.  An exception raised in a
+    child is raised here once every child has been joined; when this
+    process's own part raises, the children are terminated and joined
+    first.  No child outlives the call.
+    """
     records = sorted(catalog, key=lambda r: r.id)
-    if jobs > 1 and len(records) > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            reports = pool.starmap(
-                verify, [(record, digits, ctx) for record in records])
-    else:
-        reports = [verify(record, digits, ctx) for record in records]
+    parts = min(jobs, len(records))
+    split, started, received = [range(len(records))], [], 0
+    try:
+        if parts > 1:
+            import multiprocessing
+            budget = context_for(digits, ctx).max_terms
+            split = lpt_partition([planned_cost(r, digits, budget)
+                                   for r in records], parts)
+            for part in split[1:]:
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(
+                    target=_verify_part,
+                    args=(records, part, digits, ctx, sender))
+                try:
+                    child.start()
+                finally:
+                    sender.close()
+                started.append((child, receiver))
+        pairs = [(i, verify(records[i], digits, ctx)) for i in split[0]]
+        error = None
+        for child, receiver in started:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                result = RuntimeError(
+                    f"a verify_all process exited with code {child.exitcode}"
+                    " without sending its reports")
+            received += 1
+            if isinstance(result, BaseException):
+                error = error or result
+            else:
+                pairs += result
+        if error is not None:
+            raise error
+    finally:
+        for child, _ in started[received:]:  # this process raised
+            child.terminate()
+        for child, receiver in started:
+            child.join()
+            receiver.close()
+    reports = [report for _, report in sorted(pairs, key=lambda p: p[0])]
     return {**summary_counts(reports), "reports": reports}
 
 
@@ -161,8 +268,9 @@ def sweep(family: str, grid: Iterable[Union[TheoremParams, dict]],
 
     A point of another family, or a dict of names that are not exactly
     the family's, raises InvalidParams.  Invalid values (constraint
-    violations, arguments beyond the radius) appear as FAIL reports
-    carrying the constraint message.
+    violations, arguments beyond the radius) appear as FAIL reports with
+    the point's record id plus ``-invalid`` (``thm1-luc-r1-invalid``),
+    carrying the constraint message as their detail.
     """
     reports = []
     for point in grid:
@@ -176,7 +284,7 @@ def sweep(family: str, grid: Iterable[Union[TheoremParams, dict]],
             if params.family != family:
                 raise
             reports.append(VerificationReport(
-                identity_id=f"{family.lower()}-invalid",
+                identity_id=f"{instance_id(params)}-invalid",
                 target_digits=digits, status=FAIL, detail=str(exc)))
             continue
         reports.append(verify(record, digits, ctx))

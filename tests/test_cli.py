@@ -106,7 +106,7 @@ def test_csv_format(capsys):
     assert run(["verify", "--id", "trig-D-pi6", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(out_of(capsys))))
     assert rows[0] == ["id", "status", "matched_digits", "terms_used",
-                       "tail", "elapsed_ms"]
+                       "tail", "elapsed_ms", "detail"]
     assert rows[1][0] == "trig-D-pi6"
     assert rows[1][1] == "PASS"
 
@@ -123,6 +123,39 @@ def test_sweep_command(capsys):
     assert run(["sweep", "--family", "THM7_FIB", "--point", "p=-2,q=5",
                 "--digits", "20"]) == 0
     assert "PASS" in out_of(capsys)
+
+
+@pytest.mark.parametrize("family,point", [
+    ("COR2_FIB", "r=200"), ("COR2_FIB", "r=300"), ("COR2_FIB", "r=1000"),
+    ("THM1_LUC", "r=2000")])
+def test_sweep_of_a_point_whose_argument_underflows_a_float(family, point,
+                                                            capsys):
+    # |z| < 1e-308 rounds to the float 0, whose logarithm raised
+    assert run(["sweep", "--family", family, "--point", point,
+                "--digits", "25", "--format", "json"]) == 0
+    (report,) = json.loads(out_of(capsys))["reports"]
+    assert report["status"] == "PASS"
+    assert report["terms_used"] == 1
+
+
+def test_sweep_reports_name_the_invalid_point_and_why(capsys):
+    assert run(["sweep", "--family", "THM1_LUC", "--point", "r=1",
+                "--point", "r=0", "--point", "r=2", "--digits", "10",
+                "--format", "json"]) == 1
+    reports = json.loads(out_of(capsys))["reports"]
+    assert [r["id"] for r in reports] == [
+        "thm1-luc-r1-invalid", "thm1-luc-r0", "thm1-luc-r2"]
+    assert reports[0]["status"] == "FAIL"
+    assert "excludes r = 1" in reports[0]["detail"]
+    assert [r["detail"] for r in reports[1:]] == ["", ""]
+
+
+def test_csv_carries_the_detail_last(capsys):
+    assert run(["sweep", "--family", "THM1_LUC", "--point", "r=1",
+                "--digits", "10", "--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(out_of(capsys))))
+    assert rows[1][0] == "thm1-luc-r1-invalid"
+    assert "excludes r = 1" in rows[1][-1]
 
 
 def test_sweep_bad_point(capsys):

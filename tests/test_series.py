@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from binom3k import series
 from binom3k.errors import MaxTermsExceeded, Unsupported
 from binom3k.precision import make_context
 from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _kernel,
@@ -164,3 +166,36 @@ def test_weighted_sum_matches_componentwise(ctx30):
         reference = (unit_series(zf * alpha ** m, 2)
                      - unit_series(zf * beta ** m, 2)) / mp.sqrt(5)
         assert abs(result.value - reference) < mpf(10) ** -24
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 10 ** 400), Fraction(-3, 7 ** 500),
+                               Fraction(27 * 10 ** 5, 4 * 10 ** 700 + 1)])
+def test_an_argument_below_the_smallest_float_sums(z):
+    # float(z) is 0, so ln|z| must come from the numerator and denominator
+    spec = unit_spec(z)
+    assert series._cutoff_seed(spec, 25) == 0
+    result = sum_to_digits(spec, 25, make_context(25))
+    assert result.terms_used == 1
+    with make_context(25).workdps():
+        assert abs(result.value - mpf(z.numerator) / (3 * z.denominator)) \
+            <= result.tail
+
+
+def test_log_abs_z_reads_huge_numerators_and_denominators():
+    assert series._log_abs_z(unit_spec(Fraction(10 ** 400 + 1, 10 ** 400))) \
+        == pytest.approx(0.0, abs=1e-12)
+    assert series._log_abs_z(unit_spec(Fraction(-1, 10 ** 400))) \
+        == pytest.approx(-400 * math.log(10))
+
+
+@pytest.mark.parametrize("z,a,weight", [
+    (Fraction(-20, 3), 2, UNIT_WEIGHT),
+    (Fraction(-20, 3), 1, Weight("lucas", 0)),
+    (Fraction(-1, 2), 2, UNIT_WEIGHT), (Fraction(-20, 3), 0, UNIT_WEIGHT),
+    (Fraction(20, 3), 2, UNIT_WEIGHT), (Fraction(-1, 2), 2, Weight("fib", 1))])
+@pytest.mark.parametrize("digits", [30, 100, 1000])
+def test_crvz_routing_is_what_sum_to_digits_uses(z, a, weight, digits):
+    spec = SeriesSpec(z, a, weight)
+    result = sum_to_digits(spec, digits, make_context(digits))
+    assert series._routes_to_crvz(spec, digits) == (
+        result.terms_used == series._crvz_terms(digits))

@@ -1,17 +1,27 @@
 import json
+import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from binom3k import expressions as ex
+from binom3k import verifier
 from binom3k.cli import _suite_json
 from binom3k.closed_forms import TheoremParams, XYPair
 from binom3k.errors import DomainError, InvalidParams
-from binom3k.registry import IdentityRecord
+from binom3k.registry import IdentityRecord, instantiate
 from binom3k.sequences import HoradamParams
 from binom3k.series import SeriesSpec, UNIT_WEIGHT
-from binom3k.verifier import (differential_check, sweep, verify, verify_all)
+from binom3k.verifier import (differential_check, lpt_partition,
+                              planned_cost, sweep, verify, verify_all)
 from binom3k.verifier import (FAIL, PASS, SKIPPED_DIVERGENT,
                               VerificationReport, summary_counts)
 
@@ -108,6 +118,132 @@ def test_verify_all_parallel(catalog):
     assert len(summary["reports"]) == 6
 
 
+def _fields(report):
+    """Every field of a report but its elapsed time, mpf values exactly."""
+    return tuple((name, getattr(value, "_mpf_", value))
+                 for name, value in vars(report).items() if name != "elapsed")
+
+
+def test_verify_all_gives_the_same_reports_at_every_job_count(catalog):
+    serial = verify_all(catalog, 30, jobs=1)
+    for jobs in (2, 3):
+        parallel = verify_all(catalog, 30, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        assert ([_fields(r) for r in parallel["reports"]]
+                == [_fields(r) for r in serial["reports"]])
+        assert ({k: v for k, v in parallel.items() if k != "reports"}
+                == {k: v for k, v in serial.items() if k != "reports"})
+
+
+def test_verify_all_takes_more_jobs_than_records(catalog):
+    subset = catalog[:3]
+    summary = verify_all(subset, 15, jobs=8)
+    assert multiprocessing.active_children() == []
+    assert [r.identity_id for r in summary["reports"]] == sorted(
+        r.id for r in subset)
+    assert summary["fail"] == 0
+
+
+def test_verify_all_starts_no_process_for_one_part():
+    # neither at jobs = 1 nor with one record is multiprocessing imported
+    script = ("import sys\n"
+              "from binom3k import builtin_catalog, verify_all\n"
+              "catalog = builtin_catalog()\n"
+              "verify_all(catalog[:3], 10, jobs=1)\n"
+              "verify_all(catalog[:1], 10, jobs=4)\n"
+              "print('multiprocessing' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def _child_record(catalog, digits):
+    """The id of a record that verify_all(catalog, digits, jobs=2) verifies
+    in its child process."""
+    records = sorted(catalog, key=lambda r: r.id)
+    costs = [planned_cost(r, digits, 10 ** 6) for r in records]
+    return records[lpt_partition(costs, 2)[1][0]].id
+
+
+def _failing_verify(monkeypatch, failing_id, fail):
+    real = verifier.verify
+
+    def patched(record, digits, ctx=None):
+        if record.id == failing_id:
+            fail()
+        return real(record, digits, ctx)
+    monkeypatch.setattr(verifier, "verify", patched)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+def test_an_exception_in_a_child_is_raised_here(catalog, monkeypatch):
+    subset = catalog[:12]
+    _failing_verify(monkeypatch, _child_record(subset, 15),
+                    _raise(ArithmeticError("raised in a child")))
+    with pytest.raises(ArithmeticError, match="raised in a child"):
+        verify_all(subset, 15, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_without_reports_raises(catalog, monkeypatch):
+    subset = catalog[:12]
+    _failing_verify(monkeypatch, _child_record(subset, 15),
+                    lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        verify_all(subset, 15, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_this_process_stops_the_children(catalog, monkeypatch):
+    subset = catalog[:12]
+    records = sorted(subset, key=lambda r: r.id)
+    costs = [planned_cost(r, 15, 10 ** 6) for r in records]
+    own = records[lpt_partition(costs, 3)[0][0]].id
+    _failing_verify(monkeypatch, own, _raise(LookupError("raised here")))
+    with pytest.raises(LookupError, match="raised here"):
+        verify_all(subset, 15, jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_lpt_partition_matches_a_hand_computed_schedule():
+    # costs 7, 5, 4, 3, 2 go to the lighter part: 7 | 5 | 5+4 | 7+3 | 9+2
+    assert lpt_partition([5, 7, 3, 4, 2], 2) == [[1, 2], [0, 3, 4]]
+    # equal loads take the first part
+    assert lpt_partition([4, 4, 4, 1], 3) == [[0, 3], [1], [2]]
+    assert lpt_partition([1, 2], 4) == [[1], [0], [], []]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1e9), max_size=40), st.integers(1, 6))
+def test_lpt_partition_places_every_index_once(costs, parts):
+    split = lpt_partition(costs, parts)
+    assert len(split) == parts
+    assert sorted(i for part in split for i in part) == list(range(len(costs)))
+    assert all(part == sorted(part) for part in split)
+
+
+@pytest.mark.parametrize("digits", [5, 30, 100, 300, 1000])
+@pytest.mark.parametrize("budget", [64, 10 ** 6])
+def test_planned_cost_never_raises_on_the_catalog(catalog, digits, budget):
+    for record in catalog:
+        cost = planned_cost(record, digits, budget)
+        assert 0 <= cost < math.inf
+        assert (cost == 0) == (record.convergence == "divergent_formal")
+
+
+@pytest.mark.parametrize("family,r", [("COR2_FIB", 300), ("THM1_LUC", 2000)])
+def test_planned_cost_of_an_argument_below_the_smallest_float(family, r):
+    record = instantiate(family, TheoremParams(family, r=r))
+    assert 0 < planned_cost(record, 25, 10 ** 6) < math.inf
+
+
 def test_sweep_family():
     reports = sweep("THM1_FIB", [{"r": r} for r in range(1, 5)], 25)
     assert all(r.status == "PASS" for r in reports)
@@ -117,6 +253,7 @@ def test_sweep_family():
 def test_sweep_reports_invalid_points():
     reports = sweep("THM1_LUC", [{"r": 1}, {"r": 2}], 20)
     assert reports[0].status == "FAIL"
+    assert reports[0].identity_id == "thm1-luc-r1-invalid"
     assert "r = 1" in reports[0].detail or "radius" in reports[0].detail
     assert reports[1].status == "PASS"
 
