@@ -4,7 +4,7 @@ weights w."""
 
 from .closed_forms import (A_rhs, B_rhs, C_rhs, FAMILIES, TheoremParams,
                            XYPair, batir_rhs, phi, theorem_lhs_spec,
-                           theorem_rhs, trig_rhs)
+                           theorem_rhs)
 from .errors import (Binom3kError, DomainError, InvalidParams,
                      MaxTermsExceeded, NotGeometric, SingularInput,
                      Unsupported)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "A_rhs", "B_rhs", "C_rhs", "FAMILIES", "TheoremParams", "XYPair",
-    "batir_rhs", "phi", "theorem_lhs_spec", "theorem_rhs", "trig_rhs",
+    "batir_rhs", "phi", "theorem_lhs_spec", "theorem_rhs",
     "Binom3kError", "DomainError", "InvalidParams", "MaxTermsExceeded",
     "NotGeometric", "SingularInput", "Unsupported",
     "PrecisionContext", "make_context",

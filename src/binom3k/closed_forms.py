@@ -9,14 +9,13 @@ alone.  One evaluator, :func:`_level`, takes one cube root u = cbrt t,
 one arctangent and one logarithm and does the rest of the algebra in
 fixed-point integers, within 2^-prec max(1, |value|); every closed form
 in this module is a choice of (x, y) fed to it.  The right column names
-the identity that gives x + y (checked by
-:func:`~.sequences.check_fl_identity`):
+the identity that gives x + y: the paper's auxiliary identities F1-F8,
+Lemmas 1 and 2, and Binet's formula:
 
 ============================  =====  ===============================  ======
 closed form                   level  pair (x, y)                      x + y
 ============================  =====  ===============================  ======
 batir_rhs(z)                  A      (phi(z)^3, 1)
-trig_rhs D, E / F             A / B  (cot^2 t, 1), (-cot^2 t, 1) / D
 THM1_FIB, THM4_FIB, THM6_FIB  A,B,C  Horadam pair at W = F            F1
 THM1_LUC, THM4_LUC, THM6_LUC  A,B,C  Horadam pair at W = L            F2
 COR2_FIB/LUC, COR5_FIB/LUC    A, B   THM1 pair of that kind at 3r     F1, F2
@@ -240,35 +239,6 @@ def batir_rhs(z: Realish, ctx: PrecisionContext) -> mpf:
     the a = 2 level at (phi^3, 1)."""
     with ctx.workdps():
         return _series(2, phi(z, ctx) ** 3, 1)
-
-
-# -- trigonometric variants ---------------------------------------------
-
-def trig_rhs(variant: str, x: Realish, ctx: PrecisionContext) -> mpf:
-    """Closed forms after the substitution x -> cot^2 t, y -> 1.
-
-    Variant D is the a=2 level on sin^{2k} 2t for t in (0, pi/4]; E the
-    alternating a=2 level on tan^{2k} 2t for t in (0, pi/8]; F the a=1
-    level on sin^{2k} 2t for t in (0, pi/4) strictly.
-    """
-    if variant not in ("D", "E", "F"):
-        raise ValueError(f"unknown trig variant {variant!r}")
-    with ctx.workdps():
-        t = _as_mpf(x, ctx)
-        slack = mpf(10) ** (-(mp.dps - 5))
-        if variant == "D":
-            lo_ok, hi_ok = t > 0, t <= mp.pi / 4 + slack
-        elif variant == "E":
-            lo_ok, hi_ok = t > 0, t <= mp.pi / 8 + slack
-        else:
-            lo_ok, hi_ok = t > 0, t < mp.pi / 4 - slack
-        if not (lo_ok and hi_ok):
-            raise DomainError(f"variant {variant} needs its argument in the "
-                              f"stated interval, got {t}")
-        c2 = mp.cot(t) ** 2
-        if variant == "E":
-            return _series(2, -c2, 1)
-        return _series(2 if variant == "D" else 1, c2, 1)
 
 
 # -- parameterized theorem families -------------------------------------

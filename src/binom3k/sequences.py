@@ -1,8 +1,7 @@
 """Exact Fibonacci, Lucas and Horadam kernels with negative-index support.
 
-Everything here is integer arithmetic except the identity checker, which
-also validates the real-valued golden-ratio identities used to derive the
-series evaluations.
+Everything here is integer arithmetic except the real roots of a Horadam
+recurrence.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import InvalidParams
-from .precision import PrecisionContext, golden_ratio, golden_conjugate
+from .precision import PrecisionContext
 
 
 def fib(n: int) -> int:
@@ -90,57 +89,3 @@ def horadam(n: int, params: HoradamParams) -> int:
         raise ValueError("horadam is defined for n >= 0")
     u, u1 = _fib_pair(n, params.p, params.q)
     return (params.b - params.p * params.a) * u + params.a * u1
-
-
-FL_IDENTITIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "LEMMA1", "LEMMA2")
-
-# identities checked exactly in integers: (lhs, rhs) builders over (n, m)
-_EXACT_CHECKS = {
-    "F3": lambda n, m: (fib(n) ** 2 + (-1) ** (n + m - 1) * fib(m) ** 2,
-                        fib(n - m) * fib(n + m)),
-    "F4": lambda n, m: (fib(n + m) + (-1) ** m * fib(n - m), lucas(m) * fib(n)),
-    "F5": lambda n, m: (fib(n + m) + (-1) ** (m - 1) * fib(n - m), fib(m) * lucas(n)),
-    "F6": lambda n, m: (lucas(n) * fib(m) + fib(n) * lucas(m), 2 * fib(n + m)),
-    "F7": lambda n, m: (lucas(n + m) + (-1) ** m * lucas(n - m), lucas(m) * lucas(n)),
-    "F8": lambda n, m: (lucas(n + m) + (-1) ** (m - 1) * lucas(n - m), 5 * fib(m) * fib(n)),
-}
-
-
-def check_fl_identity(ident: str, n: int, m_or_r: int = 0,
-                      ctx: PrecisionContext | None = None) -> bool:
-    """Check one of the auxiliary identities F1..F8 / LEMMA1 / LEMMA2.
-
-    Integer identities (F3..F8) are verified exactly; the golden-ratio ones
-    (F1, F2, LEMMA1, LEMMA2) to within 10^-target_digits relative to the
-    larger side.  For F1/F2 the index is ``n`` (the role of r); for the
-    lemmas ``n`` is p and ``m_or_r`` is q.  Returns False on mismatch.
-    """
-    if ident in _EXACT_CHECKS:
-        lhs, rhs = _EXACT_CHECKS[ident](n, m_or_r)
-        return lhs == rhs
-
-    if ctx is None:
-        raise ValueError(f"{ident} is a real-valued identity and needs a context")
-    with ctx.workdps():
-        alpha = golden_ratio(ctx)
-        beta = golden_conjugate(ctx)
-        if ident == "F1":
-            r = n
-            lhs = alpha ** (2 * r) + (-1) ** (r + 1)
-            rhs = alpha ** r * fib(r) * mp.sqrt(5)
-        elif ident == "F2":
-            r = n
-            lhs = alpha ** (2 * r) + (-1) ** r
-            rhs = alpha ** r * lucas(r)
-        elif ident == "LEMMA1":
-            p, q = n, m_or_r
-            lhs = fib(p) * alpha ** q - fib(p + q)
-            rhs = -(beta ** p) * fib(q)
-        elif ident == "LEMMA2":
-            p, q = n, m_or_r
-            lhs = fib(p + q) - beta ** q * fib(p)
-            rhs = alpha ** p * fib(q)
-        else:
-            raise ValueError(f"unknown identity {ident!r}")
-        scale = max(abs(lhs), abs(rhs), mpf(1))
-        return abs(lhs - rhs) <= scale * mpf(10) ** -ctx.target_digits

@@ -5,19 +5,20 @@ is geometric for |z| g < 27/4 (g the exponential growth rate of the
 weight), sits on the convergence boundary at equality, and is divergent
 beyond it; the comparison is made exactly on the rational z.
 
-Every sum runs through one exact integer kernel, :func:`_kernel`: the
-terms t_k 2^B as floored Python integers, summed in one generator-free loop
-per weight kind, with a proven bound on the accumulated roundoff
-(:func:`_roundoff_ulps`).  :func:`sum_to_digits` sums a geometric series
-and :func:`sum_boundary_detailed` the convergent series on the radius;
-nothing else in the package sums.
+:func:`plan` alone chooses how a series is summed: the method (the
+kernel, CRVZ or the telescope), its terms and its cost.
+:func:`sum_to_digits` (geometric) and :func:`sum_boundary_detailed` (on
+the radius) run it through :func:`_execute`: one pass of the exact integer
+kernel, :func:`_kernel`, over the terms t_k 2^B as floored integers, with
+a proven bound on its roundoff (:func:`_roundoff_ulps`).  Nothing else in
+the package sums.
 
-A geometric sum picks its cutoff K as the first at which a float estimate
-of its tail bound meets the target (:func:`_cutoff_fits`).  The search
-starts from Stirling's closed-form estimate of that K (:func:`_cutoff_seed`,
-a few Newton steps in floats) and confirms it with the float estimate at
-the seed and its neighbour.  It then sums once, and checks the bound
-exactly in integers (:func:`_tail_ulps`):
+The kernel method takes the first cutoff K at which a float estimate of
+the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
+from Stirling's closed-form estimate of that K (:func:`_cutoff_seed`, a
+few Newton steps in floats) and confirms it with the float estimate at
+the seed and its neighbour.  The bound is then checked exactly in
+integers (:func:`_tail_ulps`):
 
     sum_{k>K} |t_k| <= |t_{K+1}| s / (1 - g_{K+1}).
 
@@ -35,16 +36,16 @@ is decided in integers too (:func:`_radius_side`).
 On the radius the terms behave like (+-1)^k k^(1/2 - a), so only z = 27/4
 with a = 2 and z = -27/4 with a = 1, 2 converge;
 :func:`sum_boundary_detailed` proves them to the requested digits.  At 27/4
-the tail after K terms is telescoped by a truncated asymptotic series P
-(:func:`_telescope`).
+the telescope method sums K terms and telescopes the tail after them by a
+truncated asymptotic series P with J coefficients (:func:`_telescope`).
 
 For z < 0, |z| <= 27/4 and a = 1, 2, 1/C(3k,k) = 2k B(k+1, 2k) gives
 |z|^k / (k C(3k,k)) = 2 int_0^1 x(t)^k dt / (1-t), x(t) = |z| t (1-t)^2 in
 [0, rho] within [0, 1], and 1/k = int_0^1 u^(k-1) du, so with the weight 1
 or L(0) = 2 the |t_{j+1}| are moments of a positive measure on [0, 1]:
 CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier, Exp. Math. 2000,
-Algorithm 1) with n terms is within |t_1| / T_n(3) (:func:`_crvz_sum`).
-It sums z = -27/4, and every geometric such series whose kernel cutoff
+Algorithm 1) with n terms is within |t_1| / T_n(3) (:func:`_crvz`).  It
+sums z = -27/4, and every geometric such series whose kernel cutoff
 would exceed 8n terms.
 """
 
@@ -77,6 +78,7 @@ _LOG10_CRVZ_RATE = math.log10(3 + math.sqrt(8))
 # per CRVZ term: an exact CRVZ step is one bignum product, about 7 kernel
 # steps at 1000 digits (measured)
 _CRVZ_CROSSOVER = 8
+DIVERGES = "the series diverges (beyond or on the radius 27/4)"
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,17 @@ class SumResult:
     value: mpf
     terms_used: int
     tail: mpf
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The method, its terms (K, or n for CRVZ), the telescope's J (else 0)
+    and the planned ns of a sum."""
+
+    method: str  # "kernel" | "crvz" | "telescope"
+    terms: int
+    J: int
+    cost_ns: float
 
 
 def _vanishes(spec: SeriesSpec) -> bool:
@@ -284,14 +297,15 @@ def _step_growth(c: float, k: int) -> float:
     return c * (k + 1) * (2 * k + 1) / ((3 * k + 1) * (3 * k + 2))
 
 
-def _rise_end(spec: SeriesSpec) -> float:
+def _rise_end(c: float) -> float:
     """First k >= 1 with g_k <= 1 (math.inf when there is none).
 
     The state magnitudes rise up to this index and fall after it.  g_k <= 1
     is the quadratic (9-2c) k^2 + (9-3c) k + (2-c) >= 0; its root is
     rounded and then corrected against g itself.
     """
-    c = _growth_constant(spec)
+    if _step_growth(c, 1) <= 1:
+        return 1
     if 2 * c >= 9:
         return math.inf
     qa, qb, qc = 9 - 2 * c, 9 - 3 * c, 2 - c
@@ -310,21 +324,10 @@ def _log_abs_z(spec: SeriesSpec) -> float:
     return math.log(abs(spec.z.numerator)) - math.log(spec.z.denominator)
 
 
-def _log_base(spec: SeriesSpec, k: int) -> float:
-    """ln |z^k / C(3k,k)|."""
-    return (k * _log_abs_z(spec) - math.lgamma(3 * k + 1)
+def _log_base(log_z: float, k: int) -> float:
+    """ln |z^k / C(3k,k)|, log_z = ln |z|."""
+    return (k * log_z - math.lgamma(3 * k + 1)
             + math.lgamma(k + 1) + math.lgamma(2 * k + 1))
-
-
-def _log_term(spec: SeriesSpec, k: int) -> float:
-    """ln |t_k|, the weight by Binet's formula."""
-    n = abs(spec.weight.m) * k
-    value = _log_base(spec, k) - spec.a * math.log(k)
-    if spec.weight.kind == "fib":
-        value += n * _LOG_PHI - math.log(5) / 2 + math.log1p(-_BINET_CONJ ** n)
-    elif spec.weight.kind == "lucas":
-        value += n * _LOG_PHI + math.log1p(_BINET_CONJ ** n)
-    return value
 
 
 def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
@@ -341,8 +344,9 @@ def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
     """
     if K < 1 or _vanishes(spec):
         return 0
-    top = min(_rise_end(spec), K)
-    log_growth = (_log_base(spec, top) - _log_base(spec, 1)
+    log_z = _log_abs_z(spec)
+    top = min(_rise_end(_growth_constant(spec)), K)
+    log_growth = (_log_base(log_z, top) - _log_base(log_z, 1)
                   + (top - 1) * abs(spec.weight.m) * _LOG_PHI)
     s = 1.0 if spec.weight.kind == "unit" else math.sqrt(2)
     c = math.sqrt(5) if spec.weight.kind == "lucas" else 1.0
@@ -395,27 +399,36 @@ def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
     return Fraction(num * gd, den * (gd - gn))
 
 
-def _cutoff_fits(spec: SeriesSpec, digits: int):
+def _cutoff_fits(spec: SeriesSpec, digits: int, c: float, log_z: float):
     """The cutoff estimate as a predicate of K: is the bound of
     _tail_ulps, |t_{K+1}| s / (1 - g_{K+1}), below 10^-digits, from float
     log-magnitudes of the terms?  A margin of 2^-16 of the target is left
     for the roundoff and the float error."""
-    c = _growth_constant(spec)
-    n = abs(spec.weight.m)
+    a, m, kind = spec.a, abs(spec.weight.m), spec.weight.kind
     log_eps = -digits * math.log(10) + math.log1p(-2.0 ** -16)
 
     def fits(K: int) -> bool:
-        g = _step_growth(c, K + 1)
+        k = K + 1
+        g = _step_growth(c, k)
         if g >= 1:
             return False
-        eps = math.exp(-n * (K + 1) * _LOG_PHI) if n else 0.0
-        return (_log_term(spec, K + 1) + math.log1p(eps) - math.log1p(-eps)
-                - math.log1p(-g) < log_eps)
+        # ln |t_k|, the weight by Binet's formula
+        n = m * k
+        log_term = _log_base(log_z, k) - a * math.log(k)
+        if kind == "fib":
+            log_term += (n * _LOG_PHI - math.log(5) / 2
+                         + math.log1p(-_BINET_CONJ ** n))
+        elif kind == "lucas":
+            log_term += n * _LOG_PHI + math.log1p(_BINET_CONJ ** n)
+        if n:  # the Binet slack s
+            eps = math.exp(-n * _LOG_PHI)
+            log_term = log_term + math.log1p(eps) - math.log1p(-eps)
+        return log_term - math.log1p(-g) < log_eps
 
     return fits
 
 
-def _cutoff_seed(spec: SeriesSpec, digits: int) -> float:
+def _cutoff_seed(spec: SeriesSpec, digits: int, log_z: float) -> float:
     """Stirling's estimate of the K that _cutoff_fits first accepts.
 
     By Stirling, |z^k / C(3k,k)| ~ (4|z|/27)^k sqrt(4 pi k / 3), and by
@@ -425,7 +438,7 @@ def _cutoff_seed(spec: SeriesSpec, digits: int) -> float:
     steps in floats from the root without the ln k term.  math.inf when
     rho >= 1 in floats.
     """
-    log_rho = _log_abs_z(spec) + abs(spec.weight.m) * _LOG_PHI + _LOG_4_27
+    log_rho = log_z + abs(spec.weight.m) * _LOG_PHI + _LOG_4_27
     if log_rho >= 0:
         return math.inf
     rho = math.exp(log_rho)
@@ -437,26 +450,27 @@ def _cutoff_seed(spec: SeriesSpec, digits: int) -> float:
         slope = log_rho + b / k
         if slope >= 0:
             break
-        k = max(1.0, k - (k * log_rho + b * math.log(k) - target) / slope)
+        step = (k * log_rho + b * math.log(k) - target) / slope
+        k = max(1.0, k - step)
+        if abs(step) < 1e-3:
+            break
     return math.ceil(k) - 1
 
 
-def _cutoff(spec: SeriesSpec, digits: int, budget: int) -> int:
-    """Smallest K >= rise - 1 that _cutoff_fits accepts; MaxTermsExceeded
-    when that K is beyond the budget.
+def _cutoff(fits, rise: float, seed: float, budget: int) -> int:
+    """Smallest K >= rise - 1 that the estimate ``fits`` accepts; budget +
+    1 when that K is beyond the budget.
 
     Past the rise of the terms the estimate falls monotonically in K.  The
-    search starts at _cutoff_seed, clamped to [rise - 1, budget], and
+    search starts at ``seed``, clamped to [rise - 1, budget], and
     confirms it with the estimate there and one term before (or after):
     two probes when the seed is on the mark.  When it misses, the search
     gallops away from it, doubling the step, and bisects the last step.
     """
-    fits = _cutoff_fits(spec, digits)
-    too_many = f"needed more than {budget} terms for {digits} digits"
-    lo = max(1, _rise_end(spec) - 1)
+    lo = max(1, rise - 1)
     if lo > budget:
-        raise MaxTermsExceeded(too_many)
-    K = min(max(lo, _cutoff_seed(spec, digits)), budget)
+        return budget + 1
+    K = min(max(lo, seed), budget)
     step = 1
     if fits(K):  # bracket (bad, good] below K
         good = K
@@ -471,7 +485,7 @@ def _cutoff(spec: SeriesSpec, digits: int, budget: int) -> int:
         bad = K
         while True:
             if bad >= budget:
-                raise MaxTermsExceeded(too_many)
+                return budget + 1
             good = min(budget, bad + step)
             if fits(good):
                 break
@@ -497,43 +511,6 @@ def _certified(value: int, error: int, bits: int, terms: int,
         raise Unsupported(f"tail bound {mp.nstr(tail, 5)} after {terms} terms "
                           f"is not below 10^-{digits}")
     return SumResult(_unscale(value, bits), terms, tail)
-
-
-def _routes_to_crvz(spec: SeriesSpec, digits: int) -> bool:
-    """Whether sum_to_digits sums the geometric, non-vanishing ``spec`` by
-    CRVZ: z < 0, a = 1, 2, the weight 1 or L(0), and the kernel estimate
-    still missing the target at _CRVZ_CROSSOVER times CRVZ's n terms."""
-    return bool(spec.z < 0 and spec.a and not spec.weight.m and not
-                _cutoff_fits(spec, digits)(_CRVZ_CROSSOVER * _crvz_terms(digits)))
-
-
-def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
-    """Sum with a proved tail below 10^-digits.
-
-    K comes from the float estimate of _cutoff; one kernel pass sums K
-    terms and reads term K+1, whose tail bound (module docstring) is
-    checked once by _certified.  A series that CRVZ proves (z < 0, a = 1,
-    2, weight 1 or L(0)) goes to _crvz_sum instead when the estimate still
-    misses at _CRVZ_CROSSOVER times its n terms, whatever the budget.
-    Raises ValueError when ``digits`` exceeds the context's target,
-    MaxTermsExceeded past the term budget of the method used, and
-    Unsupported when the bound misses 10^-digits.
-    """
-    context_for(digits, ctx)
-    kind = convergence_kind(spec)
-    if kind != "geometric":
-        raise NotGeometric(f"series is {kind}; use sum_boundary_detailed at the radius")
-    with ctx.workdps():
-        if _vanishes(spec):
-            return SumResult(mpf(0), 0, mpf(0))
-        if _routes_to_crvz(spec, digits):
-            return _certified(*_crvz_sum(spec, digits, ctx.max_terms), digits)
-        K = _cutoff(spec, digits, ctx.max_terms)
-        roundoff = _roundoff_ulps(spec, K + 1)
-        bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
-        head, (term,) = _kernel(spec, bits, K, 1)
-        return _certified(head, math.ceil(_tail_ulps(spec, K, term, roundoff)),
-                          bits, K, digits)
 
 
 # -- boundary summation -------------------------------------------------
@@ -594,7 +571,7 @@ def _telescope(K: int, J: int, F: int) -> tuple[Fraction, Fraction]:
 
 
 def _telescope_size(digits: int) -> tuple[int, int]:
-    """(K, J) of _boundary_positive.  K ~ digits^2/32 balances the head
+    """(K, J) of the telescope.  K ~ digits^2/32 balances the head
     against the O(J^2) coefficients; J is the least with 4 J! / ((2 pi K)^J
     sqrt K) < 10^-(digits+3), the bound in floats as b_J grows like J! /
     (2 pi)^J."""
@@ -603,25 +580,6 @@ def _telescope_size(digits: int) -> tuple[int, int]:
     J = next(j for j in count(2) if math.lgamma(j + 1) / math.log(10)
              - j * math.log10(2 * math.pi * K) + excess <= 0)
     return K, J
-
-
-def _boundary_positive(spec: SeriesSpec, digits: int, budget: int):
-    """(sum, error bound, scale, terms) at z = 27/4, a = 2: K terms plus
-    t_K P(K).  Summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1} (1 + eps(k))
-    over k >= K puts the tail within eta t_K P(K) / (1 - eta) of t_K P(K).
-    K and J are _telescope_size's.
-    """
-    K, J = _telescope_size(digits)
-    if K > budget:
-        raise MaxTermsExceeded(f"needed {K} terms for {digits} digits")
-    roundoff = _roundoff_ulps(spec, K)
-    bits = _kernel_bits(roundoff * K, -digits * _BITS_PER_DIGIT)
-    head, (term,) = _kernel(spec, bits, K - 1, 1)
-    factor, eta = _telescope(K, J, bits)
-    if eta >= 1:
-        raise Unsupported(f"no telescoping bound after {K} terms")
-    error = roundoff + 1 + factor * (roundoff + eta * (term + roundoff) / (1 - eta))
-    return head + term + math.floor(term * factor), math.ceil(error), bits, K
 
 
 def _crvz(moments: list[int]) -> tuple[int, int]:
@@ -646,37 +604,7 @@ def _crvz_terms(digits: int) -> int:
     return math.ceil((digits + 3) / _LOG10_CRVZ_RATE)
 
 
-def _crvz_sum(spec: SeriesSpec, digits: int, budget: int):
-    """(sum, error bound, scale, terms) for z < 0, |z| <= 27/4, a = 1, 2 and
-    the weight 1 or L(0): -sum_j (-1)^j |t_{j+1}| by CRVZ on _crvz_terms
-    moments (module docstring); as |c_k| < d, the kernel's roundoff enters
-    once."""
-    n = _crvz_terms(digits)
-    if n > budget:
-        raise MaxTermsExceeded(f"needed {n} terms for {digits} digits")
-    roundoff = _roundoff_ulps(spec, n)
-    bits = _kernel_bits(roundoff, -digits * _BITS_PER_DIGIT)
-    terms = _kernel(spec, bits, 0, n)[1]
-    s, d = _crvz([abs(t) for t in terms])
-    error = (abs(terms[0]) + roundoff) // d + roundoff + 2
-    return -(s // d), error, bits, n
-
-
-def sum_boundary_detailed(spec: SeriesSpec, digits: int,
-                          ctx: PrecisionContext) -> SumResult:
-    """Sum of a convergent series at z = +-27/4 with a proved tail below
-    10^-digits, raising as sum_to_digits does (Unsupported off it)."""
-    context_for(digits, ctx)
-    kind = convergence_kind(spec)
-    if not kind.startswith("boundary"):
-        raise Unsupported(f"series is {kind}, not a boundary case")
-    with ctx.workdps():
-        method = (_boundary_positive if kind == "boundary_positive"
-                  else _crvz_sum)
-        return _certified(*method(spec, digits, ctx.max_terms), digits)
-
-
-# -- planned cost -------------------------------------------------------------
+# -- the plan and the sums ----------------------------------------------------
 #
 # Nanoseconds of one summation step on a 2-vCPU x86_64 guest under CPython
 # 3.11, measured on steps of fixed width; the state of a geometric sum
@@ -697,35 +625,105 @@ _CRVZ_NS_PER_BIT = 6.5
 _TELESCOPE_NS_PER_BIT = 0.8  # per J^2
 
 
-def _kernel_ns(spec: SeriesSpec, K: float, bits: float) -> float:
-    """Planned ns of a kernel pass over K terms at ``bits`` working bits."""
+def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
+    """How ``spec`` is summed to ``digits`` digits within ``budget`` terms.
+    CRVZ takes a geometric series it proves when the kernel estimate misses
+    at _CRVZ_CROSSOVER n terms, whatever the budget; a series of zeros
+    takes 0 kernel terms.  Raises MaxTermsExceeded past the budget and
+    Unsupported for a divergent series."""
+    kind = convergence_kind(spec)
+    J = 0
+    if kind == "boundary_positive":
+        method, (K, J) = "telescope", _telescope_size(digits)
+    elif kind == "boundary_alternating":
+        method, K = "crvz", _crvz_terms(digits)
+    elif kind == "divergent_formal":
+        raise Unsupported(DIVERGES)
+    elif _vanishes(spec):
+        return Plan("kernel", 0, 0, 0.0)
+    else:
+        c, log_z = _growth_constant(spec), _log_abs_z(spec)
+        fits = _cutoff_fits(spec, digits, c, log_z)
+        if (spec.a and not spec.weight.m and spec.z < 0
+                and not fits(_CRVZ_CROSSOVER * _crvz_terms(digits))):
+            method, K = "crvz", _crvz_terms(digits)
+        else:
+            method = "kernel"
+            K = _cutoff(fits, _rise_end(c), _cutoff_seed(spec, digits, log_z),
+                        budget)
+    if K > budget:
+        raise MaxTermsExceeded(f"{method} summation to {digits} digits needs "
+                               f"more than {budget} terms (the term budget)")
+    bits = digits * _BITS_PER_DIGIT + _GUARD_BITS
+    if method == "crvz":
+        return Plan(method, K, J, K * bits * _CRVZ_NS_PER_BIT)
     share = ((_DIVISION_SHARE if spec.a else 1.0)
              * (_PAIR_SHARE if spec.weight.kind != "unit" else 1.0))
     narrow = math.isqrt((1 << 30) // (27 * spec.z.denominator))
     wide = max(0.0, K - narrow)
     if spec.a == 2:  # k^2 past 2^30
         wide += max(0.0, K - (1 << 15))
-    return share * (K * (_STEP_NS + _STEP_NS_PER_BIT * bits / 2)
-                    + wide * _WIDE_NS_PER_BIT * bits / 2)
+    kernel_ns = share * (K * (_STEP_NS + _STEP_NS_PER_BIT * bits / 2)
+                         + wide * _WIDE_NS_PER_BIT * bits / 2)
+    return Plan(method, K, J, kernel_ns + J * J * bits * _TELESCOPE_NS_PER_BIT)
 
 
-def planned_ns(spec: SeriesSpec, digits: int, budget: int) -> float:
-    """Planned time in ns of summing ``spec`` to ``digits`` digits within a
-    budget of ``budget`` terms, for scheduling; 0 when no term is summed.
+def _execute(spec: SeriesSpec, chosen: Plan, digits: int) -> SumResult:
+    """``spec`` summed as ``chosen`` says by one kernel pass, certified to
+    ``digits`` digits.  The telescope adds t_K (1 + P(K)) to K - 1 terms:
+    summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1} (1 + eps(k)) over k >= K
+    puts the tail within eta t_K P(K) / (1 - eta) of t_K P(K).  As the
+    CRVZ weights are |c_k| < d, its roundoff enters once."""
+    method, K = chosen.method, chosen.terms
+    if not K:
+        return SumResult(mpf(0), 0, mpf(0))
+    head_terms, read = {"kernel": (K, 1), "telescope": (K - 1, 1),
+                        "crvz": (0, K)}[method]
+    roundoff = _roundoff_ulps(spec, head_terms + read)
+    # P(K) ~ 2K multiplies the roundoff of the telescope's term
+    scaled = roundoff * K if method == "telescope" else roundoff
+    bits = _kernel_bits(scaled, -digits * _BITS_PER_DIGIT)
+    head, terms = _kernel(spec, bits, head_terms, read)
+    term = terms[0]
+    if method == "kernel":
+        value, error = head, math.ceil(_tail_ulps(spec, K, term, roundoff))
+    elif method == "telescope":
+        factor, eta = _telescope(K, chosen.J, bits)
+        if eta >= 1:
+            raise Unsupported(f"no telescoping bound after {K} terms")
+        value = head + term + math.floor(term * factor)
+        error = math.ceil(roundoff + 1 + factor * (
+            roundoff + eta * (term + roundoff) / (1 - eta)))
+    else:
+        s, d = _crvz([abs(t) for t in terms])
+        value, error = -(s // d), (abs(term) + roundoff) // d + roundoff + 2
+    return _certified(value, error, bits, K, digits)
 
-    The method and its terms are the ones sum_to_digits and
-    sum_boundary_detailed choose, with a geometric cutoff from
-    _cutoff_seed, not the confirmed _cutoff, and every term count clamped
-    to the budget.  Never raises for a valid spec.
-    """
+
+def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
+    """Sum of a geometric series with a proved tail below 10^-digits.
+    Raises ValueError when ``digits`` exceeds the context's target,
+    NotGeometric off the geometric side, MaxTermsExceeded past the term
+    budget, and Unsupported when the bound misses 10^-digits."""
+    context_for(digits, ctx)
     kind = convergence_kind(spec)
-    if kind == "divergent_formal" or _vanishes(spec):
-        return 0.0
-    bits = digits * _BITS_PER_DIGIT + _GUARD_BITS
-    if kind == "boundary_positive":
-        K, J = _telescope_size(digits)
-        return (_kernel_ns(spec, min(K, budget), bits)
-                + J * J * bits * _TELESCOPE_NS_PER_BIT)
-    if kind == "boundary_alternating" or _routes_to_crvz(spec, digits):
-        return min(_crvz_terms(digits), budget) * bits * _CRVZ_NS_PER_BIT
-    return _kernel_ns(spec, min(_cutoff_seed(spec, digits), budget), bits)
+    if kind != "geometric":
+        raise NotGeometric(
+            DIVERGES if kind == "divergent_formal"
+            else f"series is {kind}; use sum_boundary_detailed at the radius")
+    with ctx.workdps():
+        return _execute(spec, plan(spec, digits, ctx.max_terms), digits)
+
+
+def sum_boundary_detailed(spec: SeriesSpec, digits: int,
+                          ctx: PrecisionContext) -> SumResult:
+    """Sum of a convergent series at z = +-27/4 with a proved tail below
+    10^-digits, by its plan, raising as sum_to_digits does (Unsupported off
+    the radius or for a divergent series)."""
+    context_for(digits, ctx)
+    kind = convergence_kind(spec)
+    if not kind.startswith("boundary"):
+        raise Unsupported(DIVERGES if kind == "divergent_formal"
+                          else f"series is {kind}, not a boundary case")
+    with ctx.workdps():
+        return _execute(spec, plan(spec, digits, ctx.max_terms), digits)

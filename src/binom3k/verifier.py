@@ -2,8 +2,8 @@
 
 A verification sums the left-hand series with a certified tail bound
 (:func:`sum_record`: :func:`series.sum_to_digits`, or
-:func:`series.sum_boundary_detailed` at z = +-27/4) and evaluates the
-right-hand closed form at the context's working precision.  PASS demands
+:func:`series.sum_boundary_detailed` at z = +-27/4, by :func:`series.plan`)
+and evaluates the right-hand closed form at working precision.  PASS demands
 both a digit match of target - 2 (absorbing final roundoff) and bracket
 consistency |lhs - rhs| <= 3 tail + slack, the slack covering the roundoff
 of both sides at working precision.  The matched-digit count is exact
@@ -28,10 +28,10 @@ from mpmath import mp, mpf
 
 from .closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
                            theorem_rhs)
-from .errors import Binom3kError, DomainError, InvalidParams
+from .errors import Binom3kError, DomainError, InvalidParams, MaxTermsExceeded
 from .precision import PrecisionContext, context_for
 from .registry import IdentityRecord, instance_id, instantiate
-from .series import (SumResult, planned_ns, sum_boundary_detailed,
+from .series import (DIVERGES, SumResult, plan, sum_boundary_detailed,
                      sum_to_digits)
 
 PASS = "PASS"
@@ -105,7 +105,7 @@ def verify(record: IdentityRecord, digits: int,
     report = VerificationReport(record.id, digits, FAIL)
     if record.convergence == "divergent_formal":
         report.status = SKIPPED_DIVERGENT
-        report.detail = "the series diverges (beyond or on the radius 27/4)"
+        report.detail = DIVERGES
         report.elapsed = time.perf_counter() - start
         return report
     try:
@@ -135,8 +135,8 @@ def verify(record: IdentityRecord, digits: int,
     return report
 
 
-# Planned ns of a verification besides its sum (see series.planned_ns for
-# the host): the report and digit match, and the closed form.  A family's
+# Planned ns of a verification besides its sum (see series.plan for the
+# host): the report and digit match, and the closed form.  A family's
 # level (a cube root, an arctangent and a logarithm in fixed point) takes
 # 60 us at 25 digits and 4 ms at 1000; an expression record's closed form,
 # typically an arctangent and a logarithm in mpmath, about half that at
@@ -162,7 +162,10 @@ def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:
         rhs = branches * (_LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * square)
     else:
         rhs = _EXPR_NS + _EXPR_NS_PER_DIGIT2 * square
-    return _REPORT_NS + rhs + planned_ns(record.lhs, digits, budget)
+    try:
+        return _REPORT_NS + rhs + plan(record.lhs, digits, budget).cost_ns
+    except MaxTermsExceeded:
+        return _REPORT_NS + rhs
 
 
 def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:

@@ -1,7 +1,9 @@
 """References the package is tested against: the per-term generator of
 the summation kernel's integers, exact rational terms and sums, mpmath's
-nsum of a unit series, a proved bracket on a whole series read from one
-kernel pass, and the mpf evaluation of the closed-form levels at (x, y)."""
+nsum of a unit series, the kernel's cutoff, a proved bracket on a whole
+series read from one kernel pass, the mpf evaluation of the closed-form
+levels at (x, y), the trigonometric closed forms, and the paper's
+auxiliary Fibonacci and Lucas identities."""
 
 import math
 from fractions import Fraction
@@ -9,11 +11,14 @@ from typing import Iterator
 
 from mpmath import mp, mpf
 
+from binom3k import closed_forms
 from binom3k.errors import DomainError, SingularInput
-from binom3k.precision import real_cbrt
+from binom3k.precision import golden_conjugate, golden_ratio, real_cbrt
 from binom3k.sequences import fib, lucas
-from binom3k.series import (SeriesSpec, _kernel, _kernel_bits,
-                            _roundoff_ulps, _tail_ulps)
+from binom3k.series import (SeriesSpec, _cutoff, _cutoff_fits, _cutoff_seed,
+                            _growth_constant, _kernel, _kernel_bits,
+                            _log_abs_z, _rise_end, _roundoff_ulps,
+                            _tail_ulps)
 
 
 def scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
@@ -81,6 +86,15 @@ def rest_bound(spec, N):
     return abs(exact_term(spec, k)) / (1 - r)
 
 
+def kernel_cutoff(spec, digits, budget):
+    """The kernel's cutoff K for ``digits`` digits, or budget + 1 past the
+    budget, from the same growth data series.plan passes to _cutoff, for
+    any geometric spec, whichever method its plan takes."""
+    c, log_z = _growth_constant(spec), _log_abs_z(spec)
+    return _cutoff(_cutoff_fits(spec, digits, c, log_z), _rise_end(c),
+                   _cutoff_seed(spec, digits, log_z), budget)
+
+
 def kernel_bracket(spec, K, digits):
     """(centre, radius): the whole sum of a geometric series lies within
     radius of centre, both exact, from one kernel pass of K terms and the
@@ -136,3 +150,84 @@ def level(a, x, y):
         raise SingularInput(f"the a = {a} level is singular at x = y")
     check_window(x, y, strict=a < 2)
     return formulas(a, x, y)
+
+
+def trig_rhs(variant, x, ctx):
+    """Closed forms after the substitution x -> cot^2 t, y -> 1.
+
+    Variant D is the a=2 level on sin^{2k} 2t for t in (0, pi/4]; E the
+    alternating a=2 level on tan^{2k} 2t for t in (0, pi/8]; F the a=1
+    level on sin^{2k} 2t for t in (0, pi/4) strictly.  The level comes
+    from the package's evaluator.
+    """
+    if variant not in ("D", "E", "F"):
+        raise ValueError(f"unknown trig variant {variant!r}")
+    with ctx.workdps():
+        t = mpf(x)
+        slack = mpf(10) ** (-(mp.dps - 5))
+        if variant == "D":
+            lo_ok, hi_ok = t > 0, t <= mp.pi / 4 + slack
+        elif variant == "E":
+            lo_ok, hi_ok = t > 0, t <= mp.pi / 8 + slack
+        else:
+            lo_ok, hi_ok = t > 0, t < mp.pi / 4 - slack
+        if not (lo_ok and hi_ok):
+            raise DomainError(f"variant {variant} needs its argument in the "
+                              f"stated interval, got {t}")
+        c2 = mp.cot(t) ** 2
+        if variant == "E":
+            return closed_forms._series(2, -c2, 1)
+        return closed_forms._series(2 if variant == "D" else 1, c2, 1)
+
+
+FL_IDENTITIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "LEMMA1", "LEMMA2")
+
+# identities checked exactly in integers: (lhs, rhs) builders over (n, m)
+_EXACT_CHECKS = {
+    "F3": lambda n, m: (fib(n) ** 2 + (-1) ** (n + m - 1) * fib(m) ** 2,
+                        fib(n - m) * fib(n + m)),
+    "F4": lambda n, m: (fib(n + m) + (-1) ** m * fib(n - m), lucas(m) * fib(n)),
+    "F5": lambda n, m: (fib(n + m) + (-1) ** (m - 1) * fib(n - m), fib(m) * lucas(n)),
+    "F6": lambda n, m: (lucas(n) * fib(m) + fib(n) * lucas(m), 2 * fib(n + m)),
+    "F7": lambda n, m: (lucas(n + m) + (-1) ** m * lucas(n - m), lucas(m) * lucas(n)),
+    "F8": lambda n, m: (lucas(n + m) + (-1) ** (m - 1) * lucas(n - m), 5 * fib(m) * fib(n)),
+}
+
+
+def check_fl_identity(ident, n, m_or_r=0, ctx=None):
+    """Check one of the auxiliary identities F1..F8 / LEMMA1 / LEMMA2.
+
+    Integer identities (F3..F8) are verified exactly; the golden-ratio ones
+    (F1, F2, LEMMA1, LEMMA2) to within 10^-target_digits relative to the
+    larger side.  For F1/F2 the index is ``n`` (the role of r); for the
+    lemmas ``n`` is p and ``m_or_r`` is q.  Returns False on mismatch.
+    """
+    if ident in _EXACT_CHECKS:
+        lhs, rhs = _EXACT_CHECKS[ident](n, m_or_r)
+        return lhs == rhs
+
+    if ctx is None:
+        raise ValueError(f"{ident} is a real-valued identity and needs a context")
+    with ctx.workdps():
+        alpha = golden_ratio(ctx)
+        beta = golden_conjugate(ctx)
+        if ident == "F1":
+            r = n
+            lhs = alpha ** (2 * r) + (-1) ** (r + 1)
+            rhs = alpha ** r * fib(r) * mp.sqrt(5)
+        elif ident == "F2":
+            r = n
+            lhs = alpha ** (2 * r) + (-1) ** r
+            rhs = alpha ** r * lucas(r)
+        elif ident == "LEMMA1":
+            p, q = n, m_or_r
+            lhs = fib(p) * alpha ** q - fib(p + q)
+            rhs = -(beta ** p) * fib(q)
+        elif ident == "LEMMA2":
+            p, q = n, m_or_r
+            lhs = fib(p + q) - beta ** q * fib(p)
+            rhs = alpha ** p * fib(q)
+        else:
+            raise ValueError(f"unknown identity {ident!r}")
+        scale = max(abs(lhs), abs(rhs), mpf(1))
+        return abs(lhs - rhs) <= scale * mpf(10) ** -ctx.target_digits

@@ -16,9 +16,10 @@ from binom3k.closed_forms import A_rhs, TheoremParams, XYPair, theorem_rhs
 from binom3k.errors import InvalidParams
 from binom3k.precision import make_context
 from binom3k.registry import instantiate, scan_perfect_square
-from binom3k.sequences import HoradamParams, check_fl_identity
+from binom3k.sequences import HoradamParams
 from binom3k.series import classify
 from binom3k.verifier import differential_check, sweep, verify
+from reference import check_fl_identity
 
 # PASS reports collected across criteria for the final bracket-soundness check
 _PASS_REPORTS = []

@@ -99,7 +99,25 @@ def test_eval_refuses_divergent_records(record_id, capsys):
     assert run(["eval", "--id", record_id, "--digits", "40"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "divergent_formal" in captured.err
+    assert captured.err == ("error: the series diverges "
+                            "(beyond or on the radius 27/4)\n")
+    # worded as verify's skip
+    assert run(["verify", "--id", record_id, "--format", "json"]) == 0
+    detail = json.loads(out_of(capsys))["reports"][0]["detail"]
+    assert captured.err == f"error: {detail}\n"
+
+
+@pytest.mark.parametrize("record_id, digits, method", [
+    ("eq-20-3", 100, "kernel"), ("eq-27-4", 100, "telescope"),
+    ("alt-20-3", 1000, "crvz")])
+def test_eval_names_the_method_and_the_budget_it_exceeds(record_id, digits,
+                                                         method, capsys):
+    assert run(["eval", "--id", record_id, "--digits", str(digits),
+                "--max-terms", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {method} summation to {digits} digits "
+                            "needs more than 64 terms (the term budget)\n")
 
 
 def test_csv_format(capsys):

@@ -5,14 +5,14 @@ from mpmath import mp, mpf, sqrt
 
 from binom3k.closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
                                   batir_rhs, phi, theorem_lhs_spec,
-                                  theorem_rhs, trig_rhs)
+                                  theorem_rhs)
 from binom3k.errors import DomainError, InvalidParams, SingularInput
 from binom3k.expressions import eval_expr
 from binom3k.precision import make_context
 from binom3k.registry import get_record
 from binom3k.sequences import HoradamParams, fib
 from binom3k.series import sum_to_digits
-from reference import unit_series
+from reference import trig_rhs, unit_series
 
 
 def expr_value(record, ctx):

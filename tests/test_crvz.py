@@ -12,8 +12,8 @@ from binom3k.errors import MaxTermsExceeded
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record
 from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _crvz_terms,
-                            _cutoff, sum_to_digits)
-from reference import kernel_bracket, to_fraction
+                            sum_to_digits)
+from reference import kernel_bracket, kernel_cutoff, to_fraction
 
 LUCAS_0 = Weight("lucas", 0)
 
@@ -33,7 +33,7 @@ def test_sum_agrees_with_the_kernel_alone(spec, digits):
     ctx = make_context(digits + 10)
     result = sum_to_digits(spec, digits, ctx)
     assert result.tail < mpf(10) ** -digits
-    K = _cutoff(spec, digits, 10 ** 6)
+    K = kernel_cutoff(spec, digits, 10 ** 6)
     centre, radius = kernel_bracket(spec, K, digits)
     gap = abs(to_fraction(result.value) - centre)
     assert gap <= to_fraction(result.tail) + radius
@@ -51,7 +51,7 @@ def test_routed_sums_use_the_crvz_terms(spec):
     SeriesSpec(Fraction(-5, 2), 2, Weight("lucas", 2)),
     SeriesSpec(Fraction(-5, 2), 1, Weight("fib", -2))])
 def test_other_sums_stay_on_the_kernel(spec):
-    K = _cutoff(spec, 30, 10 ** 6)
+    K = kernel_cutoff(spec, 30, 10 ** 6)
     assert K > 8 * _crvz_terms(30)
     assert sum_to_digits(spec, 30, make_context(40)).terms_used == K
 
@@ -61,17 +61,16 @@ def test_other_sums_stay_on_the_kernel(spec):
     (SeriesSpec(Fraction(-96, 17), 2), SeriesSpec(Fraction(-113, 20), 2))])
 def test_the_crossover_is_at_eight_crvz_terms(below, above):
     ctx, n = make_context(40), _crvz_terms(30)
-    assert _cutoff(below, 30, 10 ** 6) == 8 * n
+    assert kernel_cutoff(below, 30, 10 ** 6) == 8 * n
     assert sum_to_digits(below, 30, ctx).terms_used == 8 * n
-    assert _cutoff(above, 30, 10 ** 6) == 8 * n + 1
+    assert kernel_cutoff(above, 30, 10 ** 6) == 8 * n + 1
     assert sum_to_digits(above, 30, ctx).terms_used == n
 
 
 def test_the_budget_bounds_the_method_used():
     spec = get_record(builtin_catalog(), "alt-20-3").lhs
-    assert _cutoff(spec, 30, 10 ** 6) > 4000
-    with pytest.raises(MaxTermsExceeded):
-        _cutoff(spec, 30, 200)
+    assert kernel_cutoff(spec, 30, 10 ** 6) > 4000
+    assert kernel_cutoff(spec, 30, 200) == 201  # past the budget
     assert sum_to_digits(spec, 30, make_context(40, 200)).terms_used == 44
     with pytest.raises(MaxTermsExceeded):
         sum_to_digits(spec, 30, make_context(40, 43))

@@ -3,6 +3,7 @@ chosen from it, checked against exact rational arithmetic."""
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,13 @@ from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record, record_from_json
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _cutoff,
-                            _cutoff_fits, _radius_side, _rise_end,
-                            _roundoff_ulps, _tail_ulps, classify,
+                            _cutoff_fits, _cutoff_seed, _growth_constant,
+                            _log_abs_z, _radius_side, _rise_end,
+                            _roundoff_ulps, _tail_ulps, classify, plan,
                             sum_to_digits)
 from binom3k.verifier import verify, verify_all
 from reference import (exact_partial_sum, exact_term, kernel_bracket,
-                       rest_bound, scaled_terms, to_fraction)
+                       kernel_cutoff, rest_bound, scaled_terms, to_fraction)
 
 
 weights = st.one_of(
@@ -159,8 +161,9 @@ CUTOFF_GRID = [
 def _scan_cutoff(spec, digits):
     """Smallest K >= rise - 1 that the cutoff estimate accepts, by a linear
     scan."""
-    fits = _cutoff_fits(spec, digits)
-    K = max(1, _rise_end(spec) - 1)
+    c = _growth_constant(spec)
+    fits = _cutoff_fits(spec, digits, c, _log_abs_z(spec))
+    K = max(1, _rise_end(c) - 1)
     while not fits(K):
         K += 1
     return K
@@ -172,10 +175,10 @@ def _scan_cutoff(spec, digits):
 def test_cutoff_search_matches_a_linear_scan(z, weight, a, digits):
     spec = SeriesSpec(z, a, weight)
     K = _scan_cutoff(spec, digits)
-    assert _cutoff(spec, digits, 10 ** 6) == K
-    assert _cutoff(spec, digits, K) == K
-    with pytest.raises(MaxTermsExceeded):
-        _cutoff(spec, digits, K - 1)
+    assert kernel_cutoff(spec, digits, 10 ** 6) == K
+    assert kernel_cutoff(spec, digits, K) == K
+    # one term short of K the search reports the budget exceeded
+    assert kernel_cutoff(spec, digits, K - 1) == K
 
 
 # continued-fraction convergents: F(n+1)/F(n) > phi for even n, < for odd n
@@ -249,7 +252,10 @@ def test_a_cutoff_one_term_short_raises(z, a, kind, m, monkeypatch):
     spec = SeriesSpec(z, a, UNIT_WEIGHT if kind == "unit" else Weight(kind, m))
     ctx = make_context(40)
     K = sum_to_digits(spec, 30, ctx).terms_used
-    monkeypatch.setattr(series, "_cutoff", lambda spec, digits, budget: K - 1)
+    planned = plan(spec, 30, ctx.max_terms)
+    assert (planned.method, planned.terms) == ("kernel", K)
+    monkeypatch.setattr(series, "plan", lambda spec, digits, budget:
+                        replace(planned, terms=K - 1))
     with pytest.raises(Unsupported, match=r"not below 10\^-30"):
         sum_to_digits(spec, 30, ctx)
 
@@ -281,11 +287,11 @@ def test_tail_brackets_the_exact_remainder_for_any_geometric_z(zw, a, digits):
     result = sum_to_digits(spec, digits, ctx)
     value, tail = to_fraction(result.value), to_fraction(result.tail)
     assert tail < Fraction(1, 10 ** digits)
-    K = _cutoff(spec, digits, 10 ** 6) if result.terms_used else 0
+    K = kernel_cutoff(spec, digits, 10 ** 6) if result.terms_used else 0
     if result.terms_used < K:
         # the CRVZ path: its n terms stop short of K, and its error bound
         # |t_1| / T_n(3) is above 10^-(digits+4)
-        K = _cutoff(spec, digits + 6, 10 ** 6)
+        K = kernel_cutoff(spec, digits + 6, 10 ** 6)
     N = K + 40
     head = exact_partial_sum(spec, N)
     assert abs(head - value) + _weighted_rest_bound(spec, N) <= tail
@@ -302,26 +308,25 @@ SLOW_Z = [Fraction(20, 3), Fraction(77, 12), Fraction(27, 5)]
 def test_seeded_cutoff_matches_a_linear_scan_on_long_sums(z, a, digits):
     spec = SeriesSpec(z, a, UNIT_WEIGHT)
     K = _scan_cutoff(spec, digits)
-    assert _cutoff(spec, digits, 10 ** 6) == K
-    assert _cutoff(spec, digits, K) == K
+    assert kernel_cutoff(spec, digits, 10 ** 6) == K
+    assert kernel_cutoff(spec, digits, K) == K
+    assert plan(spec, digits, K).terms == K
     with pytest.raises(MaxTermsExceeded, match=f"more than {K - 1} terms"):
-        _cutoff(spec, digits, K - 1)
+        plan(spec, digits, K - 1)
 
 
 @pytest.mark.parametrize("z, weight",
                          CUTOFF_GRID + [(z, UNIT_WEIGHT) for z in SLOW_Z])
-def test_cutoff_confirms_its_seed_in_few_probes(z, weight, monkeypatch):
+def test_cutoff_confirms_its_seed_in_few_probes(z, weight):
     probes = []
-
-    def counting_fits(spec, digits):
-        fits = _cutoff_fits(spec, digits)
-        return lambda K: probes.append(K) or fits(K)
-
-    monkeypatch.setattr(series, "_cutoff_fits", counting_fits)
     for a in (0, 1, 2):
+        spec = SeriesSpec(z, a, weight)
+        c, log_z = _growth_constant(spec), _log_abs_z(spec)
         for digits in range(10, 301):
+            fits = _cutoff_fits(spec, digits, c, log_z)
             probes.clear()
-            _cutoff(SeriesSpec(z, a, weight), digits, 10 ** 6)
+            _cutoff(lambda K: probes.append(K) or fits(K), _rise_end(c),
+                    _cutoff_seed(spec, digits, log_z), 10 ** 6)
             assert 1 <= len(probes) <= 5, (a, digits, probes)
 
 

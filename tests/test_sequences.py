@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binom3k.precision import make_context
-from binom3k.sequences import (FIBONACCI_PARAMS, FL_IDENTITIES, LUCAS_PARAMS,
-                               HoradamParams, check_fl_identity, fib, horadam,
-                               lucas)
+from binom3k.sequences import (FIBONACCI_PARAMS, LUCAS_PARAMS, HoradamParams,
+                               fib, horadam, lucas)
+from reference import FL_IDENTITIES, check_fl_identity
 
 CTX = make_context(30)
 

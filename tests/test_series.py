@@ -173,7 +173,7 @@ def test_weighted_sum_matches_componentwise(ctx30):
 def test_an_argument_below_the_smallest_float_sums(z):
     # float(z) is 0, so ln|z| must come from the numerator and denominator
     spec = unit_spec(z)
-    assert series._cutoff_seed(spec, 25) == 0
+    assert series._cutoff_seed(spec, 25, series._log_abs_z(spec)) == 0
     result = sum_to_digits(spec, 25, make_context(25))
     assert result.terms_used == 1
     with make_context(25).workdps():
@@ -197,5 +197,7 @@ def test_log_abs_z_reads_huge_numerators_and_denominators():
 def test_crvz_routing_is_what_sum_to_digits_uses(z, a, weight, digits):
     spec = SeriesSpec(z, a, weight)
     result = sum_to_digits(spec, digits, make_context(digits))
-    assert series._routes_to_crvz(spec, digits) == (
+    planned = series.plan(spec, digits, 10 ** 6)
+    assert result.terms_used == planned.terms
+    assert (planned.method == "crvz") == (
         result.terms_used == series._crvz_terms(digits))
