@@ -31,9 +31,10 @@ HORADAM_A2 / A1               A / B  (A alpha^2r, -B (-q)^r)          Binet
 The sign is + for THM3_V2 and V5.  The weighted families have weight F
 or L at index m = 2p + q; their two Binet branches sit at z alpha^m and
 z beta^m, and the family is (S_alpha - S_beta)/sqrt5 for F, S_alpha +
-S_beta for L.  For the Horadam family, (A, B) are the Binet coefficients
-of :meth:`~.sequences.HoradamParams.binet_coeffs` and alpha its root, so
-x + y = alpha^r delta W_r.  The golden-ratio families are its pair at
+S_beta for L.  For the Horadam family W_n = (A alpha^n - B beta^n) / delta
+with roots alpha, beta = (p +- delta)/2, delta = sqrt(p^2 + 4q), and
+Binet coefficients A = b - a beta, B = b - a alpha, so x + y = alpha^r
+delta W_r.  The golden-ratio families are its pair at
 the Fibonacci recurrence W = F, where A = B = 1 and the pair is
 (alpha^2r, (-1)^(r-1)), and at the Lucas one W = L, where A = -B = sqrt5
 and the pair is sqrt5 (alpha^2r, (-1)^r).  Each family is one row of
@@ -43,14 +44,20 @@ The closed forms hold on the window x/y >= 1 (strict at a < 2) or x/y <=
 -(sqrt2+1)^2, which is |z| <= 27/4 over real pairs.  A family pair with
 |x| < |y| is swapped (z is symmetric); a pair with xy = 0 is z = 0 and
 gives exactly 0; a pair left outside the window is a divergent series and
-raises :class:`~.errors.DomainError`.  Every evaluator returns an mpf at
-the context's working precision; the matching left-hand
-:class:`~.series.SeriesSpec` of a family comes from
+raises :class:`~.errors.DomainError`.
+
+A family point's closed form is an exact :class:`~.expressions.Expr`
+(:func:`theorem_expr`): the sum of c S_a(x, y) over its branches, each
+S_a a ``level(a, x, y)`` node.  :func:`eval_expr` is the one evaluator of
+every tree, the catalog's surd forms included, and of its level nodes.
+Every evaluator returns an mpf at the context's working precision; the
+matching left-hand :class:`~.series.SeriesSpec` of a family comes from
 :func:`theorem_lhs_spec`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -60,20 +67,19 @@ from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_atan, mpf_cbrt,
                           mpf_div, mpf_log, mpf_sub, round_nearest, to_fixed)
 
-from . import expressions
 from .errors import DomainError, InvalidParams, SingularInput
-from .precision import (PrecisionContext, golden_conjugate, golden_ratio,
-                        real_cbrt)
+from .expressions import GOLDEN, Expr, intlit, level, sqrt, to_json
+from .precision import PrecisionContext, real_cbrt
 from .sequences import (FIBONACCI_PARAMS, LUCAS_PARAMS, HoradamParams,
                         fib, horadam, lucas)
 from .series import SeriesSpec, UNIT_WEIGHT, Weight
 
-Realish = Union[int, float, Fraction, mpf, expressions.Expr]
+Realish = Union[int, float, Fraction, mpf, Expr]
 
 
 def _as_mpf(value: Realish, ctx: PrecisionContext) -> mpf:
-    if isinstance(value, expressions.Expr):
-        return expressions.eval_expr(value, ctx)
+    if isinstance(value, Expr):
+        return eval_expr(value, ctx)
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
     return mpf(value)
@@ -202,6 +208,65 @@ def _series(a: int, x, y) -> mpf:
     return _level(a, x, y)
 
 
+# -- expression trees ----------------------------------------------------
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
+    """Evaluate ``expr`` to a real number at the context's working precision.
+
+    Raises :class:`DomainError` naming the offending subtree when a log
+    argument is nonpositive, a sqrt argument negative, or a divisor zero;
+    a level node raises as :func:`_level` does outside its window.  Cube
+    roots use the sign-preserving real branch.
+    """
+    with ctx.workdps():
+        return _eval(expr)
+
+
+def _eval(expr: Expr) -> mpf:
+    kind = expr.kind
+    if kind == "int":
+        return mpf(expr.args[0])
+    if kind == "rat":
+        frac = expr.args[0]
+        return mpf(frac.numerator) / mpf(frac.denominator)
+    if kind == "pi":
+        return +mp.pi
+    if kind == "golden_ratio":
+        return (1 + mp.sqrt(5)) / 2
+    if kind == "neg":
+        return -_eval(expr.args[0])
+    if kind == "sqrt":
+        val = _eval(expr.args[0])
+        if val < 0:
+            raise DomainError(f"sqrt of negative value {val} in {to_json(expr)}")
+        return mp.sqrt(val)
+    if kind == "cbrt":
+        return real_cbrt(_eval(expr.args[0]))
+    if kind == "log":
+        val = _eval(expr.args[0])
+        if val <= 0:
+            raise DomainError(f"log of nonpositive value {val} in {to_json(expr)}")
+        return mp.log(val)
+    if kind == "arctan":
+        return mp.atan(_eval(expr.args[0]))
+    if kind in _ARITHMETIC:
+        return _ARITHMETIC[kind](_eval(expr.args[0]), _eval(expr.args[1]))
+    if kind == "div":
+        den = _eval(expr.args[1])
+        if den == 0:
+            raise DomainError(f"division by zero in {to_json(expr)}")
+        return _eval(expr.args[0]) / den
+    if kind == "pow":
+        return _eval(expr.args[0]) ** expr.args[1]
+    if kind == "level":
+        a, x, y = expr.args
+        return _series(a, _eval(x), _eval(y))
+    raise ValueError(f"unknown expression kind {kind!r}")
+
+
 def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
     """Closed form of sum (27xy)^k / (k^2 (x+y)^{2k} C(3k,k))."""
     with ctx.workdps():
@@ -297,9 +362,21 @@ def _require(cond: bool, message: str) -> None:
 
 # The three kinds of family below each return (check, branches, argument):
 # check(params) raises InvalidParams outside the family's range;
-# branches(params, ctx) gives the (c, x, y) whose sum of c * S_a(x, y) is
-# the family's value, a branch with c = 0 not evaluated; argument(params)
-# is the exact (z, weight) of the family's series.
+# branches(params) gives the (c, x, y) whose sum of c * S_a(x, y) is the
+# family's value, c = 1, 0 or an exact tree and x, y exact trees or ints,
+# a branch with c = 0 left out of the tree; argument(params) is the exact
+# (z, weight) of the family's series.
+
+def _binet_parts(h: HoradamParams):
+    """(alpha, A, B) as trees or ints: the root alpha = (p + delta)/2 and
+    the Binet coefficients A = b - a beta, B = b - a alpha of W_n = (A
+    alpha^n - B beta^n)/delta, with delta = sqrt(p^2 + 4q)."""
+    delta = sqrt(h.p * h.p + 4 * h.q)
+    alpha = (h.p + delta) / 2
+    if not h.a:
+        return alpha, h.b, h.b
+    return alpha, h.b - h.a * ((h.p - delta) / 2), h.b - h.a * alpha
+
 
 def _recurrence(fixed: Optional[HoradamParams] = None, scale: int = 1,
                 low: int = 1, excluded: Optional[int] = None):
@@ -308,6 +385,8 @@ def _recurrence(fixed: Optional[HoradamParams] = None, scale: int = 1,
     with r != excluded."""
     def recurrence(params: TheoremParams):
         return fixed or params.horadam, scale * params.r
+
+    fixed_coeffs = _binet_parts(fixed) if fixed else None
 
     def check(params: TheoremParams) -> None:
         fam, r = params.family, params.r
@@ -320,9 +399,9 @@ def _recurrence(fixed: Optional[HoradamParams] = None, scale: int = 1,
         _require(fixed or horadam(i, h) != 0,
                  f"W_{i} = 0: series argument undefined")
 
-    def branches(params: TheoremParams, ctx: PrecisionContext):
+    def branches(params: TheoremParams):
         h, i = recurrence(params)
-        A, B, alpha = h.binet_coeffs(ctx)
+        alpha, A, B = fixed_coeffs or _binet_parts(h)
         return ((1, A * alpha ** (2 * i), -B * (-h.q) ** i),)
 
     def argument(params: TheoremParams):
@@ -349,7 +428,7 @@ def _product(pair, strict: bool = False, ordered: bool = False):
             x, y = pair(n, m)
             _require(x > y, f"{fam} needs L_n F_m > F_n L_m (got {x} <= {y})")
 
-    def branches(params: TheoremParams, ctx: PrecisionContext):
+    def branches(params: TheoremParams):
         return ((1, *pair(params.n, params.m)),)
 
     def argument(params: TheoremParams):
@@ -362,20 +441,21 @@ def _product(pair, strict: bool = False, ordered: bool = False):
 def _binet(lucas_kind: bool):
     """The S_alpha and S_beta branches of the weight F or L at m = 2p + q,
     on p <= -2, q >= 4 and q > |p| + 1."""
+    beta, inv_sqrt5 = (1 - sqrt(5)) / 2, 1 / sqrt(5)
+
     def check(params: TheoremParams) -> None:
         fam, p, q = params.family, params.p, params.q
         _require(p <= -2, f"{fam} needs p <= -2")
         _require(q >= 4, f"{fam} needs q >= 4")
         _require(q > abs(p) + 1, f"{fam} needs q > |p| + 1")
 
-    def branches(params: TheoremParams, ctx: PrecisionContext):
+    def branches(params: TheoremParams):
         p, q = params.p, params.q
-        alpha, beta = golden_ratio(ctx), golden_conjugate(ctx)
         if lucas_kind:
             c = 1
         else:  # at 2p + q = 0 every term has the weight F(0) = 0
-            c = 1 / mp.sqrt(5) if 2 * p + q else 0
-        return ((c, fib(p) * alpha ** q, -fib(p + q)),
+            c = inv_sqrt5 if 2 * p + q else 0
+        return ((c, fib(p) * GOLDEN ** q, -fib(p + q)),
                 (c if lucas_kind else -c, fib(p + q), -beta ** q * fib(p)))
 
     def argument(params: TheoremParams):
@@ -429,24 +509,33 @@ def family_names(family: str) -> tuple[str, ...]:
     return _FAMILIES[family][1]
 
 
+def theorem_expr(params: TheoremParams) -> Expr:
+    """The exact closed form of the family's series (sum of z^k w(k) /
+    (k^a C(3k,k))) at the point: c S_alpha + (-c) S_beta for two branches,
+    S for one (c = 1), each S a level node; the tree 0 when no branch is
+    left.  Raises InvalidParams when the family's constraints fail."""
+    a, _, check, branches, _ = _FAMILIES[params.family]
+    check(params)
+    # a tree c equals neither 1 nor 0
+    terms = [level(a, x, y) if c == 1 else c * level(a, x, y)
+             for c, x, y in branches(params) if c != 0]
+    return sum(terms[1:], terms[0]) if terms else intlit(0)
+
+
 def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
-    """Value of the family's series (sum of z^k w(k)/(k^a C(3k,k))).
+    """Value of the family's series, the tree of :func:`theorem_expr`.
 
     Raises InvalidParams when the family's constraints fail, and
     DomainError at a point whose series diverges (|z| > 27/4, or beyond
     the weighted radius); such points have no value, not even a formal
     one.
     """
-    level, _, check, branches, _ = _FAMILIES[params.family]
-    check(params)
-    with ctx.workdps():
-        return sum((c * _series(level, x, y)
-                    for c, x, y in branches(params, ctx) if c), mpf(0))
+    return eval_expr(theorem_expr(params), ctx)
 
 
 def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:
     """The SeriesSpec whose sum theorem_rhs evaluates in closed form."""
-    level, _, check, _, argument = _FAMILIES[params.family]
+    a, _, check, _, argument = _FAMILIES[params.family]
     check(params)
     z, weight = argument(params)
-    return SeriesSpec(z, level, weight, params.describe())
+    return SeriesSpec(z, a, weight, params.describe())

@@ -1,28 +1,22 @@
-"""Exact closed-form expression trees and their high-precision evaluation.
+"""Exact closed-form expression trees and their JSON form.
 
 An :class:`Expr` is a small immutable AST over integers, rationals, pi,
-the golden ratio, square/cube roots, log, arctan and arithmetic.  It is
-the exchange format for every right-hand side the catalog stores: trees
-serialize to nested JSON objects ``{"kind": ..., "args": [...]}`` with
-big integers and rationals rendered as decimal strings, so a catalog can
-be re-evaluated at any precision without loss.
+the golden ratio, square/cube roots, log, arctan, arithmetic and the
+closed-form level ``level(a, x, y)``, the sum of z^k/(k^a C(3k,k)) at
+z = 27xy/(x+y)^2.  It is every right-hand side the catalog stores:
+trees serialize to nested JSON objects ``{"kind": ..., "args": [...]}``
+with big integers, rationals, exponents and level exponents rendered as
+decimal strings, so a catalog can be re-evaluated at any precision
+without loss.  :func:`~.closed_forms.eval_expr` evaluates a tree.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
-
-from mpmath import mp, mpf
-
-from .errors import DomainError
-from .precision import PrecisionContext, real_cbrt
 
 _UNARY_KINDS = frozenset({"sqrt", "cbrt", "log", "arctan", "neg"})
 _BINARY_KINDS = frozenset({"add", "sub", "mul", "div"})
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def _operator(kind: str, reflected: bool = False):
@@ -98,56 +92,9 @@ def arctan(child) -> Expr:
     return Expr("arctan", (_coerce(child),))
 
 
-# -- evaluation --------------------------------------------------------
-
-def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
-    """Evaluate ``expr`` to a real number at the context's working precision.
-
-    Raises :class:`DomainError` naming the offending subtree when a log
-    argument is nonpositive, a sqrt argument negative, or a divisor zero.
-    Cube roots use the sign-preserving real branch.
-    """
-    with ctx.workdps():
-        return _eval(expr)
-
-
-def _eval(expr: Expr) -> mpf:
-    kind = expr.kind
-    if kind == "int":
-        return mpf(expr.args[0])
-    if kind == "rat":
-        frac = expr.args[0]
-        return mpf(frac.numerator) / mpf(frac.denominator)
-    if kind == "pi":
-        return +mp.pi
-    if kind == "golden_ratio":
-        return (1 + mp.sqrt(5)) / 2
-    if kind == "neg":
-        return -_eval(expr.args[0])
-    if kind == "sqrt":
-        val = _eval(expr.args[0])
-        if val < 0:
-            raise DomainError(f"sqrt of negative value {val} in {to_json(expr)}")
-        return mp.sqrt(val)
-    if kind == "cbrt":
-        return real_cbrt(_eval(expr.args[0]))
-    if kind == "log":
-        val = _eval(expr.args[0])
-        if val <= 0:
-            raise DomainError(f"log of nonpositive value {val} in {to_json(expr)}")
-        return mp.log(val)
-    if kind == "arctan":
-        return mp.atan(_eval(expr.args[0]))
-    if kind in _ARITHMETIC:
-        return _ARITHMETIC[kind](_eval(expr.args[0]), _eval(expr.args[1]))
-    if kind == "div":
-        den = _eval(expr.args[1])
-        if den == 0:
-            raise DomainError(f"division by zero in {to_json(expr)}")
-        return _eval(expr.args[0]) / den
-    if kind == "pow":
-        return _eval(expr.args[0]) ** expr.args[1]
-    raise ValueError(f"unknown expression kind {kind!r}")
+def level(a: int, x, y) -> Expr:
+    """The level-a closed form at the pair (x, y), in either order."""
+    return Expr("level", (a, _coerce(x), _coerce(y)))
 
 
 # -- canonical JSON form ----------------------------------------------
@@ -164,6 +111,9 @@ def to_json(expr: Expr) -> dict:
         return {"kind": kind, "args": []}
     if kind == "pow":
         return {"kind": "pow", "args": [to_json(expr.args[0]), str(expr.args[1])]}
+    if kind == "level":
+        a, x, y = expr.args
+        return {"kind": "level", "args": [str(a), to_json(x), to_json(y)]}
     return {"kind": kind, "args": [to_json(arg) for arg in expr.args]}
 
 
@@ -179,6 +129,12 @@ def from_json(obj: dict) -> Expr:
         return Expr(kind)
     if kind == "pow":
         return Expr("pow", (from_json(args[0]), int(args[1])))
+    if kind == "level":
+        if len(args) != 3:
+            raise ValueError(f"level takes 3 args (a, x, y), got {len(args)}")
+        if args[0] not in ("0", "1", "2"):
+            raise ValueError(f"level a must be '0', '1' or '2', got {args[0]!r}")
+        return level(int(args[0]), from_json(args[1]), from_json(args[2]))
     if kind in _UNARY_KINDS:
         return Expr(kind, (from_json(args[0]),))
     if kind in _BINARY_KINDS:

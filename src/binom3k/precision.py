@@ -75,9 +75,3 @@ def golden_ratio(ctx: PrecisionContext) -> mpf:
     """The golden ratio (1 + sqrt(5)) / 2."""
     with ctx.workdps():
         return (1 + mp.sqrt(5)) / 2
-
-
-def golden_conjugate(ctx: PrecisionContext) -> mpf:
-    """The conjugate root (1 - sqrt(5)) / 2."""
-    with ctx.workdps():
-        return (1 - mp.sqrt(5)) / 2

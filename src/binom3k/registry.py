@@ -1,8 +1,8 @@
 """Catalog of concrete series identities and the family instantiator.
 
 Each :class:`IdentityRecord` pairs a left-hand :class:`~.series.SeriesSpec`
-with a right-hand side given either as an exact expression tree or as a
-bound closed-form family.  The built-in catalog is built in code by
+with a right-hand side that is an exact expression tree; a family point's
+tree is its sum of ``level`` nodes.  The built-in catalog is built in code by
 :mod:`._builtin` on first use; user catalogs are JSON files read by
 :func:`load_catalog` (which checks each stored convergence class against
 :func:`~.series.convergence_kind`) and written by :func:`save_catalog`.
@@ -12,7 +12,7 @@ Built-in records take their class from it; ids must be unique.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -20,10 +20,10 @@ from typing import Optional, Union
 from mpmath import mpf
 
 from . import expressions
-from .closed_forms import TheoremParams, theorem_lhs_spec, theorem_rhs
+from .closed_forms import (TheoremParams, eval_expr, theorem_expr,
+                           theorem_lhs_spec)
 from .errors import Binom3kError, InvalidParams
 from .precision import PrecisionContext
-from .sequences import HoradamParams
 # classify stays a name of this module: bench/spans.py times registry.classify
 from .series import (SeriesSpec, UNIT_WEIGHT, Weight,  # noqa: F401
                      classify, convergence_kind)
@@ -34,15 +34,13 @@ class IdentityRecord:
     id: str
     note: str
     lhs: SeriesSpec
-    rhs: Union[expressions.Expr, TheoremParams]
+    rhs: expressions.Expr
     validity: str
     convergence: str  # series.convergence_kind of lhs
     tags: tuple = ()
 
     def rhs_value(self, ctx: PrecisionContext) -> mpf:
-        if isinstance(self.rhs, TheoremParams):
-            return theorem_rhs(self.rhs, ctx)
-        return expressions.eval_expr(self.rhs, ctx)
+        return eval_expr(self.rhs, ctx)
 
 
 # -- (de)serialization ---------------------------------------------------
@@ -71,30 +69,7 @@ def _z_from_json(obj) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
-def _params_to_json(params: TheoremParams) -> dict:
-    obj = {"family": params.family}
-    for name in ("r", "n", "m", "p", "q"):
-        value = getattr(params, name)
-        if value is not None:
-            obj[name] = value
-    if params.horadam is not None:
-        h = params.horadam
-        obj["horadam"] = [h.p, h.q, h.a, h.b]
-    return obj
-
-
-def _params_from_json(obj: dict) -> TheoremParams:
-    horadam = HoradamParams(*obj["horadam"]) if "horadam" in obj else None
-    return TheoremParams(obj["family"],
-                         r=obj.get("r"), n=obj.get("n"), m=obj.get("m"),
-                         p=obj.get("p"), q=obj.get("q"), horadam=horadam)
-
-
 def record_to_json(record: IdentityRecord) -> dict:
-    if isinstance(record.rhs, TheoremParams):
-        rhs = {"family": _params_to_json(record.rhs)}
-    else:
-        rhs = {"expr": expressions.to_json(record.rhs)}
     return {
         "id": record.id,
         "note": record.note,
@@ -103,7 +78,7 @@ def record_to_json(record: IdentityRecord) -> dict:
             "a": record.lhs.a,
             "weight": _weight_to_json(record.lhs.weight),
         },
-        "rhs": rhs,
+        "rhs": {"expr": expressions.to_json(record.rhs)},
         "validity": record.validity,
         "convergence": record.convergence,
         "tags": list(record.tags),
@@ -127,10 +102,10 @@ def record_from_json(obj: dict) -> IdentityRecord:
     lhs = SeriesSpec(_z_from_json(lhs_obj["z"]), lhs_obj["a"],
                      _weight_from_json(lhs_obj["weight"]), label=record_id)
     rhs_obj = obj["rhs"]
-    if "family" in rhs_obj:
-        rhs = _params_from_json(rhs_obj["family"])
-    else:
-        rhs = expressions.from_json(rhs_obj["expr"])
+    if "expr" not in rhs_obj:  # such as the family rhs of older catalogs
+        raise InvalidParams(f"rhs must hold an expression tree under 'expr', "
+                            f"got keys {sorted(rhs_obj)}")
+    rhs = expressions.from_json(rhs_obj["expr"])
     return IdentityRecord(record_id, note, lhs, rhs, validity,
                           obj["convergence"], tuple(tags))
 
@@ -236,7 +211,7 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     return IdentityRecord(
         id=instance_id(params),
         note=f"instantiated family {params.describe()}",
-        lhs=lhs, rhs=params,
+        lhs=lhs, rhs=theorem_expr(params),
         validity="family constraints hold",
         convergence=kind,
         tags=("instantiated", params.family.lower()),

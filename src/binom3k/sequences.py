@@ -1,17 +1,12 @@
-"""Exact Fibonacci, Lucas and Horadam kernels with negative-index support.
-
-Everything here is integer arithmetic except the real roots of a Horadam
-recurrence.
+"""Exact Fibonacci, Lucas and Horadam kernels with negative-index support,
+all in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
-
 from .errors import InvalidParams
-from .precision import PrecisionContext
 
 
 def fib(n: int) -> int:
@@ -65,17 +60,6 @@ class HoradamParams:
                 raise InvalidParams(f"Horadam {name} must be an int, got {value!r}")
         if self.p * self.p + 4 * self.q <= 0:
             raise ValueError("p^2 + 4q must be positive (real distinct roots)")
-
-    def roots(self, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
-        """(alpha, beta, delta) with delta = sqrt(p^2 + 4q)."""
-        with ctx.workdps():
-            delta = mp.sqrt(self.p * self.p + 4 * self.q)
-            return (self.p + delta) / 2, (self.p - delta) / 2, delta
-
-    def binet_coeffs(self, ctx: PrecisionContext) -> tuple[mpf, mpf, mpf]:
-        """(A, B, alpha) with W(n) = (A alpha^n - B beta^n) / delta."""
-        alpha, beta, _ = self.roots(ctx)
-        return self.b - self.a * beta, self.b - self.a * alpha, alpha
 
 
 FIBONACCI_PARAMS = HoradamParams(1, 1, 0, 1)

@@ -21,13 +21,12 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from mpmath import mp, mpf
 
-from .closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
-                           theorem_rhs)
+from .closed_forms import A_rhs, B_rhs, C_rhs, TheoremParams, XYPair
 from .errors import Binom3kError, DomainError, InvalidParams, MaxTermsExceeded
 from .precision import PrecisionContext, context_for
 from .registry import IdentityRecord, instance_id, instantiate
@@ -136,14 +135,12 @@ def verify(record: IdentityRecord, digits: int,
 
 
 # Planned ns of a verification besides its sum (see series.plan for the
-# host): the report and digit match, and the closed form.  A family's
-# level (a cube root, an arctangent and a logarithm in fixed point) takes
-# 60 us at 25 digits and 4 ms at 1000; an expression record's closed form,
-# typically an arctangent and a logarithm in mpmath, about half that at
-# 1000 digits.
+# host): the report and digit match, and the closed form, priced as one
+# level (a cube root, an arctangent and a logarithm in fixed point): 60 us
+# at 25 digits and 4 ms at 1000.  A surd record's tree, typically an
+# arctangent and a logarithm in mpmath, costs about as much.
 _REPORT_NS = 100_000.0
 _LEVEL_NS, _LEVEL_NS_PER_DIGIT2 = 60_000.0, 4.0
-_EXPR_NS, _EXPR_NS_PER_DIGIT2 = 80_000.0, 2.2
 
 
 def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:
@@ -151,17 +148,14 @@ def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:
     scheduling; 0 for a skipped record.  Never raises for a record that
     verify accepts.
 
-    A family's closed form costs one level per branch: two for a
-    Fibonacci or Lucas weight, which Binet splits, else one.
+    A closed form costs one level per branch, read off the weight and
+    not the tree: two for a Fibonacci or Lucas weight, which Binet
+    splits, else one.
     """
     if record.convergence == "divergent_formal":
         return 0.0
-    square = digits * digits
-    if isinstance(record.rhs, TheoremParams):
-        branches = 1 if record.lhs.weight.kind == "unit" else 2
-        rhs = branches * (_LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * square)
-    else:
-        rhs = _EXPR_NS + _EXPR_NS_PER_DIGIT2 * square
+    branches = 1 if record.lhs.weight.kind == "unit" else 2
+    rhs = branches * (_LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * digits * digits)
     try:
         return _REPORT_NS + rhs + plan(record.lhs, digits, budget).cost_ns
     except MaxTermsExceeded:

@@ -2,8 +2,9 @@
 the summation kernel's integers, exact rational terms and sums, mpmath's
 nsum of a unit series, the kernel's cutoff, a proved bracket on a whole
 series read from one kernel pass, the mpf evaluation of the closed-form
-levels at (x, y), the trigonometric closed forms, and the paper's
-auxiliary Fibonacci and Lucas identities."""
+levels at (x, y), the level nodes of a tree, the trigonometric closed
+forms, the golden conjugate, and the paper's auxiliary Fibonacci and
+Lucas identities."""
 
 import math
 from fractions import Fraction
@@ -12,8 +13,9 @@ from typing import Iterator
 from mpmath import mp, mpf
 
 from binom3k import closed_forms
+from binom3k.expressions import Expr
 from binom3k.errors import DomainError, SingularInput
-from binom3k.precision import golden_conjugate, golden_ratio, real_cbrt
+from binom3k.precision import PrecisionContext, golden_ratio, real_cbrt
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, _cutoff, _cutoff_fits, _cutoff_seed,
                             _growth_constant, _kernel, _kernel_bits,
@@ -192,6 +194,21 @@ _EXACT_CHECKS = {
     "F7": lambda n, m: (lucas(n + m) + (-1) ** m * lucas(n - m), lucas(m) * lucas(n)),
     "F8": lambda n, m: (lucas(n + m) + (-1) ** (m - 1) * lucas(n - m), 5 * fib(m) * fib(n)),
 }
+
+
+def level_nodes(expr: Expr) -> list:
+    """The level nodes of an expression tree, in evaluation order."""
+    found = [expr] if expr.kind == "level" else []
+    for arg in expr.args:
+        if isinstance(arg, Expr):
+            found += level_nodes(arg)
+    return found
+
+
+def golden_conjugate(ctx: PrecisionContext) -> mpf:
+    """The conjugate root (1 - sqrt(5)) / 2."""
+    with ctx.workdps():
+        return (1 - mp.sqrt(5)) / 2
 
 
 def check_fl_identity(ident, n, m_or_r=0, ctx=None):

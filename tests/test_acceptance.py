@@ -9,7 +9,6 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
 from mpmath import mp, mpf
 
 from binom3k.closed_forms import A_rhs, TheoremParams, XYPair, theorem_rhs

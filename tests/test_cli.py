@@ -341,19 +341,32 @@ def test_verify_all_rejects_fewer_than_one_job(jobs, capsys):
     assert "jobs must be >= 1" in captured.err
 
 
-def _record(record_id, section=None, **changes):
-    """The JSON object of built-in record ``record_id``, with ``changes``
-    made to the object, to its ``lhs``, or to its family parameters."""
+def _record(record_id, **changes):
+    """The JSON object of built-in record ``record_id`` with ``changes``."""
     from binom3k.registry import record_to_json
     obj = record_to_json(get_record(builtin_catalog(), record_id))
-    part = {None: obj, "lhs": obj["lhs"], "family": obj["rhs"].get("family")}
-    part[section].update(changes)
+    obj.update(changes)
+    return obj
+
+
+def _level_args(edit):
+    """thm1-fib-r1, whose rhs is one level node, with its args edited."""
+    obj = _record("thm1-fib-r1")
+    node = obj["rhs"]["expr"]
+    assert node["kind"] == "level"
+    node["args"] = edit(node["args"])
     return obj
 
 
 @pytest.mark.parametrize("records, index, message", [
-    ([_record("thm1-fib-r1", "family", r=2.5)], 0, "r must be an int, got 2.5"),
-    ([_record("thm1-fib-r1", "family", r=True)], 0, "r must be an int, got True"),
+    ([_level_args(lambda args: ["3", *args[1:]])], 0,
+     "level a must be '0', '1' or '2', got '3'"),
+    ([_level_args(lambda args: ["2.0", *args[1:]])], 0,
+     "level a must be '0', '1' or '2', got '2.0'"),
+    ([_level_args(lambda args: args[:2])], 0,
+     "level takes 3 args (a, x, y), got 2"),
+    ([_record("thm1-fib-r1", rhs={"family": {"family": "THM1_FIB", "r": 1}})],
+     0, "rhs must hold an expression tree under 'expr', got keys ['family']"),
     ([_record("eq-italy"), _record("thm1-fib-r1", id=5)], 1,
      "id must be a string, got 5"),
     ([_record("eq-italy", tags="abc")], 0,
@@ -361,8 +374,9 @@ def _record(record_id, section=None, **changes):
     ([_record("eq-italy", tags=["a", 1])], 0, "tags must be a list of strings"),
     ([_record("eq-italy", note=None)], 0, "note must be a string, got None"),
     ([_record("eq-italy", validity=7)], 0, "validity must be a string, got 7"),
-], ids=["r-float", "r-bool", "id-int", "tags-string", "tags-int-item",
-        "note-null", "validity-int"])
+], ids=["level-a-3", "level-a-float", "level-two-args", "family-rhs",
+        "id-int", "tags-string", "tags-int-item", "note-null",
+        "validity-int"])
 @pytest.mark.parametrize("command", [["list"], ["verify-all", "--digits", "10",
                                                 "--jobs", "1"]])
 def test_a_record_field_of_the_wrong_type_is_a_usage_error(

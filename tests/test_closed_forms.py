@@ -4,12 +4,9 @@ import pytest
 from mpmath import mp, mpf, sqrt
 
 from binom3k.closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
-                                  batir_rhs, phi, theorem_lhs_spec,
+                                  batir_rhs, eval_expr, phi, theorem_lhs_spec,
                                   theorem_rhs)
 from binom3k.errors import DomainError, InvalidParams, SingularInput
-from binom3k.expressions import eval_expr
-from binom3k.precision import make_context
-from binom3k.registry import get_record
 from binom3k.sequences import HoradamParams, fib
 from binom3k.series import sum_to_digits
 from reference import trig_rhs, unit_series

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from binom3k import expressions as ex
+from binom3k.closed_forms import eval_expr
 from binom3k.precision import make_context
 
 
@@ -14,7 +15,7 @@ def ctx():
 
 def ev(expr, ctx):
     with ctx.workdps():
-        return ex.eval_expr(expr, ctx)
+        return eval_expr(expr, ctx)
 
 
 def test_cbrt_negative(ctx):
@@ -38,6 +39,13 @@ def test_pi2_over_6_value(ctx):
         reference = mp.pi ** 2 / 6 - mp.log(3) ** 2 / 2
         assert abs(ev(expr, ctx) - reference) < mpf(10) ** -38
         assert mp.nstr(reference, 11) == "1.0414595864"
+
+
+def test_a_level_node_is_written_like_pow():
+    node = ex.level(2, ex.GOLDEN ** 4, -3)
+    assert ex.to_json(node) == {"kind": "level", "args": [
+        "2", ex.to_json(ex.GOLDEN ** 4), {"kind": "int", "args": ["-3"]}]}
+    assert ex.from_json(ex.to_json(node)) == node
 
 
 def test_golden_ratio_leaf(ctx):
@@ -64,6 +72,7 @@ def test_rational_exactness(ctx):
     lambda: (ex.ratlit(Fraction(2, 3)) * ex.PI ** 2
              - ex.intlit(2) * ex.log(ex.intlit(2)) ** 2),
     lambda: (-ex.arctan(ex.sqrt(ex.intlit(3)) / ex.GOLDEN)),
+    lambda: (ex.intlit(1) / ex.sqrt(5) * ex.level(1, 8, ex.ratlit(-1, 8))),
 ])
 def test_json_round_trip(builder, ctx):
     expr = builder()

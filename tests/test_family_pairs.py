@@ -6,12 +6,15 @@ import pytest
 from mpmath import mpf
 
 from binom3k.closed_forms import (_FAMILIES, FAMILIES, TheoremParams,
-                                  batir_rhs, theorem_lhs_spec, theorem_rhs)
+                                  _as_mpf, batir_rhs, theorem_lhs_spec,
+                                  theorem_rhs)
 from binom3k.errors import DomainError, InvalidParams
-from binom3k.precision import golden_conjugate, golden_ratio, make_context
+from binom3k.expressions import intlit
+from binom3k.precision import golden_ratio, make_context
 from binom3k.registry import instantiate
 from binom3k.sequences import HoradamParams, fib, lucas
-from binom3k.series import UNIT_WEIGHT
+from binom3k.series import UNIT_WEIGHT, Weight
+from reference import golden_conjugate, level_nodes
 
 
 def _rs(values):
@@ -62,7 +65,7 @@ def test_pair_gives_the_series_argument(params, ctx30):
     spec = theorem_lhs_spec(params)
     pairs = _FAMILIES[params.family][3]
     with ctx30.workdps():
-        branches = pairs(params, ctx30)
+        branches = pairs(params)
         z = mpf(spec.z.numerator) / spec.z.denominator
         if spec.weight.kind == "unit":
             expected = [z]
@@ -72,9 +75,23 @@ def test_pair_gives_the_series_argument(params, ctx30):
                         z * golden_conjugate(ctx30) ** m]
         assert len(branches) == len(expected)
         for (_, x, y), want in zip(branches, expected):
-            x, y = mpf(x), mpf(y)
+            x, y = _as_mpf(x, ctx30), _as_mpf(y, ctx30)
             got = 27 * x * y / (x + y) ** 2
             assert abs(got - want) <= mpf(10) ** -(ctx30.working_digits - 5)
+
+
+@pytest.mark.parametrize("params", _POINTS, ids=TheoremParams.describe)
+def test_a_point_is_one_level_node_per_branch(params):
+    record = instantiate(params.family, params)
+    nodes = level_nodes(record.rhs)
+    weight = record.lhs.weight
+    if weight.kind == "unit":
+        assert nodes == [record.rhs]
+    elif weight == Weight("fib", 0):  # 2p + q = 0
+        assert record.rhs == intlit(0)
+    else:
+        assert len(nodes) == 2
+    assert all(node.args[0] == record.lhs.a for node in nodes)
 
 
 @pytest.mark.parametrize("family", ["THM3_V2", "THM3_V3"])

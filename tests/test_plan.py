@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from binom3k import verifier
-from binom3k.closed_forms import TheoremParams
 from binom3k.errors import MaxTermsExceeded, NotGeometric, Unsupported
 from binom3k.precision import make_context
 from binom3k.series import (DIVERGES, Plan, SeriesSpec, Weight, plan,
@@ -36,13 +35,11 @@ def test_one_record_per_method_is_pinned(record_of, record_id, digits):
 
 
 def _rhs_ns(record, digits):
-    """The closed form's share of verifier.planned_cost."""
-    square = digits * digits
-    if isinstance(record.rhs, TheoremParams):
-        branches = 1 if record.lhs.weight.kind == "unit" else 2
-        return branches * (verifier._LEVEL_NS
-                           + verifier._LEVEL_NS_PER_DIGIT2 * square)
-    return verifier._EXPR_NS + verifier._EXPR_NS_PER_DIGIT2 * square
+    """The closed form's share of verifier.planned_cost: one level per
+    branch, two for a Fibonacci or Lucas weight."""
+    branches = 1 if record.lhs.weight.kind == "unit" else 2
+    return branches * (verifier._LEVEL_NS
+                       + verifier._LEVEL_NS_PER_DIGIT2 * digits * digits)
 
 
 @pytest.mark.parametrize("digits", [30, 100, 1000])

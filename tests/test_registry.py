@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from binom3k.closed_forms import TheoremParams
+from binom3k.closed_forms import TheoremParams, theorem_expr
 from binom3k.errors import InvalidParams
-from binom3k.registry import (IdentityRecord, builtin_catalog, get_record,
+from binom3k.expressions import Expr
+from binom3k.registry import (builtin_catalog, get_record,
                               instantiate, load_catalog, record_from_json,
                               record_to_json, save_catalog,
                               scan_perfect_square)
 from binom3k.sequences import HoradamParams
+from binom3k.verifier import verify_all
 
 
 def count_tag(catalog, tag):
@@ -73,6 +75,22 @@ def test_save_and_load(tmp_path, catalog):
     assert back == catalog
 
 
+def test_a_saved_catalog_verifies_as_the_built_in_one(tmp_path, catalog):
+    path = tmp_path / "catalog.json"
+    save_catalog(catalog, path)
+    loaded = load_catalog(path)
+    assert all(isinstance(r.rhs, Expr) for r in catalog + loaded)
+
+    def fields(reports):
+        return [(r.identity_id, r.status, r.matched_digits, r.terms_used,
+                 r.lhs_value, r.rhs_value, r.tail, r.detail)
+                for r in reports]
+
+    want = fields(verify_all(catalog, 30)["reports"])
+    assert len(want) == 73
+    assert fields(verify_all(loaded, 30, jobs=2)["reports"]) == want
+
+
 def test_load_rejects_wrong_convergence(tmp_path, catalog):
     objs = [record_to_json(r) for r in catalog[:3]]
     objs[0]["convergence"] = "geometric" \
@@ -119,7 +137,8 @@ def test_instantiate_horadam():
                            horadam=HoradamParams(2, 1, 0, 1))
     record = instantiate("HORADAM_A2", params)
     assert record.convergence == "geometric"
-    assert record.rhs == params
+    assert isinstance(record.rhs, Expr)
+    assert record.rhs == theorem_expr(params)
 
 
 def test_builtin_records_are_classified_once(monkeypatch):
