@@ -3,7 +3,7 @@
 :func:`build_records` is the one source of the 73 built-in records;
 :func:`~.registry.builtin_catalog` calls it on first use.  Expression
 records carry the exact expression tree of every surd form; family
-records carry the tree of :func:`~.closed_forms.theorem_expr`, a sum of
+records carry the tree of :func:`~.closed_forms.theorem_point`, a sum of
 ``level`` nodes.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from .closed_forms import TheoremParams, theorem_expr, theorem_lhs_spec
+from .closed_forms import TheoremParams, theorem_point
 from .expressions import GOLDEN, PI, arctan, cbrt, log, ratlit, sqrt
 from .registry import IdentityRecord
 from .series import SeriesSpec, convergence_kind
@@ -240,7 +240,7 @@ def _trig_records():
 
 
 def _family_record(rid, note, params, tags):
-    return _record(rid, note, theorem_lhs_spec(params), theorem_expr(params),
+    return _record(rid, note, *theorem_point(params),
                    "family constraints hold", tags)
 
 

@@ -5,10 +5,10 @@ auxiliary phi(z).  The substitution z = 27xy/(x+y)^2 turns it into the
 homogeneous two-parameter form A(x, y) (exponent a = 2); differentiating
 in x lowers the exponent of k and gives B (a = 1) and C (a = 0).  Each
 level is homogeneous of degree 0, so it depends on the ratio t = y/x
-alone.  One evaluator, :func:`_level`, takes one cube root u = cbrt t,
-one arctangent and one logarithm and does the rest of the algebra in
-fixed-point integers, within 2^-prec max(1, |value|); every closed form
-in this module is a choice of (x, y) fed to it.  The right column names
+alone.  One core, :func:`_level`, takes one cube root u = cbrt t, one
+arctangent and one logarithm and does the rest of the algebra in
+fixed-point integers; every closed form in this module is a choice of
+(x, y) fed to it.  The right column names
 the identity that gives x + y: the paper's auxiliary identities F1-F8,
 Lemmas 1 and 2, and Binet's formula:
 
@@ -47,29 +47,57 @@ gives exactly 0; a pair left outside the window is a divergent series and
 raises :class:`~.errors.DomainError`.
 
 A family point's closed form is an exact :class:`~.expressions.Expr`
-(:func:`theorem_expr`): the sum of c S_a(x, y) over its branches, each
+(:func:`theorem_point`): the sum of c S_a(x, y) over its branches, each
 S_a a ``level(a, x, y)`` node.  :func:`eval_expr` is the one evaluator of
-every tree, the catalog's surd forms included, and of its level nodes.
-Every evaluator returns an mpf at the context's working precision; the
-matching left-hand :class:`~.series.SeriesSpec` of a family comes from
-:func:`theorem_lhs_spec`.
+every tree, the catalog's surd forms included.  It walks the tree once
+over integers v that stand for v 2^-W, W = prec + 20 bits at the working
+precision prec: ``int`` and ``rat`` leaves exact up to a floor, + - x /
+and integer powers on integers, sqrt by ``isqrt``, cbrt, log, arctan and
+pi through mpmath's raw ``mpf_*`` functions at W bits, and each level
+node's integers (x, y) into :func:`_level` at the same W, which reads
+only their ratio.  The result is rounded to an mpf once.  :func:`phi`,
+:func:`batir_rhs` and :func:`A_rhs`, :func:`B_rhs`, :func:`C_rhs` convert
+their inputs once and go the same way.
+
+Error bound.  Each step of the walk errs by at most one unit of 2^-W
+times max(1, |result|) (a floor, or one mpmath rounding; a power one per
+product of its binary powering), plus what it passes on of its operands'
+errors: their sum for + and -, the errors scaled by the other factor for
+x, by 1/|den| for /, by n |x|^(n-1) for x^n, by the derivative for a
+root, log or arctan, and by about 10/|x| at a level node whose larger
+coordinate is x, whose core adds 2^12 max(1, |value|) units.  Such a
+factor exceeds 2^12 only where a divisor, a root or log argument, a
+level's larger coordinate, or the smaller factor of a product whose
+larger factor exceeds 2^12, lies below 2^-12 in magnitude.  A walk that
+meets one starts again with W wider by the bits that value lacks (about
+twice as wide at a value that reads 0), so that the factor stays below
+2^12 at the first W; at most three times, as a fourth walk checks
+nothing, and a divisor that reads 0 there is a division by zero, as a
+log argument <= 0 or a sqrt argument < 0 raises; a power beyond 2^(2^20)
+in magnitude, which the walk would hold as an integer of that many bits,
+raises DomainError too.  Before its rounding every catalog record and
+sweep-grid point is within 2^(8 - W) max(1, |v|) (at most 24 units,
+measured at 25, 100 and 1000 digits), so the mpf result is within 2^(1 -
+prec) max(1, |v|): the bound is absolute below 1, as is every sum of
+:mod:`.series`.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_atan, mpf_cbrt,
-                          mpf_div, mpf_log, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, mpf_atan, mpf_cbrt, mpf_log,
+                          phi_fixed, pi_fixed, round_nearest, to_fixed)
 
 from .errors import DomainError, InvalidParams, SingularInput
-from .expressions import GOLDEN, Expr, intlit, level, sqrt, to_json
-from .precision import PrecisionContext, real_cbrt
+from .expressions import (GOLDEN, Expr, cbrt, intlit, level, ratlit, sqrt,
+                          to_json)
+from .precision import PrecisionContext
 from .sequences import (FIBONACCI_PARAMS, LUCAS_PARAMS, HoradamParams,
                         fib, horadam, lucas)
 from .series import SeriesSpec, UNIT_WEIGHT, Weight
@@ -85,7 +113,7 @@ def _as_mpf(value: Realish, ctx: PrecisionContext) -> mpf:
     return mpf(value)
 
 
-# -- the level evaluator --------------------------------------------------
+# -- the level core -------------------------------------------------------
 
 @dataclass(frozen=True)
 class XYPair:
@@ -103,13 +131,20 @@ class XYPair:
             return _as_mpf(self.x, ctx), _as_mpf(self.y, ctx)
 
 
-# Guard bits of the level evaluator's fixed point: its error stays below
-# 2^(12 - W) = 2^-8 ulp of the working precision (see _level).
+# Guard bits of every fixed-point evaluation: W = prec + _GUARD_BITS, and
+# the errors stay below 2^(12 - W) = 2^-8 ulp of the working precision.
 _GUARD_BITS = 20
 
 
-def _level(a: int, x: mpf, y: mpf) -> mpf:
-    """A (a = 2), B (a = 1) or C (a = 0) at (x, y) in the window.
+def _outside(a: int, ratio: mpf) -> DomainError:
+    bound = ">" if a < 2 else ">="
+    return DomainError(f"x/y = {ratio} outside validity window "
+                       f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
+
+
+def _level(a: int, x: int, y: int, w: int) -> int:
+    """A (a = 2), B (a = 1) or C (a = 0) at the integer pair (x, y), any
+    common scale, in the window: the value times 2^w, floored.
 
     Every level is homogeneous of degree 0 in (x, y), so it depends only
     on the ratio t = y/x and on u = cbrt t.  At x = 1 the levels read
@@ -122,20 +157,21 @@ def _level(a: int, x: mpf, y: mpf) -> mpf:
 
     The window x/y >= 1 (strict at a < 2) or x/y <= -(sqrt2 + 1)^2 is
     t in (0, 1] or t in [-(3 - 2 sqrt2) / (1 - eps), 0), where eps =
-    10^(5 - dps) absorbs the roundoff of a pair computed on the lower end.
-    That end is tested in integers: s = |t| (1 - eps) lies at or below
-    3 - 2 sqrt2, the smaller root of s^2 - 6s + 1, iff s < 1 and
-    s^2 - 6s + 1 >= 0.
+    10^(5 - dps) at the working dps absorbs the roundoff of a pair
+    computed on the lower end.  That end is tested in integers: s = |t|
+    (1 - eps) lies at or below 3 - 2 sqrt2, the smaller root of s^2 - 6s +
+    1, iff s < 1 and s^2 - 6s + 1 >= 0.
 
-    The evaluation works in W = prec + _GUARD_BITS bit fixed point: t is
-    one mpf division, u one cube root, at and lg one mpf_atan and one
-    mpf_log of fixed-point arguments, and sqrt3 is isqrt(3 * 4^W).  Only
-    the factor 1 - t, small near t = 1, stays in floating point as
-    (x - y)/x, so B and C keep their relative accuracy there.
+    The evaluation works in w-bit fixed point: t is one floor division
+    of the integers, u one cube root of |t| read to w significant bits, at
+    and lg one mpf_atan and one mpf_log of fixed-point arguments, and
+    sqrt3 is isqrt(3 * 4^w).  The factor 1 - t, small near t = 1, is the
+    exact (x - y)/x, and B and C divide by its powers in integers, so they
+    keep their relative accuracy there.
 
-    Error budget, in units of 2^-W.  A floor costs 1 unit and a rounded
+    Error budget, in units of 2^-w.  A floor costs 1 unit and a rounded
     mpf step one ulp of its result, at most 4 units as every such result
-    is below 4 in magnitude; so t is within 2 units, u within 3 and sqrt3
+    is below 4 in magnitude; so t is within 1 unit, u within 3 and sqrt3
     within 1.  In the window 2 - u >= 1 bounds the slope of the atan
     argument in u by 2 sqrt3 < 3.5, so at is within 16 units.  1 + u >=
     0.44 bounds the slope of lg in u by 3/0.44 < 7, 1 + t > 0.82 its
@@ -145,72 +181,110 @@ def _level(a: int, x: mpf, y: mpf) -> mpf:
     within 2^8 and 2^9 units.  Dividing by (1 - t)^k at most doubles that
     per power where t <= 1/2; where t > 1/2 the numerators exceed 3, so
     their relative error stays below 2^7 units.  B is thus within
-    2^9 max(1, |B|) units and C within 2^12 max(1, |C|).  Before its
-    final rounding to prec bits every value is within 2^(12 - W) max(1,
-    |value|) = 2^-8 2^-prec max(1, |value|), far inside the 26 guard
-    digits.
+    2^9 max(1, |B|) units and C within 2^12 max(1, |C|): every value is
+    within 2^(12 - w) max(1, |value|).
     """
     if a < 2 and x == y:
         raise SingularInput(f"the a = {a} level is singular at x = y")
     if y == 0:
         raise DomainError("y must be nonzero")
-    w = mp.prec + _GUARD_BITS
     one = 1 << w
-    t = mpf_div(y._mpf_, x._mpf_, w) if x else fzero
-    tf = to_fixed(t, w)
-    if not t[1]:  # x = 0, or x or y is not finite
+    tf = (y << w) // x if x else 0
+    if not x:
         inside = False
-    elif t[0]:  # t < 0
+    elif tf < 0:
         n = 10 ** (mp.dps - 5)  # 1/eps
         s = -tf * (n - 1) // n
         inside = s < one and s * s - 6 * s * one + one * one >= 0
     else:
         inside = tf < one or (tf == one and a == 2)
     if not inside:
-        bound = ">" if a < 2 else ">="
-        raise DomainError(
-            f"x/y = {x / y} outside validity window "
-            f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
-    u = to_fixed(mpf_cbrt(mpf_abs(t), w), w)
-    if t[0]:
+        raise _outside(a, mpf(x) / mpf(y))
+    shift = w + abs(x).bit_length() - abs(y).bit_length()  # >= w - 1
+    u = to_fixed(mpf_cbrt(from_man_exp((abs(y) << shift) // abs(x), -shift),
+                          w), w)
+    if tf < 0:
         u = -u
-    s3 = isqrt(3 << 2 * w)
+    s3 = _sqrt3(w)
     at = to_fixed(mpf_atan(from_man_exp(s3 * u // (2 * one - u), -w), w), w)
     lg = to_fixed(mpf_log(from_man_exp(
         ((one + tf) << 3 * w) // (one + u) ** 3, -w), w), w)
     if a == 2:
-        value = (6 * at * at - (lg * lg >> 1)) >> w
-    else:
-        # 1 - t = man 2^exp with exp < 0, as 0 < 1 - t < 2 is no integer
-        _, man, exp, _ = mpf_div(mpf_sub(x._mpf_, y._mpf_, w), x._mpf_, w)
-        if a == 1:
-            num = u * ((2 * s3 * (one + u) >> w) * at + (one - u) * lg) >> 2 * w
-            value = (num << -exp) // man
-        else:
-            u2, tu = u * u >> w, tf * u >> w
-            c_at = (2 * u * (one + u2) >> w) + one + tu
-            c_lg = (2 * u * (one - u2) >> w) - one + tu
-            bracket = (2 * s3 * c_at >> w) * at - c_lg * lg
-            num = (u * (one + tf) * bracket >> 3 * w) // 3
-            value = ((num << -3 * exp) // man ** 3
-                     + (4 * tf << -2 * exp) // man ** 2)
+        return (6 * at * at - (lg * lg >> 1)) >> w
+    if a == 1:
+        num = u * ((2 * s3 * (one + u) >> w) * at + (one - u) * lg) >> 2 * w
+        return num * x // (x - y)
+    u2, tu = u * u >> w, tf * u >> w
+    c_at = (2 * u * (one + u2) >> w) + one + tu
+    c_lg = (2 * u * (one - u2) >> w) - one + tu
+    bracket = (2 * s3 * c_at >> w) * at - c_lg * lg
+    num = (u * (one + tf) * bracket >> 3 * w) // 3
+    return num * x ** 3 // (x - y) ** 3 + (4 * x * y << w) // (x - y) ** 2
+
+
+@functools.lru_cache(maxsize=8)
+def _sqrt3(w: int) -> int:
+    """floor(sqrt3 2^w)."""
+    return isqrt(3 << 2 * w)
+
+
+def _to_mpf(value: int, w: int) -> mpf:
+    """value 2^-w rounded to the working precision."""
     return mp.make_mpf(from_man_exp(value, -w, mp.prec, round_nearest))
 
 
-def _series(a: int, x, y) -> mpf:
-    """Sum of z^k/(k^a C(3k,k)) at z = 27xy/(x+y)^2, the pair in either
-    order; exactly 0 at z = 0."""
-    x, y = mpf(x), mpf(y)
-    if x * y == 0:
-        return mpf(0)
-    if abs(x) < abs(y):
-        x, y = y, x
-    return _level(a, x, y)
+def _pair_level(a: int, pair: XYPair, ctx: PrecisionContext) -> mpf:
+    """The level-a value at the pair as given, unswapped, read as mpf
+    values at the working precision and scaled exactly to integers."""
+    with ctx.workdps():
+        x, y = pair.values(ctx)
+        if not (mp.isfinite(x) and mp.isfinite(y)):
+            raise _outside(a, x / y)
+        (xs, xm, xe, _), (ys, ym, ye, _) = x._mpf_, y._mpf_
+        e = min(xe, ye)
+        w = mp.prec + _GUARD_BITS
+        return _to_mpf(_level(a, (-1) ** xs * xm << xe - e,
+                              (-1) ** ys * ym << ye - e, w), w)
+
+
+def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
+    """Closed form of sum (27xy)^k / (k^2 (x+y)^{2k} C(3k,k))."""
+    return _pair_level(2, pair, ctx)
+
+
+def B_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
+    """Closed form at exponent a = 1 (one x-derivative below A)."""
+    return _pair_level(1, pair, ctx)
+
+
+def C_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
+    """Closed form at exponent a = 0 (two x-derivatives below A)."""
+    return _pair_level(0, pair, ctx)
 
 
 # -- expression trees ----------------------------------------------------
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+# A value below 2^-_SMALL_BITS that the walk divides by, roots, takes the
+# log of, multiplies a factor above 2^_SMALL_BITS by, or takes as a level's
+# larger coordinate costs the walk more than that many of its guard bits.
+_SMALL_BITS = 12
+# walks at a growing W before one that checks no value
+_PASSES = 4
+# a power whose magnitude would pass 2^_MAX_BITS is refused, as the walk
+# would hold it as an integer of that many bits
+_MAX_BITS = 1 << 20
+
+
+class _Wider(Exception):
+    """A walk met a value too small for its W; args[0] more bits suffice."""
+
+
+def _need(value: int, low: int) -> None:
+    """Raise _Wider when the integer ``value`` has fewer than ``low`` bits,
+    asking for the bits it lacks and _SMALL_BITS to spare."""
+    bits = value.bit_length()
+    if bits < low:
+        raise _Wider(low - bits + _SMALL_BITS)
 
 
 def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
@@ -222,88 +296,128 @@ def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
     roots use the sign-preserving real branch.
     """
     with ctx.workdps():
-        return _eval(expr)
+        w = mp.prec + _GUARD_BITS
+        low = w - _SMALL_BITS  # the bits of 2^-_SMALL_BITS at the first W
+        for _ in range(_PASSES - 1):
+            try:
+                return _to_mpf(_walk(expr, w, low), w)
+            except _Wider as wider:
+                w += wider.args[0]
+        return _to_mpf(_walk(expr, w, 0), w)
 
 
-def _eval(expr: Expr) -> mpf:
-    kind = expr.kind
+def _walk(expr: Expr, w: int, low: int) -> int:
+    """The value of ``expr`` times 2^w, as an integer; _Wider when a
+    sensitive value has fewer than ``low`` bits (see the module docstring)."""
+    kind, args = expr.kind, expr.args
     if kind == "int":
-        return mpf(expr.args[0])
+        return args[0] << w
+    if kind == "mul":
+        x, y = _walk(args[0], w, low), _walk(args[1], w, low)
+        big, small = x.bit_length(), y.bit_length()
+        if big < small:
+            big, small = small, big
+        # |small| < 2^(low - w) and |big| > 2^(w - low)
+        if small < low and big > 2 * w - low:
+            raise _Wider(min(low - small, big - 2 * w + low) + _SMALL_BITS)
+        return x * y >> w
+    if kind == "add":
+        return _walk(args[0], w, low) + _walk(args[1], w, low)
+    if kind == "sub":
+        return _walk(args[0], w, low) - _walk(args[1], w, low)
     if kind == "rat":
-        frac = expr.args[0]
-        return mpf(frac.numerator) / mpf(frac.denominator)
-    if kind == "pi":
-        return +mp.pi
-    if kind == "golden_ratio":
-        return (1 + mp.sqrt(5)) / 2
-    if kind == "neg":
-        return -_eval(expr.args[0])
-    if kind == "sqrt":
-        val = _eval(expr.args[0])
-        if val < 0:
-            raise DomainError(f"sqrt of negative value {val} in {to_json(expr)}")
-        return mp.sqrt(val)
-    if kind == "cbrt":
-        return real_cbrt(_eval(expr.args[0]))
-    if kind == "log":
-        val = _eval(expr.args[0])
-        if val <= 0:
-            raise DomainError(f"log of nonpositive value {val} in {to_json(expr)}")
-        return mp.log(val)
-    if kind == "arctan":
-        return mp.atan(_eval(expr.args[0]))
-    if kind in _ARITHMETIC:
-        return _ARITHMETIC[kind](_eval(expr.args[0]), _eval(expr.args[1]))
+        frac = args[0]
+        return (frac.numerator << w) // frac.denominator
     if kind == "div":
-        den = _eval(expr.args[1])
+        den = _walk(args[1], w, low)
+        _need(den, low)
         if den == 0:
             raise DomainError(f"division by zero in {to_json(expr)}")
-        return _eval(expr.args[0]) / den
+        return (_walk(args[0], w, low) << w) // den
     if kind == "pow":
-        return _eval(expr.args[0]) ** expr.args[1]
+        square, n = _walk(args[0], w, low), args[1]
+        # |x| < 2^(bits - w) and, at n < 0, 1/|x| <= 2^(w + 1 - bits)
+        if n * (square.bit_length() - w - (n < 0)) > _MAX_BITS:
+            raise DomainError(f"power too large in {to_json(expr)}")
+        power, k = 1 << w, abs(n)
+        while k:  # binary powering, every product floored to scale 2^w
+            if k & 1:
+                power = power * square >> w
+            k >>= 1
+            if k:
+                square = square * square >> w
+        if n >= 0:
+            return power
+        _need(power, low)
+        if power == 0:
+            raise DomainError(f"division by zero in {to_json(expr)}")
+        return (1 << 2 * w) // power
     if kind == "level":
-        a, x, y = expr.args
-        return _series(a, _eval(x), _eval(y))
+        x, y = _walk(args[1], w, low), _walk(args[2], w, low)
+        if abs(x) < abs(y):
+            x, y = y, x
+        _need(x, low)
+        return _level(args[0], x, y, w) if y else 0
+    if kind == "neg":
+        return -_walk(args[0], w, low)
+    if kind == "sqrt":
+        val = _walk(args[0], w, low)
+        _need(val, low)
+        if val < 0:
+            raise DomainError(f"sqrt of negative value {_to_mpf(val, w)} "
+                              f"in {to_json(expr)}")
+        return isqrt(val << w)
+    if kind == "cbrt":
+        val = _walk(args[0], w, low)
+        _need(val, low)
+        root = to_fixed(mpf_cbrt(from_man_exp(abs(val), -w), w), w)
+        return -root if val < 0 else root
+    if kind == "log":
+        val = _walk(args[0], w, low)
+        _need(val, low)
+        if val <= 0:
+            raise DomainError(f"log of nonpositive value {_to_mpf(val, w)} "
+                              f"in {to_json(expr)}")
+        return to_fixed(mpf_log(from_man_exp(val, -w), w), w)
+    if kind == "arctan":
+        return to_fixed(mpf_atan(from_man_exp(_walk(args[0], w, low), -w),
+                                 w), w)
+    if kind == "pi":
+        return pi_fixed(w)
+    if kind == "golden_ratio":
+        return phi_fixed(w)
     raise ValueError(f"unknown expression kind {kind!r}")
-
-
-def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """Closed form of sum (27xy)^k / (k^2 (x+y)^{2k} C(3k,k))."""
-    with ctx.workdps():
-        return _level(2, *pair.values(ctx))
-
-
-def B_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """Closed form at exponent a = 1 (one x-derivative below A)."""
-    with ctx.workdps():
-        return _level(1, *pair.values(ctx))
-
-
-def C_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """Closed form at exponent a = 0 (two x-derivatives below A)."""
-    with ctx.workdps():
-        return _level(0, *pair.values(ctx))
 
 
 # -- phi and the base closed form ---------------------------------------
 
-def phi(z: Realish, ctx: PrecisionContext) -> mpf:
-    """Cube-root auxiliary: real cbrt of (27 - 2z + 3 sqrt(81-12z)) / (2z)."""
+def _phi_expr(z: Realish, ctx: PrecisionContext) -> Expr:
+    """The tree of phi(z) at z read once as an exact rational: a tree
+    evaluated, an mpf or float taken at its binary value."""
     with ctx.workdps():
         zv = _as_mpf(z, ctx)
-        if zv == 0:
+        if not mp.isfinite(zv):
+            raise DomainError(f"phi needs a finite z, got z = {zv}")
+        sign, man, exp, _ = zv._mpf_
+        q = (Fraction(z) if isinstance(z, (int, Fraction))
+             else Fraction((-1) ** sign * man) * Fraction(2) ** exp)
+        if q == 0:
             raise DomainError("phi is undefined at z = 0")
-        rad = 81 - 12 * zv
-        if rad < 0:
+        if 81 - 12 * q < 0:
             raise DomainError(f"phi needs z <= 27/4, got z = {zv}")
-        return real_cbrt((27 - 2 * zv + 3 * mp.sqrt(rad)) / (2 * zv))
+    return cbrt((ratlit(27 - 2 * q) + 3 * sqrt(ratlit(81 - 12 * q)))
+                / ratlit(2 * q))
+
+
+def phi(z: Realish, ctx: PrecisionContext) -> mpf:
+    """Cube-root auxiliary: real cbrt of (27 - 2z + 3 sqrt(81-12z)) / (2z)."""
+    return eval_expr(_phi_expr(z, ctx), ctx)
 
 
 def batir_rhs(z: Realish, ctx: PrecisionContext) -> mpf:
     """6 arctan^2(sqrt3/(2 phi - 1)) - log^2((phi^3+1)/(phi+1)^3) / 2,
     the a = 2 level at (phi^3, 1)."""
-    with ctx.workdps():
-        return _series(2, phi(z, ctx) ** 3, 1)
+    return eval_expr(level(2, _phi_expr(z, ctx) ** 3, 1), ctx)
 
 
 # -- parameterized theorem families -------------------------------------
@@ -509,17 +623,27 @@ def family_names(family: str) -> tuple[str, ...]:
     return _FAMILIES[family][1]
 
 
-def theorem_expr(params: TheoremParams) -> Expr:
-    """The exact closed form of the family's series (sum of z^k w(k) /
-    (k^a C(3k,k))) at the point: c S_alpha + (-c) S_beta for two branches,
-    S for one (c = 1), each S a level node; the tree 0 when no branch is
-    left.  Raises InvalidParams when the family's constraints fail."""
-    a, _, check, branches, _ = _FAMILIES[params.family]
+def theorem_point(params: TheoremParams) -> tuple[SeriesSpec, Expr]:
+    """The point's series and its exact closed form, the family's range
+    checked once: raises InvalidParams when its constraints fail.
+
+    The series is the SeriesSpec of sum z^k w(k) / (k^a C(3k,k)); the
+    closed form is c S_alpha + (-c) S_beta for two branches, S for one
+    (c = 1), each S a level node, and the tree 0 when no branch is left.
+    """
+    a, _, check, branches, argument = _FAMILIES[params.family]
     check(params)
+    z, weight = argument(params)
     # a tree c equals neither 1 nor 0
     terms = [level(a, x, y) if c == 1 else c * level(a, x, y)
              for c, x, y in branches(params) if c != 0]
-    return sum(terms[1:], terms[0]) if terms else intlit(0)
+    tree = sum(terms[1:], terms[0]) if terms else intlit(0)
+    return SeriesSpec(z, a, weight, params.describe()), tree
+
+
+def theorem_expr(params: TheoremParams) -> Expr:
+    """The exact closed form of :func:`theorem_point`."""
+    return theorem_point(params)[1]
 
 
 def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
@@ -535,7 +659,4 @@ def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
 
 def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:
     """The SeriesSpec whose sum theorem_rhs evaluates in closed form."""
-    a, _, check, _, argument = _FAMILIES[params.family]
-    check(params)
-    z, weight = argument(params)
-    return SeriesSpec(z, a, weight, params.describe())
+    return theorem_point(params)[0]

@@ -7,7 +7,8 @@ z = 27xy/(x+y)^2.  It is every right-hand side the catalog stores:
 trees serialize to nested JSON objects ``{"kind": ..., "args": [...]}``
 with big integers, rationals, exponents and level exponents rendered as
 decimal strings, so a catalog can be re-evaluated at any precision
-without loss.  :func:`~.closed_forms.eval_expr` evaluates a tree.
+without loss.  :func:`~.closed_forms.eval_expr` evaluates a tree in one
+walk over fixed-point integers, rounding to an mpf once.
 """
 
 from __future__ import annotations

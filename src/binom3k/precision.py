@@ -63,14 +63,6 @@ def context_for(digits: int,
     return ctx
 
 
-def real_cbrt(x) -> mpf:
-    """Sign-preserving real cube root: real_cbrt(-x) == -real_cbrt(x)."""
-    x = mpf(x)
-    if x < 0:
-        return -mp.root(-x, 3)
-    return mp.root(x, 3)
-
-
 def golden_ratio(ctx: PrecisionContext) -> mpf:
     """The golden ratio (1 + sqrt(5)) / 2."""
     with ctx.workdps():

@@ -20,8 +20,7 @@ from typing import Optional, Union
 from mpmath import mpf
 
 from . import expressions
-from .closed_forms import (TheoremParams, eval_expr, theorem_expr,
-                           theorem_lhs_spec)
+from .closed_forms import TheoremParams, eval_expr, theorem_point
 from .errors import Binom3kError, InvalidParams
 from .precision import PrecisionContext
 # classify stays a name of this module: bench/spans.py times registry.classify
@@ -203,7 +202,7 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     must be a point of ``family``."""
     if params.family != family:
         raise InvalidParams(f"{params.describe()} is not a point of {family}")
-    lhs = theorem_lhs_spec(params)  # raises InvalidParams on bad params
+    lhs, rhs = theorem_point(params)  # raises InvalidParams on bad params
     kind = convergence_kind(lhs)
     if kind == "divergent_formal":
         raise InvalidParams(
@@ -211,7 +210,7 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     return IdentityRecord(
         id=instance_id(params),
         note=f"instantiated family {params.describe()}",
-        lhs=lhs, rhs=theorem_expr(params),
+        lhs=lhs, rhs=rhs,
         validity="family constraints hold",
         convergence=kind,
         tags=("instantiated", params.family.lower()),

@@ -136,11 +136,14 @@ def verify(record: IdentityRecord, digits: int,
 
 # Planned ns of a verification besides its sum (see series.plan for the
 # host): the report and digit match, and the closed form, priced as one
-# level (a cube root, an arctangent and a logarithm in fixed point): 60 us
-# at 25 digits and 4 ms at 1000.  A surd record's tree, typically an
-# arctangent and a logarithm in mpmath, costs about as much.
+# level (a cube root, an arctangent and a logarithm in fixed point) per
+# branch: 31 us at 25 digits, 52 us at 100 and 2.2 ms at 1000, against a
+# measured median of 29-35 us, 52-76 us and 2.2-2.4 ms per level.  A surd
+# tree of the catalog, walked in the same fixed point, takes a median of
+# 42, 72 and 2260 us, about 1.35 levels at 25 and 100 digits and one at
+# 1000; the price leaves that out, as it reads no tree.
 _REPORT_NS = 100_000.0
-_LEVEL_NS, _LEVEL_NS_PER_DIGIT2 = 60_000.0, 4.0
+_LEVEL_NS, _LEVEL_NS_PER_DIGIT2 = 30_000.0, 2.2
 
 
 def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:

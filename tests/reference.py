@@ -2,20 +2,21 @@
 the summation kernel's integers, exact rational terms and sums, mpmath's
 nsum of a unit series, the kernel's cutoff, a proved bracket on a whole
 series read from one kernel pass, the mpf evaluation of the closed-form
-levels at (x, y), the level nodes of a tree, the trigonometric closed
-forms, the golden conjugate, and the paper's auxiliary Fibonacci and
-Lucas identities."""
+levels at (x, y) and of whole expression trees, the level nodes of a
+tree, the trigonometric closed forms, the real cube root, the golden
+conjugate, and the paper's auxiliary Fibonacci and Lucas identities."""
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator
 
 from mpmath import mp, mpf
 
 from binom3k import closed_forms
-from binom3k.expressions import Expr
+from binom3k.expressions import Expr, level as level_node, ratlit, to_json
 from binom3k.errors import DomainError, SingularInput
-from binom3k.precision import PrecisionContext, golden_ratio, real_cbrt
+from binom3k.precision import PrecisionContext, golden_ratio
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, _cutoff, _cutoff_fits, _cutoff_seed,
                             _growth_constant, _kernel, _kernel_bits,
@@ -125,6 +126,14 @@ def check_window(x, y, strict):
             f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
 
 
+def real_cbrt(x) -> mpf:
+    """Sign-preserving real cube root: real_cbrt(-x) == -real_cbrt(x)."""
+    x = mpf(x)
+    if x < 0:
+        return -mp.root(-x, 3)
+    return mp.root(x, 3)
+
+
 def formulas(a, x, y):
     """The level-a formula at (x, y) in mpf, unchecked: two cube roots, one
     arctangent and one logarithm.  Inside the window 2 cbrt x - cbrt y,
@@ -176,10 +185,11 @@ def trig_rhs(variant, x, ctx):
         if not (lo_ok and hi_ok):
             raise DomainError(f"variant {variant} needs its argument in the "
                               f"stated interval, got {t}")
-        c2 = mp.cot(t) ** 2
+        c2 = ratlit(to_fraction(mp.cot(t) ** 2))
         if variant == "E":
-            return closed_forms._series(2, -c2, 1)
-        return closed_forms._series(2 if variant == "D" else 1, c2, 1)
+            return closed_forms.eval_expr(level_node(2, -c2, 1), ctx)
+        return closed_forms.eval_expr(
+            level_node(2 if variant == "D" else 1, c2, 1), ctx)
 
 
 FL_IDENTITIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "LEMMA1", "LEMMA2")
@@ -203,6 +213,60 @@ def level_nodes(expr: Expr) -> list:
         if isinstance(arg, Expr):
             found += level_nodes(arg)
     return found
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def tree_value(expr: Expr) -> mpf:
+    """The tree in mpf at the current precision, node by node, with the
+    package's DomainError messages; a level node is :func:`level` at the
+    pair in either order, exactly 0 at xy = 0."""
+    kind = expr.kind
+    if kind == "int":
+        return mpf(expr.args[0])
+    if kind == "rat":
+        frac = expr.args[0]
+        return mpf(frac.numerator) / mpf(frac.denominator)
+    if kind == "pi":
+        return +mp.pi
+    if kind == "golden_ratio":
+        return (1 + mp.sqrt(5)) / 2
+    if kind == "neg":
+        return -tree_value(expr.args[0])
+    if kind == "sqrt":
+        val = tree_value(expr.args[0])
+        if val < 0:
+            raise DomainError(f"sqrt of negative value {val} in {to_json(expr)}")
+        return mp.sqrt(val)
+    if kind == "cbrt":
+        return real_cbrt(tree_value(expr.args[0]))
+    if kind == "log":
+        val = tree_value(expr.args[0])
+        if val <= 0:
+            raise DomainError(f"log of nonpositive value {val} in {to_json(expr)}")
+        return mp.log(val)
+    if kind == "arctan":
+        return mp.atan(tree_value(expr.args[0]))
+    if kind in _ARITHMETIC:
+        return _ARITHMETIC[kind](tree_value(expr.args[0]),
+                                 tree_value(expr.args[1]))
+    if kind == "div":
+        den = tree_value(expr.args[1])
+        if den == 0:
+            raise DomainError(f"division by zero in {to_json(expr)}")
+        return tree_value(expr.args[0]) / den
+    if kind == "pow":
+        return tree_value(expr.args[0]) ** expr.args[1]
+    if kind == "level":
+        a, x, y = expr.args
+        x, y = tree_value(x), tree_value(y)
+        if x * y == 0:
+            return mpf(0)
+        if abs(x) < abs(y):
+            x, y = y, x
+        return level(a, x, y)
+    raise ValueError(f"unknown expression kind {kind!r}")
 
 
 def golden_conjugate(ctx: PrecisionContext) -> mpf:

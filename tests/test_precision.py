@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp, mpf
 
 from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
-                               golden_ratio, make_context, real_cbrt)
-from reference import golden_conjugate
+                               golden_ratio, make_context)
+from reference import golden_conjugate, real_cbrt
 
 
 @pytest.mark.parametrize("target,terms,expected", [

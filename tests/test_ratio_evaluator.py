@@ -1,5 +1,5 @@
-"""The fixed-point level evaluator against the mpf oracle of reference.py:
-the same value within 10^-(working-5) max(1, |v|), and the same accept or
+"""The fixed-point level core against the mpf oracle of reference.py: the
+same value within 10^-(working-5) max(1, |v|), and the same accept or
 reject with the same message, on every pair the package evaluates."""
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from test_family_pairs import SWEEP_GRID
 
 DIGITS = (25, 100, 1000)
 LEVELS = {2: A_rhs, 1: B_rhs, 0: C_rhs}
-LEVEL = closed_forms._level  # the evaluator itself, not the spy below
+LEVEL = closed_forms._level  # the core itself, not the spy below
 
 # the (x, y) pairs of the catalog's xy-* records; (27, -8) is outside
 XY_PAIRS = [(Fraction(8), Fraction(1)), (Fraction(8), Fraction(-1)),
@@ -27,12 +27,23 @@ XY_PAIRS = [(Fraction(8), Fraction(1)), (Fraction(8), Fraction(-1)),
             (Fraction(27), Fraction(8)), (Fraction(27), Fraction(-8))]
 
 
-def outcome(level, a, x, y):
+def outcome(level, a, x, y, *w):
     """The level's value, or the type and message of the error it raises."""
     try:
-        return level(a, x, y)
+        return level(a, x, y, *w)
     except Binom3kError as exc:
         return type(exc), str(exc)
+
+
+def core(a, x, y, w):
+    """The core at the integer pair (x, y), rounded to the working
+    precision."""
+    return closed_forms._to_mpf(LEVEL(a, x, y, w), w)
+
+
+def front_door(ctx):
+    """The level at an mpf pair as given, through A_rhs, B_rhs or C_rhs."""
+    return lambda a, x, y: LEVELS[a](XYPair(x, y), ctx)
 
 
 def assert_same(got, want):
@@ -45,12 +56,12 @@ def assert_same(got, want):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Every (a, x, y) the package hands the evaluator while it is on."""
+    """Every (a, x, y, w) the package hands the core while it is on."""
     seen = []
 
-    def spy(a, x, y):
-        seen.append((a, x, y))
-        return LEVEL(a, x, y)
+    def spy(a, x, y, w):
+        seen.append((a, x, y, w))
+        return LEVEL(a, x, y, w)
 
     monkeypatch.setattr(closed_forms, "_level", spy)
     return seen
@@ -59,9 +70,9 @@ def evaluations(monkeypatch):
 def check_against_oracle(seen, ctx):
     assert seen
     with ctx.workdps():
-        for a, x, y in seen:
-            assert_same(outcome(LEVEL, a, x, y),
-                        outcome(reference.level, a, x, y))
+        for a, x, y, w in seen:
+            assert_same(outcome(core, a, x, y, w),
+                        outcome(reference.level, a, mpf(x), mpf(y)))
 
 
 def attempt(fn, *args):
@@ -138,8 +149,9 @@ def window_pairs():
 @pytest.mark.parametrize("digits", (10, 25, 100))
 @pytest.mark.parametrize("a", (2, 1, 0))
 def test_window_and_messages_match_the_oracle(a, digits):
-    with make_context(digits).workdps():
-        got = [outcome(LEVEL, a, x, y) for x, y in window_pairs()]
+    ctx = make_context(digits)
+    with ctx.workdps():
+        got = [outcome(front_door(ctx), a, x, y) for x, y in window_pairs()]
         for result, (x, y) in zip(got, window_pairs()):
             assert_same(result, outcome(reference.level, a, x, y))
     assert {isinstance(result, tuple) for result in got} == {True, False}
@@ -153,7 +165,7 @@ def test_a_pair_that_is_not_finite_is_refused(a, ctx30):
         for x, y in ((inf, mpf(1)), (-inf, mpf(1)), (nan, mpf(1)),
                      (mpf(1), inf), (mpf(1), nan)):
             with pytest.raises(DomainError, match="outside validity window"):
-                LEVEL(a, x, y)
+                LEVELS[a](XYPair(x, y), ctx30)
 
 
 @pytest.mark.parametrize("a", (2, 1, 0))
@@ -186,13 +198,12 @@ def test_rational_ratio_in_the_window(t, a, digits):
                       max_denominator=10**9),
        a=st.sampled_from((2, 1, 0)), digits=st.sampled_from((10, 25, 60)))
 def test_error_is_within_the_budget(t, a, digits):
-    # 2^-8 2^-prec max(1, |v|) before the final rounding, which adds at
-    # most one more 2^-prec |v|
+    # the core's budget of 2^(12 - w) max(1, |v|), on its unrounded value
     assume(t != 0 and (a == 2 or t != 1))
     with make_context(digits).workdps():
-        x, y = mpf(t.denominator), mpf(t.numerator)
-        got = LEVEL(a, x, y)
-        bound = mpf(2) ** (1 - mp.prec)
+        w = mp.prec + closed_forms._GUARD_BITS
+        got = LEVEL(a, t.denominator, t.numerator, w)
         with mp.workdps(mp.dps + 20):
-            want = reference.formulas(a, x, y)
-            assert abs(got - want) <= bound * max(1, abs(want))
+            want = reference.formulas(a, mpf(t.denominator), mpf(t.numerator))
+            bound = mpf(2) ** (12 - w) * max(1, abs(want))
+            assert abs(mpf(got) / 2 ** w - want) <= bound
