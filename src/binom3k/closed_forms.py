@@ -68,23 +68,29 @@ root, log or arctan, and by about 10/|x| at a level node whose larger
 coordinate is x, whose core adds 2^12 max(1, |value|) units.  Such a
 factor exceeds 2^12 only where a divisor, a root or log argument, a
 level's larger coordinate, or the smaller factor of a product whose
-larger factor exceeds 2^12, lies below 2^-12 in magnitude.  A walk that
-meets one starts again with W wider by the bits that value lacks (about
-twice as wide at a value that reads 0), so that the factor stays below
-2^12 at the first W; at most three times, as a fourth walk checks
-nothing, and a divisor that reads 0 there is a division by zero, as a
-log argument <= 0 or a sqrt argument < 0 raises; a power beyond 2^(2^20)
-in magnitude, which the walk would hold as an integer of that many bits,
-raises DomainError too.  Before its rounding every catalog record and
-sweep-grid point is within 2^(8 - W) max(1, |v|) (at most 24 units,
-measured at 25, 100 and 1000 digits), so the mpf result is within 2^(1 -
-prec) max(1, |v|): the bound is absolute below 1, as is every sum of
-:mod:`.series`.
+larger factor exceeds 2^12, lies below 2^-12 in magnitude, or where a
+power's exponent exceeds 2^12 (a negative power is the power of the
+reciprocal, a division).  A walk that meets one starts again with W
+wider by the bits that value lacks, so that the factor stays below 2^12
+at the first W, or twice as wide where the value reads 0.  It widens up
+to the cap W + 12 + min(2 B, 2^20), B the bits of the tree's int and rat
+leaves (a power's base counted |n| times): a nonzero value of a tree of
+such leaves, + - x / and integer powers lies above 2^-B, and the second
+B covers what its large intermediate values pass on of the floors.  At
+the cap a value that reads 0 is taken as an exact 0, which it is in
+such a tree, so a divisor there is a division by zero, as a log
+argument <= 0 or a sqrt argument < 0 raises; a value still too small
+but not 0 raises DomainError ("precision lost").  A power beyond
+2^(2^20) in magnitude, which the walk would hold as an integer of that
+many bits, raises DomainError too.  Before its rounding every catalog
+record and sweep-grid point is within 2^(8 - W) max(1, |v|) (at most 24
+units, measured at 25, 100 and 1000 digits), so the mpf result is within
+2^(1 - prec) max(1, |v|): the bound is absolute below 1, as is every sum
+of :mod:`.series`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -205,7 +211,7 @@ def _level(a: int, x: int, y: int, w: int) -> int:
                           w), w)
     if tf < 0:
         u = -u
-    s3 = _sqrt3(w)
+    s3 = isqrt(3 << 2 * w)
     at = to_fixed(mpf_atan(from_man_exp(s3 * u // (2 * one - u), -w), w), w)
     lg = to_fixed(mpf_log(from_man_exp(
         ((one + tf) << 3 * w) // (one + u) ** 3, -w), w), w)
@@ -220,12 +226,6 @@ def _level(a: int, x: int, y: int, w: int) -> int:
     bracket = (2 * s3 * c_at >> w) * at - c_lg * lg
     num = (u * (one + tf) * bracket >> 3 * w) // 3
     return num * x ** 3 // (x - y) ** 3 + (4 * x * y << w) // (x - y) ** 2
-
-
-@functools.lru_cache(maxsize=8)
-def _sqrt3(w: int) -> int:
-    """floor(sqrt3 2^w)."""
-    return isqrt(3 << 2 * w)
 
 
 def _to_mpf(value: int, w: int) -> mpf:
@@ -266,122 +266,158 @@ def C_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
 
 # A value below 2^-_SMALL_BITS that the walk divides by, roots, takes the
 # log of, multiplies a factor above 2^_SMALL_BITS by, or takes as a level's
-# larger coordinate costs the walk more than that many of its guard bits.
+# larger coordinate, or a power's exponent above 2^_SMALL_BITS, costs the
+# walk more than that many of its guard bits.
 _SMALL_BITS = 12
-# walks at a growing W before one that checks no value
-_PASSES = 4
 # a power whose magnitude would pass 2^_MAX_BITS is refused, as the walk
-# would hold it as an integer of that many bits
+# would hold it as an integer of that many bits; no walk widens by more
 _MAX_BITS = 1 << 20
 
 
 class _Wider(Exception):
-    """A walk met a value too small for its W; args[0] more bits suffice."""
+    """A walk met a value too small for its W; args[0] more bits suffice,
+    or are the next doubling of W where the value read 0."""
 
 
-def _need(value: int, low: int) -> None:
-    """Raise _Wider when the integer ``value`` has fewer than ``low`` bits,
-    asking for the bits it lacks and _SMALL_BITS to spare."""
+def _lost(node: Expr, w: int) -> DomainError:
+    return DomainError(f"precision lost: {to_json(node)} needs more than "
+                       f"{w} bits")
+
+
+def _need(value: int, w: int, low: int, last: bool, node: Expr) -> None:
+    """Pass the integer ``value`` at scale 2^w if it has ``low`` bits;
+    else raise _Wider with the bits it lacks and _SMALL_BITS to spare, or
+    w where it reads 0.  On the last walk a value that reads 0 passes as
+    an exact 0 and any other raises DomainError."""
     bits = value.bit_length()
-    if bits < low:
-        raise _Wider(low - bits + _SMALL_BITS)
+    if bits >= low or (last and not bits):
+        return
+    if last:
+        raise _lost(node, w)
+    raise _Wider(low - bits + _SMALL_BITS if bits else w)
+
+
+def _size(expr: Expr) -> int:
+    """The bits of the tree's int and rat leaves, a power's base counted
+    |n| times and every other node as one bit.  A tree of int and rat
+    leaves, + - x / and integer powers whose value is not 0 lies above
+    2^-size in magnitude, as its denominator divides the product of its
+    leaves' numerators and denominators."""
+    kind, args = expr.kind, expr.args
+    if kind == "int":
+        return args[0].bit_length() + 1
+    if kind == "rat":
+        return args[0].numerator.bit_length() + args[0].denominator.bit_length()
+    size = sum(_size(arg) for arg in args if isinstance(arg, Expr))
+    return abs(args[1]) * size if kind == "pow" else size + 1
 
 
 def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
     """Evaluate ``expr`` to a real number at the context's working precision.
 
     Raises :class:`DomainError` naming the offending subtree when a log
-    argument is nonpositive, a sqrt argument negative, or a divisor zero;
-    a level node raises as :func:`_level` does outside its window.  Cube
-    roots use the sign-preserving real branch.
+    argument is nonpositive, a sqrt argument negative, or a divisor zero,
+    or when a value the walk must read to relative accuracy is still too
+    small at the widest W the tree allows; a level node raises as
+    :func:`_level` does outside its window.  Cube roots use the
+    sign-preserving real branch.
     """
     with ctx.workdps():
         w = mp.prec + _GUARD_BITS
-        low = w - _SMALL_BITS  # the bits of 2^-_SMALL_BITS at the first W
-        for _ in range(_PASSES - 1):
+        low, cap = w - _SMALL_BITS, None  # the bits of 2^-_SMALL_BITS at w
+        while True:
             try:
-                return _to_mpf(_walk(expr, w, low), w)
+                return _to_mpf(_walk(expr, w, low, w == cap), w)
             except _Wider as wider:
-                w += wider.args[0]
-        return _to_mpf(_walk(expr, w, 0), w)
+                if cap is None:
+                    cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
+                w = min(cap, w + wider.args[0])
 
 
-def _walk(expr: Expr, w: int, low: int) -> int:
+def _walk(expr: Expr, w: int, low: int, last: bool) -> int:
     """The value of ``expr`` times 2^w, as an integer; _Wider when a
-    sensitive value has fewer than ``low`` bits (see the module docstring)."""
+    sensitive value has fewer than ``low`` bits, and on the ``last`` walk
+    an exact 0 or DomainError there (see the module docstring)."""
     kind, args = expr.kind, expr.args
     if kind == "int":
         return args[0] << w
     if kind == "mul":
-        x, y = _walk(args[0], w, low), _walk(args[1], w, low)
+        x, y = _walk(args[0], w, low, last), _walk(args[1], w, low, last)
         big, small = x.bit_length(), y.bit_length()
         if big < small:
             big, small = small, big
         # |small| < 2^(low - w) and |big| > 2^(w - low)
         if small < low and big > 2 * w - low:
-            raise _Wider(min(low - small, big - 2 * w + low) + _SMALL_BITS)
+            if not last:
+                lack = low - small + _SMALL_BITS if small else w
+                raise _Wider(min(lack, big - 2 * w + low + _SMALL_BITS))
+            if small:
+                raise _lost(expr, w)
         return x * y >> w
     if kind == "add":
-        return _walk(args[0], w, low) + _walk(args[1], w, low)
+        return _walk(args[0], w, low, last) + _walk(args[1], w, low, last)
     if kind == "sub":
-        return _walk(args[0], w, low) - _walk(args[1], w, low)
+        return _walk(args[0], w, low, last) - _walk(args[1], w, low, last)
     if kind == "rat":
         frac = args[0]
         return (frac.numerator << w) // frac.denominator
     if kind == "div":
-        den = _walk(args[1], w, low)
-        _need(den, low)
+        den = _walk(args[1], w, low, last)
+        _need(den, w, low, last, expr)
         if den == 0:
             raise DomainError(f"division by zero in {to_json(expr)}")
-        return (_walk(args[0], w, low) << w) // den
+        return (_walk(args[0], w, low, last) << w) // den
     if kind == "pow":
-        square, n = _walk(args[0], w, low), args[1]
-        # |x| < 2^(bits - w) and, at n < 0, 1/|x| <= 2^(w + 1 - bits)
-        if n * (square.bit_length() - w - (n < 0)) > _MAX_BITS:
+        base, n = _walk(args[0], w, low, last), args[1]
+        if n < 0:  # the power of the reciprocal
+            _need(base, w, low, last, expr)
+            if base == 0:
+                raise DomainError(f"division by zero in {to_json(expr)}")
+            base, n = (1 << 2 * w) // base, -n
+        # |base| < 2^(bits - w)
+        if n * (base.bit_length() - w) > _MAX_BITS:
             raise DomainError(f"power too large in {to_json(expr)}")
-        power, k = 1 << w, abs(n)
-        while k:  # binary powering, every product floored to scale 2^w
-            if k & 1:
-                power = power * square >> w
-            k >>= 1
-            if k:
-                square = square * square >> w
-        if n >= 0:
-            return power
-        _need(power, low)
-        if power == 0:
-            raise DomainError(f"division by zero in {to_json(expr)}")
-        return (1 << 2 * w) // power
+        # the power multiplies the base's relative error by n
+        if n.bit_length() > w - low and not last:
+            raise _Wider(n.bit_length() - w + low)
+        power = 1 << w
+        while n:  # binary powering, every product floored to scale 2^w
+            if n & 1:
+                power = power * base >> w
+            n >>= 1
+            if n:
+                base = base * base >> w
+        return power
     if kind == "level":
-        x, y = _walk(args[1], w, low), _walk(args[2], w, low)
+        x, y = _walk(args[1], w, low, last), _walk(args[2], w, low, last)
         if abs(x) < abs(y):
             x, y = y, x
-        _need(x, low)
+        _need(x, w, low, last, expr)
         return _level(args[0], x, y, w) if y else 0
     if kind == "neg":
-        return -_walk(args[0], w, low)
+        return -_walk(args[0], w, low, last)
     if kind == "sqrt":
-        val = _walk(args[0], w, low)
-        _need(val, low)
+        val = _walk(args[0], w, low, last)
+        _need(val, w, low, last, expr)
         if val < 0:
             raise DomainError(f"sqrt of negative value {_to_mpf(val, w)} "
                               f"in {to_json(expr)}")
         return isqrt(val << w)
     if kind == "cbrt":
-        val = _walk(args[0], w, low)
-        _need(val, low)
+        val = _walk(args[0], w, low, last)
+        _need(val, w, low, last, expr)
         root = to_fixed(mpf_cbrt(from_man_exp(abs(val), -w), w), w)
         return -root if val < 0 else root
     if kind == "log":
-        val = _walk(args[0], w, low)
-        _need(val, low)
+        val = _walk(args[0], w, low, last)
+        _need(val, w, low, last, expr)
         if val <= 0:
             raise DomainError(f"log of nonpositive value {_to_mpf(val, w)} "
                               f"in {to_json(expr)}")
         return to_fixed(mpf_log(from_man_exp(val, -w), w), w)
     if kind == "arctan":
-        return to_fixed(mpf_atan(from_man_exp(_walk(args[0], w, low), -w),
-                                 w), w)
+        return to_fixed(mpf_atan(from_man_exp(
+            _walk(args[0], w, low, last), -w), w), w)
     if kind == "pi":
         return pi_fixed(w)
     if kind == "golden_ratio":

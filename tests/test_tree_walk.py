@@ -50,7 +50,8 @@ def test_every_closed_form_is_within_the_bound(digits, catalog):
         assert_within_bound(tree, ctx)
         with ctx.workdps():
             w = mp.prec + closed_forms._GUARD_BITS
-            walked = closed_forms._walk(tree, w, w - closed_forms._SMALL_BITS)
+            walked = closed_forms._walk(tree, w, w - closed_forms._SMALL_BITS,
+                                        False)
             with mp.workdps(mp.dps + 40):
                 want = reference.tree_value(tree)
                 assert (abs(mpf(walked) / 2 ** w - want)
@@ -63,12 +64,12 @@ def walks(monkeypatch):
     seen, depth = [], [0]
     walk = closed_forms._walk
 
-    def spy(node, w, low):
+    def spy(node, w, low, last):
         if not depth[0]:
             seen.append(w)
         depth[0] += 1
         try:
-            return walk(node, w, low)
+            return walk(node, w, low, last)
         finally:
             depth[0] -= 1
 
@@ -83,6 +84,15 @@ TINY = [
     log(ratlit(1, 10 ** 100)),
     cbrt(ratlit(-1, 10 ** 90)) * 10 ** 30,
     ratlit(1, 10 ** 30) * 10 ** 30 - arctan(1 / ratlit(3, 10 ** 45)),
+    # below 2^-(4 W) at the first W, so a value that reads 0 doubles W
+    level(2, ratlit(1, 10 ** 240), ratlit(1, 10 ** 241)),
+    level(1, ratlit(5, 10 ** 300), ratlit(-1, 10 ** 300) * (3 - 2 * sqrt(2))),
+    ratlit(1, 10 ** 240) * 10 ** 240,
+    GOLDEN * 10 ** 300 * ratlit(1, 10 ** 300),
+    1 / ratlit(1, 10 ** 240),
+    GOLDEN / ratlit(7, 10 ** 300),
+    log(ratlit(3, 10 ** 240)),
+    log(ratlit(1, 10 ** 300)),
 ]
 
 
@@ -97,8 +107,8 @@ def test_a_small_value_widens_w(expr, digits, walks):
     # one walk at the base W, checking nothing, misses it
     with ctx.workdps():
         try:
-            value = closed_forms._to_mpf(closed_forms._walk(expr, base, 0),
-                                     base)
+            value = closed_forms._to_mpf(
+                closed_forms._walk(expr, base, 0, False), base)
         except DomainError:
             return
         want = reference.tree_value(expr)
@@ -115,12 +125,28 @@ def test_a_catalog_tree_takes_one_walk(catalog, walks):
 
 def test_a_divisor_that_stays_small_ends_the_widening(walks):
     # sqrt2^2 - 2 is a few units of 2^-W at every W
-    try:
-        eval_expr(1 / (sqrt(2) ** 2 - 2), make_context(25))
-    except DomainError as exc:
-        assert "division by zero" in str(exc)
-    assert len(walks) == closed_forms._PASSES
+    expr = 1 / (sqrt(2) ** 2 - 2)
+    with pytest.raises(DomainError, match="^precision lost: "):
+        eval_expr(expr, make_context(25))
     assert walks == sorted(set(walks))
+    # the widest W: twice the bits of the tree's leaves, and 2^-12 to spare
+    assert walks[-1] == (walks[0] + closed_forms._SMALL_BITS
+                         + 2 * closed_forms._size(expr))
+
+
+@pytest.mark.parametrize("expr", [
+    sqrt(intlit(0)), cbrt(intlit(2) - 2), level(2, 0, 0),
+    level(1, intlit(3) - 3, GOLDEN - GOLDEN)])
+def test_a_value_that_reads_0_at_the_widest_w_is_0(expr, walks, ctx30):
+    assert eval_expr(expr, ctx30) == 0
+    assert walks[-1] == (walks[0] + closed_forms._SMALL_BITS
+                         + 2 * closed_forms._size(expr))
+
+
+def test_a_large_exponent_widens_w(walks, ctx30):
+    # the power multiplies its base's relative error by 5000 > 2^12
+    assert_within_bound(GOLDEN ** 5000, ctx30)
+    assert len(walks) == 2 and walks[1] == walks[0] + 1
 
 
 def test_a_power_too_large_to_hold_is_refused(ctx30):
@@ -130,6 +156,10 @@ def test_a_power_too_large_to_hold_is_refused(ctx30):
     # the same exponents toward 0 are fine, and exactly 0 at W bits
     assert eval_expr(ratlit(1, 2) ** 10 ** 9, ctx30) == 0
     assert eval_expr(GOLDEN ** -(10 ** 7), ctx30) == 0
+    assert eval_expr(GOLDEN ** -(10 ** 9), ctx30) == 0
+    assert eval_expr(intlit(3) ** -(10 ** 9), ctx30) == 0
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_expr(intlit(0) ** -(10 ** 4), ctx30)
 
 
 def outcome(fn, *args):
