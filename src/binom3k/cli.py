@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import mp
+from mpmath.libmp import to_str
 
 from .closed_forms import FAMILIES, TheoremParams, XYPair, family_names
 from .errors import Binom3kError, InvalidParams
@@ -36,8 +36,7 @@ MD_DIGIT_LIMIT = 25
 def _num_str(value, digits: int) -> str:
     if value is None:
         return ""
-    with mp.workdps(max(digits + 5, 20)):
-        return mp.nstr(value, digits + 5, strip_zeros=True)
+    return to_str(value._mpf_, digits + 5, strip_zeros=True)
 
 
 def _md_trunc(text: str) -> str:

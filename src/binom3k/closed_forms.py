@@ -57,7 +57,11 @@ pi through mpmath's raw ``mpf_*`` functions at W bits, and each level
 node's integers (x, y) into :func:`_level` at the same W, which reads
 only their ratio.  The result is rounded to an mpf once.  :func:`phi`,
 :func:`batir_rhs` and :func:`A_rhs`, :func:`B_rhs`, :func:`C_rhs` convert
-their inputs once and go the same way.
+their inputs once and go the same way.  Every public entry runs at the
+context's working precision: inside a scope that already holds it
+(``mp.prec`` equal to its bits, as in :func:`~.verifier.verify`) it opens
+none of its own, and called on its own it sets it and restores the
+caller's on return or raise.
 
 Error bound.  Each step of the walk errs by at most one unit of 2^-W
 times max(1, |result|) (a floor, or one mpmath rounding; a power one per

@@ -7,20 +7,29 @@ how many terms a summation under it may use and nothing else.  It carries
 ``working_digits = target_digits + GUARD_DIGITS`` internally, whatever the
 budget; :func:`context_for` is the one place that builds the context of a
 request or refuses one that targets fewer digits than asked for.
+
+A context's scope, :meth:`PrecisionContext.workdps`, is decided on
+``mp.prec`` in bits: a caller that already holds the working precision
+opens no second scope, so one verification sets the precision once.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 # digits carried beyond the target, absorbing the roundoff of the closed
 # forms and of the final rounding of a sum
 GUARD_DIGITS = 26
 DEFAULT_MAX_TERMS = 10**6
+# the scope of a caller that already holds the working precision
+_HELD = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,18 @@ class PrecisionContext:
     def working_digits(self) -> int:
         return self.target_digits + GUARD_DIGITS
 
+    @functools.cached_property
+    def _prec(self) -> int:
+        """The bits that mpmath.workdps(working_digits) sets."""
+        return dps_to_prec(self.working_digits)
+
     def workdps(self):
-        """mpmath context manager setting the working precision."""
+        """mpmath context manager setting the working precision, and
+        restoring the caller's on exit.  When ``mp.prec`` already holds
+        it, it does nothing: the caller's scope is kept.  A ``mp.prec``
+        one bit off keeps the same ``mp.dps`` but is not that scope."""
+        if mp.prec == self._prec:
+            return _HELD
         return mpmath.workdps(self.working_digits)
 
 

@@ -191,10 +191,15 @@ def scan_perfect_square(t_max: int) -> list[Fraction]:
     return out
 
 
+def _slug(description: str) -> str:
+    """The record id of a point's TheoremParams.describe()."""
+    slug = description.lower().replace(" ", "-").replace("=", "")
+    return slug.replace("_", "-")
+
+
 def instance_id(params: TheoremParams) -> str:
     """The record id of a family point, e.g. ``thm1-luc-r2``."""
-    slug = params.describe().lower().replace(" ", "-").replace("=", "")
-    return slug.replace("_", "-")
+    return _slug(params.describe())
 
 
 def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
@@ -203,13 +208,14 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     if params.family != family:
         raise InvalidParams(f"{params.describe()} is not a point of {family}")
     lhs, rhs = theorem_point(params)  # raises InvalidParams on bad params
+    described = lhs.label  # theorem_point sets it to params.describe()
     kind = convergence_kind(lhs)
     if kind == "divergent_formal":
         raise InvalidParams(
-            f"{params.describe()}: the series diverges at the radius 27/4 or beyond")
+            f"{described}: the series diverges at the radius 27/4 or beyond")
     return IdentityRecord(
-        id=instance_id(params),
-        note=f"instantiated family {params.describe()}",
+        id=_slug(described),
+        note=f"instantiated family {described}",
         lhs=lhs, rhs=rhs,
         validity="family constraints hold",
         convergence=kind,

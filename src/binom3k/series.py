@@ -11,7 +11,10 @@ kernel, CRVZ or the telescope), its terms and its cost.
 the radius) run it through :func:`_execute`: one pass of the exact integer
 kernel, :func:`_kernel`, over the terms t_k 2^B as floored integers, with
 a proven bound on its roundoff (:func:`_roundoff_ulps`).  Nothing else in
-the package sums.
+the package sums.  Both run at the context's working precision: inside a
+scope that already holds it (``mp.prec`` equal to its bits, as in
+:func:`~.verifier.verify`) they open none of their own, and called on
+their own they set it and restore the caller's on return or raise.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts

@@ -3,13 +3,17 @@
 A verification sums the left-hand series with a certified tail bound
 (:func:`sum_record`: :func:`series.sum_to_digits`, or
 :func:`series.sum_boundary_detailed` at z = +-27/4, by :func:`series.plan`)
-and evaluates the right-hand closed form at working precision.  PASS demands
+and evaluates the right-hand closed form at working precision, both inside
+the one working-precision scope that :func:`verify` opens.  PASS demands
 both a digit match of target - 2 (absorbing final roundoff) and bracket
-consistency |lhs - rhs| <= 3 tail + slack, the slack covering the roundoff
-of both sides at working precision.  The matched-digit count is exact
-integer work on the binary form of the difference, with no logarithm.
-Records whose series diverges are skipped.  :func:`summary_counts` is the
-one place that counts pass, fail and skipped reports.
+consistency |lhs - rhs| <= 3 tail + 10^-(working - 5) max(1, |rhs|), the
+slack covering the roundoff of both sides at working precision.  The
+bracket is decided exactly in integers on the binary values of lhs, rhs
+and tail (:func:`_in_bracket`), with no mpf arithmetic.  The matched-digit
+count is exact integer work on the binary form of the difference, with no
+logarithm.  Records whose series diverges are skipped.
+:func:`summary_counts` is the one place that counts pass, fail and skipped
+reports.
 
 :func:`verify_all` with ``jobs`` > 1 splits the records by their
 :func:`planned_cost` (:func:`lpt_partition`, longest first), verifies one
@@ -84,6 +88,23 @@ def _matched_digits(lhs: mpf, rhs: mpf, cap: int) -> int:
     return digits
 
 
+def _in_bracket(lhs: mpf, rhs: mpf, tail: mpf, n: int) -> bool:
+    """|lhs - rhs| <= 3 tail + 10^-n max(1, |rhs|) for finite lhs, rhs and
+    tail >= 0, the last term the allowance for the roundoff of both sides
+    at working precision.
+
+    Decided exactly on the binary values: each is man 2^exp, so at the
+    least exponent e (and 0, the exponent of 1) all three are integers
+    times 2^e, and the test is 10^n (|L - R| - 3 T) <= max(2^-e, |R|).
+    """
+    (ls, lm, le, _), (rs, rm, re, _), (_, tm, te, _) = (
+        lhs._mpf_, rhs._mpf_, tail._mpf_)
+    e = min(le, re, te, 0)
+    left, right = (-lm if ls else lm) << le - e, (-rm if rs else rm) << re - e
+    excess = abs(left - right) - (3 * tm << te - e)
+    return excess <= 0 or excess * 10 ** n <= max(1 << -e, abs(right))
+
+
 def sum_record(record: IdentityRecord, digits: int,
                ctx: PrecisionContext) -> SumResult:
     """The record's series to ``digits`` digits with a proved tail:
@@ -113,10 +134,8 @@ def verify(record: IdentityRecord, digits: int,
             result = sum_record(record, digits, ctx)
             lhs = result.value
             matched = _matched_digits(lhs, rhs, digits)
-            # allowance for roundoff of both pipelines at working precision
-            slack = (mpf(10) ** (-(ctx.working_digits - 5))
-                     * max(mpf(1), abs(rhs)))
-            if matched >= digits - 2 and abs(lhs - rhs) <= 3 * result.tail + slack:
+            if (matched >= digits - 2 and _in_bracket(
+                    lhs, rhs, result.tail, ctx.working_digits - 5)):
                 report.status = PASS
             else:
                 report.detail = (f"matched {matched} digits; "

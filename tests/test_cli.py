@@ -3,9 +3,9 @@ import io
 import json
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from binom3k.cli import run
+from binom3k.cli import _num_str, run
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record, save_catalog
 
@@ -390,3 +390,13 @@ def test_a_record_field_of_the_wrong_type_is_a_usage_error(
     assert f"record {index} is malformed" in captured.err
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("ambient", [15, 60, 1100])
+def test_numbers_print_the_same_whatever_precision_is_held(ambient):
+    with mp.workdps(ambient):
+        values = [mpf(0), mpf("1e-40"), mpf("-1e-40"), mpf("1e40")]
+        for value in values:
+            for digits in (5, 25, 1000):
+                assert _num_str(value, digits) == mp.nstr(
+                    value, digits + 5, strip_zeros=True)

@@ -3,9 +3,16 @@ import pickle
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
+from binom3k import expressions as ex
+from binom3k.closed_forms import TheoremParams, eval_expr
+from binom3k.errors import DomainError, MaxTermsExceeded
 from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
                                golden_ratio, make_context)
+from binom3k.registry import instantiate
+from binom3k.series import sum_boundary_detailed, sum_to_digits
+from binom3k.verifier import verify
 from reference import golden_conjugate, real_cbrt
 
 
@@ -85,3 +92,73 @@ def test_term_budget_is_a_field():
     assert kept.working_digits == 50 + GUARD_DIGITS
     assert pickle.loads(pickle.dumps(ctx)) == ctx
     assert pickle.loads(pickle.dumps(ctx)).max_terms == 64
+
+
+# -- one precision scope per verification -----------------------------------
+
+def _holding(state: str, ctx: PrecisionContext):
+    """The caller's precision: the context's working bits, mpmath's
+    default dps, or one bit above the working bits (the same dps)."""
+    bits = dps_to_prec(ctx.working_digits)
+    return {"working": mp.workprec(bits), "default": mp.workdps(15),
+            "one bit above": mp.workprec(bits + 1)}[state]
+
+
+def _entries(record_of):
+    """(name, call) pairs of the public entries that set the precision,
+    each returning the raw values it computes."""
+    ctx = make_context(30)
+    point = instantiate("THM3_V2", TheoremParams("THM3_V2", n=5, m=3))
+
+    def summed(fn, record):
+        result = fn(record.lhs, 30, ctx)
+        return result.value._mpf_, result.tail._mpf_, result.terms_used
+
+    def verified(record):
+        r = verify(record, 30, ctx)
+        return (r.status, r.matched_digits, r.lhs_value._mpf_,
+                r.rhs_value._mpf_, r.tail._mpf_, r.terms_used, r.detail)
+
+    return ctx, [
+        ("eval_expr surd", lambda: eval_expr(record_of("eq-italy").rhs, ctx)._mpf_),
+        ("eval_expr level", lambda: eval_expr(point.rhs, ctx)._mpf_),
+        ("sum_to_digits", lambda: summed(sum_to_digits, record_of("eq-italy"))),
+        ("sum_boundary_detailed telescope",
+         lambda: summed(sum_boundary_detailed, record_of("eq-27-4"))),
+        ("sum_boundary_detailed crvz",
+         lambda: summed(sum_boundary_detailed, record_of("alt-27-4"))),
+        ("verify surd", lambda: verified(record_of("eq-italy"))),
+        ("verify point", lambda: verified(point)),
+    ]
+
+
+def test_every_entry_gives_the_same_bits_whatever_the_caller_holds(record_of):
+    ctx, entries = _entries(record_of)
+    for name, call in entries:
+        values = {}
+        for state in ("working", "default", "one bit above"):
+            with _holding(state, ctx):
+                held = mp.prec
+                values[state] = call()
+                assert mp.prec == held, (name, state)
+        assert values["working"] == values["default"] == values["one bit above"], name
+
+
+def test_no_entry_leaks_its_precision_when_it_raises(record_of):
+    ctx, tight = make_context(30), make_context(40, 100)
+    bad_tree = ex.log(ex.intlit(-1))
+    long_sum = record_of("eq-20-3")
+    for state in ("working", "default", "one bit above"):
+        with _holding(state, ctx):
+            held = mp.prec
+            with pytest.raises(DomainError):
+                eval_expr(bad_tree, ctx)
+            assert mp.prec == held
+            with pytest.raises(MaxTermsExceeded):
+                sum_to_digits(long_sum.lhs, 30, tight)
+            assert mp.prec == held
+            assert "MaxTermsExceeded" in verify(long_sum, 30, tight).detail
+            assert mp.prec == held
+            bad = dataclasses.replace(long_sum, rhs=bad_tree)
+            assert "DomainError" in verify(bad, 30, ctx).detail
+            assert mp.prec == held

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from binom3k import expressions as ex
 from binom3k import verifier
@@ -78,6 +78,64 @@ def test_verify_max_terms_budget(record_of):
     report = verify(record_of("eq-20-3"), 30, ctx)
     assert report.status == "FAIL"
     assert "MaxTermsExceeded" in report.detail
+
+
+def exact(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(10, 1030),
+       rhs_kind=st.sampled_from(["zero", "below one", "one or more"]),
+       rhs_man=st.integers(-2 ** 64, 2 ** 64).filter(bool),
+       rhs_shift=st.integers(0, 200),
+       tail_shift=st.one_of(st.none(), st.integers(-30, 30)),
+       extra_bits=st.sampled_from([0, 8, 64, 300]),
+       wiggle=st.integers(-3, 3), side=st.sampled_from([-1, 1]))
+def test_the_bracket_is_decided_exactly(n, rhs_kind, rhs_man, rhs_shift,
+                                        tail_shift, extra_bits, wiggle, side):
+    # lhs within a few ulps of rhs +- (3 tail + 10^-n max(1, |rhs|)), the
+    # knife edge of the bracket, against the same inequality in Fractions
+    bits = math.ceil(n * math.log2(10))
+    prec = bits + 64 + extra_bits
+    with mp.workprec(prec):
+        if rhs_kind == "zero":
+            rhs = mpf(0)
+        elif rhs_kind == "below one":
+            rhs = mp.ldexp(rhs_man, -rhs_man.bit_length() - rhs_shift)
+        else:
+            rhs = mp.ldexp(rhs_man, rhs_shift - 64)
+            rhs = rhs if abs(rhs) >= 1 else mpf(rhs_man)
+        tail = (mpf(0) if tail_shift is None
+                else mp.ldexp(abs(rhs_man), tail_shift - bits - 64))
+        edge = 3 * exact(tail) + max(1, abs(exact(rhs))) / Fraction(10) ** n
+        offset = mpf(edge.numerator) / edge.denominator
+        offset = mp.fadd(offset, mp.ldexp(wiggle, offset.man_exp[1]),
+                         exact=True)
+        lhs = mp.fadd(rhs, side * offset, exact=True)
+    expected = abs(exact(lhs) - exact(rhs)) <= edge
+    assert verifier._in_bracket(lhs, rhs, tail, n) == expected
+
+
+def test_a_difference_that_rounds_to_the_slack_is_outside_the_bracket(
+        monkeypatch):
+    # lhs = 10^-n rounded up, rhs = 0, tail = 0: |lhs - rhs| exceeds the
+    # slack 10^-n, though it equals its rounding at working precision
+    from binom3k.precision import make_context
+    from binom3k.series import SumResult
+    for digits in range(5, 60):
+        ctx = make_context(digits)
+        n = ctx.working_digits - 5
+        with ctx.workdps():
+            lhs = mpf(10) ** -n
+        if exact(lhs) > Fraction(1, 10 ** n):
+            break
+    monkeypatch.setattr(verifier, "sum_record",
+                        lambda record, digits, ctx: SumResult(lhs, 1, mpf(0)))
+    report = verify(make_record(ex.intlit(0)), digits, ctx)
+    assert report.matched_digits == digits
+    assert report.status == FAIL
 
 
 def test_a_term_budget_leaves_the_answer_bit_identical(record_of):
