@@ -395,7 +395,8 @@ def test_a_record_field_of_the_wrong_type_is_a_usage_error(
 @pytest.mark.parametrize("ambient", [15, 60, 1100])
 def test_numbers_print_the_same_whatever_precision_is_held(ambient):
     with mp.workdps(ambient):
-        values = [mpf(0), mpf("1e-40"), mpf("-1e-40"), mpf("1e40")]
+        values = [mpf(0), mpf("1e-40"), mpf("-1e-40"), mpf("1e40"),
+                  mpf(1) / 3, -mp.pi]
         for value in values:
             for digits in (5, 25, 1000):
                 assert _num_str(value, digits) == mp.nstr(

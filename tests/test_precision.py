@@ -6,11 +6,10 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from binom3k import expressions as ex
-from binom3k.closed_forms import TheoremParams, eval_expr
+from binom3k.closed_forms import eval_expr
 from binom3k.errors import DomainError, MaxTermsExceeded
 from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
                                golden_ratio, make_context)
-from binom3k.registry import instantiate
 from binom3k.series import sum_boundary_detailed, sum_to_digits
 from binom3k.verifier import verify
 from reference import golden_conjugate, real_cbrt
@@ -106,9 +105,10 @@ def _holding(state: str, ctx: PrecisionContext):
 
 def _entries(record_of):
     """(name, call) pairs of the public entries that set the precision,
-    each returning the raw values it computes."""
+    each returning the raw values it computes.  The closed forms of
+    eq-17-12 and thm1-fib-r2 round otherwise one bit above."""
     ctx = make_context(30)
-    point = instantiate("THM3_V2", TheoremParams("THM3_V2", n=5, m=3))
+    surd, point = record_of("eq-17-12"), record_of("thm1-fib-r2")
 
     def summed(fn, record):
         result = fn(record.lhs, 30, ctx)
@@ -120,14 +120,14 @@ def _entries(record_of):
                 r.rhs_value._mpf_, r.tail._mpf_, r.terms_used, r.detail)
 
     return ctx, [
-        ("eval_expr surd", lambda: eval_expr(record_of("eq-italy").rhs, ctx)._mpf_),
+        ("eval_expr surd", lambda: eval_expr(surd.rhs, ctx)._mpf_),
         ("eval_expr level", lambda: eval_expr(point.rhs, ctx)._mpf_),
-        ("sum_to_digits", lambda: summed(sum_to_digits, record_of("eq-italy"))),
+        ("sum_to_digits", lambda: summed(sum_to_digits, surd)),
         ("sum_boundary_detailed telescope",
          lambda: summed(sum_boundary_detailed, record_of("eq-27-4"))),
         ("sum_boundary_detailed crvz",
          lambda: summed(sum_boundary_detailed, record_of("alt-27-4"))),
-        ("verify surd", lambda: verified(record_of("eq-italy"))),
+        ("verify surd", lambda: verified(surd)),
         ("verify point", lambda: verified(point)),
     ]
 

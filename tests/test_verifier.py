@@ -118,6 +118,26 @@ def test_the_bracket_is_decided_exactly(n, rhs_kind, rhs_man, rhs_shift,
     assert verifier._in_bracket(lhs, rhs, tail, n) == expected
 
 
+@pytest.mark.parametrize("lhs,rhs,tail,n,inside", [
+    # 10^-n |rhs| = 1: the edge itself is inside, a bit beyond it is not
+    (10 ** 20 + 1, 10 ** 20, 0, 20, True),
+    (10 ** 20 - 1, 10 ** 20, 0, 20, True),
+    (Fraction(10 ** 20 + 1) + Fraction(1, 2 ** 40), 10 ** 20, 0, 20, False),
+    # rhs = 0: |lhs| = 3 tail is inside, 2^-30 beyond it is more than 10^-10
+    (Fraction(-3, 2 ** 50), 0, Fraction(1, 2 ** 50), 10, True),
+    (Fraction(-3, 2 ** 50) - Fraction(1, 2 ** 30), 0, Fraction(1, 2 ** 50),
+     10, False),
+    # every exponent positive: 1 = 2^0 still sets the common exponent
+    (2 ** 70, 2 ** 70 + 2 ** 65, 2 ** 62, 10, False),
+    (2 ** 70, 2 ** 70 + 2 ** 65, 2 ** 64, 10, True),
+])
+def test_the_bracket_on_its_edge(lhs, rhs, tail, n, inside):
+    with mp.workprec(200):
+        lhs, rhs, tail = (mpf(x.numerator) / x.denominator
+                          for x in map(Fraction, (lhs, rhs, tail)))
+    assert verifier._in_bracket(lhs, rhs, tail, n) == inside
+
+
 def test_a_difference_that_rounds_to_the_slack_is_outside_the_bracket(
         monkeypatch):
     # lhs = 10^-n rounded up, rhs = 0, tail = 0: |lhs - rhs| exceeds the
@@ -131,6 +151,8 @@ def test_a_difference_that_rounds_to_the_slack_is_outside_the_bracket(
             lhs = mpf(10) ** -n
         if exact(lhs) > Fraction(1, 10 ** n):
             break
+    else:
+        pytest.fail("no 10^-n below 60 digits rounds up")
     monkeypatch.setattr(verifier, "sum_record",
                         lambda record, digits, ctx: SumResult(lhs, 1, mpf(0)))
     report = verify(make_record(ex.intlit(0)), digits, ctx)
