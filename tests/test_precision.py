@@ -141,7 +141,7 @@ def test_every_entry_gives_the_same_bits_whatever_the_caller_holds(record_of):
                 held = mp.prec
                 values[state] = call()
                 assert mp.prec == held, (name, state)
-        assert values["working"] == values["default"] == values["one bit above"], name
+        assert len(set(values.values())) == 1, name
 
 
 def test_no_entry_leaks_its_precision_when_it_raises(record_of):
