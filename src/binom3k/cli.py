@@ -257,11 +257,9 @@ def _cmd_list(args) -> int:
 def _cmd_eval(args) -> int:
     record = get_record(_load(args), args.id)
     ctx = make_context(args.digits, args.max_terms)
-    with ctx.workdps():
-        result = sum_record(record, args.digits, ctx)
-        text = (f"{args.id}: {_num_str(result.value, args.digits)} "
-                f"({result.terms_used} terms, tail "
-                f"{_num_str(result.tail, 5)})\n")
+    result = sum_record(record, args.digits, ctx)
+    text = (f"{args.id}: {_num_str(result.value, args.digits)} "
+            f"({result.terms_used} terms, tail {_num_str(result.tail, 5)})\n")
     _emit(text, args.out)
     return 0
 

@@ -57,11 +57,11 @@ pi through mpmath's raw ``mpf_*`` functions at W bits, and each level
 node's integers (x, y) into :func:`_level` at the same W, which reads
 only their ratio.  The result is rounded to an mpf once.  :func:`phi`,
 :func:`batir_rhs` and :func:`A_rhs`, :func:`B_rhs`, :func:`C_rhs` convert
-their inputs once and go the same way.  Every public entry runs at the
-context's working precision: inside a scope that already holds it
-(``mp.prec`` equal to its bits, as in :func:`~.verifier.verify`) it opens
-none of its own, and called on its own it sets it and restores the
-caller's on return or raise.
+their inputs once and go the same way.  The context's working precision
+``prec`` travels as a value: every mpf built here, an input's conversion
+included, is rounded to it by mpmath's raw ``libmp`` functions, and every
+value named in a DomainError is printed at its working digits.  Nothing
+here reads or sets mpmath's global precision.
 
 Error bound.  Each step of the walk errs by at most one unit of 2^-W
 times max(1, |result|) (a floor, or one mpmath rounding; a power one per
@@ -101,8 +101,9 @@ from math import isqrt
 from typing import Optional, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, mpf_atan, mpf_cbrt, mpf_log,
-                          phi_fixed, pi_fixed, round_nearest, to_fixed)
+from mpmath.libmp import (from_int, from_man_exp, mpf_atan, mpf_cbrt,
+                          mpf_div, mpf_log, phi_fixed, pi_fixed, prec_to_dps,
+                          round_nearest, to_fixed, to_str)
 
 from .errors import DomainError, InvalidParams, SingularInput
 from .expressions import (GOLDEN, Expr, cbrt, intlit, level, ratlit, sqrt,
@@ -116,11 +117,22 @@ Realish = Union[int, float, Fraction, mpf, Expr]
 
 
 def _as_mpf(value: Realish, ctx: PrecisionContext) -> mpf:
+    """``value`` rounded to the working precision; a Fraction as the
+    rounded quotient of its rounded numerator and denominator."""
     if isinstance(value, Expr):
         return eval_expr(value, ctx)
+    prec = ctx.prec
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
-    return mpf(value)
+        return mp.make_mpf(mpf_div(
+            from_int(value.numerator, prec, round_nearest),
+            from_int(value.denominator, prec, round_nearest),
+            prec, round_nearest))
+    return mpf(value, prec=prec, rounding=round_nearest)
+
+
+def _str(value: mpf, prec: int) -> str:
+    """``value`` as str prints it at the working digits of prec bits."""
+    return to_str(value._mpf_, prec_to_dps(prec))
 
 
 # -- the level core -------------------------------------------------------
@@ -137,8 +149,7 @@ class XYPair:
     y: Realish
 
     def values(self, ctx: PrecisionContext) -> tuple[mpf, mpf]:
-        with ctx.workdps():
-            return _as_mpf(self.x, ctx), _as_mpf(self.y, ctx)
+        return _as_mpf(self.x, ctx), _as_mpf(self.y, ctx)
 
 
 # Guard bits of every fixed-point evaluation: W = prec + _GUARD_BITS, and
@@ -146,15 +157,19 @@ class XYPair:
 _GUARD_BITS = 20
 
 
-def _outside(a: int, ratio: mpf) -> DomainError:
+def _outside(a: int, x: tuple, y: tuple, prec: int) -> DomainError:
+    """The error of the raw mpf pair (x, y), their ratio rounded to prec
+    bits."""
     bound = ">" if a < 2 else ">="
+    ratio = _str(mp.make_mpf(mpf_div(x, y, prec, round_nearest)), prec)
     return DomainError(f"x/y = {ratio} outside validity window "
                        f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
 
 
-def _level(a: int, x: int, y: int, w: int) -> int:
+def _level(a: int, x: int, y: int, w: int, prec: int) -> int:
     """A (a = 2), B (a = 1) or C (a = 0) at the integer pair (x, y), any
-    common scale, in the window: the value times 2^w, floored.
+    common scale, in the window: the value times 2^w, floored.  The working
+    precision prec sets the window's eps and the error's digits.
 
     Every level is homogeneous of degree 0 in (x, y), so it depends only
     on the ratio t = y/x and on u = cbrt t.  At x = 1 the levels read
@@ -167,7 +182,7 @@ def _level(a: int, x: int, y: int, w: int) -> int:
 
     The window x/y >= 1 (strict at a < 2) or x/y <= -(sqrt2 + 1)^2 is
     t in (0, 1] or t in [-(3 - 2 sqrt2) / (1 - eps), 0), where eps =
-    10^(5 - dps) at the working dps absorbs the roundoff of a pair
+    10^(5 - dps) at the working digits dps absorbs the roundoff of a pair
     computed on the lower end.  That end is tested in integers: s = |t|
     (1 - eps) lies at or below 3 - 2 sqrt2, the smaller root of s^2 - 6s +
     1, iff s < 1 and s^2 - 6s + 1 >= 0.
@@ -203,13 +218,14 @@ def _level(a: int, x: int, y: int, w: int) -> int:
     if not x:
         inside = False
     elif tf < 0:
-        n = 10 ** (mp.dps - 5)  # 1/eps
+        n = 10 ** (prec_to_dps(prec) - 5)  # 1/eps
         s = -tf * (n - 1) // n
         inside = s < one and s * s - 6 * s * one + one * one >= 0
     else:
         inside = tf < one or (tf == one and a == 2)
     if not inside:
-        raise _outside(a, mpf(x) / mpf(y))
+        raise _outside(a, from_int(x, prec, round_nearest),
+                       from_int(y, prec, round_nearest), prec)
     shift = w + abs(x).bit_length() - abs(y).bit_length()  # >= w - 1
     u = to_fixed(mpf_cbrt(from_man_exp((abs(y) << shift) // abs(x), -shift),
                           w), w)
@@ -232,23 +248,23 @@ def _level(a: int, x: int, y: int, w: int) -> int:
     return num * x ** 3 // (x - y) ** 3 + (4 * x * y << w) // (x - y) ** 2
 
 
-def _to_mpf(value: int, w: int) -> mpf:
-    """value 2^-w rounded to the working precision."""
-    return mp.make_mpf(from_man_exp(value, -w, mp.prec, round_nearest))
+def _to_mpf(value: int, w: int, prec: int) -> mpf:
+    """value 2^-w rounded to the working precision prec."""
+    return mp.make_mpf(from_man_exp(value, -w, prec, round_nearest))
 
 
 def _pair_level(a: int, pair: XYPair, ctx: PrecisionContext) -> mpf:
     """The level-a value at the pair as given, unswapped, read as mpf
     values at the working precision and scaled exactly to integers."""
-    with ctx.workdps():
-        x, y = pair.values(ctx)
-        if not (mp.isfinite(x) and mp.isfinite(y)):
-            raise _outside(a, x / y)
-        (xs, xm, xe, _), (ys, ym, ye, _) = x._mpf_, y._mpf_
-        e = min(xe, ye)
-        w = mp.prec + _GUARD_BITS
-        return _to_mpf(_level(a, (-1) ** xs * xm << xe - e,
-                              (-1) ** ys * ym << ye - e, w), w)
+    x, y = pair.values(ctx)
+    prec = ctx.prec
+    if not (mp.isfinite(x) and mp.isfinite(y)):
+        raise _outside(a, x._mpf_, y._mpf_, prec)
+    (xs, xm, xe, _), (ys, ym, ye, _) = x._mpf_, y._mpf_
+    e = min(xe, ye)
+    w = prec + _GUARD_BITS
+    return _to_mpf(_level(a, (-1) ** xs * xm << xe - e,
+                          (-1) ** ys * ym << ye - e, w, prec), w, prec)
 
 
 def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
@@ -326,27 +342,29 @@ def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
     :func:`_level` does outside its window.  Cube roots use the
     sign-preserving real branch.
     """
-    with ctx.workdps():
-        w = mp.prec + _GUARD_BITS
-        low, cap = w - _SMALL_BITS, None  # the bits of 2^-_SMALL_BITS at w
-        while True:
-            try:
-                return _to_mpf(_walk(expr, w, low, w == cap), w)
-            except _Wider as wider:
-                if cap is None:
-                    cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
-                w = min(cap, w + wider.args[0])
+    prec = ctx.prec
+    w = prec + _GUARD_BITS
+    low, cap = w - _SMALL_BITS, None  # the bits of 2^-_SMALL_BITS at w
+    while True:
+        try:
+            return _to_mpf(_walk(expr, w, low, w == cap, prec), w, prec)
+        except _Wider as wider:
+            if cap is None:
+                cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
+            w = min(cap, w + wider.args[0])
 
 
-def _walk(expr: Expr, w: int, low: int, last: bool) -> int:
+def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
     """The value of ``expr`` times 2^w, as an integer; _Wider when a
     sensitive value has fewer than ``low`` bits, and on the ``last`` walk
-    an exact 0 or DomainError there (see the module docstring)."""
+    an exact 0 or DomainError there (see the module docstring).  prec is
+    the working precision, for the level nodes and the errors."""
     kind, args = expr.kind, expr.args
     if kind == "int":
         return args[0] << w
     if kind == "mul":
-        x, y = _walk(args[0], w, low, last), _walk(args[1], w, low, last)
+        x = _walk(args[0], w, low, last, prec)
+        y = _walk(args[1], w, low, last, prec)
         big, small = x.bit_length(), y.bit_length()
         if big < small:
             big, small = small, big
@@ -359,20 +377,22 @@ def _walk(expr: Expr, w: int, low: int, last: bool) -> int:
                 raise _lost(expr, w)
         return x * y >> w
     if kind == "add":
-        return _walk(args[0], w, low, last) + _walk(args[1], w, low, last)
+        return (_walk(args[0], w, low, last, prec)
+                + _walk(args[1], w, low, last, prec))
     if kind == "sub":
-        return _walk(args[0], w, low, last) - _walk(args[1], w, low, last)
+        return (_walk(args[0], w, low, last, prec)
+                - _walk(args[1], w, low, last, prec))
     if kind == "rat":
         frac = args[0]
         return (frac.numerator << w) // frac.denominator
     if kind == "div":
-        den = _walk(args[1], w, low, last)
+        den = _walk(args[1], w, low, last, prec)
         _need(den, w, low, last, expr)
         if den == 0:
             raise DomainError(f"division by zero in {to_json(expr)}")
-        return (_walk(args[0], w, low, last) << w) // den
+        return (_walk(args[0], w, low, last, prec) << w) // den
     if kind == "pow":
-        base, n = _walk(args[0], w, low, last), args[1]
+        base, n = _walk(args[0], w, low, last, prec), args[1]
         if n < 0:  # the power of the reciprocal
             _need(base, w, low, last, expr)
             if base == 0:
@@ -393,35 +413,38 @@ def _walk(expr: Expr, w: int, low: int, last: bool) -> int:
                 base = base * base >> w
         return power
     if kind == "level":
-        x, y = _walk(args[1], w, low, last), _walk(args[2], w, low, last)
+        x = _walk(args[1], w, low, last, prec)
+        y = _walk(args[2], w, low, last, prec)
         if abs(x) < abs(y):
             x, y = y, x
         _need(x, w, low, last, expr)
-        return _level(args[0], x, y, w) if y else 0
+        return _level(args[0], x, y, w, prec) if y else 0
     if kind == "neg":
-        return -_walk(args[0], w, low, last)
+        return -_walk(args[0], w, low, last, prec)
     if kind == "sqrt":
-        val = _walk(args[0], w, low, last)
+        val = _walk(args[0], w, low, last, prec)
         _need(val, w, low, last, expr)
         if val < 0:
-            raise DomainError(f"sqrt of negative value {_to_mpf(val, w)} "
+            raise DomainError(f"sqrt of negative value "
+                              f"{_str(_to_mpf(val, w, prec), prec)} "
                               f"in {to_json(expr)}")
         return isqrt(val << w)
     if kind == "cbrt":
-        val = _walk(args[0], w, low, last)
+        val = _walk(args[0], w, low, last, prec)
         _need(val, w, low, last, expr)
         root = to_fixed(mpf_cbrt(from_man_exp(abs(val), -w), w), w)
         return -root if val < 0 else root
     if kind == "log":
-        val = _walk(args[0], w, low, last)
+        val = _walk(args[0], w, low, last, prec)
         _need(val, w, low, last, expr)
         if val <= 0:
-            raise DomainError(f"log of nonpositive value {_to_mpf(val, w)} "
+            raise DomainError(f"log of nonpositive value "
+                              f"{_str(_to_mpf(val, w, prec), prec)} "
                               f"in {to_json(expr)}")
         return to_fixed(mpf_log(from_man_exp(val, -w), w), w)
     if kind == "arctan":
         return to_fixed(mpf_atan(from_man_exp(
-            _walk(args[0], w, low, last), -w), w), w)
+            _walk(args[0], w, low, last, prec), -w), w), w)
     if kind == "pi":
         return pi_fixed(w)
     if kind == "golden_ratio":
@@ -434,17 +457,18 @@ def _walk(expr: Expr, w: int, low: int, last: bool) -> int:
 def _phi_expr(z: Realish, ctx: PrecisionContext) -> Expr:
     """The tree of phi(z) at z read once as an exact rational: a tree
     evaluated, an mpf or float taken at its binary value."""
-    with ctx.workdps():
-        zv = _as_mpf(z, ctx)
-        if not mp.isfinite(zv):
-            raise DomainError(f"phi needs a finite z, got z = {zv}")
-        sign, man, exp, _ = zv._mpf_
-        q = (Fraction(z) if isinstance(z, (int, Fraction))
-             else Fraction((-1) ** sign * man) * Fraction(2) ** exp)
-        if q == 0:
-            raise DomainError("phi is undefined at z = 0")
-        if 81 - 12 * q < 0:
-            raise DomainError(f"phi needs z <= 27/4, got z = {zv}")
+    zv = _as_mpf(z, ctx)
+    if not mp.isfinite(zv):
+        raise DomainError(f"phi needs a finite z, got z = "
+                          f"{_str(zv, ctx.prec)}")
+    sign, man, exp, _ = zv._mpf_
+    q = (Fraction(z) if isinstance(z, (int, Fraction))
+         else Fraction((-1) ** sign * man) * Fraction(2) ** exp)
+    if q == 0:
+        raise DomainError("phi is undefined at z = 0")
+    if 81 - 12 * q < 0:
+        raise DomainError(f"phi needs z <= 27/4, got z = "
+                          f"{_str(zv, ctx.prec)}")
     return cbrt((ratlit(27 - 2 * q) + 3 * sqrt(ratlit(81 - 12 * q)))
                 / ratlit(2 * q))
 

@@ -1,22 +1,24 @@
 """Decimal-precision bookkeeping and basic arbitrary-precision helpers.
 
-All real arithmetic in this package runs on mpmath under a precision set
-from a :class:`PrecisionContext`.  A context holds the digits a request
-asks for (``target_digits``) and a term budget (``max_terms``) that bounds
-how many terms a summation under it may use and nothing else.  It carries
+A :class:`PrecisionContext` holds the digits a request asks for
+(``target_digits``) and a term budget (``max_terms``) that bounds how many
+terms a summation under it may use and nothing else.  It carries
 ``working_digits = target_digits + GUARD_DIGITS`` internally, whatever the
-budget; :func:`context_for` is the one place that builds the context of a
-request or refuses one that targets fewer digits than asked for.
+budget, and their bits ``prec``; :func:`context_for` is the one place that
+builds the context of a request or refuses one that targets fewer digits
+than asked for.
 
-A context's scope, :meth:`PrecisionContext.workdps`, is decided on
-``mp.prec`` in bits: a caller that already holds the working precision
-opens no second scope, so one verification sets the precision once.
+The package passes ``prec`` as a value: the sums, the closed forms and
+the verifier round every mpf they build to it through mpmath's raw
+``libmp`` functions, and neither read nor set mpmath's global precision.
+:meth:`PrecisionContext.workdps` sets that global precision for code that
+does its own mpf arithmetic (:func:`golden_ratio`, the derivative check,
+the benchmark and the tests).
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +30,6 @@ from mpmath.libmp import dps_to_prec
 # forms and of the final rounding of a sum
 GUARD_DIGITS = 26
 DEFAULT_MAX_TERMS = 10**6
-# the scope of a caller that already holds the working precision
-_HELD = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,14 @@ class PrecisionContext:
         return self.target_digits + GUARD_DIGITS
 
     @functools.cached_property
-    def _prec(self) -> int:
-        """The bits that mpmath.workdps(working_digits) sets."""
+    def prec(self) -> int:
+        """The working precision in bits, dps_to_prec(working_digits);
+        prec_to_dps(prec) is working_digits again."""
         return dps_to_prec(self.working_digits)
 
     def workdps(self):
-        """mpmath context manager setting the working precision, and
-        restoring the caller's on exit.  When ``mp.prec`` already holds
-        it, it does nothing: the caller's scope is kept.  A ``mp.prec``
-        one bit off keeps the same ``mp.dps`` but is not that scope."""
-        if mp.prec == self._prec:
-            return _HELD
+        """mpmath context manager setting the global working precision,
+        and restoring the caller's on exit."""
         return mpmath.workdps(self.working_digits)
 
 

@@ -11,10 +11,9 @@ kernel, CRVZ or the telescope), its terms and its cost.
 the radius) run it through :func:`_execute`: one pass of the exact integer
 kernel, :func:`_kernel`, over the terms t_k 2^B as floored integers, with
 a proven bound on its roundoff (:func:`_roundoff_ulps`).  Nothing else in
-the package sums.  Both run at the context's working precision: inside a
-scope that already holds it (``mp.prec`` equal to its bits, as in
-:func:`~.verifier.verify`) they open none of their own, and called on
-their own they set it and restore the caller's on return or raise.
+the package sums.  Both round their value and tail to the context's
+working precision ``prec``, passed down as a value; they neither read nor
+set mpmath's global precision.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
@@ -63,6 +62,7 @@ from operator import mul
 from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import MaxTermsExceeded, NotGeometric, Unsupported
 from .precision import PrecisionContext, context_for, golden_ratio
@@ -363,14 +363,15 @@ def _kernel_bits(roundoff: int, finest: float) -> int:
     return max(0, math.ceil(-finest)) + roundoff.bit_length() + _GUARD_BITS
 
 
-def _unscale(n: int, bits: int) -> mpf:
-    return mp.ldexp(mpf(n), -bits)
+def _unscale(n: int, bits: int, prec: int) -> mpf:
+    """n 2^-bits rounded to prec bits."""
+    return mp.make_mpf(from_man_exp(n, -bits, prec, round_nearest))
 
 
-def _ceil_to_prec(n: int) -> int:
-    """n >= 0 rounded up to mp.prec significant bits, so that mpf(n) is
-    exact."""
-    drop = max(0, n.bit_length() - mp.prec)
+def _ceil_to_prec(n: int, prec: int) -> int:
+    """n >= 0 rounded up to prec significant bits, so that its mpf at prec
+    bits is exact."""
+    drop = max(0, n.bit_length() - prec)
     return -(-n >> drop) << drop
 
 
@@ -503,17 +504,17 @@ def _cutoff(fits, rise: float, seed: float, budget: int) -> int:
 
 
 def _certified(value: int, error: int, bits: int, terms: int,
-               digits: int) -> SumResult:
+               digits: int, prec: int) -> SumResult:
     """value 2^-bits with the error bound ``error`` 2^-bits plus the value's
-    rounding to working precision (|value| 2^(1-prec)), rounded up to an
-    exact mpf and checked against 10^-digits in integers: Unsupported when
-    it misses."""
-    ulps = _ceil_to_prec(error + (abs(value) >> (mp.prec - 1)) + 1)
-    tail = _unscale(ulps, bits)
+    rounding to the working precision prec (|value| 2^(1-prec)), rounded up
+    to an exact mpf and checked against 10^-digits in integers: Unsupported
+    when it misses."""
+    ulps = _ceil_to_prec(error + (abs(value) >> (prec - 1)) + 1, prec)
+    tail = _unscale(ulps, bits, prec)
     if ulps * 10 ** digits >= 1 << bits:
         raise Unsupported(f"tail bound {mp.nstr(tail, 5)} after {terms} terms "
                           f"is not below 10^-{digits}")
-    return SumResult(_unscale(value, bits), terms, tail)
+    return SumResult(_unscale(value, bits, prec), terms, tail)
 
 
 # -- boundary summation -------------------------------------------------
@@ -671,12 +672,14 @@ def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
     return Plan(method, K, J, kernel_ns + J * J * bits * _TELESCOPE_NS_PER_BIT)
 
 
-def _execute(spec: SeriesSpec, chosen: Plan, digits: int) -> SumResult:
+def _execute(spec: SeriesSpec, chosen: Plan, digits: int,
+             prec: int) -> SumResult:
     """``spec`` summed as ``chosen`` says by one kernel pass, certified to
-    ``digits`` digits.  The telescope adds t_K (1 + P(K)) to K - 1 terms:
-    summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1} (1 + eps(k)) over k >= K
-    puts the tail within eta t_K P(K) / (1 - eta) of t_K P(K).  As the
-    CRVZ weights are |c_k| < d, its roundoff enters once."""
+    ``digits`` digits and rounded to prec bits.  The telescope adds t_K
+    (1 + P(K)) to K - 1 terms: summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1}
+    (1 + eps(k)) over k >= K puts the tail within eta t_K P(K) / (1 - eta)
+    of t_K P(K).  As the CRVZ weights are |c_k| < d, its roundoff enters
+    once."""
     method, K = chosen.method, chosen.terms
     if not K:
         return SumResult(mpf(0), 0, mpf(0))
@@ -700,7 +703,7 @@ def _execute(spec: SeriesSpec, chosen: Plan, digits: int) -> SumResult:
     else:
         s, d = _crvz([abs(t) for t in terms])
         value, error = -(s // d), (abs(term) + roundoff) // d + roundoff + 2
-    return _certified(value, error, bits, K, digits)
+    return _certified(value, error, bits, K, digits, prec)
 
 
 def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
@@ -714,8 +717,7 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
         raise NotGeometric(
             DIVERGES if kind == "divergent_formal"
             else f"series is {kind}; use sum_boundary_detailed at the radius")
-    with ctx.workdps():
-        return _execute(spec, plan(spec, digits, ctx.max_terms), digits)
+    return _execute(spec, plan(spec, digits, ctx.max_terms), digits, ctx.prec)
 
 
 def sum_boundary_detailed(spec: SeriesSpec, digits: int,
@@ -728,5 +730,4 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
     if not kind.startswith("boundary"):
         raise Unsupported(DIVERGES if kind == "divergent_formal"
                           else f"series is {kind}, not a boundary case")
-    with ctx.workdps():
-        return _execute(spec, plan(spec, digits, ctx.max_terms), digits)
+    return _execute(spec, plan(spec, digits, ctx.max_terms), digits, ctx.prec)

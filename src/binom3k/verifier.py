@@ -3,15 +3,19 @@
 A verification sums the left-hand series with a certified tail bound
 (:func:`sum_record`: :func:`series.sum_to_digits`, or
 :func:`series.sum_boundary_detailed` at z = +-27/4, by :func:`series.plan`)
-and evaluates the right-hand closed form at working precision, both inside
-the one working-precision scope that :func:`verify` opens.  PASS demands
-both a digit match of target - 2 (absorbing final roundoff) and bracket
-consistency |lhs - rhs| <= 3 tail + 10^-(working - 5) max(1, |rhs|), the
-slack covering the roundoff of both sides at working precision.  The
-bracket is decided exactly in integers on the binary values of lhs, rhs
-and tail (:func:`_in_bracket`), with no mpf arithmetic.  The matched-digit
-count is exact integer work on the binary form of the difference, with no
-logarithm.  Records whose series diverges are skipped.
+and evaluates the right-hand closed form, both at the context's working
+precision, which :func:`verify` passes as a value: it neither reads nor
+sets mpmath's global precision.  PASS is bracket consistency |lhs - rhs|
+<= 3 tail + 10^-(working - 5) max(1, |rhs|), the slack covering the
+roundoff of both sides at working precision.  The bracket is decided
+exactly in integers on the binary values of lhs, rhs and tail
+(:func:`_in_bracket`), with no mpf arithmetic.  As the tail is proved
+below 10^-target and the slack is 10^-(target + 21) max(1, |rhs|), a
+bracket that holds puts the relative (below 1, absolute) difference
+below 3.0...1 10^-target, so at least target - 1 digits match.  The
+matched-digit count, reported with every verdict, rounds the difference
+and quotient to working precision through ``libmp`` and counts digits in
+integers, with no logarithm.  Records whose series diverges are skipped.
 :func:`summary_counts` is the one place that counts pass, fail and skipped
 reports.
 
@@ -28,7 +32,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from mpmath import mp, mpf
+from mpmath import mpf
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_sub,
+                          round_nearest, to_str)
 
 from .closed_forms import A_rhs, B_rhs, C_rhs, TheoremParams, XYPair
 from .errors import Binom3kError, DomainError, InvalidParams, MaxTermsExceeded
@@ -62,21 +68,23 @@ class VerificationReport:
         return self.status in (PASS, SKIPPED_DIVERGENT)
 
 
-def _matched_digits(lhs: mpf, rhs: mpf, cap: int) -> int:
+def _matched_digits(lhs: mpf, rhs: mpf, cap: int, prec: int) -> int:
     """floor(-log10 diff) clamped to [0, cap], diff the difference relative
-    to |rhs| unless |rhs| < 1, in which case it is absolute.
+    to |rhs| unless |rhs| < 1, in which case it is absolute, with the
+    difference and the quotient each rounded to prec bits.
 
     Exact on the binary value diff = man 2^exp: d digits match iff
     man 10^d <= 2^-exp.  The bit lengths give an estimate of d that
     integer comparisons then correct, so a diff that is the binary
     rounding of 10^-d, lying just above it, counts d - 1 digits.
     """
-    diff = abs(lhs - rhs)
-    if abs(rhs) >= 1:
-        diff = diff / abs(rhs)
-    if diff == 0:
+    diff = mpf_abs(mpf_sub(lhs._mpf_, rhs._mpf_, prec, round_nearest))
+    size = mpf_abs(rhs._mpf_)
+    if mpf_cmp(size, fone) >= 0:
+        diff = mpf_div(diff, size, prec, round_nearest)
+    if diff == fzero:
         return cap
-    man, exp = diff.man_exp
+    _, man, exp, _ = diff
     if exp >= 0:
         return 0
     limit = 1 << -exp
@@ -129,23 +137,23 @@ def verify(record: IdentityRecord, digits: int,
         report.elapsed = time.perf_counter() - start
         return report
     try:
-        with ctx.workdps():
-            rhs = record.rhs_value(ctx)
-            result = sum_record(record, digits, ctx)
-            lhs = result.value
-            matched = _matched_digits(lhs, rhs, digits)
-            if (matched >= digits - 2 and _in_bracket(
-                    lhs, rhs, result.tail, ctx.working_digits - 5)):
-                report.status = PASS
-            else:
-                report.detail = (f"matched {matched} digits; "
-                                 f"|lhs-rhs| = {mp.nstr(abs(lhs - rhs), 5)} "
-                                 f"vs tail {mp.nstr(result.tail, 5)}")
-            report.lhs_value = lhs
-            report.rhs_value = rhs
-            report.matched_digits = matched
-            report.terms_used = result.terms_used
-            report.tail = result.tail
+        rhs = record.rhs_value(ctx)
+        result = sum_record(record, digits, ctx)
+        lhs = result.value
+        matched = _matched_digits(lhs, rhs, digits, ctx.prec)
+        if _in_bracket(lhs, rhs, result.tail, ctx.working_digits - 5):
+            report.status = PASS
+        else:
+            gap = mpf_abs(mpf_sub(lhs._mpf_, rhs._mpf_, ctx.prec,
+                                  round_nearest))
+            report.detail = (f"matched {matched} digits; "
+                             f"|lhs-rhs| = {to_str(gap, 5)} "
+                             f"vs tail {to_str(result.tail._mpf_, 5)}")
+        report.lhs_value = lhs
+        report.rhs_value = rhs
+        report.matched_digits = matched
+        report.terms_used = result.terms_used
+        report.tail = result.tail
     except Binom3kError as exc:
         report.status = FAIL
         report.detail = f"{type(exc).__name__}: {exc}"
@@ -335,7 +343,7 @@ def differential_check(level: str, pair: XYPair, digits: int,
         derivative = (f_plus - f_minus) / (2 * h)
         transformed = x * (x + y) / (y - x) * derivative
         required = digits // 3
-        matched = _matched_digits(transformed, closed, digits)
+        matched = _matched_digits(transformed, closed, digits, ctx.prec)
     return VerificationReport(
         identity_id=f"diff-{level}-{x}-{y}".replace(".", "p"),
         target_digits=digits,

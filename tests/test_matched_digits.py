@@ -30,7 +30,7 @@ def test_binary_rounding_above_a_power_of_ten_loses_that_digit():
     with mp.workdps(50):
         diff = mpf(10) ** -2
         assert to_fraction(diff) > Fraction(1, 100)
-        assert _matched_digits(diff, mpf(0), 100) == 1
+        assert _matched_digits(diff, mpf(0), 100, mp.prec) == 1
 
 
 @pytest.mark.parametrize("dps", [30, 50, 110])
@@ -39,8 +39,12 @@ def test_powers_of_ten(dps, d):
     with mp.workdps(dps):
         diff = mpf(10) ** -d
         expected = d - 1 if to_fraction(diff) > Fraction(1, 10 ** d) else d
-        assert _matched_digits(diff, mpf(0), 100) == expected
-        assert _matched_digits(mpf(0), -diff, 100) == expected
+        assert _matched_digits(diff, mpf(0), 100, mp.prec) == expected
+        assert _matched_digits(mpf(0), -diff, 100, mp.prec) == expected
+        # relative: the exact difference 1 over 10^d, a quotient that is
+        # rounded to the working precision as diff is
+        rhs = mpf(10 ** d)
+        assert _matched_digits(rhs + 1, rhs, 100, mp.prec) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -58,14 +62,14 @@ def test_digit_count_is_exact(dps, rhs_man, rhs_exp, offset_exp, wiggle, cap):
         diff = abs(lhs - rhs)
         if abs(rhs) >= 1:
             diff = diff / abs(rhs)
-        assert _matched_digits(lhs, rhs, cap) == exact_digits(to_fraction(diff), cap)
+        assert _matched_digits(lhs, rhs, cap, mp.prec) == exact_digits(to_fraction(diff), cap)
 
 
 def test_both_branches_are_covered():
     with mp.workdps(30):
         # relative: 3e-8 of 100 is 3e-10, 9 digits
-        assert _matched_digits(mpf(100) + mpf("3e-8"), mpf(100), 30) == 9
+        assert _matched_digits(mpf(100) + mpf("3e-8"), mpf(100), 30, mp.prec) == 9
         # absolute: |rhs| < 1
-        assert _matched_digits(mpf("0.5") + mpf("3e-8"), mpf("0.5"), 30) == 7
-        assert _matched_digits(mpf(2), mpf("0.5"), 30) == 0
-        assert _matched_digits(mpf(7), mpf(7), 30) == 30
+        assert _matched_digits(mpf("0.5") + mpf("3e-8"), mpf("0.5"), 30, mp.prec) == 7
+        assert _matched_digits(mpf(2), mpf("0.5"), 30, mp.prec) == 0
+        assert _matched_digits(mpf(7), mpf(7), 30, mp.prec) == 30

@@ -1,17 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import pickle
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
+from binom3k import cli, series
 from binom3k import expressions as ex
-from binom3k.closed_forms import eval_expr
+from binom3k.closed_forms import A_rhs, XYPair, batir_rhs, eval_expr, phi
 from binom3k.errors import DomainError, MaxTermsExceeded
 from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
                                golden_ratio, make_context)
 from binom3k.series import sum_boundary_detailed, sum_to_digits
-from binom3k.verifier import verify
+from binom3k.verifier import sum_record, verify
 from reference import golden_conjugate, real_cbrt
 
 
@@ -93,7 +97,16 @@ def test_term_budget_is_a_field():
     assert pickle.loads(pickle.dumps(ctx)).max_terms == 64
 
 
-# -- one precision scope per verification -----------------------------------
+def test_prec_is_the_working_digits_in_bits():
+    ctx = make_context(30)
+    assert ctx.prec == dps_to_prec(ctx.working_digits)
+    with ctx.workdps():
+        assert mp.prec == ctx.prec and mp.dps == ctx.working_digits
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.prec = 100
+
+
+# -- the working precision as a value ----------------------------------------
 
 def _holding(state: str, ctx: PrecisionContext):
     """The caller's precision: the context's working bits, mpmath's
@@ -103,10 +116,35 @@ def _holding(state: str, ctx: PrecisionContext):
             "one bit above": mp.workprec(bits + 1)}[state]
 
 
+@pytest.fixture
+def writes(monkeypatch):
+    """A count of the writes to mp.prec and mp.dps, by setters patched on
+    type(mp)."""
+    count = [0]
+    for name in ("prec", "dps"):
+        original = getattr(type(mp), name)
+
+        def counted(context, value, original=original):
+            count[0] += 1
+            original.fset(context, value)
+
+        monkeypatch.setattr(type(mp), name,
+                            property(original.fget, counted))
+    return count
+
+
+def _eval_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return out.getvalue()
+
+
 def _entries(record_of):
-    """(name, call) pairs of the public entries that set the precision,
-    each returning the raw values it computes.  The closed forms of
-    eq-17-12 and thm1-fib-r2 round otherwise one bit above."""
+    """(name, call) pairs of the public entries that compute at the
+    working precision, each returning the raw values it computes.  The
+    closed forms of eq-17-12 and thm1-fib-r2, A at (1, -1/27), and phi and
+    Batir's form at z = 1/3 round otherwise one bit above."""
     ctx = make_context(30)
     surd, point = record_of("eq-17-12"), record_of("thm1-fib-r2")
 
@@ -122,6 +160,10 @@ def _entries(record_of):
     return ctx, [
         ("eval_expr surd", lambda: eval_expr(surd.rhs, ctx)._mpf_),
         ("eval_expr level", lambda: eval_expr(point.rhs, ctx)._mpf_),
+        ("A_rhs", lambda: A_rhs(XYPair(Fraction(1), Fraction(-1, 27)),
+                                ctx)._mpf_),
+        ("phi", lambda: phi(Fraction(1, 3), ctx)._mpf_),
+        ("batir_rhs", lambda: batir_rhs(Fraction(1, 3), ctx)._mpf_),
         ("sum_to_digits", lambda: summed(sum_to_digits, surd)),
         ("sum_boundary_detailed telescope",
          lambda: summed(sum_boundary_detailed, record_of("eq-27-4"))),
@@ -129,28 +171,32 @@ def _entries(record_of):
          lambda: summed(sum_boundary_detailed, record_of("alt-27-4"))),
         ("verify surd", lambda: verified(surd)),
         ("verify point", lambda: verified(point)),
+        ("cli eval", lambda: _eval_output(
+            ["eval", "--id", "eq-27-4", "--digits", "30"])),
     ]
 
 
-def test_every_entry_gives_the_same_bits_whatever_the_caller_holds(record_of):
+def test_every_entry_gives_the_same_bits_whatever_the_caller_holds(
+        record_of, writes):
     ctx, entries = _entries(record_of)
     for name, call in entries:
         values = {}
         for state in ("working", "default", "one bit above"):
             with _holding(state, ctx):
-                held = mp.prec
+                held, written = mp.prec, writes[0]
                 values[state] = call()
+                assert writes[0] == written, (name, state)
                 assert mp.prec == held, (name, state)
         assert len(set(values.values())) == 1, name
 
 
-def test_no_entry_leaks_its_precision_when_it_raises(record_of):
+def test_no_entry_leaks_its_precision_when_it_raises(record_of, writes):
     ctx, tight = make_context(30), make_context(40, 100)
     bad_tree = ex.log(ex.intlit(-1))
     long_sum = record_of("eq-20-3")
     for state in ("working", "default", "one bit above"):
         with _holding(state, ctx):
-            held = mp.prec
+            held, written = mp.prec, writes[0]
             with pytest.raises(DomainError):
                 eval_expr(bad_tree, ctx)
             assert mp.prec == held
@@ -162,3 +208,23 @@ def test_no_entry_leaks_its_precision_when_it_raises(record_of):
             bad = dataclasses.replace(long_sum, rhs=bad_tree)
             assert "DomainError" in verify(bad, 30, ctx).detail
             assert mp.prec == held
+            assert writes[0] == written, state
+
+
+def test_a_sum_is_its_integer_rounded_once_to_the_working_precision(
+        record_of, monkeypatch):
+    seen = []
+    certified = series._certified
+
+    def spy(value, error, bits, terms, digits, prec):
+        seen.append((value, bits, prec))
+        return certified(value, error, bits, terms, digits, prec)
+
+    monkeypatch.setattr(series, "_certified", spy)
+    ctx = make_context(30)
+    for record_id in ("eq-17-12", "eq-27-4", "alt-27-4"):
+        result = sum_record(record_of(record_id), 30, ctx)
+        value, bits, prec = seen.pop()
+        assert prec == ctx.prec
+        rounded = mpf(value, prec=prec, rounding="n")
+        assert result.value._mpf_ == mp.ldexp(rounded, -bits)._mpf_, record_id

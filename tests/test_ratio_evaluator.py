@@ -35,10 +35,10 @@ def outcome(level, a, x, y, *w):
         return type(exc), str(exc)
 
 
-def core(a, x, y, w):
+def core(a, x, y, w, prec):
     """The core at the integer pair (x, y), rounded to the working
     precision."""
-    return closed_forms._to_mpf(LEVEL(a, x, y, w), w)
+    return closed_forms._to_mpf(LEVEL(a, x, y, w, prec), w, prec)
 
 
 def front_door(ctx):
@@ -56,12 +56,13 @@ def assert_same(got, want):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Every (a, x, y, w) the package hands the core while it is on."""
+    """Every (a, x, y, w, prec) the package hands the core while it is
+    on."""
     seen = []
 
-    def spy(a, x, y, w):
-        seen.append((a, x, y, w))
-        return LEVEL(a, x, y, w)
+    def spy(a, x, y, w, prec):
+        seen.append((a, x, y, w, prec))
+        return LEVEL(a, x, y, w, prec)
 
     monkeypatch.setattr(closed_forms, "_level", spy)
     return seen
@@ -70,8 +71,8 @@ def evaluations(monkeypatch):
 def check_against_oracle(seen, ctx):
     assert seen
     with ctx.workdps():
-        for a, x, y, w in seen:
-            assert_same(outcome(core, a, x, y, w),
+        for a, x, y, w, prec in seen:
+            assert_same(outcome(core, a, x, y, w, prec),
                         outcome(reference.level, a, mpf(x), mpf(y)))
 
 
@@ -202,7 +203,7 @@ def test_error_is_within_the_budget(t, a, digits):
     assume(t != 0 and (a == 2 or t != 1))
     with make_context(digits).workdps():
         w = mp.prec + closed_forms._GUARD_BITS
-        got = LEVEL(a, t.denominator, t.numerator, w)
+        got = LEVEL(a, t.denominator, t.numerator, w, mp.prec)
         with mp.workdps(mp.dps + 20):
             want = reference.formulas(a, mpf(t.denominator), mpf(t.numerator))
             bound = mpf(2) ** (12 - w) * max(1, abs(want))

@@ -51,7 +51,7 @@ def test_every_closed_form_is_within_the_bound(digits, catalog):
         with ctx.workdps():
             w = mp.prec + closed_forms._GUARD_BITS
             walked = closed_forms._walk(tree, w, w - closed_forms._SMALL_BITS,
-                                        False)
+                                        False, mp.prec)
             with mp.workdps(mp.dps + 40):
                 want = reference.tree_value(tree)
                 assert (abs(mpf(walked) / 2 ** w - want)
@@ -64,12 +64,12 @@ def walks(monkeypatch):
     seen, depth = [], [0]
     walk = closed_forms._walk
 
-    def spy(node, w, low, last):
+    def spy(node, w, low, last, prec):
         if not depth[0]:
             seen.append(w)
         depth[0] += 1
         try:
-            return walk(node, w, low, last)
+            return walk(node, w, low, last, prec)
         finally:
             depth[0] -= 1
 
@@ -108,7 +108,8 @@ def test_a_small_value_widens_w(expr, digits, walks):
     with ctx.workdps():
         try:
             value = closed_forms._to_mpf(
-                closed_forms._walk(expr, base, 0, False), base)
+                closed_forms._walk(expr, base, 0, False, mp.prec), base,
+                mp.prec)
         except DomainError:
             return
         want = reference.tree_value(expr)

@@ -17,6 +17,7 @@ from binom3k import verifier
 from binom3k.cli import _suite_json
 from binom3k.closed_forms import TheoremParams, XYPair
 from binom3k.errors import DomainError, InvalidParams
+from binom3k.precision import make_context
 from binom3k.registry import IdentityRecord, instantiate
 from binom3k.sequences import HoradamParams
 from binom3k.series import SeriesSpec, UNIT_WEIGHT
@@ -116,6 +117,37 @@ def test_the_bracket_is_decided_exactly(n, rhs_kind, rhs_man, rhs_shift,
         lhs = mp.fadd(rhs, side * offset, exact=True)
     expected = abs(exact(lhs) - exact(rhs)) <= edge
     assert verifier._in_bracket(lhs, rhs, tail, n) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(digits=st.integers(5, 1000),
+       rhs_kind=st.sampled_from(["zero", "below one", "one or more"]),
+       rhs_man=st.integers(-2 ** 64, 2 ** 64).filter(bool),
+       rhs_shift=st.integers(0, 200),
+       tail_part=st.integers(0, 2 ** 32 - 1),
+       wiggle=st.integers(-3, 3), side=st.sampled_from([-1, 1]))
+def test_a_bracket_that_holds_matches_all_but_one_digit(
+        digits, rhs_kind, rhs_man, rhs_shift, tail_part, wiggle, side):
+    # verify's bracket, with a tail below 10^-digits as the sums prove it,
+    # implies matched >= digits - 1, so PASS needs no digit gate: lhs is
+    # a working-precision value within a few ulps of the bracket's edge
+    ctx = make_context(digits)
+    prec, n = ctx.prec, ctx.working_digits - 5
+    with mp.workprec(prec):
+        if rhs_kind == "zero":
+            rhs = mpf(0)
+        elif rhs_kind == "below one":
+            rhs = mp.ldexp(rhs_man, -rhs_man.bit_length() - rhs_shift)
+        else:
+            rhs = mp.ldexp(rhs_man, rhs_shift)
+        tail = mp.fdiv(tail_part, 2 ** 32 * 10 ** digits, rounding="d")
+        edge = 3 * exact(tail) + max(1, abs(exact(rhs))) / Fraction(10) ** n
+        offset = mpf(edge.numerator) / edge.denominator
+        offset = mp.fadd(offset, mp.ldexp(wiggle, offset.man_exp[1]))
+        lhs = rhs + side * offset
+    assert exact(tail) < Fraction(1, 10 ** digits)
+    if verifier._in_bracket(lhs, rhs, tail, n):
+        assert verifier._matched_digits(lhs, rhs, digits, prec) >= digits - 1
 
 
 @pytest.mark.parametrize("lhs,rhs,tail,n,inside", [
