@@ -103,12 +103,12 @@ from typing import Optional, Union
 from mpmath import mp, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_atan, mpf_cbrt,
                           mpf_div, mpf_log, phi_fixed, pi_fixed, prec_to_dps,
-                          round_nearest, to_fixed, to_str)
+                          round_nearest, to_fixed, to_rational, to_str)
 
 from .errors import DomainError, InvalidParams, SingularInput
 from .expressions import (GOLDEN, Expr, cbrt, intlit, level, ratlit, sqrt,
                           to_json)
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _unscale
 from .sequences import (FIBONACCI_PARAMS, LUCAS_PARAMS, HoradamParams,
                         fib, horadam, lucas)
 from .series import SeriesSpec, UNIT_WEIGHT, Weight
@@ -248,11 +248,6 @@ def _level(a: int, x: int, y: int, w: int, prec: int) -> int:
     return num * x ** 3 // (x - y) ** 3 + (4 * x * y << w) // (x - y) ** 2
 
 
-def _to_mpf(value: int, w: int, prec: int) -> mpf:
-    """value 2^-w rounded to the working precision prec."""
-    return mp.make_mpf(from_man_exp(value, -w, prec, round_nearest))
-
-
 def _pair_level(a: int, pair: XYPair, ctx: PrecisionContext) -> mpf:
     """The level-a value at the pair as given, unswapped, read as mpf
     values at the working precision and scaled exactly to integers."""
@@ -263,8 +258,8 @@ def _pair_level(a: int, pair: XYPair, ctx: PrecisionContext) -> mpf:
     (xs, xm, xe, _), (ys, ym, ye, _) = x._mpf_, y._mpf_
     e = min(xe, ye)
     w = prec + _GUARD_BITS
-    return _to_mpf(_level(a, (-1) ** xs * xm << xe - e,
-                          (-1) ** ys * ym << ye - e, w, prec), w, prec)
+    return _unscale(_level(a, (-1) ** xs * xm << xe - e,
+                           (-1) ** ys * ym << ye - e, w, prec), w, prec)
 
 
 def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
@@ -347,7 +342,7 @@ def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
     low, cap = w - _SMALL_BITS, None  # the bits of 2^-_SMALL_BITS at w
     while True:
         try:
-            return _to_mpf(_walk(expr, w, low, w == cap, prec), w, prec)
+            return _unscale(_walk(expr, w, low, w == cap, prec), w, prec)
         except _Wider as wider:
             if cap is None:
                 cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
@@ -426,7 +421,7 @@ def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
         _need(val, w, low, last, expr)
         if val < 0:
             raise DomainError(f"sqrt of negative value "
-                              f"{_str(_to_mpf(val, w, prec), prec)} "
+                              f"{_str(_unscale(val, w, prec), prec)} "
                               f"in {to_json(expr)}")
         return isqrt(val << w)
     if kind == "cbrt":
@@ -439,7 +434,7 @@ def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
         _need(val, w, low, last, expr)
         if val <= 0:
             raise DomainError(f"log of nonpositive value "
-                              f"{_str(_to_mpf(val, w, prec), prec)} "
+                              f"{_str(_unscale(val, w, prec), prec)} "
                               f"in {to_json(expr)}")
         return to_fixed(mpf_log(from_man_exp(val, -w), w), w)
     if kind == "arctan":
@@ -461,9 +456,8 @@ def _phi_expr(z: Realish, ctx: PrecisionContext) -> Expr:
     if not mp.isfinite(zv):
         raise DomainError(f"phi needs a finite z, got z = "
                           f"{_str(zv, ctx.prec)}")
-    sign, man, exp, _ = zv._mpf_
     q = (Fraction(z) if isinstance(z, (int, Fraction))
-         else Fraction((-1) ** sign * man) * Fraction(2) ** exp)
+         else Fraction(*to_rational(zv._mpf_)))
     if q == 0:
         raise DomainError("phi is undefined at z = 0")
     if 81 - 12 * q < 0:

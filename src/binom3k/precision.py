@@ -10,10 +10,9 @@ than asked for.
 
 The package passes ``prec`` as a value: the sums, the closed forms and
 the verifier round every mpf they build to it through mpmath's raw
-``libmp`` functions, and neither read nor set mpmath's global precision.
-:meth:`PrecisionContext.workdps` sets that global precision for code that
-does its own mpf arithmetic (:func:`golden_ratio`, the derivative check,
-the benchmark and the tests).
+``libmp`` functions (:func:`_unscale`), and no code of the package reads,
+sets or computes under mpmath's global precision.  Only the benchmark and
+the tests do; the context's scope method below is kept for them.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 # digits carried beyond the target, absorbing the roundoff of the closed
 # forms and of the final rounding of a sum
@@ -55,8 +53,8 @@ class PrecisionContext:
 
     def workdps(self):
         """mpmath context manager setting the global working precision,
-        and restoring the caller's on exit."""
-        return mpmath.workdps(self.working_digits)
+        and restoring the caller's on exit; for the benchmark and tests."""
+        return mp.workdps(self.working_digits)
 
 
 def make_context(target_digits: int,
@@ -79,7 +77,6 @@ def context_for(digits: int,
     return ctx
 
 
-def golden_ratio(ctx: PrecisionContext) -> mpf:
-    """The golden ratio (1 + sqrt(5)) / 2."""
-    with ctx.workdps():
-        return (1 + mp.sqrt(5)) / 2
+def _unscale(n: int, bits: int, prec: int) -> mpf:
+    """The fixed-point integer n, standing for n 2^-bits, rounded to prec."""
+    return mp.make_mpf(from_man_exp(n, -bits, prec, round_nearest))

@@ -120,18 +120,21 @@ def _check_ids(records: list[IdentityRecord]) -> None:
 
 
 def load_catalog(path: Union[str, Path]) -> list[IdentityRecord]:
-    """Load and validate a catalog JSON file, a list of records; a
-    malformed record raises ValueError naming its index."""
+    """Load and validate a catalog JSON file, a list of records; ValueError
+    for a malformed record, naming its index, or nesting too deep to read."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: a catalog is a JSON list of records")
     records = []
     for index, obj in enumerate(data):
         try:
             records.append(record_from_json(obj))
-        except (Binom3kError, ArithmeticError, LookupError, TypeError,
-                ValueError) as exc:
+        except (Binom3kError, ArithmeticError, LookupError, RecursionError,
+                TypeError, ValueError) as exc:
             raise ValueError(f"{path}: record {index} is malformed: "
                              f"{type(exc).__name__}: {exc}") from exc
     _check_ids(records)

@@ -62,10 +62,11 @@ from operator import mul
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_phi, mpf_pow_int,
+                          round_nearest, to_str)
 
 from .errors import MaxTermsExceeded, NotGeometric, Unsupported
-from .precision import PrecisionContext, context_for, golden_ratio
+from .precision import PrecisionContext, _unscale, context_for
 from .sequences import fib, lucas
 
 _GUARD_BITS = 48
@@ -182,13 +183,15 @@ def convergence_kind(spec: SeriesSpec) -> str:
 
 
 def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
-    """The exact convergence_kind, with rho kept as an mpf.  No path of the
-    package calls it; the benchmark reads its rho."""
-    z = spec.z
-    with ctx.workdps():
-        rho = (mpf(abs(z.numerator)) / z.denominator
-               * golden_ratio(ctx) ** abs(spec.weight.m) * 4 / 27)
-    return ConvergenceClass(convergence_kind(spec), rho)
+    """The exact convergence_kind, with rho rounded to ctx.prec by libmp.  No
+    path of the package calls it; the benchmark reads its rho."""
+    z, prec, rnd = spec.z, ctx.prec, round_nearest
+    rho = mpf_div(from_int(abs(z.numerator), prec, rnd),
+                  from_int(z.denominator), prec, rnd)
+    power = mpf_pow_int(mpf_phi(prec, rnd), abs(spec.weight.m), prec, rnd)
+    rho = mpf_mul(mpf_mul(rho, power, prec, rnd), from_int(4), prec, rnd)
+    return ConvergenceClass(convergence_kind(spec), mp.make_mpf(
+        mpf_div(rho, from_int(27), prec, rnd)))
 
 
 # -- the integer kernel ----------------------------------------------------
@@ -363,11 +366,6 @@ def _kernel_bits(roundoff: int, finest: float) -> int:
     return max(0, math.ceil(-finest)) + roundoff.bit_length() + _GUARD_BITS
 
 
-def _unscale(n: int, bits: int, prec: int) -> mpf:
-    """n 2^-bits rounded to prec bits."""
-    return mp.make_mpf(from_man_exp(n, -bits, prec, round_nearest))
-
-
 def _ceil_to_prec(n: int, prec: int) -> int:
     """n >= 0 rounded up to prec significant bits, so that its mpf at prec
     bits is exact."""
@@ -512,8 +510,8 @@ def _certified(value: int, error: int, bits: int, terms: int,
     ulps = _ceil_to_prec(error + (abs(value) >> (prec - 1)) + 1, prec)
     tail = _unscale(ulps, bits, prec)
     if ulps * 10 ** digits >= 1 << bits:
-        raise Unsupported(f"tail bound {mp.nstr(tail, 5)} after {terms} terms "
-                          f"is not below 10^-{digits}")
+        raise Unsupported(f"tail bound {to_str(tail._mpf_, 5)} after "
+                          f"{terms} terms is not below 10^-{digits}")
     return SumResult(_unscale(value, bits, prec), terms, tail)
 
 

@@ -17,7 +17,8 @@ matched-digit count, reported with every verdict, rounds the difference
 and quotient to working precision through ``libmp`` and counts digits in
 integers, with no logarithm.  Records whose series diverges are skipped.
 :func:`summary_counts` is the one place that counts pass, fail and skipped
-reports.
+reports.  :func:`differential_check` checks the derivative chain by one
+exact difference-quotient tree, at the same working precision.
 
 :func:`verify_all` with ``jobs`` > 1 splits the records by their
 :func:`planned_cost` (:func:`lpt_partition`, longest first), verifies one
@@ -30,14 +31,16 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from mpmath import mpf
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_sub,
-                          round_nearest, to_str)
+                          round_nearest, to_rational, to_str)
 
-from .closed_forms import A_rhs, B_rhs, C_rhs, TheoremParams, XYPair
+from .closed_forms import B_rhs, C_rhs, TheoremParams, XYPair, eval_expr
 from .errors import Binom3kError, DomainError, InvalidParams, MaxTermsExceeded
+from .expressions import cbrt, level as level_node, ratlit
 from .precision import PrecisionContext, context_for
 from .registry import IdentityRecord, instance_id, instantiate
 from .series import (DIVERGES, SumResult, plan, sum_boundary_detailed,
@@ -324,28 +327,33 @@ def differential_check(level: str, pair: XYPair, digits: int,
     """Check the derivative chain between adjacent closed-form levels.
 
     The level-(a-1) form equals x(x+y)/(y-x) times the x-derivative of the
-    level-a form; the derivative is taken by central differences with
-    h = 10^(-digits/3), so agreement of digits/3 digits is the bar.
+    level-a form L, taken by central differences with h = cbrt(10^-digits),
+    so agreement of digits/3 digits is the bar.  The quotient is one exact
+    tree at the pair's binary values; its walk widens at the division by
+    2h, which covers the cancellation.  DomainError at x = y, outside the
+    upper level's window, and where x +- h crosses |x| = |y|.
     """
     if level not in ("A_to_B", "B_to_C"):
         raise ValueError(f"level must be 'A_to_B' or 'B_to_C', got {level!r}")
     ctx = context_for(digits, ctx)
-    lower, upper = (A_rhs, B_rhs) if level == "A_to_B" else (B_rhs, C_rhs)
+    a, upper = (2, B_rhs) if level == "A_to_B" else (1, C_rhs)
     start = time.perf_counter()
-    with ctx.workdps():
-        x, y = pair.values(ctx)
-        if x == y:
-            raise DomainError("differential check is singular at x = y")
-        closed = upper(pair, ctx)  # the given pair is checked first
-        h = mpf(10) ** (-mpf(digits) / 3)
-        f_plus = lower(XYPair(x + h, y), ctx)
-        f_minus = lower(XYPair(x - h, y), ctx)
-        derivative = (f_plus - f_minus) / (2 * h)
-        transformed = x * (x + y) / (y - x) * derivative
-        required = digits // 3
-        matched = _matched_digits(transformed, closed, digits, ctx.prec)
+    xv, yv = pair.values(ctx)
+    if xv == yv:
+        raise DomainError("differential check is singular at x = y")
+    closed = upper(pair, ctx)  # the given pair is checked first
+    xq, yq = (Fraction(*to_rational(v._mpf_)) for v in (xv, yv))
+    if (abs(xq) - abs(yq)) ** 3 * 10 ** digits <= 1:
+        raise DomainError(f"the stencil x +- h, h = 1e-{digits}/3, crosses "
+                          f"|x| = |y|: differential check needs |x| - |y| > h")
+    x, y, h = ratlit(xq), ratlit(yq), cbrt(ratlit(1, 10 ** digits))
+    slope = (level_node(a, x + h, y) - level_node(a, x - h, y)) / (2 * h)
+    transformed = eval_expr(x * (x + y) / (y - x) * slope, ctx)
+    required = digits // 3
+    matched = _matched_digits(transformed, closed, digits, ctx.prec)
+    name = "-".join(to_str(v._mpf_, 15) for v in (xv, yv))
     return VerificationReport(
-        identity_id=f"diff-{level}-{x}-{y}".replace(".", "p"),
+        identity_id=f"diff-{level}-{name}".replace(".", "p"),
         target_digits=digits,
         status=PASS if matched >= required else FAIL,
         matched_digits=matched,

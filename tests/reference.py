@@ -4,7 +4,7 @@ nsum of a unit series, the kernel's cutoff, a proved bracket on a whole
 series read from one kernel pass, the mpf evaluation of the closed-form
 levels at (x, y) and of whole expression trees, the level nodes of a
 tree, the trigonometric closed forms, the real cube root, the golden
-conjugate, and the paper's auxiliary Fibonacci and Lucas identities."""
+ratio and its conjugate, and the paper's auxiliary Fibonacci and Lucas identities."""
 
 import math
 import operator
@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 from binom3k import closed_forms
 from binom3k.expressions import Expr, level as level_node, ratlit, to_json
 from binom3k.errors import DomainError, SingularInput
-from binom3k.precision import PrecisionContext, golden_ratio
+from binom3k.precision import PrecisionContext
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, _cutoff, _cutoff_fits, _cutoff_seed,
                             _growth_constant, _kernel, _kernel_bits,
@@ -267,6 +267,12 @@ def tree_value(expr: Expr) -> mpf:
             x, y = y, x
         return level(a, x, y)
     raise ValueError(f"unknown expression kind {kind!r}")
+
+
+def golden_ratio(ctx: PrecisionContext) -> mpf:
+    """The golden ratio (1 + sqrt(5)) / 2."""
+    with ctx.workdps():
+        return (1 + mp.sqrt(5)) / 2
 
 
 def golden_conjugate(ctx: PrecisionContext) -> mpf:

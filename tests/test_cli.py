@@ -253,6 +253,31 @@ def test_check_derivatives_names_the_given_pair(level, capsys):
     assert "x/y = -1.0 outside validity window" in captured.err
 
 
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+def test_check_derivatives_refuses_a_stencil_across_x_eq_y(level, capsys):
+    assert run(["check-derivatives", "--level", level, "--x", "1.00000000001",
+                "--y", "1", "--digits", "30", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the stencil x +- h, h = 1e-30/3, crosses |x| = |y|" in captured.err
+
+
+@pytest.mark.parametrize("depth", [600, 20000])
+def test_a_catalog_nested_too_deep_is_a_usage_error(depth, tmp_path, capsys):
+    one = '{"kind": "int", "args": ["1"]}'
+    rhs = '{"kind": "add", "args": [' * depth + one + (", " + one + "]}") * depth
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '[{"id": "deep", "note": "", "lhs": {"z": "1/2", "a": 2, "weight": '
+        '{"kind": "unit"}}, "rhs": {"expr": ' + rhs + '}, "validity": "", '
+        '"convergence": "geometric", "tags": []}]\n', encoding="utf-8")
+    assert run(["verify-all", "--catalog", str(path), "--digits", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_check_derivatives_command(capsys):
     assert run(["check-derivatives", "--level", "A_to_B", "--x", "9",
                 "--y", "1", "--digits", "30", "--format", "json"]) == 0

@@ -10,11 +10,11 @@ from binom3k.closed_forms import (_FAMILIES, FAMILIES, TheoremParams,
                                   theorem_rhs)
 from binom3k.errors import DomainError, InvalidParams
 from binom3k.expressions import intlit
-from binom3k.precision import golden_ratio, make_context
+from binom3k.precision import make_context
 from binom3k.registry import instantiate
 from binom3k.sequences import HoradamParams, fib, lucas
 from binom3k.series import UNIT_WEIGHT, Weight
-from reference import golden_conjugate, level_nodes
+from reference import golden_conjugate, golden_ratio, level_nodes
 
 
 def _rs(values):

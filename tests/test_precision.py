@@ -13,10 +13,10 @@ from binom3k import expressions as ex
 from binom3k.closed_forms import A_rhs, XYPair, batir_rhs, eval_expr, phi
 from binom3k.errors import DomainError, MaxTermsExceeded
 from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
-                               golden_ratio, make_context)
+                               make_context)
 from binom3k.series import sum_boundary_detailed, sum_to_digits
 from binom3k.verifier import sum_record, verify
-from reference import golden_conjugate, real_cbrt
+from reference import golden_conjugate, golden_ratio, real_cbrt
 
 
 @pytest.mark.parametrize("target,terms,expected", [

@@ -13,7 +13,7 @@ from binom3k import closed_forms
 from binom3k.closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
                                   batir_rhs, theorem_rhs)
 from binom3k.errors import Binom3kError, DomainError
-from binom3k.precision import make_context
+from binom3k.precision import _unscale, make_context
 from test_family_pairs import SWEEP_GRID
 
 DIGITS = (25, 100, 1000)
@@ -38,7 +38,7 @@ def outcome(level, a, x, y, *w):
 def core(a, x, y, w, prec):
     """The core at the integer pair (x, y), rounded to the working
     precision."""
-    return closed_forms._to_mpf(LEVEL(a, x, y, w, prec), w, prec)
+    return _unscale(LEVEL(a, x, y, w, prec), w, prec)
 
 
 def front_door(ctx):

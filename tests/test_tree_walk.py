@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 import reference
-from binom3k import closed_forms
+from binom3k import closed_forms, precision
 from binom3k.closed_forms import eval_expr, phi, theorem_expr
 from binom3k.errors import Binom3kError, DomainError, InvalidParams
 from binom3k.expressions import (GOLDEN, arctan, cbrt, intlit, level, log,
@@ -107,7 +107,7 @@ def test_a_small_value_widens_w(expr, digits, walks):
     # one walk at the base W, checking nothing, misses it
     with ctx.workdps():
         try:
-            value = closed_forms._to_mpf(
+            value = precision._unscale(
                 closed_forms._walk(expr, base, 0, False, mp.prec), base,
                 mp.prec)
         except DomainError:

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from binom3k import expressions as ex
 from binom3k import verifier
 from binom3k.cli import _suite_json
-from binom3k.closed_forms import TheoremParams, XYPair
+from binom3k.closed_forms import TheoremParams, XYPair, eval_expr
 from binom3k.errors import DomainError, InvalidParams
 from binom3k.precision import make_context
 from binom3k.registry import IdentityRecord, instantiate
@@ -400,6 +401,48 @@ def test_differential_check_bad_level():
 def test_differential_check_domain():
     with pytest.raises(DomainError):
         differential_check("A_to_B", XYPair(Fraction(3), Fraction(3)), 40)
+
+
+def _exact(value) -> Fraction:
+    return Fraction(*to_rational(value._mpf_))
+
+
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+def test_differential_check_ignores_the_ambient_precision(level):
+    def report_at(dps):
+        with mp.workdps(dps):
+            report = differential_check(level, XYPair(Fraction(7, 3), 1), 60)
+        return (report.identity_id, report.status, report.matched_digits,
+                report.lhs_value._mpf_, report.rhs_value._mpf_, report.detail)
+
+    default = report_at(15)
+    assert default[0] == f"diff-{level}-2p33333333333333-1p0"
+    assert report_at(5) == default
+    assert report_at(1100) == default
+
+
+@pytest.mark.parametrize("digits", [100, 300])
+@pytest.mark.parametrize("pair", [(5, 4), (-9, 1), (Fraction(7, 3), 1)])
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+def test_differential_check_lhs_is_its_quotient_to_the_working_precision(
+        level, pair, digits):
+    ctx = make_context(digits)
+    report = differential_check(level, XYPair(*pair), digits, ctx)
+    # the difference quotient of the pair's binary values, 60 digits wider
+    x, y = (ex.ratlit(_exact(v)) for v in XYPair(*pair).values(ctx))
+    h, a = ex.cbrt(ex.ratlit(1, 10 ** digits)), 2 if level == "A_to_B" else 1
+    slope = (ex.level(a, x + h, y) - ex.level(a, x - h, y)) / (2 * h)
+    want = _exact(eval_expr(x * (x + y) / (y - x) * slope,
+                            make_context(digits + 60)))
+    error = abs(_exact(report.lhs_value) - want)
+    assert error <= Fraction(2) ** (1 - ctx.prec) * max(1, abs(want))
+
+
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+def test_differential_check_refuses_a_stencil_across_x_eq_y(level):
+    # h = 1e-10 exceeds x - y = 1e-11, so x - h lies below y
+    with pytest.raises(DomainError, match="stencil x"):
+        differential_check(level, XYPair(1 + Fraction(1, 10 ** 11), 1), 30)
 
 
 def test_summary_counts_feed_the_json_suite():
