@@ -9,7 +9,6 @@ records carry the tree of :func:`~.closed_forms.theorem_point`, a sum of
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .closed_forms import TheoremParams, theorem_point
@@ -22,9 +21,8 @@ F = Fraction
 
 
 def _record(rid, note, lhs, rhs, validity, tags):
-    """A record labelled with its id, of the convergence class
-    convergence_kind finds, tagged divergent-formal beyond the radius."""
-    lhs = replace(lhs, label=rid)
+    """A record of the convergence class convergence_kind finds, tagged
+    divergent-formal beyond the radius."""
     kind = convergence_kind(lhs)
     if kind.startswith("divergent"):
         tags = tuple(tags) + ("divergent-formal",)

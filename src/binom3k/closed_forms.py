@@ -333,20 +333,24 @@ def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
     Raises :class:`DomainError` naming the offending subtree when a log
     argument is nonpositive, a sqrt argument negative, or a divisor zero,
     or when a value the walk must read to relative accuracy is still too
-    small at the widest W the tree allows; a level node raises as
-    :func:`_level` does outside its window.  Cube roots use the
-    sign-preserving real branch.
+    small at the widest W the tree allows, and unnamed when the tree is too
+    deep to recurse; a level node raises as :func:`_level` does outside its
+    window.  Cube roots use the sign-preserving real branch.
     """
     prec = ctx.prec
     w = prec + _GUARD_BITS
     low, cap = w - _SMALL_BITS, None  # the bits of 2^-_SMALL_BITS at w
-    while True:
-        try:
-            return _unscale(_walk(expr, w, low, w == cap, prec), w, prec)
-        except _Wider as wider:
-            if cap is None:
-                cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
-            w = min(cap, w + wider.args[0])
+    try:
+        while True:
+            try:
+                return _unscale(_walk(expr, w, low, w == cap, prec), w, prec)
+            except _Wider as wider:
+                if cap is None:
+                    cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
+                w = min(cap, w + wider.args[0])
+    except RecursionError:  # not printed: to_json recurses too
+        raise DomainError("expression tree nested deeper than the walk can "
+                          "follow") from None
 
 
 def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
@@ -696,7 +700,7 @@ def theorem_point(params: TheoremParams) -> tuple[SeriesSpec, Expr]:
     terms = [level(a, x, y) if c == 1 else c * level(a, x, y)
              for c, x, y in branches(params) if c != 0]
     tree = sum(terms[1:], terms[0]) if terms else intlit(0)
-    return SeriesSpec(z, a, weight, params.describe()), tree
+    return SeriesSpec(z, a, weight), tree
 
 
 def theorem_expr(params: TheoremParams) -> Expr:

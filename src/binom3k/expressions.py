@@ -5,19 +5,19 @@ the golden ratio, square/cube roots, log, arctan, arithmetic and the
 closed-form level ``level(a, x, y)``, the sum of z^k/(k^a C(3k,k)) at
 z = 27xy/(x+y)^2.  It is every right-hand side the catalog stores:
 trees serialize to nested JSON objects ``{"kind": ..., "args": [...]}``
-with big integers, rationals, exponents and level exponents rendered as
-decimal strings, so a catalog can be re-evaluated at any precision
-without loss.  :func:`~.closed_forms.eval_expr` evaluates a tree in one
-walk over fixed-point integers, rounding to an mpf once.
+whose numbers are decimal strings, so a catalog can be re-evaluated at
+any precision without loss.  :func:`from_json` refuses a tree off the
+table ``_ARGS``: a number for int and rat, none for pi and golden_ratio,
+(x, n) for pow, (a, x, y) for level, one tree or two for the rest.
+:func:`~.closed_forms.eval_expr` evaluates a tree in one walk over
+fixed-point integers, rounding to an mpf once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-_UNARY_KINDS = frozenset({"sqrt", "cbrt", "log", "arctan", "neg"})
-_BINARY_KINDS = frozenset({"add", "sub", "mul", "div"})
 
 
 def _operator(kind: str, reflected: bool = False):
@@ -77,20 +77,15 @@ PI = Expr("pi")
 GOLDEN = Expr("golden_ratio")
 
 
-def sqrt(child) -> Expr:
-    return Expr("sqrt", (_coerce(child),))
+def _function(kind: str):
+    """The function building ``kind`` of one coerced operand."""
+    def build(child) -> Expr:
+        return Expr(kind, (_coerce(child),))
+    build.__name__ = build.__qualname__ = kind  # so pickle finds it here
+    return build
 
 
-def cbrt(child) -> Expr:
-    return Expr("cbrt", (_coerce(child),))
-
-
-def log(child) -> Expr:
-    return Expr("log", (_coerce(child),))
-
-
-def arctan(child) -> Expr:
-    return Expr("arctan", (_coerce(child),))
+sqrt, cbrt, log, arctan = map(_function, ("sqrt", "cbrt", "log", "arctan"))
 
 
 def level(a: int, x, y) -> Expr:
@@ -100,44 +95,58 @@ def level(a: int, x, y) -> Expr:
 
 # -- canonical JSON form ----------------------------------------------
 
+# Each kind's arguments: x and y trees, n an integer, q a rational, a 0-2.
+_ARGS = {
+    "int": ("n",), "rat": ("q",), "pi": (), "golden_ratio": (),
+    "pow": ("x", "n"), "level": ("a", "x", "y"),
+    **dict.fromkeys(("sqrt", "cbrt", "log", "arctan", "neg"), ("x",)),
+    **dict.fromkeys(("add", "sub", "mul", "div"), ("x", "y")),
+}
+# Each number argument's decimal string, its form in errors and its value.
+_NUMBERS = {
+    "n": (r"-?[0-9]+", "an integer string like '-12'", int),
+    "q": (r"-?[0-9]+(/[0-9]+)?", "a rational string like '8/3'", Fraction),
+    "a": ("[012]", "'0', '1' or '2'", int),
+}
+
+
+def _number(text, name: str, what: str):
+    pattern, form, value = _NUMBERS[name]
+    if isinstance(text, str) and re.fullmatch(pattern, text):
+        return value(text)
+    raise ValueError(f"{what} must be {form}, got {text!r}")
+
+
+def rational_to_json(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def rational_from_json(text, what: str) -> Fraction:
+    """The rational 'p' or 'p/q'; ValueError naming ``what`` otherwise."""
+    return _number(text, "q", what)
+
+
 def to_json(expr: Expr) -> dict:
-    """Canonical nested-object form, numerics as decimal strings."""
-    kind = expr.kind
-    if kind == "int":
-        return {"kind": "int", "args": [str(expr.args[0])]}
-    if kind == "rat":
-        frac = expr.args[0]
-        return {"kind": "rat", "args": [f"{frac.numerator}/{frac.denominator}"]}
-    if kind in ("pi", "golden_ratio"):
-        return {"kind": kind, "args": []}
-    if kind == "pow":
-        return {"kind": "pow", "args": [to_json(expr.args[0]), str(expr.args[1])]}
-    if kind == "level":
-        a, x, y = expr.args
-        return {"kind": "level", "args": [str(a), to_json(x), to_json(y)]}
-    return {"kind": kind, "args": [to_json(arg) for arg in expr.args]}
+    """Canonical nested-object form, numbers as decimal strings."""
+    return {"kind": expr.kind, "args": [
+        to_json(arg) if name in ("x", "y")
+        else rational_to_json(arg) if name == "q" else str(arg)
+        for name, arg in zip(_ARGS[expr.kind], expr.args, strict=True)]}
 
 
-def from_json(obj: dict) -> Expr:
-    kind = obj["kind"]
-    args = obj["args"]
-    if kind == "int":
-        return intlit(int(args[0]))
-    if kind == "rat":
-        num, den = args[0].split("/")
-        return ratlit(int(num), int(den))
-    if kind in ("pi", "golden_ratio"):
-        return Expr(kind)
-    if kind == "pow":
-        return Expr("pow", (from_json(args[0]), int(args[1])))
-    if kind == "level":
-        if len(args) != 3:
-            raise ValueError(f"level takes 3 args (a, x, y), got {len(args)}")
-        if args[0] not in ("0", "1", "2"):
-            raise ValueError(f"level a must be '0', '1' or '2', got {args[0]!r}")
-        return level(int(args[0]), from_json(args[1]), from_json(args[2]))
-    if kind in _UNARY_KINDS:
-        return Expr(kind, (from_json(args[0]),))
-    if kind in _BINARY_KINDS:
-        return Expr(kind, (from_json(args[0]), from_json(args[1])))
-    raise ValueError(f"unknown expression kind {kind!r}")
+def from_json(obj) -> Expr:
+    """The tree of a :func:`to_json` object; ValueError naming its kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an expression is a JSON object, got {obj!r}")
+    kind, args = obj["kind"], obj["args"]
+    if kind not in _ARGS:
+        raise ValueError(f"unknown expression kind {kind!r}")
+    names = _ARGS[kind]
+    if not isinstance(args, list) or len(args) != len(names):
+        got = len(args) if isinstance(args, list) else repr(args)
+        raise ValueError(f"{kind} takes {len(names)} args "
+                         f"({', '.join(names)}), got {got}")
+    values = tuple(from_json(arg) if name in ("x", "y")
+                   else _number(arg, name, f"{kind} {name}")
+                   for name, arg in zip(names, args))
+    return ratlit(*values) if kind == "rat" else Expr(kind, values)

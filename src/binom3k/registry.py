@@ -56,16 +56,11 @@ def _weight_from_json(obj: dict) -> Weight:
     return UNIT_WEIGHT if kind == "unit" else Weight(kind, obj["m"])
 
 
-def _z_to_json(z: Fraction) -> str:
-    return f"{z.numerator}/{z.denominator}"
-
-
 def _z_from_json(obj) -> Fraction:
     if not isinstance(obj, str):
         raise InvalidParams(f"series argument must be a rational string "
                             f"like '8/3', got {obj!r}")
-    num, _, den = obj.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return expressions.rational_from_json(obj, "series argument")
 
 
 def record_to_json(record: IdentityRecord) -> dict:
@@ -73,7 +68,7 @@ def record_to_json(record: IdentityRecord) -> dict:
         "id": record.id,
         "note": record.note,
         "lhs": {
-            "z": _z_to_json(record.lhs.z),
+            "z": expressions.rational_to_json(record.lhs.z),
             "a": record.lhs.a,
             "weight": _weight_to_json(record.lhs.weight),
         },
@@ -99,7 +94,7 @@ def record_from_json(obj: dict) -> IdentityRecord:
         raise InvalidParams(f"tags must be a list of strings, got {tags!r}")
     lhs_obj = obj["lhs"]
     lhs = SeriesSpec(_z_from_json(lhs_obj["z"]), lhs_obj["a"],
-                     _weight_from_json(lhs_obj["weight"]), label=record_id)
+                     _weight_from_json(lhs_obj["weight"]))
     rhs_obj = obj["rhs"]
     if "expr" not in rhs_obj:  # such as the family rhs of older catalogs
         raise InvalidParams(f"rhs must hold an expression tree under 'expr', "
@@ -211,7 +206,7 @@ def instantiate(family: str, params: TheoremParams) -> IdentityRecord:
     if params.family != family:
         raise InvalidParams(f"{params.describe()} is not a point of {family}")
     lhs, rhs = theorem_point(params)  # raises InvalidParams on bad params
-    described = lhs.label  # theorem_point sets it to params.describe()
+    described = params.describe()
     kind = convergence_kind(lhs)
     if kind == "divergent_formal":
         raise InvalidParams(

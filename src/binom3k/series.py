@@ -111,7 +111,6 @@ class SeriesSpec:
     z: Fraction
     a: int
     weight: Weight = UNIT_WEIGHT
-    label: str = ""
 
     def __post_init__(self):
         if not isinstance(self.z, Fraction):

@@ -28,9 +28,9 @@ part in this process and each other part in a forked child process.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -49,8 +49,6 @@ from .series import (DIVERGES, SumResult, plan, sum_boundary_detailed,
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED_DIVERGENT = "SKIPPED_DIVERGENT"
-
-_LOG10_2 = math.log10(2)
 
 
 @dataclass
@@ -77,9 +75,9 @@ def _matched_digits(lhs: mpf, rhs: mpf, cap: int, prec: int) -> int:
     difference and the quotient each rounded to prec bits.
 
     Exact on the binary value diff = man 2^exp: d digits match iff
-    man 10^d <= 2^-exp.  The bit lengths give an estimate of d that
-    integer comparisons then correct, so a diff that is the binary
-    rounding of 10^-d, lying just above it, counts d - 1 digits.
+    man 10^d <= 2^-exp: below the cap, the exponent of the leading digit
+    of 2^-exp // man, which Decimal reads past str's 4300-digit limit.  A
+    diff that is the binary rounding of 10^-d, just above it, counts d - 1.
     """
     diff = mpf_abs(mpf_sub(lhs._mpf_, rhs._mpf_, prec, round_nearest))
     size = mpf_abs(rhs._mpf_)
@@ -90,13 +88,9 @@ def _matched_digits(lhs: mpf, rhs: mpf, cap: int, prec: int) -> int:
     _, man, exp, _ = diff
     if exp >= 0:
         return 0
-    limit = 1 << -exp
-    digits = min(cap, max(0, math.floor((-exp - man.bit_length()) * _LOG10_2)))
-    while digits > 0 and man * 10 ** digits > limit:
-        digits -= 1
-    while digits < cap and man * 10 ** (digits + 1) <= limit:
-        digits += 1
-    return digits
+    if man * 10 ** cap <= 1 << -exp:
+        return cap
+    return Decimal((1 << -exp) // man).adjusted()
 
 
 def _in_bracket(lhs: mpf, rhs: mpf, tail: mpf, n: int) -> bool:

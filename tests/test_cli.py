@@ -383,6 +383,22 @@ def _level_args(edit):
     return obj
 
 
+def _italy_args(path, edit):
+    """eq-italy, whose rhs is sub(div(pow(pi, 2), 6), div(pow(log(3), 2), 2)),
+    with the args of the node that the arg indices ``path`` lead to
+    edited."""
+    obj = _record("eq-italy")
+    node = obj["rhs"]["expr"]
+    for index in path:
+        node = node["args"][index]
+    node["args"] = edit(node["args"])
+    return obj
+
+
+def _int(text):
+    return {"kind": "int", "args": [text]}
+
+
 @pytest.mark.parametrize("records, index, message", [
     ([_level_args(lambda args: ["3", *args[1:]])], 0,
      "level a must be '0', '1' or '2', got '3'"),
@@ -399,9 +415,30 @@ def _level_args(edit):
     ([_record("eq-italy", tags=["a", 1])], 0, "tags must be a list of strings"),
     ([_record("eq-italy", note=None)], 0, "note must be a string, got None"),
     ([_record("eq-italy", validity=7)], 0, "validity must be a string, got 7"),
+    ([_italy_args((), lambda args: args + [_int("5")])], 0,
+     "sub takes 2 args (x, y), got 3"),
+    ([_record("eq-italy", rhs={"expr": {"kind": "add", "args": [
+        _record("eq-italy")["rhs"]["expr"], _int("0"), _int("7")]}})], 0,
+     "add takes 2 args (x, y), got 3"),
+    ([_italy_args((), lambda args: args[:1])], 0,
+     "sub takes 2 args (x, y), got 1"),
+    ([_italy_args((0, 0, 0), lambda args: [_int("1")])], 0,
+     "pi takes 0 args (), got 1"),
+    ([_italy_args((0, 1), lambda args: [5.7])], 0,
+     "int n must be an integer string like '-12', got 5.7"),
+    ([_italy_args((0, 1), lambda args: [True])], 0,
+     "int n must be an integer string like '-12', got True"),
+    ([_italy_args((0, 1), lambda args: [5])], 0,
+     "int n must be an integer string like '-12', got 5"),
+    ([_italy_args((0, 0), lambda args: [args[0], 2.9])], 0,
+     "pow n must be an integer string like '-12', got 2.9"),
+    ([_italy_args((0, 1), lambda args: "7")], 0,
+     "int takes 1 args (n), got '7'"),
 ], ids=["level-a-3", "level-a-float", "level-two-args", "family-rhs",
         "id-int", "tags-string", "tags-int-item", "note-null",
-        "validity-int"])
+        "validity-int", "sub-three-args", "add-three-args", "sub-one-arg",
+        "pi-one-arg", "int-float", "int-bool", "int-number", "pow-float",
+        "args-string"])
 @pytest.mark.parametrize("command", [["list"], ["verify-all", "--digits", "10",
                                                 "--jobs", "1"]])
 def test_a_record_field_of_the_wrong_type_is_a_usage_error(
@@ -411,7 +448,7 @@ def test_a_record_field_of_the_wrong_type_is_a_usage_error(
     assert run(command + ["--catalog", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert f"record {index} is malformed" in captured.err
     assert message in captured.err
     assert "Traceback" not in captured.err

@@ -79,3 +79,45 @@ def test_json_round_trip(builder, ctx):
     back = ex.from_json(ex.to_json(expr))
     assert back == expr
     assert ev(back, ctx) == ev(expr, ctx)
+
+
+def _int(text):
+    return {"kind": "int", "args": [text]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "exp", "args": [_int("1")]}, "unknown expression kind 'exp'"),
+    ({"kind": "neg", "args": _int("1")}, "neg takes 1 args (x), got {'kind'"),
+    ({"kind": "add", "args": [_int("1")]}, "add takes 2 args (x, y), got 1"),
+    ({"kind": "golden_ratio", "args": [_int("1")]},
+     "golden_ratio takes 0 args (), got 1"),
+    ({"kind": "sqrt", "args": [5]}, "an expression is a JSON object, got 5"),
+    (_int(" 5"), "int n must be an integer string like '-12', got ' 5'"),
+    (_int("+5"), "int n must be an integer string like '-12'"),
+    (_int("1_000"), "int n must be an integer string like '-12'"),
+    (_int("٥"), "int n must be an integer string like '-12'"),
+    ({"kind": "rat", "args": ["8/-3"]},
+     "rat q must be a rational string like '8/3', got '8/-3'"),
+    ({"kind": "rat", "args": ["0.5"]}, "rat q must be a rational string"),
+    ({"kind": "pow", "args": [_int("2"), "2.0"]},
+     "pow n must be an integer string like '-12', got '2.0'"),
+    ({"kind": "level", "args": [2, _int("3"), _int("1")]},
+     "level a must be '0', '1' or '2', got 2"),
+])
+def test_a_tree_off_the_table_is_refused(obj, message):
+    with pytest.raises(ValueError) as refused:
+        ex.from_json(obj)
+    assert message in str(refused.value)
+
+
+def test_a_rational_reads_with_or_without_a_denominator():
+    assert ex.from_json({"kind": "rat", "args": ["-8/3"]}) == ex.ratlit(-8, 3)
+    assert ex.from_json({"kind": "rat", "args": ["8"]}) == ex.intlit(8)
+    assert ex.from_json({"kind": "rat", "args": ["6/4"]}) == ex.ratlit(3, 2)
+    assert ex.rational_from_json("8", "z") == 8
+    assert ex.rational_to_json(Fraction(8)) == "8/1"
+
+
+def test_a_node_off_the_table_is_not_written():
+    with pytest.raises(ValueError):
+        ex.to_json(ex.Expr("sub", (ex.intlit(1),)))

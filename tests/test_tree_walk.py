@@ -163,6 +163,28 @@ def test_a_power_too_large_to_hold_is_refused(ctx30):
         eval_expr(intlit(0) ** -(10 ** 4), ctx30)
 
 
+def left_deep_sum(terms):
+    """1/2 + 1/3 + ... + 1/(terms + 1), added left to right: a tree nested
+    terms - 1 deep."""
+    leaves = [ratlit(1, k) for k in range(2, terms + 2)]
+    return sum(leaves[1:], leaves[0])
+
+
+def test_a_tree_the_walk_can_follow_evaluates(ctx30):
+    exact = sum(Fraction(1, k) for k in range(2, 902))
+    got = eval_expr(left_deep_sum(900), ctx30)
+    with ctx30.workdps():
+        assert abs(got - mpf(exact.numerator) / exact.denominator) <= (
+            mpf(2) ** (C - mp.prec) * exact)
+
+
+@pytest.mark.parametrize("terms", [1200, 5000])
+def test_a_tree_nested_too_deep_is_a_domain_error(terms, ctx30):
+    with pytest.raises(DomainError, match="^expression tree nested deeper "
+                                          "than the walk can follow$"):
+        eval_expr(left_deep_sum(terms), ctx30)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)

@@ -74,6 +74,15 @@ def test_verify_detects_wrong_rhs():
     assert report.matched_digits < 28
 
 
+@pytest.mark.parametrize("terms", [1200, 5000])
+def test_verify_fails_a_tree_nested_too_deep(terms):
+    from test_tree_walk import left_deep_sum
+    report = verify(make_record(left_deep_sum(terms)), 30)
+    assert report.status == "FAIL"
+    assert report.detail == ("DomainError: expression tree nested deeper "
+                             "than the walk can follow")
+
+
 def test_verify_max_terms_budget(record_of):
     from binom3k.precision import make_context
     ctx = make_context(40, 100)
