@@ -102,10 +102,12 @@ _ARGS = {
     **dict.fromkeys(("sqrt", "cbrt", "log", "arctan", "neg"), ("x",)),
     **dict.fromkeys(("add", "sub", "mul", "div"), ("x", "y")),
 }
-# Each number argument's decimal string, its form in errors and its value.
+# Each number argument's decimal string, its form in errors and its value;
+# a rational's denominator has a nonzero digit.
 _NUMBERS = {
     "n": (r"-?[0-9]+", "an integer string like '-12'", int),
-    "q": (r"-?[0-9]+(/[0-9]+)?", "a rational string like '8/3'", Fraction),
+    "q": (r"-?[0-9]+(/0*[1-9][0-9]*)?", "a rational string like '8/3'",
+          Fraction),
     "a": ("[012]", "'0', '1' or '2'", int),
 }
 

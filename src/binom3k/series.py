@@ -8,12 +8,13 @@ beyond it; the comparison is made exactly on the rational z.
 :func:`plan` alone chooses how a series is summed: the method (the
 kernel, CRVZ or the telescope), its terms and its cost.
 :func:`sum_to_digits` (geometric) and :func:`sum_boundary_detailed` (on
-the radius) run it through :func:`_execute`: one pass of the exact integer
-kernel, :func:`_kernel`, over the terms t_k 2^B as floored integers, with
-a proven bound on its roundoff (:func:`_roundoff_ulps`).  Nothing else in
-the package sums.  Both round their value and tail to the context's
-working precision ``prec``, passed down as a value; they neither read nor
-set mpmath's global precision.
+the radius) go through :func:`_sum_planned`, which also takes a plan made
+beforehand: it checks the series and runs the plan by :func:`_execute`,
+one pass of the exact integer kernel, :func:`_kernel`, over the terms
+t_k 2^B as floored integers, with a proven bound on its roundoff
+(:func:`_roundoff_ulps`).  Nothing else in the package sums.  Both round
+their value and tail to the context's working precision ``prec``, passed
+down as a value; they neither read nor set mpmath's global precision.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
@@ -703,18 +704,43 @@ def _execute(spec: SeriesSpec, chosen: Plan, digits: int,
     return _certified(value, error, bits, K, digits, prec)
 
 
+def _try_plan(spec: SeriesSpec, digits: int, budget: int):
+    """plan(spec, digits, budget), or the MaxTermsExceeded or Unsupported it
+    raised, which _sum_planned raises in its turn."""
+    try:
+        return plan(spec, digits, budget)
+    except (MaxTermsExceeded, Unsupported) as exc:
+        return exc
+
+
+def _sum_planned(spec: SeriesSpec, boundary: bool, chosen, digits: int,
+                 ctx: PrecisionContext) -> SumResult:
+    """``spec`` summed by ``chosen``, its _try_plan at ``digits`` within
+    ctx.max_terms: the checks of sum_boundary_detailed when ``boundary``,
+    else of sum_to_digits, then the error of ``chosen`` if it is one, then
+    _execute.  So a plan made once, before the sum, refuses a series in the
+    sum's own order and words."""
+    context_for(digits, ctx)
+    kind = convergence_kind(spec)
+    if boundary and not kind.startswith("boundary"):
+        raise Unsupported(DIVERGES if kind == "divergent_formal"
+                          else f"series is {kind}, not a boundary case")
+    if not boundary and kind != "geometric":
+        raise NotGeometric(
+            DIVERGES if kind == "divergent_formal"
+            else f"series is {kind}; use sum_boundary_detailed at the radius")
+    if isinstance(chosen, Exception):
+        raise chosen
+    return _execute(spec, chosen, digits, ctx.prec)
+
+
 def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumResult:
     """Sum of a geometric series with a proved tail below 10^-digits.
     Raises ValueError when ``digits`` exceeds the context's target,
     NotGeometric off the geometric side, MaxTermsExceeded past the term
     budget, and Unsupported when the bound misses 10^-digits."""
-    context_for(digits, ctx)
-    kind = convergence_kind(spec)
-    if kind != "geometric":
-        raise NotGeometric(
-            DIVERGES if kind == "divergent_formal"
-            else f"series is {kind}; use sum_boundary_detailed at the radius")
-    return _execute(spec, plan(spec, digits, ctx.max_terms), digits, ctx.prec)
+    return _sum_planned(spec, False, _try_plan(spec, digits, ctx.max_terms),
+                        digits, ctx)
 
 
 def sum_boundary_detailed(spec: SeriesSpec, digits: int,
@@ -722,9 +748,5 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
     """Sum of a convergent series at z = +-27/4 with a proved tail below
     10^-digits, by its plan, raising as sum_to_digits does (Unsupported off
     the radius or for a divergent series)."""
-    context_for(digits, ctx)
-    kind = convergence_kind(spec)
-    if not kind.startswith("boundary"):
-        raise Unsupported(DIVERGES if kind == "divergent_formal"
-                          else f"series is {kind}, not a boundary case")
-    return _execute(spec, plan(spec, digits, ctx.max_terms), digits, ctx.prec)
+    return _sum_planned(spec, True, _try_plan(spec, digits, ctx.max_terms),
+                        digits, ctx)

@@ -20,9 +20,14 @@ integers, with no logarithm.  Records whose series diverges are skipped.
 reports.  :func:`differential_check` checks the derivative chain by one
 exact difference-quotient tree, at the same working precision.
 
-:func:`verify_all` with ``jobs`` > 1 splits the records by their
-:func:`planned_cost` (:func:`lpt_partition`, longest first), verifies one
-part in this process and each other part in a forked child process.
+:func:`verify_all` with ``jobs`` > 1 plans every record once
+(:func:`series.plan`), splits the records by the planned cost read off
+those plans (:func:`lpt_partition`, longest first), verifies one part in
+this process and each other part in a forked child process, and hands
+each sum its record's plan (``series._sum_planned``), so no record is
+planned twice.  A child sends each report back as one plain tuple of its
+raw fields, the values as their ``_mpf_`` tuples, and this process
+rebuilds them bit for bit.
 """
 
 from __future__ import annotations
@@ -34,17 +39,17 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from mpmath import mpf
+from mpmath import mp, mpf
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_sub,
                           round_nearest, to_rational, to_str)
 
 from .closed_forms import B_rhs, C_rhs, TheoremParams, XYPair, eval_expr
-from .errors import Binom3kError, DomainError, InvalidParams, MaxTermsExceeded
+from .errors import Binom3kError, DomainError, InvalidParams
 from .expressions import cbrt, level as level_node, ratlit
 from .precision import PrecisionContext, context_for
 from .registry import IdentityRecord, instance_id, instantiate
-from .series import (DIVERGES, SumResult, plan, sum_boundary_detailed,
-                     sum_to_digits)
+from .series import (DIVERGES, Plan, SumResult, _sum_planned, _try_plan,
+                     sum_boundary_detailed, sum_to_digits)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -123,6 +128,25 @@ def sum_record(record: IdentityRecord, digits: int,
 def verify(record: IdentityRecord, digits: int,
            ctx: Optional[PrecisionContext] = None) -> VerificationReport:
     """Verify one catalog record to the requested digit target."""
+    return _verify_record(record, digits, ctx, None)
+
+
+def _planned(record: IdentityRecord, digits: int, budget: int):
+    """The plan of the record's sum within ``budget`` terms, or the error
+    that planning raised, which the sum raises in its turn
+    (series._sum_planned); None for a skipped record."""
+    if record.convergence == "divergent_formal":
+        return None
+    return _try_plan(record.lhs, digits, budget)
+
+
+def _verify_record(record: IdentityRecord, digits: int,
+                   ctx: Optional[PrecisionContext], chosen
+                   ) -> VerificationReport:
+    """verify, summing by ``chosen``, the record's _planned at ``digits``
+    within the context's budget, or by sum_record, which plans for itself,
+    when it is None.  Either way the right-hand side comes first, so a
+    plan's error is reported only where the sum's would be."""
     if digits < 5:
         raise ValueError("digits must be >= 5")
     ctx = context_for(digits, ctx)
@@ -135,7 +159,11 @@ def verify(record: IdentityRecord, digits: int,
         return report
     try:
         rhs = record.rhs_value(ctx)
-        result = sum_record(record, digits, ctx)
+        if chosen is None:
+            result = sum_record(record, digits, ctx)
+        else:
+            boundary = record.convergence != "geometric"
+            result = _sum_planned(record.lhs, boundary, chosen, digits, ctx)
         lhs = result.value
         matched = _matched_digits(lhs, rhs, digits, ctx.prec)
         if _in_bracket(lhs, rhs, result.tail, ctx.working_digits - 5):
@@ -173,20 +201,24 @@ _LEVEL_NS, _LEVEL_NS_PER_DIGIT2 = 30_000.0, 2.2
 def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:
     """Planned ns of verify(record, digits) within a term budget, for
     scheduling; 0 for a skipped record.  Never raises for a record that
-    verify accepts.
+    verify accepts."""
+    return _cost(record, digits, _planned(record, digits, budget))
+
+
+def _cost(record: IdentityRecord, digits: int, chosen) -> float:
+    """planned_cost read off the record's _planned ``chosen``: a plan that
+    raised costs no sum.
 
     A closed form costs one level per branch, read off the weight and
     not the tree: two for a Fibonacci or Lucas weight, which Binet
     splits, else one.
     """
-    if record.convergence == "divergent_formal":
+    if chosen is None:  # a skipped record
         return 0.0
     branches = 1 if record.lhs.weight.kind == "unit" else 2
     rhs = branches * (_LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * digits * digits)
-    try:
-        return _REPORT_NS + rhs + plan(record.lhs, digits, budget).cost_ns
-    except MaxTermsExceeded:
-        return _REPORT_NS + rhs
+    return _REPORT_NS + rhs + (chosen.cost_ns if isinstance(chosen, Plan)
+                               else 0.0)
 
 
 def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
@@ -202,11 +234,36 @@ def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
     return [sorted(part) for part in split]
 
 
-def _verify_part(records, part, digits, ctx, sender) -> None:
-    """A forked child's work: send the (index, report) pairs of ``part``,
-    or the exception that stopped it."""
+def _raw(index: int, report: VerificationReport) -> tuple:
+    """The index and fields of a report as one plain tuple, each value as
+    its raw _mpf_ tuple of ints, which pickles far cheaper than an mpf (a
+    hex string)."""
+    lhs, rhs, tail = (value if value is None else value._mpf_ for value
+                      in (report.lhs_value, report.rhs_value, report.tail))
+    return (index, report.identity_id, report.target_digits, report.status,
+            report.matched_digits, lhs, rhs, tail, report.terms_used,
+            report.elapsed, report.detail)
+
+
+def _rebuilt(fields: tuple) -> tuple[int, VerificationReport]:
+    """The (index, report) pair of a _raw tuple, its values bit for bit."""
+    (index, identity, target, status, matched, lhs, rhs, tail, terms,
+     elapsed, detail) = fields
+    lhs, rhs, tail = (value if value is None else mp.make_mpf(value)
+                      for value in (lhs, rhs, tail))
+    return index, VerificationReport(
+        identity_id=identity, target_digits=target, status=status,
+        matched_digits=matched, lhs_value=lhs, rhs_value=rhs,
+        terms_used=terms, tail=tail, elapsed=elapsed, detail=detail)
+
+
+def _verify_part(records, plans, part, digits, ctx, sender) -> None:
+    """A forked child's work: send the _raw tuples of the reports of
+    ``part``, each record summed by its plan, or the exception that
+    stopped it."""
     try:
-        result = [(i, verify(records[i], digits, ctx)) for i in part]
+        result = [_raw(i, _verify_record(records[i], digits, ctx, plans[i]))
+                  for i in part]
     except BaseException as exc:  # the parent raises it
         result = exc
     sender.send(result)
@@ -219,36 +276,42 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
     """Verify every record, reports in id order; failures are data, not
     exceptions.
 
-    The records, sorted by id, are split into min(jobs, records) parts of
-    about equal planned_cost by lpt_partition.  This process verifies part
-    0, and one child process per other part, started from the default
+    The records, sorted by id, are each planned once here (_planned) and
+    split into min(jobs, records) parts of about equal planned cost, read
+    off those plans, by lpt_partition.  This process verifies part 0, and
+    one child process per other part, started from the default
     multiprocessing context with a one-way pipe, verifies its part and
-    sends its reports back; under fork the records are inherited, not
-    pickled.  At one part no process starts.  An exception raised in a
+    sends its reports back as _raw tuples; under fork the records and
+    their plans are inherited, not pickled.  Each sum runs its record's
+    plan.  At one part no process starts and nothing is planned ahead:
+    each record is verified as verify does it.  An exception raised in a
     child is raised here once every child has been joined; when this
     process's own part raises, the children are terminated and joined
     first.  No child outlives the call.
     """
     records = sorted(catalog, key=lambda r: r.id)
     parts = min(jobs, len(records))
-    split, started, received = [range(len(records))], [], 0
+    plans, split = [None] * len(records), [range(len(records))]
+    started, received = [], 0
     try:
         if parts > 1:
             import multiprocessing
-            budget = context_for(digits, ctx).max_terms
-            split = lpt_partition([planned_cost(r, digits, budget)
-                                   for r in records], parts)
+            ctx = context_for(digits, ctx)
+            plans = [_planned(r, digits, ctx.max_terms) for r in records]
+            split = lpt_partition([_cost(r, digits, chosen) for r, chosen
+                                   in zip(records, plans)], parts)
             for part in split[1:]:
                 receiver, sender = multiprocessing.Pipe(duplex=False)
                 child = multiprocessing.Process(
                     target=_verify_part,
-                    args=(records, part, digits, ctx, sender))
+                    args=(records, plans, part, digits, ctx, sender))
                 try:
                     child.start()
                 finally:
                     sender.close()
                 started.append((child, receiver))
-        pairs = [(i, verify(records[i], digits, ctx)) for i in split[0]]
+        pairs = [(i, _verify_record(records[i], digits, ctx, plans[i]))
+                 for i in split[0]]
         error = None
         for child, receiver in started:
             try:
@@ -262,7 +325,7 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
             if isinstance(result, BaseException):
                 error = error or result
             else:
-                pairs += result
+                pairs += map(_rebuilt, result)
         if error is not None:
             raise error
     finally:

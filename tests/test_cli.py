@@ -434,11 +434,15 @@ def _int(text):
      "pow n must be an integer string like '-12', got 2.9"),
     ([_italy_args((0, 1), lambda args: "7")], 0,
      "int takes 1 args (n), got '7'"),
+    (_italy("lhs", z="1/0"), 0,
+     "series argument must be a rational string like '8/3', got '1/0'"),
+    ([_record("eq-italy", rhs={"expr": {"kind": "rat", "args": ["-3/00"]}})],
+     0, "rat q must be a rational string like '8/3', got '-3/00'"),
 ], ids=["level-a-3", "level-a-float", "level-two-args", "family-rhs",
         "id-int", "tags-string", "tags-int-item", "note-null",
         "validity-int", "sub-three-args", "add-three-args", "sub-one-arg",
         "pi-one-arg", "int-float", "int-bool", "int-number", "pow-float",
-        "args-string"])
+        "args-string", "z-1/0", "rat-zero-denominator"])
 @pytest.mark.parametrize("command", [["list"], ["verify-all", "--digits", "10",
                                                 "--jobs", "1"]])
 def test_a_record_field_of_the_wrong_type_is_a_usage_error(

@@ -103,11 +103,21 @@ def _int(text):
      "pow n must be an integer string like '-12', got '2.0'"),
     ({"kind": "level", "args": [2, _int("3"), _int("1")]},
      "level a must be '0', '1' or '2', got 2"),
+    ({"kind": "rat", "args": ["1/0"]},
+     "rat q must be a rational string like '8/3', got '1/0'"),
 ])
 def test_a_tree_off_the_table_is_refused(obj, message):
     with pytest.raises(ValueError) as refused:
         ex.from_json(obj)
     assert message in str(refused.value)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-7/000", "0/0"])
+def test_a_zero_denominator_is_refused_by_name(text):
+    with pytest.raises(ValueError, match=f"^z must be a rational string "
+                       f"like '8/3', got '{text}'$"):
+        ex.rational_from_json(text, "z")
+    assert ex.rational_from_json("3/010", "z") == Fraction(3, 10)
 
 
 def test_a_rational_reads_with_or_without_a_denominator():

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from binom3k import expressions as ex
 from binom3k import verifier
 from binom3k.cli import _suite_json
 from binom3k.closed_forms import TheoremParams, XYPair, eval_expr
-from binom3k.errors import DomainError, InvalidParams
+from binom3k.errors import DomainError, InvalidParams, MaxTermsExceeded
 from binom3k.precision import make_context
 from binom3k.registry import IdentityRecord, instantiate
 from binom3k.sequences import HoradamParams
@@ -257,6 +258,61 @@ def test_verify_all_gives_the_same_reports_at_every_job_count(catalog):
                 == {k: v for k, v in serial.items() if k != "reports"})
 
 
+def test_verify_all_plans_each_record_once_in_this_process(catalog,
+                                                           monkeypatch):
+    from binom3k import series
+    real, planned = series.plan, []
+
+    def counted(spec, digits, budget):
+        planned.append(spec)
+        return real(spec, digits, budget)
+    monkeypatch.setattr(series, "plan", counted)
+    summary = verify_all(catalog, 30, jobs=2)
+    assert planned == [r.lhs for r in sorted(catalog, key=lambda r: r.id)
+                       if r.convergence != "divergent_formal"]
+    parent = os.getpid()
+
+    def here_only(spec, digits, budget):
+        if os.getpid() != parent:
+            raise AssertionError("a child process planned a sum")
+        return real(spec, digits, budget)
+    monkeypatch.setattr(series, "plan", here_only)
+    again = verify_all(catalog, 30, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert len(again["reports"]) == len(catalog)
+    assert ([_fields(r) for r in again["reports"]]
+            == [_fields(r) for r in summary["reports"]])
+
+
+def test_verify_all_refuses_the_same_at_every_job_count(catalog):
+    from binom3k.series import plan
+    ctx = make_context(100, 64)
+    reports = {jobs: verify_all(catalog, 100, ctx, jobs=jobs)
+               for jobs in (1, 2, 3)}
+    assert multiprocessing.active_children() == []
+    serial = reports[1]
+    assert ({k: v for k, v in serial.items() if k != "reports"}
+            == {"pass": 1, "fail": 68, "skipped": 4})
+    refused = [r.detail for r in serial["reports"] if r.status == FAIL]
+    assert all(re.fullmatch(r"MaxTermsExceeded: (kernel|crvz|telescope) "
+                            r"summation to 100 digits needs more than 64 "
+                            r"terms \(the term budget\)", detail)
+               for detail in refused)
+    for jobs in (2, 3):
+        assert ([_fields(r) for r in reports[jobs]["reports"]]
+                == [_fields(r) for r in serial["reports"]])
+    # a right-hand side that raises is reported before the plan's refusal
+    record = make_record(ex.log(ex.intlit(-1)))
+    with pytest.raises(MaxTermsExceeded):
+        plan(record.lhs, 100, 64)
+    for jobs in (1, 2):
+        report, = [r for r in verify_all([*catalog, record], 100, ctx,
+                                         jobs=jobs)["reports"]
+                   if r.identity_id == record.id]
+        assert report.status == FAIL
+        assert report.detail.startswith("DomainError: log of nonpositive")
+
+
 def test_verify_all_takes_more_jobs_than_records(catalog):
     subset = catalog[:3]
     summary = verify_all(subset, 15, jobs=8)
@@ -290,13 +346,15 @@ def _child_record(catalog, digits):
 
 
 def _failing_verify(monkeypatch, failing_id, fail):
-    real = verifier.verify
+    """Make the verification of record ``failing_id`` call ``fail``, in
+    this process and in a child forked after the patch."""
+    real = verifier._verify_record
 
-    def patched(record, digits, ctx=None):
+    def patched(record, digits, ctx, chosen):
         if record.id == failing_id:
             fail()
-        return real(record, digits, ctx)
-    monkeypatch.setattr(verifier, "verify", patched)
+        return real(record, digits, ctx, chosen)
+    monkeypatch.setattr(verifier, "_verify_record", patched)
 
 
 def _raise(exc):
