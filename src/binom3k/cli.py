@@ -144,12 +144,16 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _add_digits(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--digits", type=_positive_digits, default=30,
+                        help="decimal digits to certify (5-1000, default 30)")
+
+
 def _add_common(parser: argparse.ArgumentParser, digits: bool = True,
                 formats: tuple = ("json", "md", "csv"),
                 catalog: bool = True) -> None:
     if digits:
-        parser.add_argument("--digits", type=_positive_digits, default=30,
-                            help="decimal digits to certify (5-1000, default 30)")
+        _add_digits(parser)
         parser.add_argument("--max-terms", type=_at_least(64, "max-terms"),
                             default=10**6,
                             help="term budget for summation (default 1000000)")
@@ -208,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, choices=("A_to_B", "B_to_C"))
     p.add_argument("--x", type=_fraction_arg, required=True)
     p.add_argument("--y", type=_fraction_arg, required=True)
-    _add_common(p, catalog=False)
+    _add_digits(p)  # it sums nothing, so it takes no --max-terms
+    _add_common(p, digits=False, catalog=False)
 
     return parser
 
@@ -225,12 +230,15 @@ def _parse_point(text: str, family: str,
     for item in text.split(","):
         name, _, value = item.partition("=")
         name = name.strip()
+        bad = f"bad grid assignment {item!r} (expected r/n/m/p/q = integer)"
         if name not in ("r", "n", "m", "p", "q") or not value:
-            raise ValueError(f"bad grid assignment {item!r} "
-                             "(expected r/n/m/p/q = integer)")
+            raise ValueError(bad)
         if name in point:
             raise ValueError(f"grid point {text!r} assigns {name} twice")
-        point[name] = int(value)
+        try:
+            point[name] = int(value)
+        except ValueError:
+            raise ValueError(bad) from None
     try:
         return TheoremParams(family, horadam=horadam, **point)
     except InvalidParams as exc:
@@ -280,21 +288,17 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if "horadam" in family_names(args.family) and args.horadam is None:
-        print(f"{args.family} needs --horadam", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.family} needs --horadam")
     horadam = None
     if args.horadam is not None:
-        parts = [int(v) for v in args.horadam.split(",")]
+        try:
+            parts = [int(v) for v in args.horadam.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 4:
-            print("--horadam expects four integers P,Q,A,B", file=sys.stderr)
-            return 2
+            raise ValueError("--horadam expects four integers P,Q,A,B")
         horadam = HoradamParams(*parts)
-    try:
-        grid = [_parse_point(text, args.family, horadam)
-                for text in args.point]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    grid = [_parse_point(text, args.family, horadam) for text in args.point]
     ctx = make_context(args.digits, args.max_terms)
     reports = run_sweep(args.family, grid, args.digits, ctx)
     return _report(args, reports)
@@ -308,9 +312,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check_derivatives(args) -> int:
-    ctx = make_context(args.digits, args.max_terms)
     report = differential_check(args.level, XYPair(args.x, args.y),
-                                args.digits, ctx)
+                                args.digits)
     return _report(args, [report])
 
 
@@ -340,7 +343,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (Binom3kError, KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -514,7 +514,7 @@ class TheoremParams:
         names = family_names(self.family)
         given = {name for name in ("r", "n", "m", "p", "q", "horadam")
                  if getattr(self, name) is not None}
-        # a point may lack its recurrence here; the family's check refuses it
+        # a point may lack its recurrence here; its point builder refuses it
         if not set(names) - {"horadam"} <= given <= set(names):
             raise InvalidParams(
                 f"{self.family} takes exactly {', '.join(names)}")
@@ -536,12 +536,11 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParams(message)
 
 
-# The three kinds of family below each return (check, branches, argument):
-# check(params) raises InvalidParams outside the family's range;
-# branches(params) gives the (c, x, y) whose sum of c * S_a(x, y) is the
-# family's value, c = 1, 0 or an exact tree and x, y exact trees or ints,
-# a branch with c = 0 left out of the tree; argument(params) is the exact
-# (z, weight) of the family's series.
+# Each kind of family below returns one point builder: point(params) raises
+# InvalidParams outside the family's range, else gives the exact (z, weight)
+# of the point's series and the branches (c, x, y) whose sum of c * S_a(x, y)
+# is its value, c = 1, 0 or an exact tree and x, y exact trees or ints, a
+# branch with c = 0 left out of the tree.
 
 def _binet_parts(h: HoradamParams):
     """(alpha, A, B) as trees or ints: the root alpha = (p + delta)/2 and
@@ -559,59 +558,42 @@ def _recurrence(fixed: Optional[HoradamParams] = None, scale: int = 1,
     """The Horadam pair (A alpha^2i, -B (-q)^i) at the index i = scale r
     of the recurrence ``fixed``, or else of the point's own, on r >= low
     with r != excluded."""
-    def recurrence(params: TheoremParams):
-        return fixed or params.horadam, scale * params.r
-
     fixed_coeffs = _binet_parts(fixed) if fixed else None
 
-    def check(params: TheoremParams) -> None:
-        fam, r = params.family, params.r
-        h, i = recurrence(params)
+    def point(params: TheoremParams):
+        fam, r, h = params.family, params.r, fixed or params.horadam
         _require(h is not None, f"{fam} needs recurrence params")
         _require(r >= low, f"{fam} needs r >= {low}")
         _require(r != excluded, f"{fam} excludes r = {excluded} "
                                 f"(27/L_{excluded}^2 exceeds the radius)")
-        # F_i and L_i vanish at no index in range
-        _require(fixed or horadam(i, h) != 0,
-                 f"W_{i} = 0: series argument undefined")
-
-    def branches(params: TheoremParams):
-        h, i = recurrence(params)
-        alpha, A, B = fixed_coeffs or _binet_parts(h)
-        return ((1, A * alpha ** (2 * i), -B * (-h.q) ** i),)
-
-    def argument(params: TheoremParams):
-        h, i = recurrence(params)
+        i = scale * r
+        w = horadam(i, h)
+        # only a point's own W_i can vanish: F_i and L_i do at no i in range
+        _require(w != 0, f"W_{i} = 0: series argument undefined")
         ab = h.b * h.b - h.p * h.a * h.b - h.q * h.a * h.a  # A*B exactly
         sign = 1 if i % 2 else -1  # (-1)^(i-1) as an int, also at i = 0
-        z = Fraction(sign * 27 * ab * h.q ** i,
-                     (h.p ** 2 + 4 * h.q) * horadam(i, h) ** 2)
-        return z, UNIT_WEIGHT
+        z = Fraction(sign * 27 * ab * h.q ** i, (h.p ** 2 + 4 * h.q) * w ** 2)
+        alpha, A, B = fixed_coeffs or _binet_parts(h)
+        return z, UNIT_WEIGHT, ((1, A * alpha ** (2 * i), -B * (-h.q) ** i),)
 
-    return check, branches, argument
+    return point
 
 
 def _product(pair, strict: bool = False, ordered: bool = False):
     """The integer pair (x, y) = pair(n, m) on n > m >= 1 (strict) or
     n >= m >= 1, an ordered family needing x > y as well."""
-    def check(params: TheoremParams) -> None:
+    def point(params: TheoremParams):
         fam, n, m = params.family, params.n, params.m
         if strict:
             _require(n > m >= 1, f"{fam} needs n > m >= 1")
         else:
             _require(n >= m >= 1, f"{fam} needs n >= m >= 1")
+        x, y = pair(n, m)
         if ordered:
-            x, y = pair(n, m)
             _require(x > y, f"{fam} needs L_n F_m > F_n L_m (got {x} <= {y})")
+        return Fraction(27 * x * y, (x + y) ** 2), UNIT_WEIGHT, ((1, x, y),)
 
-    def branches(params: TheoremParams):
-        return ((1, *pair(params.n, params.m)),)
-
-    def argument(params: TheoremParams):
-        x, y = pair(params.n, params.m)
-        return Fraction(27 * x * y, (x + y) ** 2), UNIT_WEIGHT
-
-    return check, branches, argument
+    return point
 
 
 def _binet(lucas_kind: bool):
@@ -619,62 +601,57 @@ def _binet(lucas_kind: bool):
     on p <= -2, q >= 4 and q > |p| + 1."""
     beta, inv_sqrt5 = (1 - sqrt(5)) / 2, 1 / sqrt(5)
 
-    def check(params: TheoremParams) -> None:
+    def point(params: TheoremParams):
         fam, p, q = params.family, params.p, params.q
         _require(p <= -2, f"{fam} needs p <= -2")
         _require(q >= 4, f"{fam} needs q >= 4")
         _require(q > abs(p) + 1, f"{fam} needs q > |p| + 1")
-
-    def branches(params: TheoremParams):
-        p, q = params.p, params.q
+        fp, fpq = fib(p), fib(p + q)
+        z = Fraction(-27 * fp * fpq, fib(q) ** 2)
         if lucas_kind:
             c = 1
         else:  # at 2p + q = 0 every term has the weight F(0) = 0
             c = inv_sqrt5 if 2 * p + q else 0
-        return ((c, fib(p) * GOLDEN ** q, -fib(p + q)),
-                (c if lucas_kind else -c, fib(p + q), -beta ** q * fib(p)))
+        return (z, Weight("lucas" if lucas_kind else "fib", 2 * p + q),
+                ((c, fp * GOLDEN ** q, -fpq),
+                 (c if lucas_kind else -c, fpq, -beta ** q * fp)))
 
-    def argument(params: TheoremParams):
-        p, q = params.p, params.q
-        z = Fraction(-27 * fib(p) * fib(p + q), fib(q) ** 2)
-        return z, Weight("lucas" if lucas_kind else "fib", 2 * p + q)
-
-    return check, branches, argument
+    return point
 
 
 _R, _NM, _PQ = ("r",), ("n", "m"), ("p", "q")
 
-# family -> (level a, names a point assigns, check, branches, argument)
+# family -> (level a, names a point assigns, point builder)
 _FAMILIES = {
-    "THM1_FIB": (2, _R, *_recurrence(FIBONACCI_PARAMS)),
-    "THM1_LUC": (2, _R, *_recurrence(LUCAS_PARAMS, low=0, excluded=1)),
-    "COR2_FIB": (2, _R, *_recurrence(FIBONACCI_PARAMS, scale=3)),
-    "COR2_LUC": (2, _R, *_recurrence(LUCAS_PARAMS, scale=3, low=0)),
-    "THM3_V1": (2, _NM, *_product(
+    "THM1_FIB": (2, _R, _recurrence(FIBONACCI_PARAMS)),
+    "THM1_LUC": (2, _R, _recurrence(LUCAS_PARAMS, low=0, excluded=1)),
+    "COR2_FIB": (2, _R, _recurrence(FIBONACCI_PARAMS, scale=3)),
+    "COR2_LUC": (2, _R, _recurrence(LUCAS_PARAMS, scale=3, low=0)),
+    "THM3_V1": (2, _NM, _product(
         lambda n, m: (fib(n) ** 2, (-1) ** (n - m - 1) * fib(m) ** 2),
         strict=True)),
-    "THM3_V2": (2, _NM, *_product(
+    "THM3_V2": (2, _NM, _product(
         lambda n, m: (fib(n + m), (-1) ** m * fib(n - m)))),
-    "THM3_V3": (2, _NM, *_product(
+    "THM3_V3": (2, _NM, _product(
         lambda n, m: (fib(n + m), (-1) ** (m - 1) * fib(n - m)))),
-    "THM3_V4": (2, _NM, *_product(
+    "THM3_V4": (2, _NM, _product(
         lambda n, m: (lucas(n) * fib(m), lucas(m) * fib(n)), ordered=True)),
-    "THM3_V5": (2, _NM, *_product(
+    "THM3_V5": (2, _NM, _product(
         lambda n, m: (lucas(n + m), (-1) ** m * lucas(n - m)))),
-    "THM3_V6": (2, _NM, *_product(
+    "THM3_V6": (2, _NM, _product(
         lambda n, m: (lucas(n + m), (-1) ** (m - 1) * lucas(n - m)))),
-    "THM4_FIB": (1, _R, *_recurrence(FIBONACCI_PARAMS)),
-    "THM4_LUC": (1, _R, *_recurrence(LUCAS_PARAMS)),
-    "COR5_FIB": (1, _R, *_recurrence(FIBONACCI_PARAMS, scale=3)),
-    "COR5_LUC": (1, _R, *_recurrence(LUCAS_PARAMS, scale=3)),
-    "THM6_FIB": (0, _R, *_recurrence(FIBONACCI_PARAMS)),
-    "THM6_LUC": (0, _R, *_recurrence(LUCAS_PARAMS)),
-    "THM7_FIB": (2, _PQ, *_binet(False)), "THM7_LUC": (2, _PQ, *_binet(True)),
-    "THM9_FIB": (1, _PQ, *_binet(False)), "THM9_LUC": (1, _PQ, *_binet(True)),
-    "THM10_FIB": (0, _PQ, *_binet(False)),
-    "THM10_LUC": (0, _PQ, *_binet(True)),
-    "HORADAM_A2": (2, ("r", "horadam"), *_recurrence()),
-    "HORADAM_A1": (1, ("r", "horadam"), *_recurrence()),
+    "THM4_FIB": (1, _R, _recurrence(FIBONACCI_PARAMS)),
+    "THM4_LUC": (1, _R, _recurrence(LUCAS_PARAMS)),
+    "COR5_FIB": (1, _R, _recurrence(FIBONACCI_PARAMS, scale=3)),
+    "COR5_LUC": (1, _R, _recurrence(LUCAS_PARAMS, scale=3)),
+    "THM6_FIB": (0, _R, _recurrence(FIBONACCI_PARAMS)),
+    "THM6_LUC": (0, _R, _recurrence(LUCAS_PARAMS)),
+    "THM7_FIB": (2, _PQ, _binet(False)), "THM7_LUC": (2, _PQ, _binet(True)),
+    "THM9_FIB": (1, _PQ, _binet(False)), "THM9_LUC": (1, _PQ, _binet(True)),
+    "THM10_FIB": (0, _PQ, _binet(False)),
+    "THM10_LUC": (0, _PQ, _binet(True)),
+    "HORADAM_A2": (2, ("r", "horadam"), _recurrence()),
+    "HORADAM_A1": (1, ("r", "horadam"), _recurrence()),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -686,37 +663,31 @@ def family_names(family: str) -> tuple[str, ...]:
 
 
 def theorem_point(params: TheoremParams) -> tuple[SeriesSpec, Expr]:
-    """The point's series and its exact closed form, the family's range
-    checked once: raises InvalidParams when its constraints fail.
+    """The point's series and its exact closed form, from one call of its
+    family's point builder: raises InvalidParams when its constraints fail.
 
     The series is the SeriesSpec of sum z^k w(k) / (k^a C(3k,k)); the
     closed form is c S_alpha + (-c) S_beta for two branches, S for one
     (c = 1), each S a level node, and the tree 0 when no branch is left.
     """
-    a, _, check, branches, argument = _FAMILIES[params.family]
-    check(params)
-    z, weight = argument(params)
+    a, _, point = _FAMILIES[params.family]
+    z, weight, branches = point(params)
     # a tree c equals neither 1 nor 0
     terms = [level(a, x, y) if c == 1 else c * level(a, x, y)
-             for c, x, y in branches(params) if c != 0]
+             for c, x, y in branches if c != 0]
     tree = sum(terms[1:], terms[0]) if terms else intlit(0)
     return SeriesSpec(z, a, weight), tree
 
 
-def theorem_expr(params: TheoremParams) -> Expr:
-    """The exact closed form of :func:`theorem_point`."""
-    return theorem_point(params)[1]
-
-
 def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
-    """Value of the family's series, the tree of :func:`theorem_expr`.
+    """Value of the family's series, the tree of :func:`theorem_point`.
 
     Raises InvalidParams when the family's constraints fail, and
     DomainError at a point whose series diverges (|z| > 27/4, or beyond
     the weighted radius); such points have no value, not even a formal
     one.
     """
-    return eval_expr(theorem_expr(params), ctx)
+    return eval_expr(theorem_point(params)[1], ctx)
 
 
 def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:

@@ -20,8 +20,8 @@ The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
 from Stirling's closed-form estimate of that K (:func:`_cutoff_seed`, a
 few Newton steps in floats) and confirms it with the float estimate at
-the seed and its neighbour.  The bound is then checked exactly in
-integers (:func:`_tail_ulps`):
+the seed and its neighbour, walking one term at a time where it misses.
+The bound is then checked exactly in integers (:func:`_tail_ulps`):
 
     sum_{k>K} |t_k| <= |t_{K+1}| s / (1 - g_{K+1}).
 
@@ -464,41 +464,24 @@ def _cutoff(fits, rise: float, seed: float, budget: int) -> int:
     1 when that K is beyond the budget.
 
     Past the rise of the terms the estimate falls monotonically in K.  The
-    search starts at ``seed``, clamped to [rise - 1, budget], and
-    confirms it with the estimate there and one term before (or after):
-    two probes when the seed is on the mark.  When it misses, the search
-    gallops away from it, doubling the step, and bisects the last step.
+    search starts at ``seed``, clamped to [rise - 1, budget], and walks one
+    term at a time: down while the term before fits, else up until one
+    fits.  A seed on the mark costs two probes, the estimate there and one
+    term before (or after), and a seed off by n terms n more.
     """
     lo = max(1, rise - 1)
     if lo > budget:
         return budget + 1
     K = min(max(lo, seed), budget)
-    step = 1
-    if fits(K):  # bracket (bad, good] below K
-        good = K
-        while True:
-            if good == lo:
-                return lo
-            bad = max(lo, good - step)
-            if not fits(bad):
-                break
-            good, step = bad, 2 * step
-    else:  # bracket (bad, good] above K
-        bad = K
-        while True:
-            if bad >= budget:
-                return budget + 1
-            good = min(budget, bad + step)
-            if fits(good):
-                break
-            bad, step = good, 2 * step
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if fits(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    if fits(K):
+        while K > lo and fits(K - 1):
+            K -= 1
+        return K
+    while K < budget:
+        K += 1
+        if fits(K):
+            return K
+    return budget + 1
 
 
 def _certified(value: int, error: int, bits: int, terms: int,

@@ -385,10 +385,12 @@ def differential_check(level: str, pair: XYPair, digits: int,
 
     The level-(a-1) form equals x(x+y)/(y-x) times the x-derivative of the
     level-a form L, taken by central differences with h = cbrt(10^-digits),
-    so agreement of digits/3 digits is the bar.  The quotient is one exact
-    tree at the pair's binary values; its walk widens at the division by
-    2h, which covers the cancellation.  DomainError at x = y, outside the
-    upper level's window, and where x +- h crosses |x| = |y|.
+    so agreement of digits/3 digits is the bar.  The pair is read once, to
+    mpf values at the working precision, and both sides start from those.
+    The quotient is one exact tree at their binary values; its walk widens
+    at the division by 2h, which covers the cancellation.  DomainError at
+    x = y, outside the upper level's window, and where x +- h crosses
+    |x| = |y|.
     """
     if level not in ("A_to_B", "B_to_C"):
         raise ValueError(f"level must be 'A_to_B' or 'B_to_C', got {level!r}")
@@ -398,7 +400,7 @@ def differential_check(level: str, pair: XYPair, digits: int,
     xv, yv = pair.values(ctx)
     if xv == yv:
         raise DomainError("differential check is singular at x = y")
-    closed = upper(pair, ctx)  # the given pair is checked first
+    closed = upper(XYPair(xv, yv), ctx)  # the given pair is checked first
     xq, yq = (Fraction(*to_rational(v._mpf_)) for v in (xv, yv))
     if (abs(xq) - abs(yq)) ** 3 * 10 ** digits <= 1:
         raise DomainError(f"the stencil x +- h, h = 1e-{digits}/3, crosses "

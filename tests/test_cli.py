@@ -307,10 +307,28 @@ def test_verify_all_custom_catalog(tmp_path, capsys):
     ["scan", "--digits", "40"],
     ["sweep", "--family", "THM1_FIB", "--point", "r=2",
      "--horadam", "1,1,0,1"],
+    ["check-derivatives", "--level", "A_to_B", "--x", "9", "--y", "1",
+     "--max-terms", "64"],
 ])
 def test_options_a_subcommand_ignores_are_usage_errors(argv, capsys):
     assert run(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--family", "HORADAM_A2", "--point", "r=2"],
+     "HORADAM_A2 needs --horadam"),
+    (["sweep", "--family", "THM1_FIB", "--point", "r=x"],
+     "bad grid assignment 'r=x' (expected r/n/m/p/q = integer)"),
+    (["sweep", "--family", "HORADAM_A2", "--point", "r=2",
+      "--horadam", "1,a,0,1"], "--horadam expects four integers P,Q,A,B"),
+    (["verify", "--id", "nope"], "no record with id 'nope'"),
+])
+def test_a_usage_error_is_one_error_line(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_boundary_record_at_full_digits(capsys):

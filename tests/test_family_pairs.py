@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from binom3k.closed_forms import (_FAMILIES, FAMILIES, TheoremParams,
-                                  _as_mpf, batir_rhs, theorem_lhs_spec,
+from binom3k.closed_forms import (FAMILIES, TheoremParams, _as_mpf,
+                                  batir_rhs, theorem_lhs_spec, theorem_point,
                                   theorem_rhs)
 from binom3k.errors import DomainError, InvalidParams
 from binom3k.expressions import intlit
@@ -62,20 +62,21 @@ _POINTS += [TheoremParams(family, r=r, horadam=HoradamParams(*h))
 
 @pytest.mark.parametrize("params", _POINTS, ids=TheoremParams.describe)
 def test_pair_gives_the_series_argument(params, ctx30):
-    spec = theorem_lhs_spec(params)
-    pairs = _FAMILIES[params.family][3]
+    spec, tree = theorem_point(params)
+    nodes = level_nodes(tree)
     with ctx30.workdps():
-        branches = pairs(params)
         z = mpf(spec.z.numerator) / spec.z.denominator
         if spec.weight.kind == "unit":
             expected = [z]
+        elif spec.weight == Weight("fib", 0):  # 2p + q = 0: no branch left
+            expected = []
         else:  # the Binet branches sit at z alpha^m and z beta^m
             m = spec.weight.m
             expected = [z * golden_ratio(ctx30) ** m,
                         z * golden_conjugate(ctx30) ** m]
-        assert len(branches) == len(expected)
-        for (_, x, y), want in zip(branches, expected):
-            x, y = _as_mpf(x, ctx30), _as_mpf(y, ctx30)
+        assert len(nodes) == len(expected)
+        for node, want in zip(nodes, expected):
+            x, y = _as_mpf(node.args[1], ctx30), _as_mpf(node.args[2], ctx30)
             got = 27 * x * y / (x + y) ** 2
             assert abs(got - want) <= mpf(10) ** -(ctx30.working_digits - 5)
 

@@ -330,6 +330,23 @@ def test_cutoff_confirms_its_seed_in_few_probes(z, weight):
             assert 1 <= len(probes) <= 5, (a, digits, probes)
 
 
+@pytest.mark.parametrize("z, weight", CUTOFF_GRID)
+@pytest.mark.parametrize("a", [0, 2])
+def test_cutoff_walks_from_a_missed_seed_to_the_scanned_cutoff(z, weight, a):
+    spec = SeriesSpec(z, a, weight)
+    c = _growth_constant(spec)
+    fits, rise = _cutoff_fits(spec, 60, c, _log_abs_z(spec)), _rise_end(c)
+    K = _scan_cutoff(spec, 60)
+    budget = K + 50
+    for seed in (K - 50, K - 1, K + 1, K + 50, rise - 1, budget, math.inf):
+        assert _cutoff(fits, rise, seed, budget) == K, seed
+        assert _cutoff(fits, rise, seed, K) == K, seed
+        # one term short of K the walk reports the budget exceeded
+        assert _cutoff(fits, rise, seed, K - 1) == K, seed
+    # an estimate that fits everywhere stops the walk at rise - 1
+    assert _cutoff(lambda K: True, rise, budget, budget) == max(1, rise - 1)
+
+
 def _fraction_radius_side(spec):
     """Sign of rho - 1 by the rational formula: c = 27/(2|z|) - L(|m|)
     against F(|m|) sqrt5."""

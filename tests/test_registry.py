@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from binom3k.closed_forms import TheoremParams, theorem_expr
+from binom3k.closed_forms import TheoremParams, theorem_point
 from binom3k.errors import InvalidParams
 from binom3k.expressions import Expr
 from binom3k.registry import (builtin_catalog, get_record,
@@ -138,7 +138,7 @@ def test_instantiate_horadam():
     record = instantiate("HORADAM_A2", params)
     assert record.convergence == "geometric"
     assert isinstance(record.rhs, Expr)
-    assert record.rhs == theorem_expr(params)
+    assert record.rhs == theorem_point(params)[1]
 
 
 def test_builtin_records_are_classified_once(monkeypatch):

@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 import reference
 from binom3k import closed_forms, precision
-from binom3k.closed_forms import eval_expr, phi, theorem_expr
+from binom3k.closed_forms import eval_expr, phi, theorem_point
 from binom3k.errors import Binom3kError, DomainError, InvalidParams
 from binom3k.expressions import (GOLDEN, arctan, cbrt, intlit, level, log,
                                  ratlit, sqrt)
@@ -26,7 +26,7 @@ def family_trees():
     trees = []
     for params in _POINTS:
         try:
-            trees.append(theorem_expr(params))
+            trees.append(theorem_point(params)[1])
         except InvalidParams:
             pass
     return trees
