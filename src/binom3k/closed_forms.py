@@ -71,26 +71,33 @@ x, by 1/|den| for /, by n |x|^(n-1) for x^n, by the derivative for a
 root, log or arctan, and by about 10/|x| at a level node whose larger
 coordinate is x, whose core adds 2^12 max(1, |value|) units.  Such a
 factor exceeds 2^12 only where a divisor, a root or log argument, a
-level's larger coordinate, or the smaller factor of a product whose
-larger factor exceeds 2^12, lies below 2^-12 in magnitude, or where a
-power's exponent exceeds 2^12 (a negative power is the power of the
-reciprocal, a division).  A walk that meets one starts again with W
-wider by the bits that value lacks, so that the factor stays below 2^12
-at the first W, or twice as wide where the value reads 0.  It widens up
-to the cap W + 12 + min(2 B, 2^20), B the bits of the tree's int and rat
-leaves (a power's base counted |n| times): a nonzero value of a tree of
-such leaves, + - x / and integer powers lies above 2^-B, and the second
-B covers what its large intermediate values pass on of the floors.  At
-the cap a value that reads 0 is taken as an exact 0, which it is in
-such a tree, so a divisor there is a division by zero, as a log
-argument <= 0 or a sqrt argument < 0 raises; a value still too small
-but not 0 raises DomainError ("precision lost").  A power beyond
-2^(2^20) in magnitude, which the walk would hold as an integer of that
-many bits, raises DomainError too.  Before its rounding every catalog
-record and sweep-grid point is within 2^(8 - W) max(1, |v|) (at most 24
-units, measured at 25, 100 and 1000 digits), so the mpf result is within
-2^(1 - prec) max(1, |v|): the bound is absolute below 1, as is every sum
-of :mod:`.series`.
+level's larger coordinate, or a factor of a product whose other factor
+lies above 2^12 in magnitude (the same 2^12 at every W), lies below
+2^-12 in magnitude, or where a power's exponent exceeds 2^12 (a negative
+power is the power of the reciprocal, a division).  A walk that meets
+one starts again with W wider by the bits that value lacks, so that the
+factor stays below 2^12 at the first W, or twice as wide where the value
+reads 0.  It widens up to the cap W + 12 + min(2 B, 2^20), B the bits of
+the tree's int and rat leaves (a power's base counted |n| times): a
+nonzero value of a tree of such leaves, + - x / and integer powers lies
+above 2^-B, and the second B covers what its large intermediate values
+pass on of the floors.  At the cap a value that reads 0 is taken as an
+exact 0, which it is in such a tree, so a divisor there is a division by
+zero, as a log argument <= 0 or a sqrt argument < 0 raises; a value
+still too small but not 0 raises DomainError ("precision lost").  A
+power beyond 2^(2^20) in magnitude, which the walk would hold as an
+integer of that many bits, raises DomainError too.  Before its rounding
+every catalog record and sweep-grid point is within 2^(8 - W)
+max(1, |v|) (at most 24 units, measured at 25, 100 and 1000 digits), so
+the mpf result is within 2^(1 - prec) max(1, |v|): the bound is absolute
+below 1, as is every sum of :mod:`.series`.  That bound is measured, on
+the catalog, the sweep grid and the difference quotients of
+``check-derivatives`` (x/y up to +-10^300), not proved for every tree.
+The rules above read an operand's error in units of 2^-W, and a
+difference that cancels and is then divided by a small value carries
+more: at 30 digits 10^40 ((sqrt(2 + 10^-60) - sqrt 2) / 10^-40) is
+3.5e12 times the bound off (a FOUND line of CHANGES.md); only an error
+radius bounds that.
 """
 
 from __future__ import annotations
@@ -364,16 +371,10 @@ def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
     if kind == "mul":
         x = _walk(args[0], w, low, last, prec)
         y = _walk(args[1], w, low, last, prec)
-        big, small = x.bit_length(), y.bit_length()
-        if big < small:
-            big, small = small, big
-        # |small| < 2^(low - w) and |big| > 2^(w - low)
-        if small < low and big > 2 * w - low:
-            if not last:
-                lack = low - small + _SMALL_BITS if small else w
-                raise _Wider(min(lack, big - 2 * w + low + _SMALL_BITS))
-            if small:
-                raise _lost(expr, w)
+        if abs(x) < abs(y):
+            x, y = y, x
+        if x.bit_length() > w + _SMALL_BITS:  # |x| above 2^_SMALL_BITS
+            _need(y, w, low, last, expr)
         return x * y >> w
     if kind == "add":
         return (_walk(args[0], w, low, last, prec)

@@ -285,6 +285,17 @@ def test_check_derivatives_command(capsys):
     assert obj["reports"][0]["status"] == "PASS"
 
 
+def test_check_derivatives_far_from_x_eq_y_reads_the_quotient(capsys):
+    # the quotient is 9.0e-100 here; both sides lie below 10^-99, so the
+    # matched digits alone would pass a quotient wrong from its first digit
+    assert run(["check-derivatives", "--level", "A_to_B", "--x", "1e100",
+                "--y", "1", "--digits", "100", "--format", "json"]) == 0
+    report = json.loads(out_of(capsys))["reports"][0]
+    assert report["status"] == "PASS"
+    assert report["matched_digits"] == 100
+    assert report["lhs"].startswith("9.00000000000000000000"), report["lhs"]
+
+
 def test_verify_all_custom_catalog(tmp_path, capsys):
     catalog = [r for r in builtin_catalog() if r.id.startswith("trig")]
     path = tmp_path / "trig.json"

@@ -67,6 +67,9 @@ def walks(monkeypatch):
     def spy(node, w, low, last, prec):
         if not depth[0]:
             seen.append(w)
+            # no tree here needs this many; a widening that stalls would
+            # otherwise walk at one W for ever
+            assert len(seen) <= 64, seen[-3:]
         depth[0] += 1
         try:
             return walk(node, w, low, last, prec)
@@ -148,6 +151,38 @@ def test_a_large_exponent_widens_w(walks, ctx30):
     # the power multiplies its base's relative error by 5000 > 2^12
     assert_within_bound(GOLDEN ** 5000, ctx30)
     assert len(walks) == 2 and walks[1] == walks[0] + 1
+
+
+def derivative_quotient(a, x, digits):
+    """The difference quotient of check-derivatives at the pair (x, 1):
+    x(x+y)/(y-x) (L_a(x+h, y) - L_a(x-h, y))/(2h), h = cbrt(10^-digits)."""
+    x, y, h = ratlit(x), ratlit(1), cbrt(ratlit(1, 10 ** digits))
+    return (x * (x + y) / (y - x)
+            * ((level(a, x + h, y) - level(a, x - h, y)) / (2 * h)))
+
+
+# Far from x/y = 1 the difference of the two levels cancels hundreds of
+# digits, and the division by 2h leaves a small factor that the large
+# x(x+y)/(y-x) then scales up.  The oracle runs wide enough to cover the
+# cancellation, and agrees with itself wider still.
+@pytest.mark.parametrize("a, x, digits", [
+    (2, 10 ** 300, 300), (2, 10 ** 100, 100), (1, 10 ** 100, 100),
+    (2, -10 ** 50, 30)], ids=["A-1e300-300", "A-1e100-100", "B-1e100-100",
+                              "A-minus1e50-30"])
+def test_a_large_factor_reads_the_other_to_relative_accuracy(a, x, digits,
+                                                            walks):
+    expr = derivative_quotient(a, x, digits)
+    ctx = make_context(digits)
+    got = eval_expr(expr, ctx)
+    assert walks == sorted(set(walks))
+    with ctx.workdps():
+        bound = mpf(2) ** (C - mp.prec)
+        with mp.workdps(mp.dps + 900):
+            want = reference.tree_value(expr)
+        with mp.workdps(mp.dps + 1400):
+            wider = reference.tree_value(expr)
+            assert abs(want - wider) <= bound * max(1, abs(wider)) / 2 ** 20
+        assert abs(got - want) <= bound * max(1, abs(want)), (got, want)
 
 
 def test_a_power_too_large_to_hold_is_refused(ctx30):
