@@ -7,18 +7,21 @@ and evaluates the right-hand closed form, both at the context's working
 precision, which :func:`verify` passes as a value: it neither reads nor
 sets mpmath's global precision.  PASS is bracket consistency |lhs - rhs|
 <= 3 tail + 10^-(working - 5) max(1, |rhs|), the slack covering the
-roundoff of both sides at working precision.  The bracket is decided
-exactly in integers on the binary values of lhs, rhs and tail
-(:func:`_in_bracket`), with no mpf arithmetic.  As the tail is proved
-below 10^-target and the slack is 10^-(target + 21) max(1, |rhs|), a
-bracket that holds puts the relative (below 1, absolute) difference
-below 3.0...1 10^-target, so at least target - 1 digits match.  The
-matched-digit count, reported with every verdict, rounds the difference
-and quotient to working precision through ``libmp`` and counts digits in
-integers, with no logarithm.  Records whose series diverges are skipped.
+roundoff of both sides at working precision.  One exact comparison
+(:func:`_compare`) decides the bracket, counts the matched digits and
+gives the gap that a FAIL prints: it brings the binary values of lhs, rhs
+and tail to one exponent and reads all three off one integer difference,
+with no ``libmp`` rounding; only the printed gap is rounded, to working
+precision.  The matched digits, reported with every verdict, are
+floor(-log10(|lhs - rhs| / max(1, |rhs|))) capped at the target, counted
+on those binary values.  As the tail is proved below 10^-target and the
+slack is 10^-(target + 21) max(1, |rhs|), a bracket that holds puts that
+quotient below 3.0...1 10^-target, so at least target - 1 digits match.
+Records whose series diverges are skipped.
 :func:`summary_counts` is the one place that counts pass, fail and skipped
 reports.  :func:`differential_check` checks the derivative chain by one
-exact difference-quotient tree, at the same working precision.
+exact difference-quotient tree, at the same working precision, and counts
+its digits by the same comparison with no tail.
 
 :func:`verify_all` with ``jobs`` > 1 plans every record once
 (:func:`series.plan`), splits the records by the planned cost read off
@@ -40,13 +43,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_cmp, mpf_div, mpf_sub,
-                          round_nearest, to_rational, to_str)
+from mpmath.libmp import to_rational, to_str
 
 from .closed_forms import B_rhs, C_rhs, TheoremParams, XYPair, eval_expr
 from .errors import Binom3kError, DomainError, InvalidParams
 from .expressions import cbrt, level as level_node, ratlit
-from .precision import PrecisionContext, context_for
+from .precision import PrecisionContext, _unscale, context_for
 from .registry import IdentityRecord, instance_id, instantiate
 from .series import (DIVERGES, Plan, SumResult, _sum_planned, _try_plan,
                      sum_boundary_detailed, sum_to_digits)
@@ -74,45 +76,35 @@ class VerificationReport:
         return self.status in (PASS, SKIPPED_DIVERGENT)
 
 
-def _matched_digits(lhs: mpf, rhs: mpf, cap: int, prec: int) -> int:
-    """floor(-log10 diff) clamped to [0, cap], diff the difference relative
-    to |rhs| unless |rhs| < 1, in which case it is absolute, with the
-    difference and the quotient each rounded to prec bits.
+def _compare(lhs: mpf, rhs: mpf, tail: mpf, n: int,
+             cap: int) -> tuple[bool, int, tuple[int, int]]:
+    """The one comparison of the two sides, for finite lhs and rhs and a
+    finite tail >= 0: (inside, matched, gap).
 
-    Exact on the binary value diff = man 2^exp: d digits match iff
-    man 10^d <= 2^-exp: below the cap, the exponent of the leading digit
-    of 2^-exp // man, which Decimal reads past str's 4300-digit limit.  A
-    diff that is the binary rounding of 10^-d, just above it, counts d - 1.
-    """
-    diff = mpf_abs(mpf_sub(lhs._mpf_, rhs._mpf_, prec, round_nearest))
-    size = mpf_abs(rhs._mpf_)
-    if mpf_cmp(size, fone) >= 0:
-        diff = mpf_div(diff, size, prec, round_nearest)
-    if diff == fzero:
-        return cap
-    _, man, exp, _ = diff
-    if exp >= 0:
-        return 0
-    if man * 10 ** cap <= 1 << -exp:
-        return cap
-    return Decimal((1 << -exp) // man).adjusted()
+    Exact on the binary values: each is man 2^exp, so at the least
+    exponent e (and 0, the exponent of 1) all three are integers L, R and
+    T times 2^e.  With D = |L - R| and S = max(2^-e, |R|):
 
-
-def _in_bracket(lhs: mpf, rhs: mpf, tail: mpf, n: int) -> bool:
-    """|lhs - rhs| <= 3 tail + 10^-n max(1, |rhs|) for finite lhs, rhs and
-    tail >= 0, the last term the allowance for the roundoff of both sides
-    at working precision.
-
-    Decided exactly on the binary values: each is man 2^exp, so at the
-    least exponent e (and 0, the exponent of 1) all three are integers
-    times 2^e, and the test is 10^n (|L - R| - 3 T) <= max(2^-e, |R|).
+    - inside: the bracket |lhs - rhs| <= 3 tail + 10^-n max(1, |rhs|),
+      the last term the allowance for the roundoff of both sides at
+      working precision, that is 10^n (D - 3T) <= S;
+    - matched: floor(-log10(|lhs - rhs| / max(1, |rhs|))) clamped to
+      [0, cap], the largest d <= cap with D 10^d <= S: below the cap, the
+      exponent of the leading digit of S // D, which Decimal reads past
+      str's 4300-digit limit;
+    - gap: |lhs - rhs| as the fixed-point pair (D, -e) of
+      precision._unscale.
     """
     (ls, lm, le, _), (rs, rm, re, _), (_, tm, te, _) = (
         lhs._mpf_, rhs._mpf_, tail._mpf_)
     e = min(le, re, te, 0)
     left, right = (-lm if ls else lm) << le - e, (-rm if rs else rm) << re - e
-    excess = abs(left - right) - (3 * tm << te - e)
-    return excess <= 0 or excess * 10 ** n <= max(1 << -e, abs(right))
+    diff, size = abs(left - right), max(1 << -e, abs(right))
+    excess = diff - (3 * tm << te - e)
+    inside = excess <= 0 or excess * 10 ** n <= size
+    matched = (cap if diff * 10 ** cap <= size
+               else Decimal(size // diff).adjusted())
+    return inside, matched, (diff, -e)
 
 
 def sum_record(record: IdentityRecord, digits: int,
@@ -165,12 +157,12 @@ def _verify_record(record: IdentityRecord, digits: int,
             boundary = record.convergence != "geometric"
             result = _sum_planned(record.lhs, boundary, chosen, digits, ctx)
         lhs = result.value
-        matched = _matched_digits(lhs, rhs, digits, ctx.prec)
-        if _in_bracket(lhs, rhs, result.tail, ctx.working_digits - 5):
+        inside, matched, gap = _compare(lhs, rhs, result.tail,
+                                        ctx.working_digits - 5, digits)
+        if inside:
             report.status = PASS
         else:
-            gap = mpf_abs(mpf_sub(lhs._mpf_, rhs._mpf_, ctx.prec,
-                                  round_nearest))
+            gap = _unscale(*gap, ctx.prec)._mpf_
             report.detail = (f"matched {matched} digits; "
                              f"|lhs-rhs| = {to_str(gap, 5)} "
                              f"vs tail {to_str(result.tail._mpf_, 5)}")
@@ -409,15 +401,16 @@ def differential_check(level: str, pair: XYPair, digits: int,
     slope = (level_node(a, x + h, y) - level_node(a, x - h, y)) / (2 * h)
     transformed = eval_expr(x * (x + y) / (y - x) * slope, ctx)
     required = digits // 3
-    matched = _matched_digits(transformed, closed, digits, ctx.prec)
+    passed, matched, _ = _compare(transformed, closed, mpf(0), required,
+                                  digits)
     name = "-".join(to_str(v._mpf_, 15) for v in (xv, yv))
     return VerificationReport(
         identity_id=f"diff-{level}-{name}".replace(".", "p"),
         target_digits=digits,
-        status=PASS if matched >= required else FAIL,
+        status=PASS if passed else FAIL,
         matched_digits=matched,
         lhs_value=transformed, rhs_value=closed,
         elapsed=time.perf_counter() - start,
-        detail=f"central difference h = 1e-{digits}/3" if matched >= required
+        detail=f"central difference h = 1e-{digits}/3" if passed
         else f"only {matched} of {required} digits agree",
     )

@@ -285,6 +285,15 @@ def test_check_derivatives_command(capsys):
     assert obj["reports"][0]["status"] == "PASS"
 
 
+def test_check_derivatives_takes_a_negative_exponent_after_an_equals_sign(
+        capsys):
+    # argparse reads "-1e50" after a space as an option, so the README
+    # spells a negative coordinate in exponent form as --x=-1e50
+    assert run(["check-derivatives", "--level", "A_to_B", "--x=-1e50",
+                "--y", "1", "--digits", "30", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["reports"][0]["status"] == "PASS"
+
+
 def test_check_derivatives_far_from_x_eq_y_reads_the_quotient(capsys):
     # the quotient is 9.0e-100 here; both sides lie below 10^-99, so the
     # matched digits alone would pass a quotient wrong from its first digit

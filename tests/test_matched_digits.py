@@ -1,5 +1,5 @@
-"""The matched-digit count: floor(-log10 diff), exact on the binary value
-of the difference the verifier forms."""
+"""The matched-digit count: floor(-log10 diff), diff = |lhs - rhs| /
+max(1, |rhs|), exact on the binary values of the two sides."""
 
 from fractions import Fraction
 
@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from binom3k.verifier import _matched_digits
+from binom3k.verifier import _compare
+
+
+def matched(lhs, rhs, cap):
+    """The digit count of verifier._compare, with no tail."""
+    return _compare(lhs, rhs, mpf(0), 0, cap)[1]
 
 
 def to_fraction(x):
@@ -30,7 +35,7 @@ def test_binary_rounding_above_a_power_of_ten_loses_that_digit():
     with mp.workdps(50):
         diff = mpf(10) ** -2
         assert to_fraction(diff) > Fraction(1, 100)
-        assert _matched_digits(diff, mpf(0), 100, mp.prec) == 1
+        assert matched(diff, mpf(0), 100) == 1
 
 
 @pytest.mark.parametrize("dps", [30, 50, 110])
@@ -39,12 +44,12 @@ def test_powers_of_ten(dps, d):
     with mp.workdps(dps):
         diff = mpf(10) ** -d
         expected = d - 1 if to_fraction(diff) > Fraction(1, 10 ** d) else d
-        assert _matched_digits(diff, mpf(0), 100, mp.prec) == expected
-        assert _matched_digits(mpf(0), -diff, 100, mp.prec) == expected
-        # relative: the exact difference 1 over 10^d, a quotient that is
-        # rounded to the working precision as diff is
+        assert matched(diff, mpf(0), 100) == expected
+        assert matched(mpf(0), -diff, 100) == expected
+        # relative: the exact difference 1 over 10^d, counted exactly,
+        # whichever way 10^-d rounds in binary
         rhs = mpf(10 ** d)
-        assert _matched_digits(rhs + 1, rhs, 100, mp.prec) == expected
+        assert matched(rhs + 1, rhs, 100) == d
 
 
 @settings(max_examples=400, deadline=None)
@@ -59,17 +64,17 @@ def test_digit_count_is_exact(dps, rhs_man, rhs_exp, offset_exp, wiggle, cap):
         offset = mpf(10) ** -offset_exp
         offset += wiggle * mp.ldexp(offset, -mp.prec)
         lhs = rhs + offset
-        diff = abs(lhs - rhs)
-        if abs(rhs) >= 1:
-            diff = diff / abs(rhs)
-        assert _matched_digits(lhs, rhs, cap, mp.prec) == exact_digits(to_fraction(diff), cap)
+    # the oracle: the exact quotient of the binary values, no mp rounding
+    diff = (abs(to_fraction(lhs) - to_fraction(rhs))
+            / max(1, abs(to_fraction(rhs))))
+    assert matched(lhs, rhs, cap) == exact_digits(diff, cap)
 
 
 def test_both_branches_are_covered():
     with mp.workdps(30):
         # relative: 3e-8 of 100 is 3e-10, 9 digits
-        assert _matched_digits(mpf(100) + mpf("3e-8"), mpf(100), 30, mp.prec) == 9
+        assert matched(mpf(100) + mpf("3e-8"), mpf(100), 30) == 9
         # absolute: |rhs| < 1
-        assert _matched_digits(mpf("0.5") + mpf("3e-8"), mpf("0.5"), 30, mp.prec) == 7
-        assert _matched_digits(mpf(2), mpf("0.5"), 30, mp.prec) == 0
-        assert _matched_digits(mpf(7), mpf(7), 30, mp.prec) == 30
+        assert matched(mpf("0.5") + mpf("3e-8"), mpf("0.5"), 30) == 7
+        assert matched(mpf(2), mpf("0.5"), 30) == 0
+        assert matched(mpf(7), mpf(7), 30) == 30

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import to_rational, to_str
 
 from binom3k import expressions as ex
 from binom3k import verifier
@@ -73,6 +73,14 @@ def test_verify_detects_wrong_rhs():
     assert report.status == "FAIL"
     assert not report.ok
     assert report.matched_digits < 28
+    # the gap printed is the exact difference rounded to working precision
+    diff = exact(report.lhs_value) - exact(report.rhs_value)
+    with mp.workprec(make_context(30).prec):
+        gap = abs(mpf(diff.numerator) / diff.denominator)  # 2^k: exact
+    assert report.detail == (
+        f"matched {report.matched_digits} digits; "
+        f"|lhs-rhs| = {to_str(gap._mpf_, 5)} "
+        f"vs tail {to_str(report.tail._mpf_, 5)}")
 
 
 @pytest.mark.parametrize("terms", [1200, 5000])
@@ -104,11 +112,14 @@ def exact(x: mpf) -> Fraction:
        rhs_shift=st.integers(0, 200),
        tail_shift=st.one_of(st.none(), st.integers(-30, 30)),
        extra_bits=st.sampled_from([0, 8, 64, 300]),
-       wiggle=st.integers(-3, 3), side=st.sampled_from([-1, 1]))
+       wiggle=st.integers(-3, 3), side=st.sampled_from([-1, 1]),
+       cap=st.integers(0, 1100))
 def test_the_bracket_is_decided_exactly(n, rhs_kind, rhs_man, rhs_shift,
-                                        tail_shift, extra_bits, wiggle, side):
+                                        tail_shift, extra_bits, wiggle, side,
+                                        cap):
     # lhs within a few ulps of rhs +- (3 tail + 10^-n max(1, |rhs|)), the
-    # knife edge of the bracket, against the same inequality in Fractions
+    # knife edge of the bracket, against the same inequality in Fractions;
+    # the digit count and the gap against the same exact difference
     bits = math.ceil(n * math.log2(10))
     prec = bits + 64 + extra_bits
     with mp.workprec(prec):
@@ -126,8 +137,14 @@ def test_the_bracket_is_decided_exactly(n, rhs_kind, rhs_man, rhs_shift,
         offset = mp.fadd(offset, mp.ldexp(wiggle, offset.man_exp[1]),
                          exact=True)
         lhs = mp.fadd(rhs, side * offset, exact=True)
-    expected = abs(exact(lhs) - exact(rhs)) <= edge
-    assert verifier._in_bracket(lhs, rhs, tail, n) == expected
+    diff = abs(exact(lhs) - exact(rhs))
+    inside, matched, (gap, gap_bits) = verifier._compare(lhs, rhs, tail, n,
+                                                         cap)
+    assert inside == (diff <= edge)
+    quotient = diff / max(1, abs(exact(rhs)))
+    assert matched == max(d for d in range(cap + 1)
+                          if d == 0 or quotient * 10 ** d <= 1)
+    assert Fraction(gap, 2 ** gap_bits) == diff
 
 
 @settings(max_examples=400, deadline=None)
@@ -157,8 +174,9 @@ def test_a_bracket_that_holds_matches_all_but_one_digit(
         offset = mp.fadd(offset, mp.ldexp(wiggle, offset.man_exp[1]))
         lhs = rhs + side * offset
     assert exact(tail) < Fraction(1, 10 ** digits)
-    if verifier._in_bracket(lhs, rhs, tail, n):
-        assert verifier._matched_digits(lhs, rhs, digits, prec) >= digits - 1
+    inside, matched, _ = verifier._compare(lhs, rhs, tail, n, digits)
+    if inside:
+        assert matched >= digits - 1
 
 
 @pytest.mark.parametrize("lhs,rhs,tail,n,inside", [
@@ -178,7 +196,7 @@ def test_the_bracket_on_its_edge(lhs, rhs, tail, n, inside):
     with mp.workprec(200):
         lhs, rhs, tail = (mpf(x.numerator) / x.denominator
                           for x in map(Fraction, (lhs, rhs, tail)))
-    assert verifier._in_bracket(lhs, rhs, tail, n) == inside
+    assert verifier._compare(lhs, rhs, tail, n, 30)[0] == inside
 
 
 def test_a_difference_that_rounds_to_the_slack_is_outside_the_bracket(
@@ -201,6 +219,27 @@ def test_a_difference_that_rounds_to_the_slack_is_outside_the_bracket(
     report = verify(make_record(ex.intlit(0)), digits, ctx)
     assert report.matched_digits == digits
     assert report.status == FAIL
+
+
+def test_digits_are_counted_on_the_exact_difference(monkeypatch):
+    # lhs = 10^k + 1 and rhs = 10^k are exact, so the relative difference
+    # is exactly 10^-k: k digits match, even where 10^-k rounds up in
+    # binary at the working precision
+    from binom3k.series import SumResult
+    for digits in range(8, 60):
+        ctx, k = make_context(digits), digits - 3
+        with mp.workprec(ctx.prec):
+            if exact(mpf(1) / 10 ** k) > Fraction(1, 10 ** k):
+                lhs = mpf(10 ** k + 1)
+                break
+    else:
+        pytest.fail("no 10^-k below 60 digits rounds up")
+    assert exact(lhs) == 10 ** k + 1
+    monkeypatch.setattr(verifier, "sum_record",
+                        lambda record, digits, ctx: SumResult(lhs, 1, mpf(0)))
+    report = verify(make_record(ex.intlit(10 ** k)), digits, ctx)
+    assert report.status == FAIL
+    assert report.matched_digits == k
 
 
 def test_a_term_budget_leaves_the_answer_bit_identical(record_of):
