@@ -21,7 +21,7 @@ from mpmath.libmp import to_str
 
 from .closed_forms import FAMILIES, TheoremParams, XYPair, family_names
 from .errors import Binom3kError, InvalidParams
-from .precision import make_context
+from .precision import DEFAULT_MAX_TERMS, make_context
 from .registry import builtin_catalog, get_record, load_catalog, scan_perfect_square
 from .sequences import HoradamParams
 from .verifier import (FAIL, VerificationReport, differential_check,
@@ -155,8 +155,8 @@ def _add_common(parser: argparse.ArgumentParser, digits: bool = True,
     if digits:
         _add_digits(parser)
         parser.add_argument("--max-terms", type=_at_least(64, "max-terms"),
-                            default=10**6,
-                            help="term budget for summation (default 1000000)")
+                            default=DEFAULT_MAX_TERMS, help="term budget for "
+                            f"summation (default {DEFAULT_MAX_TERMS})")
     if formats:
         parser.add_argument("--format", choices=formats, default="md",
                             help="output format (default md)")

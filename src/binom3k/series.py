@@ -11,7 +11,8 @@ kernel, CRVZ or the telescope), its terms and its cost.
 the radius) go through :func:`_sum_planned`, which also takes a plan made
 beforehand: it checks the series and runs the plan by :func:`_execute`,
 one pass of the exact integer kernel, :func:`_kernel`, over the terms
-t_k 2^B as floored integers, with a proven bound on its roundoff
+t_k 2^B as floored integers, the first of the pair b_k (W(mk), W(mk+1)) 2^B
+for a Fibonacci or Lucas weight W, with a proven bound on its roundoff
 (:func:`_roundoff_ulps`).  Nothing else in the package sums.  Both round
 their value and tail to the context's working precision ``prec``, passed
 down as a value; they neither read nor set mpmath's global precision.
@@ -232,14 +233,14 @@ def _unit_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
 
 
 def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
-    """_unit_run for a Fibonacci or Lucas weight: the state is
-    (x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2), with the pair
-    (x, y) = (b_k F(mk), b_k F(mk+1)) 2^B and Q^m = [[f0, f1], [f1, f2]]."""
-    x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2 = state
+    """_unit_run for a Fibonacci or Lucas weight W: the state is
+    (x, y, f0, f1, f2, n, dn, n2, d, dd, d2), with the pair
+    (x, y) = (b_k W(mk), b_k W(mk+1)) 2^B and Q^m = [[f0, f1], [f1, f2]]."""
+    x, y, f0, f1, f2, n, dn, n2, d, dd, d2 = state
     s = 0
     if a == 0:
         for _ in range(k, stop):
-            s += 2 * y - x if lucas else x
+            s += x
             x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
             n += dn
             dn += n2
@@ -247,13 +248,13 @@ def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
             dd += d2
     else:
         for div in _divisors(a, k, stop):
-            s += (2 * y - x if lucas else x) // div
+            s += x // div
             x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
             n += dn
             dn += n2
             d += dd
             dd += d2
-    return s, (x, y, f0, f1, f2, lucas, n, dn, n2, d, dd, d2)
+    return s, (x, y, f0, f1, f2, n, dn, n2, d, dd, d2)
 
 
 def _kernel(spec: SeriesSpec, bits: int, K: int,
@@ -263,9 +264,9 @@ def _kernel(spec: SeriesSpec, bits: int, K: int,
 
     With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
     2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), floored at every step.  A Fibonacci
-    or Lucas weight rides along as the pair (b_k F(mk), b_k F(mk+1)),
-    advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]], and
-    L(mk) = 2 F(mk+1) - F(mk).  The ratio's numerator and denominator are
+    or Lucas weight W rides along as the pair (b_k W(mk), b_k W(mk+1)),
+    advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]] as is any G with
+    G(n+2) = G(n+1) + G(n).  The ratio's numerator and denominator are
     quadratics in k, advanced by their differences, so a step is one
     multiply and one floor division per state component.
     """
@@ -276,11 +277,10 @@ def _kernel(spec: SeriesSpec, bits: int, K: int,
     if spec.weight.kind == "unit":
         run, state = _unit_run, ((p << bits) // q3,) + ratio
     else:
-        m = spec.weight.m
-        f0, f1, f2 = fib(m - 1), fib(m), fib(m + 1)
+        m, w = spec.weight.m, fib if spec.weight.kind == "fib" else lucas
         run = _pair_run
-        state = ((f1 * p << bits) // q3, (f2 * p << bits) // q3, f0, f1, f2,
-                 spec.weight.kind == "lucas") + ratio
+        state = ((w(m) * p << bits) // q3, (w(m + 1) * p << bits) // q3,
+                 fib(m - 1), fib(m), fib(m + 1)) + ratio
     head, state = run(state, 1, K + 1, spec.a)
     terms = []
     for k in range(K + 1, K + 1 + window):
@@ -343,10 +343,9 @@ def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
     2-norm: s = 1 unit, sqrt2 pair) and multiplies the inherited error by
     at most g_k = |b_{k+1}/b_k| phi^|m| (Q^m is symmetric with norm
     phi^|m|).  The g_k > 1 form a prefix, so the state error at step k is
-    below s k G with G the product of that prefix, up to K.  Reading a
-    term costs c = 1 (sqrt5 for L = 2y - x) times that over k^a, plus 1
-    for the division by k^a.  G is evaluated in floats with a factor 2
-    of slack.
+    below s k G with G the product of that prefix, up to K.  A term, the
+    state's first component, is read within that error over k^a, plus 1
+    for dividing by k^a.  G is evaluated in floats with a factor 2 of slack.
     """
     if K < 1 or _vanishes(spec):
         return 0
@@ -355,9 +354,8 @@ def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
     log_growth = (_log_base(log_z, top) - _log_base(log_z, 1)
                   + (top - 1) * abs(spec.weight.m) * _LOG_PHI)
     s = 1.0 if spec.weight.kind == "unit" else math.sqrt(2)
-    c = math.sqrt(5) if spec.weight.kind == "lucas" else 1.0
     spread = (K * (K + 1) / 2, K, 1 + math.log(K))[spec.a]  # sum k^(1-a)
-    return math.ceil(2 * c * s * math.exp(log_growth) * spread) + K
+    return math.ceil(2 * s * math.exp(log_growth) * spread) + K
 
 
 def _kernel_bits(roundoff: int, finest: float) -> int:

@@ -386,6 +386,8 @@ def differential_check(level: str, pair: XYPair, digits: int,
     """
     if level not in ("A_to_B", "B_to_C"):
         raise ValueError(f"level must be 'A_to_B' or 'B_to_C', got {level!r}")
+    if digits < 5:
+        raise ValueError("digits must be >= 5")
     ctx = context_for(digits, ctx)
     a, upper = (2, B_rhs) if level == "A_to_B" else (1, C_rhs)
     start = time.perf_counter()

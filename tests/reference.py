@@ -30,9 +30,10 @@ def scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
 
     With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
     2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), one floor division per step.  A
-    Fibonacci or Lucas weight rides along as the pair (b_k F(mk),
-    b_k F(mk+1)), advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]];
-    L(mk) = 2 F(mk+1) - F(mk).
+    Fibonacci or Lucas weight W rides along as the pair (b_k W(mk),
+    b_k W(mk+1)), advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]], as
+    G(n+m) = F(m-1) G(n) + F(m) G(n+1) for any G of the Fibonacci
+    recurrence; the term is the pair's first component.
     """
     p, q = spec.z.numerator, spec.z.denominator
     p2, q3, a = 2 * p, 3 * q, spec.a
@@ -44,12 +45,11 @@ def scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
             t = t * (p2 * (k + 1) * (2 * k + 1)) // (q3 * (3 * k + 1) * (3 * k + 2))
             k += 1
     m = spec.weight.m
+    w = fib if spec.weight.kind == "fib" else lucas
     f0, f1, f2 = fib(m - 1), fib(m), fib(m + 1)
-    x, y = (f1 * p << bits) // q3, (f2 * p << bits) // q3
-    want_lucas = spec.weight.kind == "lucas"
+    x, y = (w(m) * p << bits) // q3, (w(m + 1) * p << bits) // q3
     while True:
-        w = 2 * y - x if want_lucas else x
-        yield w // k ** a if a else w
+        yield x // k ** a if a else x
         num = p2 * (k + 1) * (2 * k + 1)
         den = q3 * (3 * k + 1) * (3 * k + 2)
         x, y = num * (f0 * x + f1 * y) // den, num * (f1 * x + f2 * y) // den

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational, to_str
 
+from binom3k import builtin_catalog
 from binom3k import expressions as ex
 from binom3k import verifier
 from binom3k.cli import _suite_json
@@ -22,11 +24,12 @@ from binom3k.errors import DomainError, InvalidParams, MaxTermsExceeded
 from binom3k.precision import make_context
 from binom3k.registry import IdentityRecord, instantiate
 from binom3k.sequences import HoradamParams
-from binom3k.series import SeriesSpec, UNIT_WEIGHT
+from binom3k.series import SeriesSpec, UNIT_WEIGHT, _vanishes
 from binom3k.verifier import (differential_check, lpt_partition,
                               planned_cost, sweep, verify, verify_all)
 from binom3k.verifier import (FAIL, PASS, SKIPPED_DIVERGENT,
                               VerificationReport, summary_counts)
+from test_family_pairs import SWEEP_GRID
 
 
 def test_verify_italy(record_of):
@@ -251,6 +254,48 @@ def test_a_term_budget_leaves_the_answer_bit_identical(record_of):
     assert tight.terms_used == default.terms_used == 23
     for name in ("lhs_value", "rhs_value", "tail"):
         assert getattr(tight, name).man_exp == getattr(default, name).man_exp
+
+
+# The perturbation gate: every summed catalog record and every point of
+# the sweep grid PASSes as it is and FAILs with its tree off by one part in
+# 10^(d-3), a factor 1 +- 10^-(d-3), or a term +- 10^-(d-3) where the
+# series vanishes and the tree is 0.
+_GATE = [r for r in builtin_catalog() if r.convergence != "divergent_formal"]
+_GATE += [instantiate(family, TheoremParams(family, **point))
+          for family, points in SWEEP_GRID.items() for point in points]
+# cases that still PASS: below 1 the sum's tail, the bracket's slack and
+# the digit count are absolute, 10^-d, not d significant digits
+_STILL_PASSES = {(25, "+", "cor5-fib-r4"), (25, "+", "cor5-fib-r6"),
+                 (25, "-", "cor5-fib-r6"), (25, "-", "cor5-luc-r4"),
+                 (25, "+", "cor5-luc-r6"), (25, "-", "cor5-luc-r6"),
+                 (100, "+", "cor5-fib-r5"), (100, "-", "cor5-fib-r5"),
+                 (100, "-", "cor5-fib-r6"), (100, "+", "cor5-luc-r5"),
+                 (100, "-", "cor5-luc-r5"), (100, "-", "cor5-luc-r6")}
+_ABSOLUTE = pytest.mark.xfail(strict=True,
+                              reason="compared absolutely below 1")
+
+
+def test_the_gate_covers_the_summed_catalog_and_the_sweep_grid():
+    assert len(_GATE) == 69 + 237
+    assert sum(_vanishes(record.lhs) for record in _GATE) == 17
+
+
+@pytest.mark.parametrize("digits", [25, 100])
+@pytest.mark.parametrize("record", _GATE, ids=lambda record: record.id)
+def test_an_untouched_record_passes(record, digits):
+    assert verify(record, digits).status == PASS
+
+
+@pytest.mark.parametrize("digits,sign,record", [
+    pytest.param(digits, sign, record, id=f"{record.id}-{digits}{sign}",
+                 marks=_ABSOLUTE if (digits, sign, record.id) in _STILL_PASSES
+                 else ())
+    for digits in (25, 100) for sign in "+-" for record in _GATE])
+def test_a_perturbed_record_fails(record, digits, sign):
+    off = Fraction(int(sign + "1"), 10 ** (digits - 3))
+    rhs = (record.rhs + ex.ratlit(off) if _vanishes(record.lhs)
+           else record.rhs * ex.ratlit(1 + off))
+    assert verify(dataclasses.replace(record, rhs=rhs), digits).status == FAIL
 
 
 def test_verify_all_builtin_small(catalog):
@@ -497,6 +542,12 @@ def test_differential_check(level, pair):
     report = differential_check(level, XYPair(Fraction(pair[0]), Fraction(pair[1])), 40)
     assert report.status == "PASS"
     assert report.matched_digits >= 13
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 4])
+def test_differential_check_rejects_small_digits(digits):
+    with pytest.raises(ValueError, match="digits must be >= 5"):
+        differential_check("A_to_B", XYPair(9, 1), digits)
 
 
 def test_differential_check_bad_level():
