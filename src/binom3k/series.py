@@ -6,16 +6,17 @@ weight), sits on the convergence boundary at equality, and is divergent
 beyond it; the comparison is made exactly on the rational z.
 
 :func:`plan` alone chooses how a series is summed: the method (the
-kernel, CRVZ or the telescope), its terms and its cost.
+kernel, CRVZ or the telescope) and its terms.
 :func:`sum_to_digits` (geometric) and :func:`sum_boundary_detailed` (on
-the radius) go through :func:`_sum_planned`, which also takes a plan made
-beforehand: it checks the series and runs the plan by :func:`_execute`,
-one pass of the exact integer kernel, :func:`_kernel`, over the terms
-t_k 2^B as floored integers, the first of the pair b_k (W(mk), W(mk+1)) 2^B
-for a Fibonacci or Lucas weight W, with a proven bound on its roundoff
-(:func:`_roundoff_ulps`).  Nothing else in the package sums.  Both round
-their value and tail to the context's working precision ``prec``, passed
-down as a value; they neither read nor set mpmath's global precision.
+the radius) go through :func:`_sum_planned`: it checks the series, plans
+it unless handed a plan made beforehand, and runs the plan by
+:func:`_execute`, one pass of the exact integer kernel, :func:`_kernel`,
+over the terms t_k 2^B as floored integers, the first of the pair b_k
+(W(mk), W(mk+1)) 2^B for a Fibonacci or Lucas weight W, with a proven
+bound on its roundoff (:func:`_roundoff_ulps`).  Nothing else in the
+package sums.  Both round their value and tail to the context's working
+precision ``prec``, passed down as a value; they neither read nor set
+mpmath's global precision.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
@@ -140,13 +141,12 @@ class SumResult:
 
 @dataclass(frozen=True)
 class Plan:
-    """The method, its terms (K, or n for CRVZ), the telescope's J (else 0)
-    and the planned ns of a sum."""
+    """The method of a sum, its terms (K, or n for CRVZ) and the
+    telescope's J (else 0)."""
 
     method: str  # "kernel" | "crvz" | "telescope"
     terms: int
     J: int
-    cost_ns: float
 
 
 def _vanishes(spec: SeriesSpec) -> bool:
@@ -588,25 +588,6 @@ def _crvz_terms(digits: int) -> int:
 
 
 # -- the plan and the sums ----------------------------------------------------
-#
-# Nanoseconds of one summation step on a 2-vCPU x86_64 guest under CPython
-# 3.11, measured on steps of fixed width; the state of a geometric sum
-# shrinks from B bits to the roundoff as its terms fall, so its steps are
-# counted at half the working bits.  A kernel step of the unit weight at
-# a = 0 is one product and one floor division by single-digit (< 2^30)
-# integers; a >= 1 adds the division by k^a, the pair state doubles the
-# products and divisions, and a ratio denominator 27 q k^2 (or a k^2)
-# past 2^30 makes those divisions multi-digit.  A CRVZ term is a kernel
-# term read on its own plus one product with a weight of about n log2(3 +
-# sqrt8) bits; the telescope adds O(J^2) products of its coefficients.
-_STEP_NS = 300.0
-_STEP_NS_PER_BIT = 0.36
-_DIVISION_SHARE = 1.5  # a >= 1
-_PAIR_SHARE = 2.3
-_WIDE_NS_PER_BIT = 0.55
-_CRVZ_NS_PER_BIT = 6.5
-_TELESCOPE_NS_PER_BIT = 0.8  # per J^2
-
 
 def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
     """How ``spec`` is summed to ``digits`` digits within ``budget`` terms.
@@ -623,7 +604,7 @@ def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
     elif kind == "divergent_formal":
         raise Unsupported(DIVERGES)
     elif _vanishes(spec):
-        return Plan("kernel", 0, 0, 0.0)
+        return Plan("kernel", 0, 0)
     else:
         c, log_z = _growth_constant(spec), _log_abs_z(spec)
         fits = _cutoff_fits(spec, digits, c, log_z)
@@ -637,18 +618,7 @@ def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
     if K > budget:
         raise MaxTermsExceeded(f"{method} summation to {digits} digits needs "
                                f"more than {budget} terms (the term budget)")
-    bits = digits * _BITS_PER_DIGIT + _GUARD_BITS
-    if method == "crvz":
-        return Plan(method, K, J, K * bits * _CRVZ_NS_PER_BIT)
-    share = ((_DIVISION_SHARE if spec.a else 1.0)
-             * (_PAIR_SHARE if spec.weight.kind != "unit" else 1.0))
-    narrow = math.isqrt((1 << 30) // (27 * spec.z.denominator))
-    wide = max(0.0, K - narrow)
-    if spec.a == 2:  # k^2 past 2^30
-        wide += max(0.0, K - (1 << 15))
-    kernel_ns = share * (K * (_STEP_NS + _STEP_NS_PER_BIT * bits / 2)
-                         + wide * _WIDE_NS_PER_BIT * bits / 2)
-    return Plan(method, K, J, kernel_ns + J * J * bits * _TELESCOPE_NS_PER_BIT)
+    return Plan(method, K, J)
 
 
 def _execute(spec: SeriesSpec, chosen: Plan, digits: int,
@@ -685,22 +655,12 @@ def _execute(spec: SeriesSpec, chosen: Plan, digits: int,
     return _certified(value, error, bits, K, digits, prec)
 
 
-def _try_plan(spec: SeriesSpec, digits: int, budget: int):
-    """plan(spec, digits, budget), or the MaxTermsExceeded or Unsupported it
-    raised, which _sum_planned raises in its turn."""
-    try:
-        return plan(spec, digits, budget)
-    except (MaxTermsExceeded, Unsupported) as exc:
-        return exc
-
-
-def _sum_planned(spec: SeriesSpec, boundary: bool, chosen, digits: int,
-                 ctx: PrecisionContext) -> SumResult:
-    """``spec`` summed by ``chosen``, its _try_plan at ``digits`` within
-    ctx.max_terms: the checks of sum_boundary_detailed when ``boundary``,
-    else of sum_to_digits, then the error of ``chosen`` if it is one, then
-    _execute.  So a plan made once, before the sum, refuses a series in the
-    sum's own order and words."""
+def _sum_planned(spec: SeriesSpec, boundary: bool, chosen: Optional[Plan],
+                 digits: int, ctx: PrecisionContext) -> SumResult:
+    """``spec`` summed to ``digits`` digits: the checks of
+    sum_boundary_detailed when ``boundary``, else of sum_to_digits, then
+    the plan ``chosen``, made beforehand, or else the plan within
+    ctx.max_terms, by _execute."""
     context_for(digits, ctx)
     kind = convergence_kind(spec)
     if boundary and not kind.startswith("boundary"):
@@ -710,8 +670,8 @@ def _sum_planned(spec: SeriesSpec, boundary: bool, chosen, digits: int,
         raise NotGeometric(
             DIVERGES if kind == "divergent_formal"
             else f"series is {kind}; use sum_boundary_detailed at the radius")
-    if isinstance(chosen, Exception):
-        raise chosen
+    if chosen is None:
+        chosen = plan(spec, digits, ctx.max_terms)
     return _execute(spec, chosen, digits, ctx.prec)
 
 
@@ -720,8 +680,7 @@ def sum_to_digits(spec: SeriesSpec, digits: int, ctx: PrecisionContext) -> SumRe
     Raises ValueError when ``digits`` exceeds the context's target,
     NotGeometric off the geometric side, MaxTermsExceeded past the term
     budget, and Unsupported when the bound misses 10^-digits."""
-    return _sum_planned(spec, False, _try_plan(spec, digits, ctx.max_terms),
-                        digits, ctx)
+    return _sum_planned(spec, False, None, digits, ctx)
 
 
 def sum_boundary_detailed(spec: SeriesSpec, digits: int,
@@ -729,5 +688,4 @@ def sum_boundary_detailed(spec: SeriesSpec, digits: int,
     """Sum of a convergent series at z = +-27/4 with a proved tail below
     10^-digits, by its plan, raising as sum_to_digits does (Unsupported off
     the radius or for a divergent series)."""
-    return _sum_planned(spec, True, _try_plan(spec, digits, ctx.max_terms),
-                        digits, ctx)
+    return _sum_planned(spec, True, None, digits, ctx)

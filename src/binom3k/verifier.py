@@ -24,20 +24,23 @@ exact difference-quotient tree, at the same working precision, and counts
 its digits by the same comparison with no tail.
 
 :func:`verify_all` with ``jobs`` > 1 plans every record once
-(:func:`series.plan`), splits the records by the planned cost read off
-those plans (:func:`lpt_partition`, longest first), verifies one part in
-this process and each other part in a forked child process, and hands
-each sum its record's plan (``series._sum_planned``), so no record is
-planned twice.  A child sends each report back as one plain tuple of its
-raw fields, the values as their ``_mpf_`` tuples, and this process
+(:func:`series.plan`), prices each verification off its plan
+(:func:`_cost`, the one cost model), splits the records by those prices
+(:func:`lpt_partition`, longest first), verifies one part in this process
+and each other part in a forked child process, and hands each sum its
+record's plan (``series._sum_planned``), so no record is planned twice; a
+plan that raised is made again by its sum, which raises the same error in
+its own order.  A child sends each report back as one plain tuple of its
+fields, the mpf values as their ``_mpf_`` tuples, and this process
 rebuilds them bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -50,8 +53,9 @@ from .errors import Binom3kError, DomainError, InvalidParams
 from .expressions import cbrt, level as level_node, ratlit
 from .precision import PrecisionContext, _unscale, context_for
 from .registry import IdentityRecord, instance_id, instantiate
-from .series import (DIVERGES, Plan, SumResult, _sum_planned, _try_plan,
-                     sum_boundary_detailed, sum_to_digits)
+from . import series
+from .series import (_BITS_PER_DIGIT, _GUARD_BITS, DIVERGES, Plan, SumResult,
+                     _sum_planned, sum_boundary_detailed, sum_to_digits)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -117,30 +121,39 @@ def sum_record(record: IdentityRecord, digits: int,
     return summed(record.lhs, digits, ctx)
 
 
+def _check_digits(digits: int) -> None:
+    """The refusal of a target below 5 digits, before any work."""
+    if digits < 5:
+        raise ValueError("digits must be >= 5")
+
+
 def verify(record: IdentityRecord, digits: int,
            ctx: Optional[PrecisionContext] = None) -> VerificationReport:
     """Verify one catalog record to the requested digit target."""
+    _check_digits(digits)
     return _verify_record(record, digits, ctx, None)
 
 
-def _planned(record: IdentityRecord, digits: int, budget: int):
-    """The plan of the record's sum within ``budget`` terms, or the error
-    that planning raised, which the sum raises in its turn
-    (series._sum_planned); None for a skipped record."""
+def _planned(record: IdentityRecord, digits: int,
+             budget: int) -> Optional[Plan]:
+    """The plan of the record's sum within ``budget`` terms; None for a
+    skipped record or a plan that raised."""
     if record.convergence == "divergent_formal":
         return None
-    return _try_plan(record.lhs, digits, budget)
+    try:
+        return series.plan(record.lhs, digits, budget)
+    except Binom3kError:
+        return None
 
 
 def _verify_record(record: IdentityRecord, digits: int,
-                   ctx: Optional[PrecisionContext], chosen
+                   ctx: Optional[PrecisionContext], chosen: Optional[Plan]
                    ) -> VerificationReport:
     """verify, summing by ``chosen``, the record's _planned at ``digits``
     within the context's budget, or by sum_record, which plans for itself,
-    when it is None.  Either way the right-hand side comes first, so a
-    plan's error is reported only where the sum's would be."""
-    if digits < 5:
-        raise ValueError("digits must be >= 5")
+    when it is None.  Either way the right-hand side comes first, and a
+    plan that raised (None) is made again by the sum, after its checks, so
+    it is refused in verify's order and words."""
     ctx = context_for(digits, ctx)
     start = time.perf_counter()
     report = VerificationReport(record.id, digits, FAIL)
@@ -178,39 +191,66 @@ def _verify_record(record: IdentityRecord, digits: int,
     return report
 
 
-# Planned ns of a verification besides its sum (see series.plan for the
-# host): the report and digit match, and the closed form, priced as one
-# level (a cube root, an arctangent and a logarithm in fixed point) per
-# branch: 31 us at 25 digits, 52 us at 100 and 2.2 ms at 1000, against a
-# measured median of 29-35 us, 52-76 us and 2.2-2.4 ms per level.  A surd
-# tree of the catalog, walked in the same fixed point, takes a median of
-# 42, 72 and 2260 us, about 1.35 levels at 25 and 100 digits and one at
-# 1000; the price leaves that out, as it reads no tree.
+# Planned ns of one verification on a 2-vCPU x86_64 guest under CPython
+# 3.11, for scheduling.  The report and digit match cost _REPORT_NS, and
+# the closed form one level (a cube root, an arctangent and a logarithm
+# in fixed point) per branch: 31 us at 25 digits, 52 us at 100 and 2.2 ms
+# at 1000, against a measured median of 29-35 us, 52-76 us and 2.2-2.4 ms
+# per level.  A surd tree of the catalog, walked in the same fixed point,
+# takes a median of 42, 72 and 2260 us, about 1.35 levels at 25 and 100
+# digits and one at 1000; the price leaves that out, as it reads no tree.
+#
+# A sum costs its steps, measured on steps of fixed width; the state of a
+# geometric sum shrinks from B bits to the roundoff as its terms fall, so
+# its steps are counted at half the working bits.  A kernel step of the
+# unit weight at a = 0 is one product and one floor division by
+# single-digit (< 2^30) integers; a >= 1 adds the division by k^a, the
+# pair state doubles the products and divisions, and a ratio denominator
+# 27 q k^2 (or a k^2) past 2^30 makes those divisions multi-digit.  A CRVZ
+# term is a kernel term read on its own plus one product with a weight of
+# about n log2(3 + sqrt8) bits; the telescope adds O(J^2) products of its
+# coefficients.
 _REPORT_NS = 100_000.0
 _LEVEL_NS, _LEVEL_NS_PER_DIGIT2 = 30_000.0, 2.2
+_STEP_NS = 300.0
+_STEP_NS_PER_BIT = 0.36
+_DIVISION_SHARE = 1.5  # a >= 1
+_PAIR_SHARE = 2.3
+_WIDE_NS_PER_BIT = 0.55
+_CRVZ_NS_PER_BIT = 6.5
+_TELESCOPE_NS_PER_BIT = 0.8  # per J^2
 
 
-def planned_cost(record: IdentityRecord, digits: int, budget: int) -> float:
-    """Planned ns of verify(record, digits) within a term budget, for
-    scheduling; 0 for a skipped record.  Never raises for a record that
-    verify accepts."""
-    return _cost(record, digits, _planned(record, digits, budget))
-
-
-def _cost(record: IdentityRecord, digits: int, chosen) -> float:
-    """planned_cost read off the record's _planned ``chosen``: a plan that
-    raised costs no sum.
+def _cost(record: IdentityRecord, digits: int, chosen: Optional[Plan]
+          ) -> float:
+    """Planned ns of verify(record, digits) summing by ``chosen``, the
+    record's _planned: 0 for a skipped record, and no sum when ``chosen``
+    is None.
 
     A closed form costs one level per branch, read off the weight and
     not the tree: two for a Fibonacci or Lucas weight, which Binet
     splits, else one.
     """
-    if chosen is None:  # a skipped record
+    if record.convergence == "divergent_formal":
         return 0.0
-    branches = 1 if record.lhs.weight.kind == "unit" else 2
-    rhs = branches * (_LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * digits * digits)
-    return _REPORT_NS + rhs + (chosen.cost_ns if isinstance(chosen, Plan)
-                               else 0.0)
+    spec, weighted = record.lhs, record.lhs.weight.kind != "unit"
+    cost = _REPORT_NS + (2 if weighted else 1) * (
+        _LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * digits * digits)
+    if chosen is None:
+        return cost
+    K, bits = chosen.terms, digits * _BITS_PER_DIGIT + _GUARD_BITS
+    if chosen.method == "crvz":
+        return cost + K * bits * _CRVZ_NS_PER_BIT
+    share = ((_DIVISION_SHARE if spec.a else 1.0)
+             * (_PAIR_SHARE if weighted else 1.0))
+    narrow = math.isqrt((1 << 30) // (27 * spec.z.denominator))
+    wide = max(0.0, K - narrow)
+    if spec.a == 2:  # k^2 past 2^30
+        wide += max(0.0, K - (1 << 15))
+    kernel_ns = share * (K * (_STEP_NS + _STEP_NS_PER_BIT * bits / 2)
+                         + wide * _WIDE_NS_PER_BIT * bits / 2)
+    return cost + (kernel_ns
+                   + chosen.J * chosen.J * bits * _TELESCOPE_NS_PER_BIT)
 
 
 def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
@@ -226,27 +266,25 @@ def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
     return [sorted(part) for part in split]
 
 
+_MPF_FIELDS = ("lhs_value", "rhs_value", "tail")
+
+
 def _raw(index: int, report: VerificationReport) -> tuple:
-    """The index and fields of a report as one plain tuple, each value as
-    its raw _mpf_ tuple of ints, which pickles far cheaper than an mpf (a
-    hex string)."""
-    lhs, rhs, tail = (value if value is None else value._mpf_ for value
-                      in (report.lhs_value, report.rhs_value, report.tail))
-    return (index, report.identity_id, report.target_digits, report.status,
-            report.matched_digits, lhs, rhs, tail, report.terms_used,
-            report.elapsed, report.detail)
+    """The index and the fields of a report, in field order, as one plain
+    tuple, each mpf value as its raw _mpf_ tuple of ints, which pickles
+    far cheaper than an mpf (a hex string)."""
+    values = ((field.name, getattr(report, field.name))
+              for field in fields(VerificationReport))
+    return (index, *(value._mpf_ if name in _MPF_FIELDS and value is not None
+                     else value for name, value in values))
 
 
-def _rebuilt(fields: tuple) -> tuple[int, VerificationReport]:
+def _rebuilt(raw: tuple) -> tuple[int, VerificationReport]:
     """The (index, report) pair of a _raw tuple, its values bit for bit."""
-    (index, identity, target, status, matched, lhs, rhs, tail, terms,
-     elapsed, detail) = fields
-    lhs, rhs, tail = (value if value is None else mp.make_mpf(value)
-                      for value in (lhs, rhs, tail))
-    return index, VerificationReport(
-        identity_id=identity, target_digits=target, status=status,
-        matched_digits=matched, lhs_value=lhs, rhs_value=rhs,
-        terms_used=terms, tail=tail, elapsed=elapsed, detail=detail)
+    index, *values = raw
+    return index, VerificationReport(*(
+        mp.make_mpf(value) if field.name in _MPF_FIELDS and value is not None
+        else value for field, value in zip(fields(VerificationReport), values)))
 
 
 def _verify_part(records, plans, part, digits, ctx, sender) -> None:
@@ -268,19 +306,21 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
     """Verify every record, reports in id order; failures are data, not
     exceptions.
 
-    The records, sorted by id, are each planned once here (_planned) and
-    split into min(jobs, records) parts of about equal planned cost, read
-    off those plans, by lpt_partition.  This process verifies part 0, and
-    one child process per other part, started from the default
-    multiprocessing context with a one-way pipe, verifies its part and
-    sends its reports back as _raw tuples; under fork the records and
-    their plans are inherited, not pickled.  Each sum runs its record's
-    plan.  At one part no process starts and nothing is planned ahead:
+    Digits below 5 are refused before anything starts.  The records,
+    sorted by id, are each planned once here (_planned), priced off those
+    plans (_cost) and split into min(jobs, records) parts of about equal
+    price by lpt_partition.  This process verifies part 0, and one child
+    process per other part, started from the default multiprocessing
+    context with a one-way pipe, verifies its part and sends its reports
+    back as _raw tuples; under fork the records and their plans are
+    inherited, not pickled.  Each sum runs its record's plan, or plans
+    again where planning raised.  At one part no process starts and nothing is planned ahead:
     each record is verified as verify does it.  An exception raised in a
     child is raised here once every child has been joined; when this
     process's own part raises, the children are terminated and joined
     first.  No child outlives the call.
     """
+    _check_digits(digits)
     records = sorted(catalog, key=lambda r: r.id)
     parts = min(jobs, len(records))
     plans, split = [None] * len(records), [range(len(records))]
@@ -386,8 +426,7 @@ def differential_check(level: str, pair: XYPair, digits: int,
     """
     if level not in ("A_to_B", "B_to_C"):
         raise ValueError(f"level must be 'A_to_B' or 'B_to_C', got {level!r}")
-    if digits < 5:
-        raise ValueError("digits must be >= 5")
+    _check_digits(digits)
     ctx = context_for(digits, ctx)
     a, upper = (2, B_rhs) if level == "A_to_B" else (1, C_rhs)
     start = time.perf_counter()

@@ -25,8 +25,8 @@ from binom3k.precision import make_context
 from binom3k.registry import IdentityRecord, instantiate
 from binom3k.sequences import HoradamParams
 from binom3k.series import SeriesSpec, UNIT_WEIGHT, _vanishes
-from binom3k.verifier import (differential_check, lpt_partition,
-                              planned_cost, sweep, verify, verify_all)
+from binom3k.verifier import (differential_check, lpt_partition, sweep,
+                              verify, verify_all)
 from binom3k.verifier import (FAIL, PASS, SKIPPED_DIVERGENT,
                               VerificationReport, summary_counts)
 from test_family_pairs import SWEEP_GRID
@@ -58,6 +58,22 @@ def test_verify_divergent(record_of):
 def test_verify_rejects_small_digits(record_of):
     with pytest.raises(ValueError):
         verify(record_of("eq-italy"), 3)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("digits", range(5))
+def test_verify_all_rejects_small_digits_before_it_starts(catalog, record_of,
+                                                         monkeypatch, jobs,
+                                                         digits):
+    with pytest.raises(ValueError) as refused:
+        verify(record_of("eq-italy"), digits)
+    started = []
+    monkeypatch.setattr(multiprocessing.Process, "start",
+                        lambda process: started.append(process))
+    with pytest.raises(ValueError) as raised:
+        verify_all(catalog, digits, jobs=jobs)
+    assert str(raised.value) == str(refused.value) == "digits must be >= 5"
+    assert started == []
 
 
 def make_record(rhs_expr, z=Fraction(8, 3)):
@@ -421,11 +437,17 @@ def test_verify_all_starts_no_process_for_one_part():
     assert out.stdout == "False\n"
 
 
+def _price(record, digits, budget):
+    """The price verify_all puts on verifying ``record``."""
+    return verifier._cost(record, digits,
+                          verifier._planned(record, digits, budget))
+
+
 def _child_record(catalog, digits):
     """The id of a record that verify_all(catalog, digits, jobs=2) verifies
     in its child process."""
     records = sorted(catalog, key=lambda r: r.id)
-    costs = [planned_cost(r, digits, 10 ** 6) for r in records]
+    costs = [_price(r, digits, 10 ** 6) for r in records]
     return records[lpt_partition(costs, 2)[1][0]].id
 
 
@@ -468,7 +490,7 @@ def test_a_child_that_exits_without_reports_raises(catalog, monkeypatch):
 def test_an_exception_in_this_process_stops_the_children(catalog, monkeypatch):
     subset = catalog[:12]
     records = sorted(subset, key=lambda r: r.id)
-    costs = [planned_cost(r, 15, 10 ** 6) for r in records]
+    costs = [_price(r, 15, 10 ** 6) for r in records]
     own = records[lpt_partition(costs, 3)[0][0]].id
     _failing_verify(monkeypatch, own, _raise(LookupError("raised here")))
     with pytest.raises(LookupError, match="raised here"):
@@ -484,6 +506,24 @@ def test_lpt_partition_matches_a_hand_computed_schedule():
     assert lpt_partition([1, 2], 4) == [[1], [0], [], []]
 
 
+# the records that verify_all(catalog, 100, jobs=2) sends to its child
+CHILD_AT_100 = (
+    "alt-14-3 alt-17-12 alt-20-3 alt-6 alt-65-12 alt-8-3 eq-15-4 eq-27-4 "
+    "eq-6 eq-65-12 eq-77-12 thm1-fib-r1 thm1-fib-r2 thm1-luc-r1 thm1-luc-r2 "
+    "thm1-luc-r3 thm10-luc-pn2-q5 thm3-fib-n3 thm4-fib-r1 thm4-fib-r2 "
+    "thm4-fib-r3 thm4-luc-r2 thm4-luc-r3 thm6-fib-r1 thm6-luc-r3 "
+    "thm7-fib-pn2-q5 thm7-luc-pn2-q5 thm9-fib-pn2-q5 thm9-luc-pn2-q5 "
+    "trig-D-pi6 trig-F-pi6 trig-F-pi8 xy-1-1d27-a0 xy-1-1d27-a1 "
+    "xy-1-neg1d27-a1 xy-27-8-a0 xy-27-neg8-a0 xy-27-neg8-a1 xy-27-neg8-a2 "
+    "xy-8-1-a0 xy-8-1d8-a0 xy-8-neg1-a2 xy-8-neg1d8-a1 xy-8-neg1d8-a2").split()
+
+
+def test_the_two_way_split_of_the_catalog_is_pinned(catalog):
+    records = sorted(catalog, key=lambda r: r.id)
+    costs = [_price(r, 100, 10 ** 6) for r in records]
+    assert [records[i].id for i in lpt_partition(costs, 2)[1]] == CHILD_AT_100
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0, 1e9), max_size=40), st.integers(1, 6))
 def test_lpt_partition_places_every_index_once(costs, parts):
@@ -497,7 +537,7 @@ def test_lpt_partition_places_every_index_once(costs, parts):
 @pytest.mark.parametrize("budget", [64, 10 ** 6])
 def test_planned_cost_never_raises_on_the_catalog(catalog, digits, budget):
     for record in catalog:
-        cost = planned_cost(record, digits, budget)
+        cost = _price(record, digits, budget)
         assert 0 <= cost < math.inf
         assert (cost == 0) == (record.convergence == "divergent_formal")
 
@@ -505,7 +545,7 @@ def test_planned_cost_never_raises_on_the_catalog(catalog, digits, budget):
 @pytest.mark.parametrize("family,r", [("COR2_FIB", 300), ("THM1_LUC", 2000)])
 def test_planned_cost_of_an_argument_below_the_smallest_float(family, r):
     record = instantiate(family, TheoremParams(family, r=r))
-    assert 0 < planned_cost(record, 25, 10 ** 6) < math.inf
+    assert 0 < _price(record, 25, 10 ** 6) < math.inf
 
 
 def test_sweep_family():
