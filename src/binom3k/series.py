@@ -13,10 +13,14 @@ it unless handed a plan made beforehand, and runs the plan by
 :func:`_execute`, one pass of the exact integer kernel, :func:`_kernel`,
 over the terms t_k 2^B as floored integers, the first of the pair b_k
 (W(mk), W(mk+1)) 2^B for a Fibonacci or Lucas weight W, with a proven
-bound on its roundoff (:func:`_roundoff_ulps`).  Nothing else in the
-package sums.  Both round their value and tail to the context's working
-precision ``prec``, passed down as a value; they neither read nor set
-mpmath's global precision.
+bound on its roundoff (:func:`_roundoff_ulps`).  Both round their value
+and tail to the context's working precision ``prec``, passed down as a
+value; they neither read nor set mpmath's global precision.  The one
+other pass is :func:`_kernel_group`, for the verifier's batch: it runs
+the kernel once for the kernel plans of series that share z and the
+weight, keeping one sum per exponent a, and hands each series its
+:class:`Summed` share, which :func:`_execute` certifies as it certifies
+a pass of its own.  Nothing else in the package sums.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
@@ -61,8 +65,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from operator import mul
-from typing import Optional
+from operator import add, mul
+from typing import Optional, Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_phi, mpf_pow_int,
@@ -147,6 +151,19 @@ class Plan:
     method: str  # "kernel" | "crvz" | "telescope"
     terms: int
     J: int
+
+
+@dataclass(frozen=True)
+class Summed:
+    """A kernel plan that a pass shared with other series has run
+    (:func:`_kernel_group`): the head and the term at K + 1 of its K,
+    scaled by 2^bits, and their _roundoff_ulps bound."""
+
+    plan: Plan
+    bits: int
+    head: int
+    term: int
+    roundoff: int
 
 
 def _vanishes(spec: SeriesSpec) -> bool:
@@ -257,10 +274,45 @@ def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
     return s, (x, y, f0, f1, f2, n, dn, n2, d, dd, d2)
 
 
-def _kernel(spec: SeriesSpec, bits: int, K: int,
-            window: int = 0) -> tuple[int, list[int]]:
-    """The sum of the scaled terms t_k 2^bits for k <= K and the next
-    ``window`` terms one by one.
+def _unit_runs(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
+    """_unit_run at a = 0, 1 and 2 at once: the three sums, and the state
+    at stop.  t // k^2 is taken as (t // k) // k, the same floor."""
+    t, n, dn, n2, d, dd, d2 = state
+    s0 = s1 = s2 = 0
+    for j in range(k, stop):
+        s0 += t
+        u = t // j
+        s1 += u
+        s2 += u // j
+        t = t * n // d
+        n += dn
+        dn += n2
+        d += dd
+        dd += d2
+    return (s0, s1, s2), (t, n, dn, n2, d, dd, d2)
+
+
+def _pair_runs(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
+    """_pair_run at a = 0, 1 and 2 at once, as _unit_runs."""
+    x, y, f0, f1, f2, n, dn, n2, d, dd, d2 = state
+    s0 = s1 = s2 = 0
+    for j in range(k, stop):
+        s0 += x
+        u = x // j
+        s1 += u
+        s2 += u // j
+        x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
+        n += dn
+        dn += n2
+        d += dd
+        dd += d2
+    return (s0, s1, s2), (x, y, f0, f1, f2, n, dn, n2, d, dd, d2)
+
+
+def _start(spec: SeriesSpec, bits: int) -> tuple:
+    """The kernel state at k = 1 for the scale 2^bits: (t, ratio) for the
+    unit weight, else (x, y, Q^m, ratio), as _unit_run and _pair_run read
+    it.
 
     With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
     2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), floored at every step.  A Fibonacci
@@ -275,13 +327,18 @@ def _kernel(spec: SeriesSpec, bits: int, K: int,
     # (n, dn, n2, d, dd, d2) at k = 1
     ratio = (6 * p2, 9 * p2, 4 * p2, 20 * q3, 36 * q3, 18 * q3)
     if spec.weight.kind == "unit":
-        run, state = _unit_run, ((p << bits) // q3,) + ratio
-    else:
-        m, w = spec.weight.m, fib if spec.weight.kind == "fib" else lucas
-        run = _pair_run
-        state = ((w(m) * p << bits) // q3, (w(m + 1) * p << bits) // q3,
-                 fib(m - 1), fib(m), fib(m + 1)) + ratio
-    head, state = run(state, 1, K + 1, spec.a)
+        return ((p << bits) // q3,) + ratio
+    m, w = spec.weight.m, fib if spec.weight.kind == "fib" else lucas
+    return ((w(m) * p << bits) // q3, (w(m + 1) * p << bits) // q3,
+            fib(m - 1), fib(m), fib(m + 1)) + ratio
+
+
+def _kernel(spec: SeriesSpec, bits: int, K: int,
+            window: int = 0) -> tuple[int, list[int]]:
+    """The sum of the scaled terms t_k 2^bits for k <= K and the next
+    ``window`` terms one by one, from the state of _start."""
+    run = _unit_run if spec.weight.kind == "unit" else _pair_run
+    head, state = run(_start(spec, bits), 1, K + 1, spec.a)
     terms = []
     for k in range(K + 1, K + 1 + window):
         term, state = run(state, k, k + 1, spec.a)
@@ -621,14 +678,48 @@ def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
     return Plan(method, K, J)
 
 
-def _execute(spec: SeriesSpec, chosen: Plan, digits: int,
+def _kernel_group(specs: list[SeriesSpec], plans: list[Plan],
+                  digits: int) -> list[Summed]:
+    """The kernel plans ``plans`` of the series ``specs``, which share z
+    and the weight, run by one pass of the kernel to ``digits`` digits.
+
+    The pass runs at the largest scale that _execute would give a member
+    and up to the largest K + 1.  Its state does not depend on a, and it
+    keeps one sum per a (_unit_runs, _pair_runs), so each member's head and
+    term are those of _kernel at the pass's scale, bit for bit.  As
+    _roundoff_ulps holds at any scale, _execute certifies each member with
+    its own K, roundoff and tail.
+    """
+    cutoffs = [chosen.terms for chosen in plans]
+    roundoffs = [_roundoff_ulps(spec, K + 1)
+                 for spec, K in zip(specs, cutoffs)]
+    bits = _kernel_bits(max(roundoffs), -digits * _BITS_PER_DIGIT)
+    run = _unit_runs if specs[0].weight.kind == "unit" else _pair_runs
+    state, k, sums = _start(specs[0], bits), 1, (0, 0, 0)
+    heads, terms = {}, {}
+    for K in sorted(set(cutoffs)):
+        more, state = run(state, k, K + 1)
+        sums, k = tuple(map(add, sums, more)), K + 1
+        heads[K], terms[K] = sums, run(state, k, k + 1)[0]
+    return [Summed(chosen, bits, heads[K][spec.a], terms[K][spec.a],
+                   roundoff)
+            for spec, chosen, K, roundoff in zip(specs, plans, cutoffs,
+                                                 roundoffs)]
+
+
+def _execute(spec: SeriesSpec, chosen: Union[Plan, Summed], digits: int,
              prec: int) -> SumResult:
     """``spec`` summed as ``chosen`` says by one kernel pass, certified to
-    ``digits`` digits and rounded to prec bits.  The telescope adds t_K
-    (1 + P(K)) to K - 1 terms: summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1}
-    (1 + eps(k)) over k >= K puts the tail within eta t_K P(K) / (1 - eta)
-    of t_K P(K).  As the CRVZ weights are |c_k| < d, its roundoff enters
-    once."""
+    ``digits`` digits and rounded to prec bits; a Summed plan has had its
+    pass, so it is only certified.  The telescope adds t_K (1 + P(K)) to
+    K - 1 terms: summing t_k P(k) - t_{k+1} P(k+1) = t_{k+1} (1 + eps(k))
+    over k >= K puts the tail within eta t_K P(K) / (1 - eta) of t_K P(K).
+    As the CRVZ weights are |c_k| < d, its roundoff enters once."""
+    if isinstance(chosen, Summed):
+        K = chosen.plan.terms
+        error = _tail_ulps(spec, K, chosen.term, chosen.roundoff)
+        return _certified(chosen.head, math.ceil(error), chosen.bits, K,
+                          digits, prec)
     method, K = chosen.method, chosen.terms
     if not K:
         return SumResult(mpf(0), 0, mpf(0))
@@ -655,11 +746,12 @@ def _execute(spec: SeriesSpec, chosen: Plan, digits: int,
     return _certified(value, error, bits, K, digits, prec)
 
 
-def _sum_planned(spec: SeriesSpec, boundary: bool, chosen: Optional[Plan],
-                 digits: int, ctx: PrecisionContext) -> SumResult:
+def _sum_planned(spec: SeriesSpec, boundary: bool,
+                 chosen: Union[Plan, Summed, None], digits: int,
+                 ctx: PrecisionContext) -> SumResult:
     """``spec`` summed to ``digits`` digits: the checks of
     sum_boundary_detailed when ``boundary``, else of sum_to_digits, then
-    the plan ``chosen``, made beforehand, or else the plan within
+    the plan ``chosen``, made (or run) beforehand, or else the plan within
     ctx.max_terms, by _execute."""
     context_for(digits, ctx)
     kind = convergence_kind(spec)

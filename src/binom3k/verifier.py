@@ -23,16 +23,20 @@ reports.  :func:`differential_check` checks the derivative chain by one
 exact difference-quotient tree, at the same working precision, and counts
 its digits by the same comparison with no tail.
 
-:func:`verify_all` with ``jobs`` > 1 plans every record once
-(:func:`series.plan`), prices each verification off its plan
-(:func:`_cost`, the one cost model), splits the records by those prices
-(:func:`lpt_partition`, longest first), verifies one part in this process
-and each other part in a forked child process, and hands each sum its
-record's plan (``series._sum_planned``), so no record is planned twice; a
-plan that raised is made again by its sum, which raises the same error in
-its own order.  A child sends each report back as one plain tuple of its
-fields, the mpf values as their ``_mpf_`` tuples, and this process
-rebuilds them bit for bit.
+:func:`verify_all` plans every record once (:func:`series.plan`) and
+groups the records whose kernel plans share the series argument z and
+the weight (:func:`_groups`): such records differ only in the exponent a,
+and one kernel pass (``series._kernel_group``) sums them all, each then
+certified with its own K, roundoff and tail.  It prices each group off
+its plans (:func:`_group_cost`, from :func:`_cost`, the one cost model),
+splits the groups by those prices (:func:`lpt_partition`, longest
+first), verifies one part in this process and each other part in a
+forked child process, and hands each sum its record's plan, or its share
+of its group's pass (``series._sum_planned``), so no record is planned
+twice; a plan that raised is made again by its sum, which raises the
+same error in its own order.  A child sends each report back as one
+plain tuple of its fields, the mpf values as their ``_mpf_`` tuples, and
+this process rebuilds them bit for bit.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ from .expressions import cbrt, level as level_node, ratlit
 from .precision import PrecisionContext, _unscale, context_for
 from .registry import IdentityRecord, instance_id, instantiate
 from . import series
-from .series import (_BITS_PER_DIGIT, _GUARD_BITS, DIVERGES, Plan, SumResult,
-                     _sum_planned, sum_boundary_detailed, sum_to_digits)
+from .series import (_BITS_PER_DIGIT, _GUARD_BITS, DIVERGES, Plan, Summed,
+                     SumResult, _sum_planned, sum_boundary_detailed,
+                     sum_to_digits)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -147,13 +152,14 @@ def _planned(record: IdentityRecord, digits: int,
 
 
 def _verify_record(record: IdentityRecord, digits: int,
-                   ctx: Optional[PrecisionContext], chosen: Optional[Plan]
-                   ) -> VerificationReport:
+                   ctx: Optional[PrecisionContext],
+                   chosen: Union[Plan, Summed, None]) -> VerificationReport:
     """verify, summing by ``chosen``, the record's _planned at ``digits``
-    within the context's budget, or by sum_record, which plans for itself,
-    when it is None.  Either way the right-hand side comes first, and a
-    plan that raised (None) is made again by the sum, after its checks, so
-    it is refused in verify's order and words."""
+    within the context's budget or its series.Summed share of a group's
+    pass, or by sum_record, which plans for itself, when it is None.
+    Either way the right-hand side comes first, and a plan that raised
+    (None) is made again by the sum, after its checks, so it is refused in
+    verify's order and words."""
     ctx = context_for(digits, ctx)
     start = time.perf_counter()
     report = VerificationReport(record.id, digits, FAIL)
@@ -253,6 +259,53 @@ def _cost(record: IdentityRecord, digits: int, chosen: Optional[Plan]
                    + chosen.J * chosen.J * bits * _TELESCOPE_NS_PER_BIT)
 
 
+def _groups(records: Sequence[IdentityRecord],
+            plans: Sequence[Optional[Plan]]) -> list[list[int]]:
+    """The indices of ``records`` in groups, in the order of their first
+    members: the geometric records whose plans run the kernel over the same
+    z and weight form one group, which series._kernel_group sums in one
+    pass, and every other record is a group of its own."""
+    groups, shared = [], {}
+    for i, (record, chosen) in enumerate(zip(records, plans)):
+        if (chosen is None or chosen.method != "kernel" or not chosen.terms
+                or record.convergence != "geometric"):
+            groups.append([i])
+            continue
+        z = record.lhs.z  # keyed by its integers: a Fraction hashes slowly
+        group = shared.setdefault((z.numerator, z.denominator,
+                                   record.lhs.weight), [])
+        if not group:
+            groups.append(group)
+        group.append(i)
+    return groups
+
+
+def _group_cost(records: Sequence[IdentityRecord],
+                plans: Sequence[Optional[Plan]], group: list[int],
+                digits: int) -> float:
+    """Planned ns of verifying a group: the _cost of a record alone, else
+    its members' _cost without a sum, plus the largest of their sums, which
+    the group's one pass stands for."""
+    full = [_cost(records[i], digits, plans[i]) for i in group]
+    if len(group) == 1:
+        return full[0]
+    bare = [_cost(records[i], digits, None) for i in group]
+    return sum(bare) + max(f - b for f, b in zip(full, bare))
+
+
+def _schedule(records: Sequence[IdentityRecord], digits: int, budget: int,
+              parts: int) -> tuple[list[Optional[Plan]], list[list[list[int]]]]:
+    """The plans of ``records`` within ``budget`` terms (_planned), and
+    their groups (_groups) split into ``parts`` parts of about equal price
+    (_group_cost) by lpt_partition, each part a list of groups in the
+    order of their first members, so that no group straddles two parts."""
+    plans = [_planned(r, digits, budget) for r in records]
+    groups = _groups(records, plans)
+    costs = [_group_cost(records, plans, group, digits) for group in groups]
+    return plans, [[groups[g] for g in part]
+                   for part in lpt_partition(costs, parts)]
+
+
 def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
     """Indices of ``costs`` in ``parts`` lists by greedy longest processing
     time first (Graham 1969): largest cost first, each to the least-loaded
@@ -287,13 +340,34 @@ def _rebuilt(raw: tuple) -> tuple[int, VerificationReport]:
         else value for field, value in zip(fields(VerificationReport), values)))
 
 
+def _verify_groups(records, plans, groups, digits, ctx
+                   ) -> list[tuple[int, VerificationReport]]:
+    """The (index, report) pairs of the records in ``groups``, each report
+    by _verify_record and its record's plan.  A group of more than one is
+    first run by one kernel pass (series._kernel_group), which hands each
+    member its Summed plan; an equal share of that pass is added to each
+    member's elapsed time."""
+    pairs = []
+    for group in groups:
+        chosen, share = [plans[i] for i in group], 0.0
+        if len(group) > 1:
+            start = time.perf_counter()
+            chosen = series._kernel_group([records[i].lhs for i in group],
+                                          chosen, digits)
+            share = (time.perf_counter() - start) / len(group)
+        for i, member in zip(group, chosen):
+            report = _verify_record(records[i], digits, ctx, member)
+            report.elapsed += share
+            pairs.append((i, report))
+    return pairs
+
+
 def _verify_part(records, plans, part, digits, ctx, sender) -> None:
-    """A forked child's work: send the _raw tuples of the reports of
-    ``part``, each record summed by its plan, or the exception that
-    stopped it."""
+    """A forked child's work: send the _raw tuples of the reports of the
+    groups of ``part``, or the exception that stopped it."""
     try:
-        result = [_raw(i, _verify_record(records[i], digits, ctx, plans[i]))
-                  for i in part]
+        result = [_raw(i, report) for i, report
+                  in _verify_groups(records, plans, part, digits, ctx)]
     except BaseException as exc:  # the parent raises it
         result = exc
     sender.send(result)
@@ -306,32 +380,32 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
     """Verify every record, reports in id order; failures are data, not
     exceptions.
 
-    Digits below 5 are refused before anything starts.  The records,
-    sorted by id, are each planned once here (_planned), priced off those
-    plans (_cost) and split into min(jobs, records) parts of about equal
-    price by lpt_partition.  This process verifies part 0, and one child
-    process per other part, started from the default multiprocessing
-    context with a one-way pipe, verifies its part and sends its reports
-    back as _raw tuples; under fork the records and their plans are
-    inherited, not pickled.  Each sum runs its record's plan, or plans
-    again where planning raised.  At one part no process starts and nothing is planned ahead:
-    each record is verified as verify does it.  An exception raised in a
-    child is raised here once every child has been joined; when this
-    process's own part raises, the children are terminated and joined
-    first.  No child outlives the call.
+    Digits below 5, and a context that targets fewer digits, are refused
+    before anything starts.  The records,
+    sorted by id, are each planned once here, grouped by the series
+    argument of their kernel plans and split into min(jobs, records) parts
+    of about equal price (_schedule).  This process verifies part 0, and
+    one child process per other part, started from the default
+    multiprocessing context with a one-way pipe, verifies its part and
+    sends its reports back as _raw tuples; under fork the records and
+    their plans are inherited, not pickled.  Every group of more than one
+    record is summed by one kernel pass, and every other sum runs its
+    record's plan, or plans again where planning raised (_verify_groups).
+    So the reports are the same at every number of parts, and at one part
+    no process starts.  An exception raised in a child is raised here
+    once every child has been joined; when this process's own part
+    raises, the children are terminated and joined first.  No child
+    outlives the call.
     """
     _check_digits(digits)
     records = sorted(catalog, key=lambda r: r.id)
-    parts = min(jobs, len(records))
-    plans, split = [None] * len(records), [range(len(records))]
+    parts = max(1, min(jobs, len(records)))
+    ctx = context_for(digits, ctx)
+    plans, split = _schedule(records, digits, ctx.max_terms, parts)
     started, received = [], 0
     try:
         if parts > 1:
             import multiprocessing
-            ctx = context_for(digits, ctx)
-            plans = [_planned(r, digits, ctx.max_terms) for r in records]
-            split = lpt_partition([_cost(r, digits, chosen) for r, chosen
-                                   in zip(records, plans)], parts)
             for part in split[1:]:
                 receiver, sender = multiprocessing.Pipe(duplex=False)
                 child = multiprocessing.Process(
@@ -342,8 +416,7 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
                 finally:
                     sender.close()
                 started.append((child, receiver))
-        pairs = [(i, _verify_record(records[i], digits, ctx, plans[i]))
-                 for i in split[0]]
+        pairs = _verify_groups(records, plans, split[0], digits, ctx)
         error = None
         for child, receiver in started:
             try:

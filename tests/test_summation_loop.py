@@ -1,5 +1,6 @@
 """The generator-free summation loop against the per-term reference
-scaled_terms, and the exact convergence kind without rho."""
+scaled_terms, the pass shared by series of one argument against the loop,
+and the exact convergence kind without rho."""
 
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from binom3k import series
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record
-from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _kernel,
-                            classify, convergence_kind, sum_boundary_detailed,
+from binom3k.series import (_BITS_PER_DIGIT, Plan, SeriesSpec, UNIT_WEIGHT,
+                            Weight, _kernel, _kernel_bits, _kernel_group,
+                            _radius_side, _roundoff_ulps, classify,
+                            convergence_kind, sum_boundary_detailed,
                             sum_to_digits)
-from reference import scaled_terms
+from reference import exact_partial_sum, exact_term, scaled_terms
 
 
 def reference_kernel(spec, bits, K, window=0):
@@ -46,6 +49,47 @@ def test_loop_is_bit_identical_to_the_reference(case):
     assert head == ref_head
     assert len(terms) == window
     assert terms == ref_terms
+
+
+@st.composite
+def group_cases(draw):
+    """2-3 series of one geometric z and weight, a repeated or not, each
+    with its own K: all equal, some apart, or 1."""
+    weight = draw(weights)
+    z = Fraction(draw(st.integers(-2000, 2000)), draw(st.integers(1, 300)))
+    if z and _radius_side(SeriesSpec(z, 0, weight)) >= 0:
+        z /= 1 + 8 * abs(z)  # onto the geometric side, keeping the sign
+    size = draw(st.integers(2, 3))
+    specs = [SeriesSpec(z, a, weight)
+             for a in draw(st.lists(st.sampled_from([0, 1, 2]),
+                                    min_size=size, max_size=size))]
+    K = draw(st.integers(1, 60))
+    cutoffs = draw(st.one_of(
+        st.just([K] * size), st.just([1] * size),
+        st.lists(st.sampled_from([1, K, K + draw(st.integers(1, 40))]),
+                 min_size=size, max_size=size)))
+    return specs, cutoffs, draw(st.integers(5, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=group_cases())
+def test_a_shared_pass_is_each_members_kernel_bit_for_bit(case):
+    specs, cutoffs, digits = case
+    plans = [Plan("kernel", K, 0) for K in cutoffs]
+    shared = _kernel_group(specs, plans, digits)
+    bits = max(_kernel_bits(_roundoff_ulps(spec, K + 1),
+                            -digits * _BITS_PER_DIGIT)
+               for spec, K in zip(specs, cutoffs))
+    for spec, chosen, K, member in zip(specs, plans, cutoffs, shared):
+        assert (member.plan, member.bits, member.roundoff) == (
+            chosen, bits, _roundoff_ulps(spec, K + 1))
+        assert (member.head, [member.term]) == _kernel(spec, bits, K, 1)
+        # within the roundoff bound, which holds at the shared scale
+        exact = exact_partial_sum(spec, K) * 2 ** bits
+        assert abs(member.head - exact) <= _roundoff_ulps(spec, K)
+        exact += exact_term(spec, K + 1) * 2 ** bits
+        assert (abs(member.head + member.term - exact)
+                <= _roundoff_ulps(spec, K + 1))
 
 
 @pytest.mark.parametrize("record_id", ["eq-27-4", "alt-27-4"])

@@ -76,6 +76,18 @@ def test_verify_all_rejects_small_digits_before_it_starts(catalog, record_of,
     assert started == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("size", [0, 73])
+def test_verify_all_refuses_a_context_below_the_target_before_it_starts(
+        catalog, monkeypatch, jobs, size):
+    started = []
+    monkeypatch.setattr(multiprocessing.Process, "start",
+                        lambda process: started.append(process))
+    with pytest.raises(ValueError, match="fewer than the 40 requested"):
+        verify_all(catalog[:size], 40, make_context(30), jobs=jobs)
+    assert started == []
+
+
 def make_record(rhs_expr, z=Fraction(8, 3)):
     return IdentityRecord(
         id="unit-test-record", note="synthetic",
@@ -361,27 +373,109 @@ def test_verify_all_gives_the_same_reports_at_every_job_count(catalog):
 def test_verify_all_plans_each_record_once_in_this_process(catalog,
                                                            monkeypatch):
     from binom3k import series
-    real, planned = series.plan, []
+    real, parent = series.plan, os.getpid()
+    records = sorted(catalog, key=lambda r: r.id)
 
     def counted(spec, digits, budget):
         planned.append(spec)
         return real(spec, digits, budget)
-    monkeypatch.setattr(series, "plan", counted)
-    summary = verify_all(catalog, 30, jobs=2)
-    assert planned == [r.lhs for r in sorted(catalog, key=lambda r: r.id)
-                       if r.convergence != "divergent_formal"]
-    parent = os.getpid()
 
     def here_only(spec, digits, budget):
         if os.getpid() != parent:
             raise AssertionError("a child process planned a sum")
         return real(spec, digits, budget)
-    monkeypatch.setattr(series, "plan", here_only)
-    again = verify_all(catalog, 30, jobs=2)
-    assert multiprocessing.active_children() == []
-    assert len(again["reports"]) == len(catalog)
-    assert ([_fields(r) for r in again["reports"]]
-            == [_fields(r) for r in summary["reports"]])
+    for jobs in (1, 2):  # one part plans ahead too, for the shared passes
+        planned = []
+        monkeypatch.setattr(series, "plan", counted)
+        summary = verify_all(catalog, 30, jobs=jobs)
+        assert planned == [r.lhs for r in records
+                           if r.convergence != "divergent_formal"]
+        monkeypatch.setattr(series, "plan", here_only)
+        again = verify_all(catalog, 30, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        assert len(again["reports"]) == len(catalog)
+        assert ([_fields(r) for r in again["reports"]]
+                == [_fields(r) for r in summary["reports"]])
+
+
+# the hiprec workload of the benchmark: the 40 geometric records at 1000
+# digits with K <= 8192
+HIPREC_IDS = (
+    "alt-17-12 alt-8-3 eq-17-12 eq-italy thm1-fib-r3 thm1-luc-r2 "
+    "thm1-luc-r3 thm10-fib-pn2-q5 thm10-luc-pn2-q5 thm3-fib-n3 thm4-fib-r3 "
+    "thm4-luc-r2 thm4-luc-r3 thm6-fib-r3 thm6-luc-r2 thm6-luc-r3 "
+    "thm6-luc-r6 thm7-fib-pn2-q5 thm7-luc-pn2-q5 thm9-fib-pn2-q5 "
+    "thm9-luc-pn2-q5 trig-D-pi12 trig-D-pi8 trig-E-pi12 trig-F-pi12 "
+    "trig-F-pi8 xy-1-1d27-a0 xy-1-1d27-a1 xy-1-1d27-a2 xy-1-neg1d27-a0 "
+    "xy-1-neg1d27-a1 xy-1-neg1d27-a2 xy-8-1-a0 xy-8-1-a1 xy-8-1d8-a0 "
+    "xy-8-1d8-a1 xy-8-1d8-a2 xy-8-neg1d8-a0 xy-8-neg1d8-a1 "
+    "xy-8-neg1d8-a2").split()
+
+
+@pytest.mark.parametrize("digits,hiprec,passes", [
+    (30, False, None), (100, False, 38), (1000, True, 18)])
+def test_verify_all_prints_what_verify_prints(catalog, monkeypatch, digits,
+                                              hiprec, passes):
+    # the members of a shared pass sum at its scale, so only raw trailing
+    # bits of lhs and tail may move; every printed field stays
+    from binom3k import series
+    from binom3k.cli import _num_str
+    records = ([r for r in catalog if r.id in HIPREC_IDS] if hiprec
+               else catalog)
+    assert len(records) == (40 if hiprec else 73)
+    counted = []
+    for name in ("_kernel", "_kernel_group"):
+        def count(*args, real=getattr(series, name)):
+            counted.append(args[0])
+            return real(*args)
+        monkeypatch.setattr(series, name, count)
+    reports = verify_all(records, digits)["reports"]
+    if passes is not None:
+        assert len(counted) == passes
+    for report in reports:
+        alone = verify(next(r for r in records
+                            if r.id == report.identity_id), digits)
+        assert ([getattr(report, name) for name in (
+            "identity_id", "status", "matched_digits", "terms_used",
+            "detail")] == [getattr(alone, name) for name in (
+                "identity_id", "status", "matched_digits", "terms_used",
+                "detail")])
+        assert (getattr(report.rhs_value, "_mpf_", None)
+                == getattr(alone.rhs_value, "_mpf_", None))
+        assert _num_str(report.lhs_value, digits) == _num_str(alone.lhs_value,
+                                                               digits)
+        assert _num_str(report.tail, 5) == _num_str(alone.tail, 5)
+
+
+def test_each_member_of_a_shared_pass_takes_an_equal_share_of_its_time(
+        record_of, monkeypatch):
+    from binom3k import series
+    clock = [0.0]
+    monkeypatch.setattr(verifier.time, "perf_counter", lambda: clock[0])
+    real = series._kernel_group
+
+    def three_seconds(specs, plans, digits):
+        clock[0] += 3.0
+        return real(specs, plans, digits)
+    monkeypatch.setattr(series, "_kernel_group", three_seconds)
+    # eq-italy and xy-8-1-a* sum z = 8/3; eq-6 sums on its own
+    records = [record_of(i) for i in ("xy-8-1-a1", "eq-6", "eq-italy",
+                                      "xy-8-1-a0")]
+    reports = verify_all(records, 30)["reports"]
+    assert {r.identity_id: r.elapsed for r in reports} == {
+        "eq-6": 0.0, "eq-italy": 1.0, "xy-8-1-a0": 1.0, "xy-8-1-a1": 1.0}
+
+
+def test_a_right_hand_side_that_raises_in_a_shared_pass_is_reported(
+        record_of):
+    italy = record_of("eq-italy")
+    broken = dataclasses.replace(italy, id="eq-italy-broken",
+                                 rhs=ex.log(ex.intlit(-1)))
+    reports = verify_all([italy, broken, record_of("xy-8-1-a0")],
+                         30)["reports"]
+    assert [r.status for r in reports] == [PASS, FAIL, PASS]
+    assert reports[1].detail == verify(broken, 30).detail
+    assert reports[1].detail.startswith("DomainError: log of nonpositive")
 
 
 def test_verify_all_refuses_the_same_at_every_job_count(catalog):
@@ -438,17 +532,23 @@ def test_verify_all_starts_no_process_for_one_part():
 
 
 def _price(record, digits, budget):
-    """The price verify_all puts on verifying ``record``."""
+    """The price verify_all puts on verifying ``record`` on its own."""
     return verifier._cost(record, digits,
                           verifier._planned(record, digits, budget))
+
+
+def _record_in_part(catalog, digits, parts, part):
+    """The id of a record that verify_all(catalog, digits, jobs=parts)
+    verifies in its part ``part``: 0 in this process, else a child."""
+    records = sorted(catalog, key=lambda r: r.id)
+    _, split = verifier._schedule(records, digits, 10 ** 6, parts)
+    return records[split[part][0][0]].id
 
 
 def _child_record(catalog, digits):
     """The id of a record that verify_all(catalog, digits, jobs=2) verifies
     in its child process."""
-    records = sorted(catalog, key=lambda r: r.id)
-    costs = [_price(r, digits, 10 ** 6) for r in records]
-    return records[lpt_partition(costs, 2)[1][0]].id
+    return _record_in_part(catalog, digits, 2, 1)
 
 
 def _failing_verify(monkeypatch, failing_id, fail):
@@ -489,9 +589,7 @@ def test_a_child_that_exits_without_reports_raises(catalog, monkeypatch):
 
 def test_an_exception_in_this_process_stops_the_children(catalog, monkeypatch):
     subset = catalog[:12]
-    records = sorted(subset, key=lambda r: r.id)
-    costs = [_price(r, 15, 10 ** 6) for r in records]
-    own = records[lpt_partition(costs, 3)[0][0]].id
+    own = _record_in_part(subset, 15, 3, 0)
     _failing_verify(monkeypatch, own, _raise(LookupError("raised here")))
     with pytest.raises(LookupError, match="raised here"):
         verify_all(subset, 15, jobs=3)
@@ -522,6 +620,34 @@ def test_the_two_way_split_of_the_catalog_is_pinned(catalog):
     records = sorted(catalog, key=lambda r: r.id)
     costs = [_price(r, 100, 10 ** 6) for r in records]
     assert [records[i].id for i in lpt_partition(costs, 2)[1]] == CHILD_AT_100
+
+
+@pytest.mark.parametrize("digits", [30, 100, 1000])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_shared_pass_stays_in_one_part(catalog, digits, parts):
+    records = sorted(catalog, key=lambda r: r.id)
+    plans, split = verifier._schedule(records, digits, 10 ** 6, parts)
+    part_of = {i: p for p, groups in enumerate(split)
+               for group in groups for i in group}
+    assert sorted(part_of) == list(range(len(records)))
+    by_argument = {}
+    for i, (record, chosen) in enumerate(zip(records, plans)):
+        if chosen is not None and chosen.method == "kernel":
+            key = (record.lhs.z, record.lhs.weight)
+            by_argument.setdefault(key, set()).add(part_of[i])
+    # the 38 summed arguments less the four CRVZ sums and the telescope
+    assert len(by_argument) == 33
+    assert all(len(found) == 1 for found in by_argument.values())
+    # a group costs at least its dearest member alone, and at most all of
+    # them; a record alone costs what it costs alone
+    for groups in split:
+        for group in groups:
+            price = verifier._group_cost(records, plans, group, digits)
+            alone = [verifier._cost(records[i], digits, plans[i])
+                     for i in group]
+            assert max(alone) <= price * (1 + 1e-12)
+            assert price <= sum(alone) * (1 + 1e-12)
+            assert len(group) > 1 or price == alone[0]
 
 
 @settings(max_examples=200, deadline=None)
