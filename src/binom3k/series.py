@@ -34,7 +34,10 @@ The bound is then checked exactly in integers (:func:`_tail_ulps`):
 g_k = |b_{k+1}/b_k| phi^|m| = 2|z| phi^|m| (k+1)(2k+1) / (3(3k+1)(3k+2)),
 b_k = z^k / C(3k,k), decreases to rho = 4|z| phi^|m| / 27 for all k >= 0
 (the k-derivative of the fraction has numerator -(9k^2 + 10k + 3)), so it
-bounds every later step of b_k phi^|mk| / k^a.  By Binet, |F(n)| sqrt5 and
+bounds every later step of b_k phi^|mk| / k^a.  The terms rise while
+g_k > 1, a prefix of k: the estimate refuses every K before the end of
+that rise (g_{K+1} >= 1), so the search needs no lower bound, and
+:func:`_roundoff_ulps` walks the prefix.  By Binet, |F(n)| sqrt5 and
 |L(n)| lie in [phi^n - 1, phi^n + 1], so every later |w(mk)| is at most
 |w(m(K+1))| phi^(|m|(k-K-1)) times s = (1 + eps)/(1 - eps), eps =
 phi^(-|m|(K+1)); s = 1 for the unit weight and L(0).  phi^|m| enters
@@ -360,27 +363,6 @@ def _step_growth(c: float, k: int) -> float:
     return c * (k + 1) * (2 * k + 1) / ((3 * k + 1) * (3 * k + 2))
 
 
-def _rise_end(c: float) -> float:
-    """First k >= 1 with g_k <= 1 (math.inf when there is none).
-
-    The state magnitudes rise up to this index and fall after it.  g_k <= 1
-    is the quadratic (9-2c) k^2 + (9-3c) k + (2-c) >= 0; its root is
-    rounded and then corrected against g itself.
-    """
-    if _step_growth(c, 1) <= 1:
-        return 1
-    if 2 * c >= 9:
-        return math.inf
-    qa, qb, qc = 9 - 2 * c, 9 - 3 * c, 2 - c
-    disc = qb * qb - 4 * qa * qc
-    k = 1 if disc < 0 else max(1, math.ceil((math.sqrt(disc) - qb) / (2 * qa)))
-    while k > 1 and _step_growth(c, k - 1) <= 1:
-        k -= 1
-    while _step_growth(c, k) > 1:
-        k += 1
-    return k
-
-
 def _log_abs_z(spec: SeriesSpec) -> float:
     """ln |z| from the numerator and denominator, so that a |z| below the
     smallest float keeps its logarithm."""
@@ -400,14 +382,17 @@ def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
     2-norm: s = 1 unit, sqrt2 pair) and multiplies the inherited error by
     at most g_k = |b_{k+1}/b_k| phi^|m| (Q^m is symmetric with norm
     phi^|m|).  The g_k > 1 form a prefix, so the state error at step k is
-    below s k G with G the product of that prefix, up to K.  A term, the
+    below s k G with G the product of that prefix, up to K, which a walk
+    from k = 1 finds: top is the first k with g_k <= 1, or K.  A term, the
     state's first component, is read within that error over k^a, plus 1
     for dividing by k^a.  G is evaluated in floats with a factor 2 of slack.
     """
     if K < 1 or _vanishes(spec):
         return 0
-    log_z = _log_abs_z(spec)
-    top = min(_rise_end(_growth_constant(spec)), K)
+    log_z, c = _log_abs_z(spec), _growth_constant(spec)
+    top = K if 2 * c >= 9 else 1  # on the radius, rho = 2c/9 >= 1, no g_k <= 1
+    while top < K and _step_growth(c, top) > 1:
+        top += 1
     log_growth = (_log_base(log_z, top) - _log_base(log_z, 1)
                   + (top - 1) * abs(spec.weight.m) * _LOG_PHI)
     s = 1.0 if spec.weight.kind == "unit" else math.sqrt(2)
@@ -514,22 +499,20 @@ def _cutoff_seed(spec: SeriesSpec, digits: int, log_z: float) -> float:
     return math.ceil(k) - 1
 
 
-def _cutoff(fits, rise: float, seed: float, budget: int) -> int:
-    """Smallest K >= rise - 1 that the estimate ``fits`` accepts; budget +
-    1 when that K is beyond the budget.
+def _cutoff(fits, seed: float, budget: int) -> int:
+    """Smallest K >= 1 that the estimate ``fits`` accepts; budget + 1 when
+    that K is beyond the budget.
 
-    Past the rise of the terms the estimate falls monotonically in K.  The
-    search starts at ``seed``, clamped to [rise - 1, budget], and walks one
-    term at a time: down while the term before fits, else up until one
-    fits.  A seed on the mark costs two probes, the estimate there and one
-    term before (or after), and a seed off by n terms n more.
+    The estimate refuses every K before the end of the rise of the terms
+    (g_{K+1} >= 1) and falls monotonically in K after it, so the search
+    needs no lower bound.  It starts at ``seed``, clamped to [1, budget],
+    and walks one term at a time: down while the term before fits, else up
+    until one fits.  A seed on the mark costs two probes, the estimate
+    there and one term before (or after), and a seed off by n terms n more.
     """
-    lo = max(1, rise - 1)
-    if lo > budget:
-        return budget + 1
-    K = min(max(lo, seed), budget)
+    K = min(max(1, seed), budget)
     if fits(K):
-        while K > lo and fits(K - 1):
+        while K > 1 and fits(K - 1):
             K -= 1
         return K
     while K < budget:
@@ -670,8 +653,7 @@ def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
             method, K = "crvz", _crvz_terms(digits)
         else:
             method = "kernel"
-            K = _cutoff(fits, _rise_end(c), _cutoff_seed(spec, digits, log_z),
-                        budget)
+            K = _cutoff(fits, _cutoff_seed(spec, digits, log_z), budget)
     if K > budget:
         raise MaxTermsExceeded(f"{method} summation to {digits} digits needs "
                                f"more than {budget} terms (the term budget)")

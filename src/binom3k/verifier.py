@@ -296,14 +296,17 @@ def _group_cost(records: Sequence[IdentityRecord],
 def _schedule(records: Sequence[IdentityRecord], digits: int, budget: int,
               parts: int) -> tuple[list[Optional[Plan]], list[list[list[int]]]]:
     """The plans of ``records`` within ``budget`` terms (_planned), and
-    their groups (_groups) split into ``parts`` parts of about equal price
-    (_group_cost) by lpt_partition, each part a list of groups in the
-    order of their first members, so that no group straddles two parts."""
+    their groups (_groups) split into at most ``parts`` parts of about
+    equal price (_group_cost) by lpt_partition, each part a list of groups
+    in the order of their first members, so that no group straddles two
+    parts.  Every part but part 0 holds a group: part 0 takes the dearest
+    group, and it stays, empty, when there is none."""
     plans = [_planned(r, digits, budget) for r in records]
     groups = _groups(records, plans)
     costs = [_group_cost(records, plans, group, digits) for group in groups]
-    return plans, [[groups[g] for g in part]
-                   for part in lpt_partition(costs, parts)]
+    split = [[groups[g] for g in part]
+             for part in lpt_partition(costs, parts)]
+    return plans, split[:1] + [part for part in split[1:] if part]
 
 
 def lpt_partition(costs: Sequence[float], parts: int) -> list[list[int]]:
@@ -383,9 +386,10 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
     Digits below 5, and a context that targets fewer digits, are refused
     before anything starts.  The records,
     sorted by id, are each planned once here, grouped by the series
-    argument of their kernel plans and split into min(jobs, records) parts
-    of about equal price (_schedule).  This process verifies part 0, and
-    one child process per other part, started from the default
+    argument of their kernel plans and split into at most ``jobs`` parts
+    of about equal price, each holding a group (_schedule), with one
+    process per part.  This process verifies part 0, and one child
+    process per other part, started from the default
     multiprocessing context with a one-way pipe, verifies its part and
     sends its reports back as _raw tuples; under fork the records and
     their plans are inherited, not pickled.  Every group of more than one
@@ -404,7 +408,7 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
     plans, split = _schedule(records, digits, ctx.max_terms, parts)
     started, received = [], 0
     try:
-        if parts > 1:
+        if len(split) > 1:
             import multiprocessing
             for part in split[1:]:
                 receiver, sender = multiprocessing.Pipe(duplex=False)

@@ -20,8 +20,7 @@ from binom3k.precision import PrecisionContext
 from binom3k.sequences import fib, lucas
 from binom3k.series import (SeriesSpec, _cutoff, _cutoff_fits, _cutoff_seed,
                             _growth_constant, _kernel, _kernel_bits,
-                            _log_abs_z, _rise_end, _roundoff_ulps,
-                            _tail_ulps)
+                            _log_abs_z, _roundoff_ulps, _tail_ulps)
 
 
 def scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
@@ -94,7 +93,7 @@ def kernel_cutoff(spec, digits, budget):
     budget, from the same growth data series.plan passes to _cutoff, for
     any geometric spec, whichever method its plan takes."""
     c, log_z = _growth_constant(spec), _log_abs_z(spec)
-    return _cutoff(_cutoff_fits(spec, digits, c, log_z), _rise_end(c),
+    return _cutoff(_cutoff_fits(spec, digits, c, log_z),
                    _cutoff_seed(spec, digits, log_z), budget)
 
 

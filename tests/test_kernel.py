@@ -16,10 +16,10 @@ from binom3k.errors import (InvalidParams, MaxTermsExceeded, NotGeometric,
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record, record_from_json
 from binom3k.sequences import fib, lucas
-from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _cutoff,
+from binom3k.series import (Plan, SeriesSpec, UNIT_WEIGHT, Weight, _cutoff,
                             _cutoff_fits, _cutoff_seed, _growth_constant,
-                            _log_abs_z, _radius_side, _rise_end,
-                            _roundoff_ulps, _tail_ulps, classify, plan,
+                            _log_abs_z, _radius_side, _roundoff_ulps,
+                            _step_growth, _tail_ulps, classify, plan,
                             sum_to_digits)
 from binom3k.verifier import verify, verify_all
 from reference import (exact_partial_sum, exact_term, kernel_bracket,
@@ -158,12 +158,21 @@ CUTOFF_GRID = [
 ]
 
 
+def _rise(spec):
+    """The end of the terms' rise, the first k >= 1 with g_k <= 1, by a
+    scan of the step growth."""
+    c, k = _growth_constant(spec), 1
+    while _step_growth(c, k) > 1:
+        k += 1
+    return k
+
+
 def _scan_cutoff(spec, digits):
     """Smallest K >= rise - 1 that the cutoff estimate accepts, by a linear
     scan."""
-    c = _growth_constant(spec)
-    fits = _cutoff_fits(spec, digits, c, _log_abs_z(spec))
-    K = max(1, _rise_end(c) - 1)
+    fits = _cutoff_fits(spec, digits, _growth_constant(spec),
+                        _log_abs_z(spec))
+    K = max(1, _rise(spec) - 1)
     while not fits(K):
         K += 1
     return K
@@ -325,7 +334,7 @@ def test_cutoff_confirms_its_seed_in_few_probes(z, weight):
         for digits in range(10, 301):
             fits = _cutoff_fits(spec, digits, c, log_z)
             probes.clear()
-            _cutoff(lambda K: probes.append(K) or fits(K), _rise_end(c),
+            _cutoff(lambda K: probes.append(K) or fits(K),
                     _cutoff_seed(spec, digits, log_z), 10 ** 6)
             assert 1 <= len(probes) <= 5, (a, digits, probes)
 
@@ -334,17 +343,44 @@ def test_cutoff_confirms_its_seed_in_few_probes(z, weight):
 @pytest.mark.parametrize("a", [0, 2])
 def test_cutoff_walks_from_a_missed_seed_to_the_scanned_cutoff(z, weight, a):
     spec = SeriesSpec(z, a, weight)
-    c = _growth_constant(spec)
-    fits, rise = _cutoff_fits(spec, 60, c, _log_abs_z(spec)), _rise_end(c)
+    fits = _cutoff_fits(spec, 60, _growth_constant(spec), _log_abs_z(spec))
     K = _scan_cutoff(spec, 60)
     budget = K + 50
-    for seed in (K - 50, K - 1, K + 1, K + 50, rise - 1, budget, math.inf):
-        assert _cutoff(fits, rise, seed, budget) == K, seed
-        assert _cutoff(fits, rise, seed, K) == K, seed
+    for seed in (K - 50, K - 1, K + 1, K + 50, _rise(spec) - 1, budget,
+                 math.inf):
+        assert _cutoff(fits, seed, budget) == K, seed
+        assert _cutoff(fits, seed, K) == K, seed
         # one term short of K the walk reports the budget exceeded
-        assert _cutoff(fits, rise, seed, K - 1) == K, seed
-    # an estimate that fits everywhere stops the walk at rise - 1
-    assert _cutoff(lambda K: True, rise, budget, budget) == max(1, rise - 1)
+        assert _cutoff(fits, seed, K - 1) == K, seed
+
+
+@pytest.mark.parametrize("z, weight",
+                         CUTOFF_GRID + [(z, UNIT_WEIGHT) for z in SLOW_Z])
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("digits", [10, 35, 60])
+def test_the_cutoff_estimate_refuses_every_K_before_the_end_of_the_rise(
+        z, weight, a, digits):
+    # so the search needs no lower bound
+    spec = SeriesSpec(z, a, weight)
+    fits = _cutoff_fits(spec, digits, _growth_constant(spec),
+                        _log_abs_z(spec))
+    assert not any(fits(K) for K in range(1, _rise(spec) - 1))
+
+
+def test_the_plan_of_a_series_that_rises_for_40_terms_is_pinned():
+    spec = SeriesSpec(Fraction(20, 3), 2)
+    assert _rise(spec) == 40
+    assert plan(spec, 5, 10 ** 6) == Plan("kernel", 576, 0)
+    assert plan(spec, 5, 576) == Plan("kernel", 576, 0)
+    assert plan(spec, 25, 10 ** 6) == Plan("kernel", 4043, 0)
+    for budget in (1, 30, 38, 575):
+        with pytest.raises(MaxTermsExceeded) as refused:
+            plan(spec, 5, budget)
+        assert str(refused.value) == (
+            f"kernel summation to 5 digits needs more than {budget} terms"
+            " (the term budget)")
+    assert [_roundoff_ulps(spec, K) for K in (1, 39, 40, 41, 17766)] == [
+        3, 73, 74, 75, 17843]
 
 
 def _fraction_radius_side(spec):

@@ -370,6 +370,22 @@ def test_verify_all_gives_the_same_reports_at_every_job_count(catalog):
                 == {k: v for k, v in serial.items() if k != "reports"})
 
 
+@pytest.mark.parametrize("jobs", [42, 73])
+def test_verify_all_starts_a_process_only_for_a_part_that_holds_a_group(
+        catalog, monkeypatch, jobs):
+    # the catalog's 42 groups at 30 digits fill 39 parts: 38 children
+    started, real = [], multiprocessing.Process.start
+    monkeypatch.setattr(multiprocessing.Process, "start",
+                        lambda process: started.append(process)
+                        or real(process))
+    parallel = verify_all(catalog, 30, jobs=jobs)
+    assert len(started) == 38
+    assert multiprocessing.active_children() == []
+    serial = verify_all(catalog, 30, jobs=1)
+    assert ([_fields(r) for r in parallel["reports"]]
+            == [_fields(r) for r in serial["reports"]])
+
+
 def test_verify_all_plans_each_record_once_in_this_process(catalog,
                                                            monkeypatch):
     from binom3k import series
@@ -517,12 +533,15 @@ def test_verify_all_takes_more_jobs_than_records(catalog):
 
 
 def test_verify_all_starts_no_process_for_one_part():
-    # neither at jobs = 1 nor with one record is multiprocessing imported
+    # neither at jobs = 1, nor with one record, nor for the two records of
+    # one shared pass is multiprocessing imported
     script = ("import sys\n"
               "from binom3k import builtin_catalog, verify_all\n"
               "catalog = builtin_catalog()\n"
               "verify_all(catalog[:3], 10, jobs=1)\n"
               "verify_all(catalog[:1], 10, jobs=4)\n"
+              "pair = [r for r in catalog if r.id in ('xy-8-1-a0', 'xy-8-1-a1')]\n"
+              "verify_all(pair, 10, jobs=2)\n"
               "print('multiprocessing' in sys.modules)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
