@@ -55,9 +55,14 @@ precision prec: ``int`` and ``rat`` leaves exact up to a floor, + - x /
 and integer powers on integers, sqrt by ``isqrt``, cbrt, log, arctan and
 pi through mpmath's raw ``mpf_*`` functions at W bits, and each level
 node's integers (x, y) into :func:`_level` at the same W, which reads
-only their ratio.  The result is rounded to an mpf once.  :func:`phi`,
-:func:`batir_rhs` and :func:`A_rhs`, :func:`B_rhs`, :func:`C_rhs` convert
-their inputs once and go the same way.  The context's working precision
+only their ratio.  The result is rounded to an mpf once.  Each cube
+root, arctangent and logarithm, of a node or of a level, is computed
+once per exact argument and W (:func:`_fixed`) and read back after
+that: within one call of eval_expr, and within one process's part of
+:func:`~.verifier.verify_all`, whose records share one memo, so that a
+record reads back what an earlier one computed, at no cost to its own
+time.  :func:`phi`, :func:`batir_rhs` and :func:`A_rhs`, :func:`B_rhs`,
+:func:`C_rhs` convert their inputs once and go the same way.  The context's working precision
 ``prec`` travels as a value: every mpf built here, an input's conversion
 included, is rounded to it by mpmath's raw ``libmp`` functions, and every
 value named in a DomainError is printed at its working digits.  Nothing
@@ -173,7 +178,21 @@ def _outside(a: int, x: tuple, y: tuple, prec: int) -> DomainError:
                        f"(needs x/y {bound} 1 or x/y <= -(sqrt2+1)^2)")
 
 
-def _level(a: int, x: int, y: int, w: int, prec: int) -> int:
+def _fixed(fn, man: int, exp: int, w: int, memo: dict) -> int:
+    """fn(man 2^exp) at w bits as a fixed-point integer, fn one of
+    mpf_cbrt, mpf_atan and mpf_log: computed once per argument and w, and
+    read back from ``memo`` after that.  The key is fn, the argument's
+    normalised raw mpf and w, so it holds no Expr, which hashes by
+    recursion; the same value at a wider w is computed again."""
+    arg = from_man_exp(man, exp)
+    key = (fn, arg, w)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = to_fixed(fn(arg, w), w)
+    return value
+
+
+def _level(a: int, x: int, y: int, w: int, prec: int, memo: dict) -> int:
     """A (a = 2), B (a = 1) or C (a = 0) at the integer pair (x, y), any
     common scale, in the window: the value times 2^w, floored.  The working
     precision prec sets the window's eps and the error's digits.
@@ -196,10 +215,12 @@ def _level(a: int, x: int, y: int, w: int, prec: int) -> int:
 
     The evaluation works in w-bit fixed point: t is one floor division
     of the integers, u one cube root of |t| read to w significant bits, at
-    and lg one mpf_atan and one mpf_log of fixed-point arguments, and
-    sqrt3 is isqrt(3 * 4^w).  The factor 1 - t, small near t = 1, is the
-    exact (x - y)/x, and B and C divide by its powers in integers, so they
-    keep their relative accuracy there.
+    and lg one mpf_atan and one mpf_log of fixed-point arguments, each
+    read back from ``memo`` where an earlier call computed it at the same
+    argument and w (:func:`_fixed`), and sqrt3 is isqrt(3 * 4^w).  The
+    factor 1 - t, small near t = 1, is the exact (x - y)/x, and B and C
+    divide by its powers in integers, so they keep their relative
+    accuracy there.
 
     Error budget, in units of 2^-w.  A floor costs 1 unit and a rounded
     mpf step one ulp of its result, at most 4 units as every such result
@@ -234,14 +255,12 @@ def _level(a: int, x: int, y: int, w: int, prec: int) -> int:
         raise _outside(a, from_int(x, prec, round_nearest),
                        from_int(y, prec, round_nearest), prec)
     shift = w + abs(x).bit_length() - abs(y).bit_length()  # >= w - 1
-    u = to_fixed(mpf_cbrt(from_man_exp((abs(y) << shift) // abs(x), -shift),
-                          w), w)
+    u = _fixed(mpf_cbrt, (abs(y) << shift) // abs(x), -shift, w, memo)
     if tf < 0:
         u = -u
     s3 = isqrt(3 << 2 * w)
-    at = to_fixed(mpf_atan(from_man_exp(s3 * u // (2 * one - u), -w), w), w)
-    lg = to_fixed(mpf_log(from_man_exp(
-        ((one + tf) << 3 * w) // (one + u) ** 3, -w), w), w)
+    at = _fixed(mpf_atan, s3 * u // (2 * one - u), -w, w, memo)
+    lg = _fixed(mpf_log, ((one + tf) << 3 * w) // (one + u) ** 3, -w, w, memo)
     if a == 2:
         return (6 * at * at - (lg * lg >> 1)) >> w
     if a == 1:
@@ -266,7 +285,7 @@ def _pair_level(a: int, pair: XYPair, ctx: PrecisionContext) -> mpf:
     e = min(xe, ye)
     w = prec + _GUARD_BITS
     return _unscale(_level(a, (-1) ** xs * xm << xe - e,
-                           (-1) ** ys * ym << ye - e, w, prec), w, prec)
+                           (-1) ** ys * ym << ye - e, w, prec, {}), w, prec)
 
 
 def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
@@ -344,13 +363,21 @@ def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
     deep to recurse; a level node raises as :func:`_level` does outside its
     window.  Cube roots use the sign-preserving real branch.
     """
+    return _evaluate(expr, ctx, {})
+
+
+def _evaluate(expr: Expr, ctx: PrecisionContext, memo: dict) -> mpf:
+    """eval_expr, reading back from ``memo`` every cube root, arctangent
+    and logarithm that an earlier walk computed at the same argument and
+    W, and storing there each one it computes (see _fixed)."""
     prec = ctx.prec
     w = prec + _GUARD_BITS
     low, cap = w - _SMALL_BITS, None  # the bits of 2^-_SMALL_BITS at w
     try:
         while True:
             try:
-                return _unscale(_walk(expr, w, low, w == cap, prec), w, prec)
+                return _unscale(_walk(expr, w, low, w == cap, prec, memo),
+                                w, prec)
             except _Wider as wider:
                 if cap is None:
                     cap = w + _SMALL_BITS + min(2 * _size(expr), _MAX_BITS)
@@ -360,7 +387,8 @@ def eval_expr(expr: Expr, ctx: PrecisionContext) -> mpf:
                           "follow") from None
 
 
-def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
+def _walk(expr: Expr, w: int, low: int, last: bool, prec: int,
+          memo: dict) -> int:
     """The value of ``expr`` times 2^w, as an integer; _Wider when a
     sensitive value has fewer than ``low`` bits, and on the ``last`` walk
     an exact 0 or DomainError there (see the module docstring).  prec is
@@ -369,30 +397,30 @@ def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
     if kind == "int":
         return args[0] << w
     if kind == "mul":
-        x = _walk(args[0], w, low, last, prec)
-        y = _walk(args[1], w, low, last, prec)
+        x = _walk(args[0], w, low, last, prec, memo)
+        y = _walk(args[1], w, low, last, prec, memo)
         if abs(x) < abs(y):
             x, y = y, x
         if x.bit_length() > w + _SMALL_BITS:  # |x| above 2^_SMALL_BITS
             _need(y, w, low, last, expr)
         return x * y >> w
     if kind == "add":
-        return (_walk(args[0], w, low, last, prec)
-                + _walk(args[1], w, low, last, prec))
+        return (_walk(args[0], w, low, last, prec, memo)
+                + _walk(args[1], w, low, last, prec, memo))
     if kind == "sub":
-        return (_walk(args[0], w, low, last, prec)
-                - _walk(args[1], w, low, last, prec))
+        return (_walk(args[0], w, low, last, prec, memo)
+                - _walk(args[1], w, low, last, prec, memo))
     if kind == "rat":
         frac = args[0]
         return (frac.numerator << w) // frac.denominator
     if kind == "div":
-        den = _walk(args[1], w, low, last, prec)
+        den = _walk(args[1], w, low, last, prec, memo)
         _need(den, w, low, last, expr)
         if den == 0:
             raise DomainError(f"division by zero in {to_json(expr)}")
-        return (_walk(args[0], w, low, last, prec) << w) // den
+        return (_walk(args[0], w, low, last, prec, memo) << w) // den
     if kind == "pow":
-        base, n = _walk(args[0], w, low, last, prec), args[1]
+        base, n = _walk(args[0], w, low, last, prec, memo), args[1]
         if n < 0:  # the power of the reciprocal
             _need(base, w, low, last, expr)
             if base == 0:
@@ -413,16 +441,16 @@ def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
                 base = base * base >> w
         return power
     if kind == "level":
-        x = _walk(args[1], w, low, last, prec)
-        y = _walk(args[2], w, low, last, prec)
+        x = _walk(args[1], w, low, last, prec, memo)
+        y = _walk(args[2], w, low, last, prec, memo)
         if abs(x) < abs(y):
             x, y = y, x
         _need(x, w, low, last, expr)
-        return _level(args[0], x, y, w, prec) if y else 0
+        return _level(args[0], x, y, w, prec, memo) if y else 0
     if kind == "neg":
-        return -_walk(args[0], w, low, last, prec)
+        return -_walk(args[0], w, low, last, prec, memo)
     if kind == "sqrt":
-        val = _walk(args[0], w, low, last, prec)
+        val = _walk(args[0], w, low, last, prec, memo)
         _need(val, w, low, last, expr)
         if val < 0:
             raise DomainError(f"sqrt of negative value "
@@ -430,21 +458,21 @@ def _walk(expr: Expr, w: int, low: int, last: bool, prec: int) -> int:
                               f"in {to_json(expr)}")
         return isqrt(val << w)
     if kind == "cbrt":
-        val = _walk(args[0], w, low, last, prec)
+        val = _walk(args[0], w, low, last, prec, memo)
         _need(val, w, low, last, expr)
-        root = to_fixed(mpf_cbrt(from_man_exp(abs(val), -w), w), w)
+        root = _fixed(mpf_cbrt, abs(val), -w, w, memo)
         return -root if val < 0 else root
     if kind == "log":
-        val = _walk(args[0], w, low, last, prec)
+        val = _walk(args[0], w, low, last, prec, memo)
         _need(val, w, low, last, expr)
         if val <= 0:
             raise DomainError(f"log of nonpositive value "
                               f"{_str(_unscale(val, w, prec), prec)} "
                               f"in {to_json(expr)}")
-        return to_fixed(mpf_log(from_man_exp(val, -w), w), w)
+        return _fixed(mpf_log, val, -w, w, memo)
     if kind == "arctan":
-        return to_fixed(mpf_atan(from_man_exp(
-            _walk(args[0], w, low, last, prec), -w), w), w)
+        return _fixed(mpf_atan, _walk(args[0], w, low, last, prec, memo),
+                      -w, w, memo)
     if kind == "pi":
         return pi_fixed(w)
     if kind == "golden_ratio":

@@ -16,6 +16,7 @@ fixed-point integers, rounding to an mpf once.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,10 +114,19 @@ _NUMBERS = {
 
 
 def _number(text, name: str, what: str):
+    """The value of the decimal string ``text``; ValueError naming
+    ``what`` when it is off its form, or when a part of it has more digits
+    than Python converts to an int (0 is no limit)."""
     pattern, form, value = _NUMBERS[name]
-    if isinstance(text, str) and re.fullmatch(pattern, text):
-        return value(text)
-    raise ValueError(f"{what} must be {form}, got {text!r}")
+    if not (isinstance(text, str) and re.fullmatch(pattern, text)):
+        raise ValueError(f"{what} must be {form}, got {text!r}")
+    digits = max(map(len, text.lstrip("-").split("/")))
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(f"{what} has {digits} digits, more than the {limit} "
+                         f"a catalog number may have (Python's limit on "
+                         f"converting a string to an int)")
+    return value(text)
 
 
 def rational_to_json(q: Fraction) -> str:

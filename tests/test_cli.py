@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 from mpmath import mp, mpf
@@ -437,6 +438,9 @@ def _int(text):
     return {"kind": "int", "args": [text]}
 
 
+_LIMIT = sys.get_int_max_str_digits()
+
+
 @pytest.mark.parametrize("records, index, message", [
     ([_level_args(lambda args: ["3", *args[1:]])], 0,
      "level a must be '0', '1' or '2', got '3'"),
@@ -476,11 +480,23 @@ def _int(text):
      "series argument must be a rational string like '8/3', got '1/0'"),
     ([_record("eq-italy", rhs={"expr": {"kind": "rat", "args": ["-3/00"]}})],
      0, "rat q must be a rational string like '8/3', got '-3/00'"),
+    # a number past Python's int-string limit is named, not converted
+    ([_italy_args((0, 1), lambda args: ["7" * 200_001])], 0,
+     f"int n has 200001 digits, more than the {_LIMIT} a catalog number "
+     f"may have"),
+    ([_record("eq-italy", rhs={"expr": {"kind": "rat", "args": [
+        "-1/" + "3" * 200_001]}})], 0,
+     f"rat q has 200001 digits, more than the {_LIMIT} a catalog number "
+     f"may have"),
+    (_italy("lhs", z="8" + "0" * 200_000 + "/3"), 0,
+     f"series argument has 200001 digits, more than the {_LIMIT} a catalog "
+     f"number may have"),
 ], ids=["level-a-3", "level-a-float", "level-two-args", "family-rhs",
         "id-int", "tags-string", "tags-int-item", "note-null",
         "validity-int", "sub-three-args", "add-three-args", "sub-one-arg",
         "pi-one-arg", "int-float", "int-bool", "int-number", "pow-float",
-        "args-string", "z-1/0", "rat-zero-denominator"])
+        "args-string", "z-1/0", "rat-zero-denominator", "int-too-long",
+        "rat-too-long", "z-too-long"])
 @pytest.mark.parametrize("command", [["list"], ["verify-all", "--digits", "10",
                                                 "--jobs", "1"]])
 def test_a_record_field_of_the_wrong_type_is_a_usage_error(

@@ -38,7 +38,7 @@ def outcome(level, a, x, y, *w):
 def core(a, x, y, w, prec):
     """The core at the integer pair (x, y), rounded to the working
     precision."""
-    return _unscale(LEVEL(a, x, y, w, prec), w, prec)
+    return _unscale(LEVEL(a, x, y, w, prec, {}), w, prec)
 
 
 def front_door(ctx):
@@ -60,9 +60,9 @@ def evaluations(monkeypatch):
     on."""
     seen = []
 
-    def spy(a, x, y, w, prec):
+    def spy(a, x, y, w, prec, memo):
         seen.append((a, x, y, w, prec))
-        return LEVEL(a, x, y, w, prec)
+        return LEVEL(a, x, y, w, prec, memo)
 
     monkeypatch.setattr(closed_forms, "_level", spy)
     return seen
@@ -203,7 +203,7 @@ def test_error_is_within_the_budget(t, a, digits):
     assume(t != 0 and (a == 2 or t != 1))
     with make_context(digits).workdps():
         w = mp.prec + closed_forms._GUARD_BITS
-        got = LEVEL(a, t.denominator, t.numerator, w, mp.prec)
+        got = LEVEL(a, t.denominator, t.numerator, w, mp.prec, {})
         with mp.workdps(mp.dps + 20):
             want = reference.formulas(a, mpf(t.denominator), mpf(t.numerator))
             bound = mpf(2) ** (12 - w) * max(1, abs(want))

@@ -51,7 +51,7 @@ def test_every_closed_form_is_within_the_bound(digits, catalog):
         with ctx.workdps():
             w = mp.prec + closed_forms._GUARD_BITS
             walked = closed_forms._walk(tree, w, w - closed_forms._SMALL_BITS,
-                                        False, mp.prec)
+                                        False, mp.prec, {})
             with mp.workdps(mp.dps + 40):
                 want = reference.tree_value(tree)
                 assert (abs(mpf(walked) / 2 ** w - want)
@@ -64,7 +64,7 @@ def walks(monkeypatch):
     seen, depth = [], [0]
     walk = closed_forms._walk
 
-    def spy(node, w, low, last, prec):
+    def spy(node, w, low, last, prec, memo):
         if not depth[0]:
             seen.append(w)
             # no tree here needs this many; a widening that stalls would
@@ -72,7 +72,7 @@ def walks(monkeypatch):
             assert len(seen) <= 64, seen[-3:]
         depth[0] += 1
         try:
-            return walk(node, w, low, last, prec)
+            return walk(node, w, low, last, prec, memo)
         finally:
             depth[0] -= 1
 
@@ -111,7 +111,7 @@ def test_a_small_value_widens_w(expr, digits, walks):
     with ctx.workdps():
         try:
             value = precision._unscale(
-                closed_forms._walk(expr, base, 0, False, mp.prec), base,
+                closed_forms._walk(expr, base, 0, False, mp.prec, {}), base,
                 mp.prec)
         except DomainError:
             return

@@ -463,6 +463,82 @@ def test_verify_all_prints_what_verify_prints(catalog, monkeypatch, digits,
         assert _num_str(report.tail, 5) == _num_str(alone.tail, 5)
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The arguments of every mpf_cbrt, mpf_atan and mpf_log call that
+    closed_forms makes in this process while it is on."""
+    from binom3k import closed_forms
+    calls = []
+    for name in ("mpf_cbrt", "mpf_atan", "mpf_log"):
+        def count(*args, real=getattr(closed_forms, name)):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(closed_forms, name, count)
+    return calls
+
+
+@pytest.mark.parametrize("digits,hiprec,shared,alone", [
+    (100, False, 109, 215), (1000, True, 52, 127)])
+def test_verify_all_evaluates_each_function_once_per_argument(
+        catalog, evaluations, digits, hiprec, shared, alone):
+    records = ([r for r in catalog if r.id in HIPREC_IDS] if hiprec
+               else catalog)
+    for _ in range(2):  # the second call computes all again
+        evaluations.clear()
+        verify_all(records, digits, jobs=1)
+        assert len(evaluations) == shared
+    evaluations.clear()
+    for record in records:
+        verify(record, digits)
+    assert len(evaluations) == alone
+
+
+@pytest.mark.parametrize("record_id,count", [
+    ("thm9-luc-pn2-q5", 6), ("xy-8-1d8-a2", 2), ("eq-italy", 1),
+    # its tree takes cbrt 17 three times and cbrt(179 + 126 sqrt2) twice,
+    # each computed once in its walk
+    ("alt-17-12", 4)])
+def test_verify_of_one_record_computes_each_function_of_its_tree(
+        record_of, evaluations, record_id, count):
+    verify(record_of(record_id), 1000)
+    assert len(evaluations) == count
+
+
+def test_a_child_reads_back_the_right_hand_sides_that_verify_computes(
+        catalog):
+    records = [r for r in catalog if r.id in HIPREC_IDS]
+    reports = verify_all(records, 1000, jobs=2)["reports"]
+    assert multiprocessing.active_children() == []
+    assert [r.identity_id for r in reports] == sorted(HIPREC_IDS)
+    for report, record in zip(reports, sorted(records, key=lambda r: r.id)):
+        assert report.rhs_value._mpf_ == verify(record, 1000).rhs_value._mpf_
+
+
+def test_a_walk_that_widens_does_not_read_a_narrower_value(record_of,
+                                                           tmp_path):
+    # both trees take log 2 at z = 27/4; the second divides by 10^-40,
+    # so its walk widens W before it reaches log 2
+    from binom3k.registry import load_catalog, record_to_json, save_catalog
+    boundary = record_of("eq-27-4")
+    tiny = ex.ratlit(1, 10 ** 40)
+    wide = dataclasses.replace(boundary, id="eq-27-4-wide",
+                               rhs=boundary.rhs * tiny / tiny)
+    path = tmp_path / "catalog.json"
+    save_catalog([wide, boundary], path)
+    records = load_catalog(path)
+    assert [record_to_json(r) for r in records] == [
+        record_to_json(wide), record_to_json(boundary)]
+    reports = verify_all(records, 100)["reports"]
+    assert [r.identity_id for r in reports] == ["eq-27-4", "eq-27-4-wide"]
+    for report, record in zip(reports, (boundary, wide)):
+        alone = verify(record, 100)
+        assert report.status == alone.status == PASS
+        assert (report.rhs_value._mpf_, report.lhs_value._mpf_,
+                report.tail._mpf_) == (alone.rhs_value._mpf_,
+                                       alone.lhs_value._mpf_,
+                                       alone.tail._mpf_)
+
+
 def test_each_member_of_a_shared_pass_takes_an_equal_share_of_its_time(
         record_of, monkeypatch):
     from binom3k import series
@@ -575,10 +651,10 @@ def _failing_verify(monkeypatch, failing_id, fail):
     this process and in a child forked after the patch."""
     real = verifier._verify_record
 
-    def patched(record, digits, ctx, chosen):
+    def patched(record, digits, ctx, chosen, memo):
         if record.id == failing_id:
             fail()
-        return real(record, digits, ctx, chosen)
+        return real(record, digits, ctx, chosen, memo)
     monkeypatch.setattr(verifier, "_verify_record", patched)
 
 
