@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from mpmath.libmp import to_str
@@ -60,10 +60,34 @@ def _report_obj(report: VerificationReport, digits: int) -> dict:
     }
 
 
+def _json(value, pad: str = "") -> str:
+    """``value``, a dict, list, str, int or None, as json.dumps(value,
+    indent=2) writes it from the indent ``pad`` on.  An indenting
+    json.dumps runs json's encoder in Python; this writes the text
+    directly and leaves each string to json's C encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    else:
+        items = [inner + _json(item, inner) for item in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def _suite_json(reports: list[VerificationReport], digits: int) -> str:
     obj = {"suite": {"digits": digits, **summary_counts(reports)},
            "reports": [_report_obj(r, digits) for r in reports]}
-    return json.dumps(obj, indent=2) + "\n"
+    return _json(obj) + "\n"
 
 
 def _suite_md(reports: list[VerificationReport], digits: int) -> str:
@@ -252,7 +276,7 @@ def _cmd_list(args) -> int:
     if args.format == "json":
         rows = [{"id": r.id, "convergence": r.convergence,
                  "tags": list(r.tags), "note": r.note} for r in catalog]
-        text = json.dumps(rows, indent=2) + "\n"
+        text = _json(rows) + "\n"
     else:
         lines = ["| id | convergence | tags |", "|---|---|---|"]
         lines += [f"| {r.id} | {r.convergence} | {', '.join(r.tags)} |"

@@ -10,17 +10,23 @@ kernel, CRVZ or the telescope) and its terms.
 :func:`sum_to_digits` (geometric) and :func:`sum_boundary_detailed` (on
 the radius) go through :func:`_sum_planned`: it checks the series, plans
 it unless handed a plan made beforehand, and runs the plan by
-:func:`_execute`, one pass of the exact integer kernel, :func:`_kernel`,
-over the terms t_k 2^B as floored integers, the first of the pair b_k
-(W(mk), W(mk+1)) 2^B for a Fibonacci or Lucas weight W, with a proven
-bound on its roundoff (:func:`_roundoff_ulps`).  Both round their value
-and tail to the context's working precision ``prec``, passed down as a
-value; they neither read nor set mpmath's global precision.  The one
+:func:`_execute`, one pass of the exact integer kernel, :func:`_kernel`.
+Its state is b_k 2^B / k^c as a floored integer, b_k = z^k / C(3k,k),
+the first of the pair (W(mk), W(mk+1)) b_k 2^B / k^c for a Fibonacci or
+Lucas weight W, with c = min(a, 1): a sum at a = 1 reads its term t_k 2^B
+off the state as it stands, one at a = 2 divides the state once by k,
+and one at a = 0 reads b_k 2^B.  Carrying the 1/k costs no division, as
+the factor k + 1 of the term ratio cancels it (:func:`_start`), and the
+roundoff has a proven bound (:func:`_roundoff_ulps`).  Both round their
+value and tail to the context's working precision ``prec``, passed down
+as a value; they neither read nor set mpmath's global precision.  The one
 other pass is :func:`_kernel_group`, for the verifier's batch: it runs
 the kernel once for the kernel plans of series that share z and the
-weight, keeping one sum per exponent a, and hands each series its
-:class:`Summed` share, which :func:`_execute` certifies as it certifies
-a pass of its own.  Nothing else in the package sums.
+weight, on a state that carries 1/k (c = 1) whatever their a, keeping one
+sum per exponent a (the state times k, the state, and the state divided
+by k), and hands each series its :class:`Summed` share, which
+:func:`_execute` certifies as it certifies a pass of its own.  Nothing
+else in the package sums.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
@@ -68,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from operator import add, mul
+from operator import add
 from typing import Optional, Union
 
 from mpmath import mp, mpf
@@ -217,33 +223,29 @@ def classify(spec: SeriesSpec, ctx: PrecisionContext) -> ConvergenceClass:
 
 # -- the integer kernel ----------------------------------------------------
 
-def _divisors(a: int, k: int, stop: int):
-    """k^a for a = 1, 2 over k .. stop-1."""
-    ks = range(k, stop)
-    return ks if a == 1 else map(mul, ks, ks)
-
-
 def _unit_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
     """Sum of the unit-weight terms k .. stop-1 from the kernel state at k,
     and the state at stop.
 
-    The state is (t, n, dn, n2, d, dd, d2): t = b_k 2^B floored, the
-    ratio's numerator n and denominator d at k, their first differences dn
-    and dd, and their constant second differences n2 and d2.
+    The state is (t, n, dn, n2, d, dd, d2): t = b_k 2^B / k^c floored,
+    with c = _carried(spec) as _kernel starts it, the ratio's numerator n
+    and denominator d at k, their first differences dn and dd, and their
+    constant second differences n2 and d2.  The term is t at a = 0 and 1,
+    and t // k at a = 2.
     """
     t, n, dn, n2, d, dd, d2 = state
     s = 0
-    if a == 0:
-        for _ in range(k, stop):
-            s += t
+    if a == 2:
+        for j in range(k, stop):
+            s += t // j
             t = t * n // d
             n += dn
             dn += n2
             d += dd
             dd += d2
     else:
-        for div in _divisors(a, k, stop):
-            s += t // div
+        for _ in range(k, stop):
+            s += t
             t = t * n // d
             n += dn
             dn += n2
@@ -255,20 +257,21 @@ def _unit_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
 def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
     """_unit_run for a Fibonacci or Lucas weight W: the state is
     (x, y, f0, f1, f2, n, dn, n2, d, dd, d2), with the pair
-    (x, y) = (b_k W(mk), b_k W(mk+1)) 2^B and Q^m = [[f0, f1], [f1, f2]]."""
+    (x, y) = (b_k W(mk), b_k W(mk+1)) 2^B / k^c and
+    Q^m = [[f0, f1], [f1, f2]]."""
     x, y, f0, f1, f2, n, dn, n2, d, dd, d2 = state
     s = 0
-    if a == 0:
-        for _ in range(k, stop):
-            s += x
+    if a == 2:
+        for j in range(k, stop):
+            s += x // j
             x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
             n += dn
             dn += n2
             d += dd
             dd += d2
     else:
-        for div in _divisors(a, k, stop):
-            s += x // div
+        for _ in range(k, stop):
+            s += x
             x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
             n += dn
             dn += n2
@@ -278,15 +281,15 @@ def _pair_run(state: tuple, k: int, stop: int, a: int) -> tuple[int, tuple]:
 
 
 def _unit_runs(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
-    """_unit_run at a = 0, 1 and 2 at once: the three sums, and the state
-    at stop.  t // k^2 is taken as (t // k) // k, the same floor."""
+    """_unit_run at a = 0, 1 and 2 at once from a state that carries
+    c = 1, t = b_k 2^B / k: the three sums of t k, t and t // k, and the
+    state at stop."""
     t, n, dn, n2, d, dd, d2 = state
     s0 = s1 = s2 = 0
     for j in range(k, stop):
-        s0 += t
-        u = t // j
-        s1 += u
-        s2 += u // j
+        s0 += t * j
+        s1 += t
+        s2 += t // j
         t = t * n // d
         n += dn
         dn += n2
@@ -300,10 +303,9 @@ def _pair_runs(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
     x, y, f0, f1, f2, n, dn, n2, d, dd, d2 = state
     s0 = s1 = s2 = 0
     for j in range(k, stop):
-        s0 += x
-        u = x // j
-        s1 += u
-        s2 += u // j
+        s0 += x * j
+        s1 += x
+        s2 += x // j
         x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
         n += dn
         dn += n2
@@ -312,23 +314,28 @@ def _pair_runs(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
     return (s0, s1, s2), (x, y, f0, f1, f2, n, dn, n2, d, dd, d2)
 
 
-def _start(spec: SeriesSpec, bits: int) -> tuple:
-    """The kernel state at k = 1 for the scale 2^bits: (t, ratio) for the
-    unit weight, else (x, y, Q^m, ratio), as _unit_run and _pair_run read
-    it.
+def _start(spec: SeriesSpec, bits: int, c: int) -> tuple:
+    """The kernel state at k = 1 for the scale 2^bits, carrying b_k / k^c
+    (c = 0 or 1): (t, ratio) for the unit weight, else (x, y, Q^m, ratio),
+    as _unit_run and _pair_run read it.
 
     With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
-    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), floored at every step.  A Fibonacci
-    or Lucas weight W rides along as the pair (b_k W(mk), b_k W(mk+1)),
-    advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]] as is any G with
-    G(n+2) = G(n+1) + G(n).  The ratio's numerator and denominator are
-    quadratics in k, advanced by their differences, so a step is one
-    multiply and one floor division per state component.
+    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), and b_k / k by that ratio times
+    k/(k+1), 2p k(2k+1) / (3q(3k+1)(3k+2)): the factor k + 1 of the
+    numerator cancels, so the denominator and its width stay as they are.
+    Both start from the same integer at k = 1 and are floored at every
+    step.  A Fibonacci or Lucas weight W rides along as the pair
+    (b_k W(mk), b_k W(mk+1)) / k^c, advanced by Q^m = [[F(m-1), F(m)],
+    [F(m), F(m+1)]] as is any G with G(n+2) = G(n+1) + G(n).  The ratio's
+    numerator and denominator are quadratics in k, advanced by their
+    differences, so a step is one multiply and one floor division per
+    state component.
     """
     p, q = spec.z.numerator, spec.z.denominator
     p2, q3 = 2 * p, 3 * q
-    # (n, dn, n2, d, dd, d2) at k = 1
-    ratio = (6 * p2, 9 * p2, 4 * p2, 20 * q3, 36 * q3, 18 * q3)
+    # (n, dn, n2, d, dd, d2) at k = 1, n = 2p (k + 1 - c)(2k + 1)
+    ratio = ((6 - 3 * c) * p2, (9 - 2 * c) * p2, 4 * p2,
+             20 * q3, 36 * q3, 18 * q3)
     if spec.weight.kind == "unit":
         return ((p << bits) // q3,) + ratio
     m, w = spec.weight.m, fib if spec.weight.kind == "fib" else lucas
@@ -336,12 +343,20 @@ def _start(spec: SeriesSpec, bits: int) -> tuple:
             fib(m - 1), fib(m), fib(m + 1)) + ratio
 
 
+def _carried(spec: SeriesSpec) -> int:
+    """The power c of k that the state of a sum of its own carries:
+    min(a, 1)."""
+    return min(spec.a, 1)
+
+
 def _kernel(spec: SeriesSpec, bits: int, K: int,
             window: int = 0) -> tuple[int, list[int]]:
     """The sum of the scaled terms t_k 2^bits for k <= K and the next
-    ``window`` terms one by one, from the state of _start."""
+    ``window`` terms one by one, from the state of _start that carries
+    c = _carried(spec): a sum at a = 1 reads its state as it stands, one
+    at a = 2 divides it once by k, and one at a = 0 keeps b_k."""
     run = _unit_run if spec.weight.kind == "unit" else _pair_run
-    head, state = run(_start(spec, bits), 1, K + 1, spec.a)
+    head, state = run(_start(spec, bits, _carried(spec)), 1, K + 1, spec.a)
     terms = []
     for k in range(K + 1, K + 1 + window):
         term, state = run(state, k, k + 1, spec.a)
@@ -375,28 +390,33 @@ def _log_base(log_z: float, k: int) -> float:
             + math.lgamma(k + 1) + math.lgamma(2 * k + 1))
 
 
-def _roundoff_ulps(spec: SeriesSpec, K: int) -> int:
-    """Bound on sum_{k<=K} |t_k 2^B - (term k of the kernel)|, any B.
+def _roundoff_ulps(spec: SeriesSpec, K: int, c: int) -> int:
+    """Bound on sum_{k<=K} |t_k 2^B - (term k of the kernel)|, any B, for
+    a kernel state that carries b_k 2^B / k^c, c = 0 or 1.
 
     Each step floors every state component (error < 1 each, so < s in the
     2-norm: s = 1 unit, sqrt2 pair) and multiplies the inherited error by
-    at most g_k = |b_{k+1}/b_k| phi^|m| (Q^m is symmetric with norm
-    phi^|m|).  The g_k > 1 form a prefix, so the state error at step k is
-    below s k G with G the product of that prefix, up to K, which a walk
-    from k = 1 finds: top is the first k with g_k <= 1, or K.  A term, the
-    state's first component, is read within that error over k^a, plus 1
-    for dividing by k^a.  G is evaluated in floats with a factor 2 of slack.
+    the step's growth g_k (k/(k+1))^c <= g_k, g_k = |b_{k+1}/b_k| phi^|m|
+    (Q^m is symmetric with norm phi^|m|).  The g_k > 1 form a prefix, so
+    the state error at step k is below s k G with G the product of that
+    prefix, up to K, which a walk from k = 1 finds: top is the first k
+    with g_k <= 1, or K.  A term is the state times k^(c-a): read as x k,
+    x or x // k, it is within s k G k^(c-a) of t_k 2^B, plus 1 for the
+    floor, so the sum is within 2 s G sum_{k<=K} k^(1+c-a) + K, with
+    sum k^-1 <= 1 + ln K.  G is evaluated in floats with a factor 2 of
+    slack.
     """
     if K < 1 or _vanishes(spec):
         return 0
-    log_z, c = _log_abs_z(spec), _growth_constant(spec)
-    top = K if 2 * c >= 9 else 1  # on the radius, rho = 2c/9 >= 1, no g_k <= 1
-    while top < K and _step_growth(c, top) > 1:
+    log_z, c_z = _log_abs_z(spec), _growth_constant(spec)
+    top = K if 2 * c_z >= 9 else 1  # rho = 2 c_z / 9 >= 1: no g_k <= 1
+    while top < K and _step_growth(c_z, top) > 1:
         top += 1
     log_growth = (_log_base(log_z, top) - _log_base(log_z, 1)
                   + (top - 1) * abs(spec.weight.m) * _LOG_PHI)
     s = 1.0 if spec.weight.kind == "unit" else math.sqrt(2)
-    spread = (K * (K + 1) / 2, K, 1 + math.log(K))[spec.a]  # sum k^(1-a)
+    spread = (1 + math.log(K), K, K * (K + 1) / 2,
+              K * (K + 1) * (2 * K + 1) / 6)[2 + c - spec.a]  # sum k^(1+c-a)
     return math.ceil(2 * s * math.exp(log_growth) * spread) + K
 
 
@@ -416,7 +436,8 @@ def _ceil_to_prec(n: int, prec: int) -> int:
 def _tail_ulps(spec: SeriesSpec, K: int, term: int, roundoff: int) -> Fraction:
     """Proved bound on the tail sum_{k>K} |t_k| 2^B plus the roundoff of
     the kernel's head, from the kernel's term ``term`` at K+1 and the bound
-    ``roundoff`` = _roundoff_ulps(spec, K+1) on both.
+    ``roundoff``, _roundoff_ulps at K+1 for the state of its pass, on
+    both.
 
     The bound is (|term| + roundoff) s / (1 - g_{K+1}) (see the module
     docstring), in integers.  With S = floor(sqrt5 2^64), phi^n = (L(n) +
@@ -666,18 +687,21 @@ def _kernel_group(specs: list[SeriesSpec], plans: list[Plan],
     and the weight, run by one pass of the kernel to ``digits`` digits.
 
     The pass runs at the largest scale that _execute would give a member
-    and up to the largest K + 1.  Its state does not depend on a, and it
-    keeps one sum per a (_unit_runs, _pair_runs), so each member's head and
-    term are those of _kernel at the pass's scale, bit for bit.  As
-    _roundoff_ulps holds at any scale, _execute certifies each member with
-    its own K, roundoff and tail.
+    and up to the largest K + 1.  Its state carries b_k 2^B / k (c = 1)
+    whatever the members' a, and it keeps one sum per a (_unit_runs,
+    _pair_runs): x k at a = 0, x at a = 1 and x // k at a = 2.  A member
+    at a = 1 or 2 so gets the head and term of its own _kernel at the
+    pass's scale, bit for bit; one at a = 0 gets x k in place of the b_k
+    2^B that its own _kernel carries.  Each member's roundoff is
+    _roundoff_ulps at c = 1, which holds at any scale, so _execute
+    certifies each member with its own K, roundoff and tail.
     """
     cutoffs = [chosen.terms for chosen in plans]
-    roundoffs = [_roundoff_ulps(spec, K + 1)
+    roundoffs = [_roundoff_ulps(spec, K + 1, 1)
                  for spec, K in zip(specs, cutoffs)]
     bits = _kernel_bits(max(roundoffs), -digits * _BITS_PER_DIGIT)
     run = _unit_runs if specs[0].weight.kind == "unit" else _pair_runs
-    state, k, sums = _start(specs[0], bits), 1, (0, 0, 0)
+    state, k, sums = _start(specs[0], bits, 1), 1, (0, 0, 0)
     heads, terms = {}, {}
     for K in sorted(set(cutoffs)):
         more, state = run(state, k, K + 1)
@@ -707,7 +731,7 @@ def _execute(spec: SeriesSpec, chosen: Union[Plan, Summed], digits: int,
         return SumResult(mpf(0), 0, mpf(0))
     head_terms, read = {"kernel": (K, 1), "telescope": (K - 1, 1),
                         "crvz": (0, K)}[method]
-    roundoff = _roundoff_ulps(spec, head_terms + read)
+    roundoff = _roundoff_ulps(spec, head_terms + read, _carried(spec))
     # P(K) ~ 2K multiplies the roundoff of the telescope's term
     scaled = roundoff * K if method == "telescope" else roundoff
     bits = _kernel_bits(scaled, -digits * _BITS_PER_DIGIT)

@@ -222,7 +222,12 @@ def _verify_record(record: IdentityRecord, digits: int,
 # unit weight at a = 0 is one product and one floor division by
 # single-digit (< 2^30) integers; a >= 1 adds the division by k^a, the
 # pair state doubles the products and divisions, and a ratio denominator
-# 27 q k^2 (or a k^2) past 2^30 makes those divisions multi-digit.  A CRVZ
+# 27 q k^2 (or a k^2) past 2^30 makes those divisions multi-digit.  The
+# prices were measured so, before the kernel state carried 1/k: now a
+# sum at a = 1 reads its term with no division, one at a = 2 divides
+# once by k < 2^30, and a shared pass adds one product and one division
+# by k per step.  The prices are kept, as the split they give stays
+# balanced (_cost).  A CRVZ
 # term is a kernel term read on its own plus one product with a weight of
 # about n log2(3 + sqrt8) bits; the telescope adds O(J^2) products of its
 # coefficients.
@@ -248,9 +253,11 @@ def _cost(record: IdentityRecord, digits: int, chosen: Optional[Plan]
     splits, else one.  Every member's closed form is still priced so,
     though a record that repeats an argument an earlier record of its
     part evaluated now reads it back for free (_verify_groups).  The
-    split stays balanced all the same: at jobs=2 the two parts of the
-    benchmark's 40 hiprec records at 1000 digits took 63.4 and 61.6 ms,
-    best of 5 in one process on the guest above.
+    split stays balanced all the same, and so it does with the kernel
+    state that carries 1/k: at jobs=2 the two parts of the benchmark's 40
+    hiprec records at 1000 digits took 55.2 and 55.8 ms, and those of the
+    catalog at 100 digits 10.3 and 11.1 ms, best of 5 in one process on
+    the guest above.
     """
     if record.convergence == "divergent_formal":
         return 0.0

@@ -9,7 +9,7 @@ ratio and its conjugate, and the paper's auxiliary Fibonacci and Lucas identitie
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf
 
@@ -18,40 +18,56 @@ from binom3k.expressions import Expr, level as level_node, ratlit, to_json
 from binom3k.errors import DomainError, SingularInput
 from binom3k.precision import PrecisionContext
 from binom3k.sequences import fib, lucas
-from binom3k.series import (SeriesSpec, _cutoff, _cutoff_fits, _cutoff_seed,
-                            _growth_constant, _kernel, _kernel_bits,
-                            _log_abs_z, _roundoff_ulps, _tail_ulps)
+from binom3k.series import (SeriesSpec, _carried, _cutoff, _cutoff_fits,
+                            _cutoff_seed, _growth_constant, _kernel,
+                            _kernel_bits, _log_abs_z, _roundoff_ulps,
+                            _tail_ulps)
 
 
-def scaled_terms(spec: SeriesSpec, bits: int) -> Iterator[int]:
-    """The terms t_k 2^bits, k = 1, 2, ..., as floored integers, one by one:
-    the integers series._kernel sums.
+def scaled_terms(spec: SeriesSpec, bits: int,
+                 c: Optional[int] = None) -> Iterator[int]:
+    """The terms t_k 2^bits, k = 1, 2, ..., one by one, read off a state
+    that carries b_k 2^bits / k^c as floored integers: the integers
+    series._kernel sums at c = min(a, 1), the default, and a shared pass
+    (series._kernel_group) at c = 1.
 
     With z = p/q, b_k = z^k/C(3k,k) advances by its exact ratio
-    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), one floor division per step.  A
-    Fibonacci or Lucas weight W rides along as the pair (b_k W(mk),
-    b_k W(mk+1)), advanced by Q^m = [[F(m-1), F(m)], [F(m), F(m+1)]], as
-    G(n+m) = F(m-1) G(n) + F(m) G(n+1) for any G of the Fibonacci
-    recurrence; the term is the pair's first component.
+    2p(k+1)(2k+1) / (3q(3k+1)(3k+2)), and b_k / k^c by that ratio times
+    (k/(k+1))^c, taken here as one Fraction at each step, with one floor
+    per state component.  A Fibonacci or Lucas weight W rides along as the
+    pair (b_k W(mk), b_k W(mk+1)) / k^c, advanced by Q^m = [[F(m-1), F(m)],
+    [F(m), F(m+1)]], as G(n+m) = F(m-1) G(n) + F(m) G(n+1) for any G of
+    the Fibonacci recurrence.  The term is the first component times
+    k^(c-a): x k, x or x // k.
     """
-    p, q = spec.z.numerator, spec.z.denominator
-    p2, q3, a = 2 * p, 3 * q, spec.a
+    p, q, a = spec.z.numerator, spec.z.denominator, spec.a
+    c = min(a, 1) if c is None else c
+
+    def ratio(k):
+        return (Fraction(2 * p * (k + 1) * (2 * k + 1),
+                         3 * q * (3 * k + 1) * (3 * k + 2))
+                * Fraction(k, k + 1) ** c)
+
+    def read(x, k):
+        return x * k ** (c - a) if c >= a else x // k ** (a - c)
+
     k = 1
     if spec.weight.kind == "unit":
-        t = (p << bits) // q3
+        t = (p << bits) // (3 * q)
         while True:
-            yield t // k ** a if a else t
-            t = t * (p2 * (k + 1) * (2 * k + 1)) // (q3 * (3 * k + 1) * (3 * k + 2))
+            yield read(t, k)
+            r = ratio(k)
+            t = t * r.numerator // r.denominator
             k += 1
     m = spec.weight.m
     w = fib if spec.weight.kind == "fib" else lucas
     f0, f1, f2 = fib(m - 1), fib(m), fib(m + 1)
-    x, y = (w(m) * p << bits) // q3, (w(m + 1) * p << bits) // q3
+    x, y = (w(m) * p << bits) // (3 * q), (w(m + 1) * p << bits) // (3 * q)
     while True:
-        yield x // k ** a if a else x
-        num = p2 * (k + 1) * (2 * k + 1)
-        den = q3 * (3 * k + 1) * (3 * k + 2)
-        x, y = num * (f0 * x + f1 * y) // den, num * (f1 * x + f2 * y) // den
+        yield read(x, k)
+        r = ratio(k)
+        x, y = ((r.numerator * (f0 * x + f1 * y)) // r.denominator,
+                (r.numerator * (f1 * x + f2 * y)) // r.denominator)
         k += 1
 
 
@@ -103,7 +119,7 @@ def kernel_bracket(spec, K, digits):
     proved tail of _tail_ulps, which also carries the head's roundoff.
     The scale is the one sum_to_digits takes for ``digits``, so the
     roundoff is far below 10^-digits."""
-    roundoff = _roundoff_ulps(spec, K + 1)
+    roundoff = _roundoff_ulps(spec, K + 1, _carried(spec))
     bits = _kernel_bits(roundoff, -digits * math.log2(10))
     head, (term,) = _kernel(spec, bits, K, 1)
     scale = Fraction(1, 1 << bits)

@@ -6,7 +6,7 @@ import sys
 import pytest
 from mpmath import mp, mpf
 
-from binom3k.cli import _num_str, run
+from binom3k.cli import _json, _num_str, _suite_json, run
 from binom3k.precision import make_context
 from binom3k.registry import builtin_catalog, get_record, save_catalog
 
@@ -67,6 +67,18 @@ def test_list(capsys):
     assert run(["list"]) == 0
     text = out_of(capsys)
     assert "eq-27-4" in text and "trig-F-pi6" in text
+
+
+def test_json_output_is_what_an_indenting_json_dumps_writes(capsys):
+    assert run(["list", "--format", "json"]) == 0
+    text = out_of(capsys)
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert _suite_json([], 30) == json.dumps(
+        {"suite": {"digits": 30, "pass": 0, "fail": 0, "skipped": 0},
+         "reports": []}, indent=2) + "\n"
+    odd = [{"id": "é \"q\" \\ \n\x01 \u2028 😀", "tags": [], "note": None,
+            "n": -12, "rows": [[], {}, ["a", 0]]}, {}, []]
+    assert _json(odd) == json.dumps(odd, indent=2)
 
 
 def test_eval(capsys):

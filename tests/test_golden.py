@@ -37,6 +37,7 @@ def _sweep(family, points):
 CASES = {
     "verify-all-30.json": _verify_all(30, "json"),
     "verify-all-100.json": _verify_all(100, "json"),
+    "verify-all-300.json": _verify_all(300, "json"),
     "verify-all-30.md": _verify_all(30, "md"),
     "verify-all-100-max-terms-64.json": _verify_all(100, "json",
                                                     "--max-terms", "64"),

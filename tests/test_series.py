@@ -7,9 +7,9 @@ from mpmath import mp, mpf
 from binom3k import series
 from binom3k.errors import MaxTermsExceeded, Unsupported
 from binom3k.precision import make_context
-from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _kernel,
-                            _roundoff_ulps, classify, sum_boundary_detailed,
-                            sum_to_digits)
+from binom3k.series import (SeriesSpec, UNIT_WEIGHT, Weight, _carried,
+                            _kernel, _roundoff_ulps, classify,
+                            sum_boundary_detailed, sum_to_digits)
 from reference import kernel_bracket, to_fraction, unit_series
 
 
@@ -68,7 +68,8 @@ def test_partial_sum_hand_values():
     # 8/9, and 8/9 + (8/3)^2 / (4 * 15) = 136/135
     for K, exact in ((1, Fraction(8, 9)), (2, Fraction(136, 135))):
         head = _kernel(spec, bits, K)[0]
-        assert abs(head - exact * 2 ** bits) <= _roundoff_ulps(spec, K)
+        bound = _roundoff_ulps(spec, K, _carried(spec))
+        assert abs(head - exact * 2 ** bits) <= bound
 
 
 def test_tail_bound_fast_and_slow():

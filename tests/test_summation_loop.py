@@ -1,6 +1,7 @@
 """The generator-free summation loop against the per-term reference
-scaled_terms, the pass shared by series of one argument against the loop,
-and the exact convergence kind without rho."""
+scaled_terms, the pass shared by series of one argument against the same
+reference on a state that carries 1/k and against the loop, and the exact
+convergence kind without rho."""
 
 from fractions import Fraction
 
@@ -19,9 +20,10 @@ from binom3k.series import (_BITS_PER_DIGIT, Plan, SeriesSpec, UNIT_WEIGHT,
 from reference import exact_partial_sum, exact_term, scaled_terms
 
 
-def reference_kernel(spec, bits, K, window=0):
-    """_kernel's result, term by term from scaled_terms."""
-    terms = scaled_terms(spec, bits)
+def reference_kernel(spec, bits, K, window=0, c=None):
+    """_kernel's result, term by term from scaled_terms, whose state
+    carries b_k / k^c (c = min(a, 1) by default, as _kernel's)."""
+    terms = scaled_terms(spec, bits, c)
     head = sum(next(terms) for _ in range(K))
     return head, [next(terms) for _ in range(window)]
 
@@ -77,19 +79,24 @@ def test_a_shared_pass_is_each_members_kernel_bit_for_bit(case):
     specs, cutoffs, digits = case
     plans = [Plan("kernel", K, 0) for K in cutoffs]
     shared = _kernel_group(specs, plans, digits)
-    bits = max(_kernel_bits(_roundoff_ulps(spec, K + 1),
+    bits = max(_kernel_bits(_roundoff_ulps(spec, K + 1, 1),
                             -digits * _BITS_PER_DIGIT)
                for spec, K in zip(specs, cutoffs))
     for spec, chosen, K, member in zip(specs, plans, cutoffs, shared):
         assert (member.plan, member.bits, member.roundoff) == (
-            chosen, bits, _roundoff_ulps(spec, K + 1))
-        assert (member.head, [member.term]) == _kernel(spec, bits, K, 1)
+            chosen, bits, _roundoff_ulps(spec, K + 1, 1))
+        # the reads x k, x and x // k of a state that carries c = 1, and
+        # at a >= 1 the member's own kernel
+        assert (member.head, [member.term]) == reference_kernel(
+            spec, bits, K, 1, 1)
+        if spec.a:
+            assert (member.head, [member.term]) == _kernel(spec, bits, K, 1)
         # within the roundoff bound, which holds at the shared scale
         exact = exact_partial_sum(spec, K) * 2 ** bits
-        assert abs(member.head - exact) <= _roundoff_ulps(spec, K)
+        assert abs(member.head - exact) <= _roundoff_ulps(spec, K, 1)
         exact += exact_term(spec, K + 1) * 2 ** bits
         assert (abs(member.head + member.term - exact)
-                <= _roundoff_ulps(spec, K + 1))
+                <= _roundoff_ulps(spec, K + 1, 1))
 
 
 @pytest.mark.parametrize("record_id", ["eq-27-4", "alt-27-4"])
@@ -119,9 +126,9 @@ def test_roundoff_bound_computed_once(record_id, digits, monkeypatch):
     calls = []
     bound = series._roundoff_ulps
 
-    def counted(spec, K):
+    def counted(spec, K, c):
         calls.append(K)
-        return bound(spec, K)
+        return bound(spec, K, c)
 
     monkeypatch.setattr(series, "_roundoff_ulps", counted)
     spec = get_record(builtin_catalog(), record_id).lhs
