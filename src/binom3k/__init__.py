@@ -2,9 +2,7 @@
 sum_{k>=1} z^k w(k) / (k^a C(3k,k)) with unit, Fibonacci and Lucas
 weights w."""
 
-from .closed_forms import (A_rhs, B_rhs, C_rhs, FAMILIES, TheoremParams,
-                           XYPair, batir_rhs, phi, theorem_lhs_spec,
-                           theorem_rhs)
+from .closed_forms import FAMILIES, TheoremParams, XYPair, batir_rhs, phi
 from .errors import (Binom3kError, DomainError, InvalidParams,
                      MaxTermsExceeded, NotGeometric, SingularInput,
                      Unsupported)
@@ -22,8 +20,7 @@ from .verifier import (VerificationReport, differential_check, sweep, verify,
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_rhs", "B_rhs", "C_rhs", "FAMILIES", "TheoremParams", "XYPair",
-    "batir_rhs", "phi", "theorem_lhs_spec", "theorem_rhs",
+    "FAMILIES", "TheoremParams", "XYPair", "batir_rhs", "phi",
     "Binom3kError", "DomainError", "InvalidParams", "MaxTermsExceeded",
     "NotGeometric", "SingularInput", "Unsupported",
     "PrecisionContext", "make_context",

@@ -61,12 +61,14 @@ once per exact argument and W (:func:`_fixed`) and read back after
 that: within one call of eval_expr, and within one process's part of
 :func:`~.verifier.verify_all`, whose records share one memo, so that a
 record reads back what an earlier one computed, at no cost to its own
-time.  :func:`phi`, :func:`batir_rhs` and :func:`A_rhs`, :func:`B_rhs`,
-:func:`C_rhs` convert their inputs once and go the same way.  The context's working precision
-``prec`` travels as a value: every mpf built here, an input's conversion
-included, is rounded to it by mpmath's raw ``libmp`` functions, and every
-value named in a DomainError is printed at its working digits.  Nothing
-here reads or sets mpmath's global precision.
+time.  :func:`phi`, :func:`batir_rhs` and the closed side of
+:func:`~.verifier.differential_check` convert their inputs once and go
+the same way: a level node is the one evaluator of a level.  The
+context's working precision ``prec`` travels as a value: every mpf built
+here, an input's conversion included, is rounded to it by mpmath's raw
+``libmp`` functions, and every value named in a DomainError is printed
+at its working digits.  Nothing here reads or sets mpmath's global
+precision.
 
 Error bound.  Each step of the walk errs by at most one unit of 2^-W
 times max(1, |result|) (a floor, or one mpmath rounding; a power one per
@@ -151,10 +153,14 @@ def _str(value: mpf, prec: int) -> str:
 
 @dataclass(frozen=True)
 class XYPair:
-    """Arguments of the substitution z = 27xy/(x+y)^2.
+    """Arguments of the substitution z = 27xy/(x+y)^2, read as given by
+    :func:`~.verifier.differential_check`, the one reader of a pair.
 
     Validity window: x/y >= 1 (strict for the differentiated levels) or
     x/y <= -(sqrt(2)+1)^2; the lower boundary point itself is accepted.
+    Read as given, a pair with |x| < |y| or y = 0 is refused, where a
+    level node would swap the first into the window and give 0 at the
+    second.
     """
 
     x: Realish
@@ -272,35 +278,6 @@ def _level(a: int, x: int, y: int, w: int, prec: int, memo: dict) -> int:
     bracket = (2 * s3 * c_at >> w) * at - c_lg * lg
     num = (u * (one + tf) * bracket >> 3 * w) // 3
     return num * x ** 3 // (x - y) ** 3 + (4 * x * y << w) // (x - y) ** 2
-
-
-def _pair_level(a: int, pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """The level-a value at the pair as given, unswapped, read as mpf
-    values at the working precision and scaled exactly to integers."""
-    x, y = pair.values(ctx)
-    prec = ctx.prec
-    if not (mp.isfinite(x) and mp.isfinite(y)):
-        raise _outside(a, x._mpf_, y._mpf_, prec)
-    (xs, xm, xe, _), (ys, ym, ye, _) = x._mpf_, y._mpf_
-    e = min(xe, ye)
-    w = prec + _GUARD_BITS
-    return _unscale(_level(a, (-1) ** xs * xm << xe - e,
-                           (-1) ** ys * ym << ye - e, w, prec, {}), w, prec)
-
-
-def A_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """Closed form of sum (27xy)^k / (k^2 (x+y)^{2k} C(3k,k))."""
-    return _pair_level(2, pair, ctx)
-
-
-def B_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """Closed form at exponent a = 1 (one x-derivative below A)."""
-    return _pair_level(1, pair, ctx)
-
-
-def C_rhs(pair: XYPair, ctx: PrecisionContext) -> mpf:
-    """Closed form at exponent a = 0 (two x-derivatives below A)."""
-    return _pair_level(0, pair, ctx)
 
 
 # -- expression trees ----------------------------------------------------
@@ -698,6 +675,9 @@ def theorem_point(params: TheoremParams) -> tuple[SeriesSpec, Expr]:
     The series is the SeriesSpec of sum z^k w(k) / (k^a C(3k,k)); the
     closed form is c S_alpha + (-c) S_beta for two branches, S for one
     (c = 1), each S a level node, and the tree 0 when no branch is left.
+    At a point whose series diverges (|z| > 27/4, or beyond the weighted
+    radius) :func:`eval_expr` of the tree raises DomainError: such points
+    have no value, not even a formal one.
     """
     a, _, point = _FAMILIES[params.family]
     z, weight, branches = point(params)
@@ -706,19 +686,3 @@ def theorem_point(params: TheoremParams) -> tuple[SeriesSpec, Expr]:
              for c, x, y in branches if c != 0]
     tree = sum(terms[1:], terms[0]) if terms else intlit(0)
     return SeriesSpec(z, a, weight), tree
-
-
-def theorem_rhs(params: TheoremParams, ctx: PrecisionContext) -> mpf:
-    """Value of the family's series, the tree of :func:`theorem_point`.
-
-    Raises InvalidParams when the family's constraints fail, and
-    DomainError at a point whose series diverges (|z| > 27/4, or beyond
-    the weighted radius); such points have no value, not even a formal
-    one.
-    """
-    return eval_expr(theorem_point(params)[1], ctx)
-
-
-def theorem_lhs_spec(params: TheoremParams) -> SeriesSpec:
-    """The SeriesSpec whose sum theorem_rhs evaluates in closed form."""
-    return theorem_point(params)[0]

@@ -20,8 +20,10 @@ quotient below 3.0...1 10^-target, so at least target - 1 digits match.
 Records whose series diverges are skipped.
 :func:`summary_counts` is the one place that counts pass, fail and skipped
 reports.  :func:`differential_check` checks the derivative chain by one
-exact difference-quotient tree, at the same working precision, and counts
-its digits by the same comparison with no tail.
+exact difference-quotient tree against a level node of the pair as given
+(refused where not finite, at y = 0 and at |x| < |y|), both at the same
+working precision, and counts its digits by the same comparison with no
+tail.
 
 :func:`verify_all` plans every record once (:func:`series.plan`) and
 groups the records whose kernel plans share the series argument z and
@@ -56,7 +58,7 @@ from typing import Iterable, Optional, Sequence, Union
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational, to_str
 
-from .closed_forms import (B_rhs, C_rhs, TheoremParams, XYPair, _evaluate,
+from .closed_forms import (TheoremParams, XYPair, _evaluate, _outside,
                            eval_expr)
 from .errors import Binom3kError, DomainError, InvalidParams
 from .expressions import cbrt, level as level_node, ratlit
@@ -524,23 +526,35 @@ def differential_check(level: str, pair: XYPair, digits: int,
     The level-(a-1) form equals x(x+y)/(y-x) times the x-derivative of the
     level-a form L, taken by central differences with h = cbrt(10^-digits),
     so agreement of digits/3 digits is the bar.  The pair is read once, to
-    mpf values at the working precision, and both sides start from those.
-    The quotient is one exact tree at their binary values; its walk widens
-    at the division by 2h, which covers the cancellation.  DomainError at
-    x = y, outside the upper level's window, and where x +- h crosses
-    |x| = |y|.
+    mpf values at the working precision, and both sides start from those:
+    the closed side is the level-(a-1) node at their binary values scaled
+    to integers, and the quotient one exact tree at them, whose walk widens
+    at the division by 2h, which covers the cancellation.  The pair is
+    taken as given, where a level node would swap |x| < |y| into the window
+    and give 0 at y = 0.  DomainError, in this order: at x = y; at a
+    coordinate that is not finite, at y = 0 and at |x| < |y|; elsewhere
+    outside the level-(a-1) window; and where x +- h crosses |x| = |y|.
     """
     if level not in ("A_to_B", "B_to_C"):
         raise ValueError(f"level must be 'A_to_B' or 'B_to_C', got {level!r}")
     _check_digits(digits)
     ctx = context_for(digits, ctx)
-    a, upper = (2, B_rhs) if level == "A_to_B" else (1, C_rhs)
+    a = 2 if level == "A_to_B" else 1
     start = time.perf_counter()
     xv, yv = pair.values(ctx)
     if xv == yv:
         raise DomainError("differential check is singular at x = y")
-    closed = upper(XYPair(xv, yv), ctx)  # the given pair is checked first
+    if not (mp.isfinite(xv) and mp.isfinite(yv)):
+        raise _outside(a - 1, xv._mpf_, yv._mpf_, ctx.prec)
+    if not yv:
+        raise DomainError("y must be nonzero")
     xq, yq = (Fraction(*to_rational(v._mpf_)) for v in (xv, yv))
+    if abs(xq) < abs(yq):
+        raise _outside(a - 1, xv._mpf_, yv._mpf_, ctx.prec)
+    # the node at the pair's integers, which it reads exactly, where a
+    # coordinate below 2^-W would be floored; it checks the window
+    scale = max(xq.denominator, yq.denominator)  # a power of 2
+    closed = eval_expr(level_node(a - 1, xq * scale, yq * scale), ctx)
     if (abs(xq) - abs(yq)) ** 3 * 10 ** digits <= 1:
         raise DomainError(f"the stencil x +- h, h = 1e-{digits}/3, crosses "
                           f"|x| = |y|: differential check needs |x| - |y| > h")

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from binom3k.closed_forms import A_rhs, TheoremParams, XYPair, theorem_rhs
+from binom3k.closed_forms import (TheoremParams, XYPair, eval_expr,
+                                  theorem_point)
 from binom3k.errors import InvalidParams
+from binom3k.expressions import level as level_node
 from binom3k.precision import make_context
 from binom3k.registry import instantiate, scan_perfect_square
 from binom3k.sequences import HoradamParams
@@ -174,9 +176,10 @@ def test_criterion_8_horadam():
     for params, family in ((HoradamParams(1, 1, 0, 1), "THM1_FIB"),
                            (HoradamParams(1, 1, 2, 1), "THM1_LUC")):
         for r in range(2, 6):
-            horadam = theorem_rhs(
-                TheoremParams("HORADAM_A2", r=r, horadam=params), ctx)
-            golden = theorem_rhs(TheoremParams(family, r=r), ctx)
+            horadam = eval_expr(theorem_point(
+                TheoremParams("HORADAM_A2", r=r, horadam=params))[1], ctx)
+            golden = eval_expr(theorem_point(TheoremParams(family, r=r))[1],
+                               ctx)
             ok = ok and abs(horadam - golden) < mpf(10) ** -25
     pell = HoradamParams(2, 1, 0, 1)
     for level, family in ((2, "HORADAM_A2"), (1, "HORADAM_A1")):
@@ -206,9 +209,9 @@ def test_criterion_9_property_suites():
             ok = ok and check_fl_identity("LEMMA1", p, q, ctx=ctx)
             ok = ok and check_fl_identity("LEMMA2", p, q, ctx=ctx)
     # scale invariance of the base two-parameter form
-    base = A_rhs(XYPair(Fraction(9), Fraction(2)), ctx)
+    base = eval_expr(level_node(2, Fraction(9), Fraction(2)), ctx)
     for t in (Fraction(2), Fraction(10), Fraction(1, 3)):
-        scaled = A_rhs(XYPair(Fraction(9) * t, Fraction(2) * t), ctx)
+        scaled = eval_expr(level_node(2, Fraction(9) * t, Fraction(2) * t), ctx)
         ok = ok and abs(base - scaled) < mpf(10) ** -28
     # derivative chain between levels
     for level in ("A_to_B", "B_to_C"):

@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 
 from binom3k import expressions as ex
 from binom3k import series
-from binom3k.closed_forms import B_rhs, XYPair
+from binom3k.closed_forms import eval_expr
 from binom3k.errors import MaxTermsExceeded, Unsupported
 from binom3k.precision import make_context
 from binom3k.series import (DIVERGES, SeriesSpec, Weight, _crvz, _telescope,
@@ -34,7 +34,8 @@ def alternating_closed_form(a):
         return (6 * mp.atan(mp.sqrt(3) / (2 * u + 1)) ** 2
                 - mp.log((2 + 2 * mp.sqrt(2)) / (u - 1) ** 3) ** 2 / 2)
     # z = -27/4 is the pair (-(sqrt2+1)^2, 1) at the edge of the B window
-    return B_rhs(XYPair(-3 - 2 * ex.sqrt(2), 1), make_context(mp.dps))
+    return eval_expr(ex.level(1, -3 - 2 * ex.sqrt(2), 1),
+                     make_context(mp.dps))
 
 
 def exact_remainder(K):

@@ -275,6 +275,21 @@ def test_check_derivatives_refuses_a_stencil_across_x_eq_y(level, capsys):
     assert "the stencil x +- h, h = 1e-30/3, crosses |x| = |y|" in captured.err
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ("5", "0", "y must be nonzero"),
+    ("1", "2", "x/y = 0.5 outside validity window "
+               "(needs x/y > 1 or x/y <= -(sqrt2+1)^2)"),
+])
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+def test_check_derivatives_refuses_the_pair_as_given(level, x, y, message,
+                                                     capsys):
+    assert run(["check-derivatives", "--level", level, "--x", x,
+                "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("depth", [600, 20000])
 def test_a_catalog_nested_too_deep_is_a_usage_error(depth, tmp_path, capsys):
     one = '{"kind": "int", "args": ["1"]}'

@@ -6,8 +6,7 @@ import pytest
 from mpmath import mpf
 
 from binom3k.closed_forms import (FAMILIES, TheoremParams, _as_mpf,
-                                  batir_rhs, theorem_lhs_spec, theorem_point,
-                                  theorem_rhs)
+                                  batir_rhs, eval_expr, theorem_point)
 from binom3k.errors import DomainError, InvalidParams
 from binom3k.expressions import intlit
 from binom3k.precision import make_context
@@ -99,15 +98,17 @@ def test_a_point_is_one_level_node_per_branch(params):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_zero_argument_is_exactly_zero(family, n, ctx30):
     params = TheoremParams(family, n=n, m=n)
-    assert theorem_lhs_spec(params).z == 0
-    assert theorem_rhs(params, ctx30) == 0
+    spec, tree = theorem_point(params)
+    assert spec.z == 0
+    assert eval_expr(tree, ctx30) == 0
 
 
 @pytest.mark.parametrize("family", ["THM1_LUC", "COR2_LUC"])
 def test_lucas_r0_is_the_boundary_value(family, ctx30):
     params = TheoremParams(family, r=0)
-    assert theorem_lhs_spec(params).z == Fraction(27, 4)
-    value = theorem_rhs(params, ctx30)
+    spec, tree = theorem_point(params)
+    assert spec.z == Fraction(27, 4)
+    value = eval_expr(tree, ctx30)
     expected = batir_rhs(Fraction(27, 4), ctx30)
     assert abs(value - expected) <= mpf(10) ** -(ctx30.working_digits - 5)
 
@@ -121,7 +122,7 @@ def test_lucas_r0_is_the_boundary_value(family, ctx30):
 def test_divergent_point_raises(params):
     ctx = make_context(30)
     with pytest.raises(DomainError):
-        theorem_rhs(params, ctx)
+        eval_expr(theorem_point(params)[1], ctx)
 
 
 # (family, level, index scale, first r) of the golden-ratio families
@@ -143,7 +144,7 @@ def test_golden_argument_is_the_recurrence_formula(family, level, scale, r):
         z = Fraction(27 * (-1) ** (i - 1), 5 * fib(i) ** 2)
     else:
         z = Fraction(27 * (-1) ** i, lucas(i) ** 2)
-    spec = theorem_lhs_spec(TheoremParams(family, r=r))
+    spec = theorem_point(TheoremParams(family, r=r))[0]
     assert (spec.z, spec.a, spec.weight) == (z, level, UNIT_WEIGHT)
 
 

@@ -1,9 +1,9 @@
 """The CLI's outputs, byte for byte, against the files under golden/:
 verify-all in json and md (one run under a term budget, which refuses
 68 records), the benchmark's 22-family sweep, eval on each summation
-method and check-derivatives, with the clock stopped so that every
-elapsed_ms reads 0.  Each verify-all case runs at one and two jobs
-against the same file.
+method and check-derivatives at 30 and 100 digits, with the clock
+stopped so that every elapsed_ms reads 0.  Each verify-all case runs at
+one and two jobs against the same file.
 
 To write the files again from the source on the path, run this file:
 
@@ -50,6 +50,12 @@ CASES = {
         ["check-derivatives", "--level", level, f"--x={x}", "--y=1",
          "--digits", "30", "--format", "json"]
         for level in ("A_to_B", "B_to_C") for x in ("9", "5/4", "-9", "1e300")],
+    "check-derivatives-100.json": [
+        ["check-derivatives", "--level", level, f"--x={x}", f"--y={y}",
+         "--digits", "100", "--format", "json"]
+        for level in ("A_to_B", "B_to_C")
+        for x, y in (("27", "8"), ("8", "-1"), ("-17/3", "1/3"), ("7/3", "1"),
+                     ("1e50", "1"))],
 }
 FAILING = {"verify-all-100-max-terms-64.json"}  # exit code 1, else 0
 

@@ -10,12 +10,12 @@ from mpmath.libmp import dps_to_prec
 
 from binom3k import cli, series
 from binom3k import expressions as ex
-from binom3k.closed_forms import A_rhs, XYPair, batir_rhs, eval_expr, phi
+from binom3k.closed_forms import XYPair, batir_rhs, eval_expr, phi
 from binom3k.errors import DomainError, MaxTermsExceeded
 from binom3k.precision import (GUARD_DIGITS, PrecisionContext, context_for,
                                make_context)
 from binom3k.series import sum_boundary_detailed, sum_to_digits
-from binom3k.verifier import sum_record, verify
+from binom3k.verifier import differential_check, sum_record, verify
 from reference import golden_conjugate, golden_ratio, real_cbrt
 
 
@@ -143,14 +143,20 @@ def _eval_output(argv):
 def _entries(record_of):
     """(name, call) pairs of the public entries that compute at the
     working precision, each returning the raw values it computes.  The
-    closed forms of eq-17-12 and thm1-fib-r2, A at (1, -1/27), and phi and
-    Batir's form at z = 1/3 round otherwise one bit above."""
+    closed forms of eq-17-12 and thm1-fib-r2, the check of B at the pair
+    (1, -1/27) as given, and phi and Batir's form at z = 1/3 round
+    otherwise one bit above."""
     ctx = make_context(30)
     surd, point = record_of("eq-17-12"), record_of("thm1-fib-r2")
 
     def summed(fn, record):
         result = fn(record.lhs, 30, ctx)
         return result.value._mpf_, result.tail._mpf_, result.terms_used
+
+    def checked(pair):
+        r = differential_check("A_to_B", pair, 30, ctx)
+        return (r.status, r.matched_digits, r.lhs_value._mpf_,
+                r.rhs_value._mpf_, r.detail)
 
     def verified(record):
         r = verify(record, 30, ctx)
@@ -160,8 +166,8 @@ def _entries(record_of):
     return ctx, [
         ("eval_expr surd", lambda: eval_expr(surd.rhs, ctx)._mpf_),
         ("eval_expr level", lambda: eval_expr(point.rhs, ctx)._mpf_),
-        ("A_rhs", lambda: A_rhs(XYPair(Fraction(1), Fraction(-1, 27)),
-                                ctx)._mpf_),
+        ("differential_check", lambda: checked(
+            XYPair(Fraction(1), Fraction(-1, 27)))),
         ("phi", lambda: phi(Fraction(1, 3), ctx)._mpf_),
         ("batir_rhs", lambda: batir_rhs(Fraction(1, 3), ctx)._mpf_),
         ("sum_to_digits", lambda: summed(sum_to_digits, surd)),

@@ -7,18 +7,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 import reference
 from binom3k import closed_forms
-from binom3k.closed_forms import (A_rhs, B_rhs, C_rhs, TheoremParams, XYPair,
-                                  batir_rhs, theorem_rhs)
+from binom3k.closed_forms import (TheoremParams, XYPair, batir_rhs,
+                                  eval_expr, theorem_point)
 from binom3k.errors import Binom3kError, DomainError
+from binom3k.expressions import level
 from binom3k.precision import _unscale, make_context
+from binom3k.verifier import differential_check
 from test_family_pairs import SWEEP_GRID
 
 DIGITS = (25, 100, 1000)
-LEVELS = {2: A_rhs, 1: B_rhs, 0: C_rhs}
 LEVEL = closed_forms._level  # the core itself, not the spy below
+# the check whose closed side is the level a, which reads the pair as given
+CHECKS = {1: "A_to_B", 0: "B_to_C"}
 
 # the (x, y) pairs of the catalog's xy-* records; (27, -8) is outside
 XY_PAIRS = [(Fraction(8), Fraction(1)), (Fraction(8), Fraction(-1)),
@@ -42,8 +46,17 @@ def core(a, x, y, w, prec):
 
 
 def front_door(ctx):
-    """The level at an mpf pair as given, through A_rhs, B_rhs or C_rhs."""
-    return lambda a, x, y: LEVELS[a](XYPair(x, y), ctx)
+    """The core at a finite pair as given, read to mpf values at the
+    working precision and scaled exactly to integers, as
+    differential_check reads its pair."""
+    w = ctx.prec + closed_forms._GUARD_BITS
+
+    def at(a, x, y):
+        xq, yq = (Fraction(*to_rational(v._mpf_))
+                  for v in XYPair(x, y).values(ctx))
+        scale = max(xq.denominator, yq.denominator)
+        return core(a, int(xq * scale), int(yq * scale), w, ctx.prec)
+    return at
 
 
 def assert_same(got, want):
@@ -76,6 +89,14 @@ def check_against_oracle(seen, ctx):
                         outcome(reference.level, a, mpf(x), mpf(y)))
 
 
+def point_value(params, ctx):
+    return eval_expr(theorem_point(params)[1], ctx)
+
+
+def node_value(a, x, y, ctx):
+    return eval_expr(level(a, x, y), ctx)
+
+
 def attempt(fn, *args):
     """Call fn; an error the package raises passes, as the evaluator's part
     in it is compared with the oracle."""
@@ -90,7 +111,7 @@ def attempt(fn, *args):
 def test_sweep_grid_matches_the_oracle(family, digits, evaluations):
     ctx = make_context(digits)
     for point in SWEEP_GRID[family]:
-        attempt(theorem_rhs, TheoremParams(family, **point), ctx)
+        attempt(point_value, TheoremParams(family, **point), ctx)
     check_against_oracle(evaluations, ctx)
 
 
@@ -115,8 +136,8 @@ def test_batir_trig_and_xy_forms_match_the_oracle(digits, evaluations):
         for angle in angles:
             attempt(reference.trig_rhs, variant, angle, ctx)
     for x, y in XY_PAIRS:
-        for level in LEVELS.values():
-            attempt(level, XYPair(x, y), ctx)
+        for a in (2, 1, 0):
+            attempt(node_value, a, x, y, ctx)
     check_against_oracle(evaluations, ctx)
 
 
@@ -160,20 +181,36 @@ def test_window_and_messages_match_the_oracle(a, digits):
 
 @pytest.mark.parametrize("a", (2, 1, 0))
 def test_a_pair_that_is_not_finite_is_refused(a, ctx30):
-    # the mpf formulas return nan here, so the oracle has no answer
+    # the mpf formulas return nan here, so the oracle has no answer; a
+    # pair is read as given at a = 1 and 0, by differential_check, and an
+    # mpf reaches the level a = 2 as Batir's z alone
     inf, nan = mpf("inf"), mpf("nan")
     with ctx30.workdps():
+        if a == 2:
+            for z in (inf, -inf, nan):
+                with pytest.raises(DomainError, match="phi needs a finite z"):
+                    batir_rhs(z, ctx30)
+            return
         for x, y in ((inf, mpf(1)), (-inf, mpf(1)), (nan, mpf(1)),
                      (mpf(1), inf), (mpf(1), nan)):
             with pytest.raises(DomainError, match="outside validity window"):
-                LEVELS[a](XYPair(x, y), ctx30)
+                differential_check(CHECKS[a], XYPair(x, y), 30, ctx30)
 
 
 @pytest.mark.parametrize("a", (2, 1, 0))
 def test_unswapped_pair_beyond_one_is_refused(a, ctx30):
+    # differential_check reads the pair as given at a = 1 and 0; no caller
+    # reads an a = 2 pair so, and its node swaps the pair as documented
     for x, y in ((1, 2), (1, -2), (-1, 5)):
+        if a == 2:
+            swapped = outcome(node_value, a, y, x, ctx30)
+            assert outcome(node_value, a, x, y, ctx30) == swapped
+            with ctx30.workdps():
+                assert_same(swapped, outcome(reference.level, a, mpf(y),
+                                             mpf(x)))
+            continue
         with pytest.raises(Binom3kError) as raised:
-            LEVELS[a](XYPair(x, y), ctx30)
+            differential_check(CHECKS[a], XYPair(x, y), 30, ctx30)
         with ctx30.workdps():
             assert (type(raised.value), str(raised.value)) == outcome(
                 reference.level, a, mpf(x), mpf(y))
@@ -186,10 +223,7 @@ def test_unswapped_pair_beyond_one_is_refused(a, ctx30):
 def test_rational_ratio_in_the_window(t, a, digits):
     ctx = make_context(digits)
     pair = XYPair(t.denominator, t.numerator)
-    try:
-        got = LEVELS[a](pair, ctx)
-    except Binom3kError as exc:
-        got = type(exc), str(exc)
+    got = outcome(front_door(ctx), a, pair.x, pair.y)
     with ctx.workdps():
         assert_same(got, outcome(reference.level, a, *pair.values(ctx)))
 

@@ -863,6 +863,33 @@ def test_differential_check_refuses_a_stencil_across_x_eq_y(level):
         differential_check(level, XYPair(1 + Fraction(1, 10 ** 11), 1), 30)
 
 
+_WINDOW = ("outside validity window "
+           "(needs x/y > 1 or x/y <= -(sqrt2+1)^2)")
+
+
+@pytest.mark.parametrize("level", ["A_to_B", "B_to_C"])
+@pytest.mark.parametrize("pair, message", [
+    ((5, 0), "y must be nonzero"),
+    ((-3, 0), "y must be nonzero"),
+    ((1, mpf("-0.0")), "y must be nonzero"),
+    ((0, 5), f"x/y = 0.0 {_WINDOW}"),
+    ((1, 2), f"x/y = 0.5 {_WINDOW}"),
+    ((1, 8), f"x/y = 0.125 {_WINDOW}"),
+    ((1, -8), f"x/y = -0.125 {_WINDOW}"),
+    ((1, -1), f"x/y = -1.0 {_WINDOW}"),
+    ((-2, 1), f"x/y = -2.0 {_WINDOW}"),
+    ((mpf("inf"), 1), f"x/y = +inf {_WINDOW}"),
+    ((1, mpf("nan")), f"x/y = nan {_WINDOW}"),
+])
+def test_differential_check_refuses_the_pair_as_given(level, pair, message):
+    # the pair is read as given: no swap of |x| < |y| into the window, and
+    # y = 0 is refused, not read as z = 0
+    with pytest.raises(DomainError) as excinfo:
+        differential_check(level, XYPair(*pair), 30)
+    assert type(excinfo.value) is DomainError
+    assert str(excinfo.value) == message
+
+
 def test_summary_counts_feed_the_json_suite():
     reports = [VerificationReport(str(i), 30, status) for i, status in
                enumerate([PASS, PASS, FAIL, SKIPPED_DIVERGENT, PASS])]
