@@ -223,7 +223,8 @@ def _level(a: int, x: int, y: int, w: int, prec: int, memo: dict) -> int:
     of the integers, u one cube root of |t| read to w significant bits, at
     and lg one mpf_atan and one mpf_log of fixed-point arguments, each
     read back from ``memo`` where an earlier call computed it at the same
-    argument and w (:func:`_fixed`), and sqrt3 is isqrt(3 * 4^w).  The
+    argument and w (:func:`_fixed`), and sqrt3 is isqrt(3 * 4^w), read
+    back from ``memo`` too, under the key ("sqrt3", w).  The
     factor 1 - t, small near t = 1, is the exact (x - y)/x, and B and C
     divide by its powers in integers, so they keep their relative
     accuracy there.
@@ -264,7 +265,9 @@ def _level(a: int, x: int, y: int, w: int, prec: int, memo: dict) -> int:
     u = _fixed(mpf_cbrt, (abs(y) << shift) // abs(x), -shift, w, memo)
     if tf < 0:
         u = -u
-    s3 = isqrt(3 << 2 * w)
+    s3 = memo.get(("sqrt3", w))
+    if s3 is None:
+        s3 = memo["sqrt3", w] = isqrt(3 << 2 * w)
     at = _fixed(mpf_atan, s3 * u // (2 * one - u), -w, w, memo)
     lg = _fixed(mpf_log, ((one + tf) << 3 * w) // (one + u) ** 3, -w, w, memo)
     if a == 2:

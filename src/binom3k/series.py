@@ -21,12 +21,17 @@ roundoff has a proven bound (:func:`_roundoff_ulps`).  Both round their
 value and tail to the context's working precision ``prec``, passed down
 as a value; they neither read nor set mpmath's global precision.  The one
 other pass is :func:`_kernel_group`, for the verifier's batch: it runs
-the kernel once for the kernel plans of series that share z and the
-weight, on a state that carries 1/k (c = 1) whatever their a, keeping one
+the kernel once for the kernel plans of series that share |z| and the
+weight's recurrence (the unit weight, or Fibonacci and Lucas weights of
+one m), on a state that carries 1/k (c = 1) whatever their a, keeping one
 sum per exponent a (the state times k, the state, and the state divided
 by k), and hands each series its :class:`Summed` share, which
-:func:`_execute` certifies as it certifies a pass of its own.  Nothing
-else in the package sums.
+:func:`_execute` certifies as it certifies a pass of its own.  Where the
+group holds both signs or both kinds, the sums are split by the parity
+of k into E and O: a series of z reads E + O, one of -z reads E - O, as
+b_k(-z) = (-1)^k b_k(z), and a Lucas series reads 2y - x off the
+Fibonacci pair, as L(n) = 2F(n+1) - F(n), within a roundoff bound sqrt5
+times as wide in its state part.  Nothing else in the package sums.
 
 The kernel method takes the first cutoff K at which a float estimate of
 the tail bound meets the target (:func:`_cutoff_fits`).  The search starts
@@ -72,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import count
 from operator import add
 from typing import Optional, Union
@@ -314,6 +319,84 @@ def _pair_runs(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
     return (s0, s1, s2), (x, y, f0, f1, f2, n, dn, n2, d, dd, d2)
 
 
+def _unit_splits(state: tuple, k: int, stop: int) -> tuple[tuple, tuple]:
+    """_unit_runs with each sum split by the parity of the index, for
+    k < stop: the sums of t k, t and t // k over the even indices, then
+    over the odd ones, and the state at stop.  A loop step advances two
+    terms, so the split adds no work per term."""
+    t, n, dn, n2, d, dd, d2 = state
+    s0 = s1 = s2 = r0 = r1 = r2 = 0  # at k, k + 2, ... and k + 1, k + 3, ...
+    for j in range(k, stop - 1, 2):
+        s0 += t * j
+        s1 += t
+        s2 += t // j
+        t = t * n // d
+        n += dn
+        dn += n2
+        d += dd
+        dd += d2
+        j += 1
+        r0 += t * j
+        r1 += t
+        r2 += t // j
+        t = t * n // d
+        n += dn
+        dn += n2
+        d += dd
+        dd += d2
+    first, second = (s0, s1, s2), (r0, r1, r2)
+    state = (t, n, dn, n2, d, dd, d2)
+    if (stop - k) & 1:
+        last, state = _unit_runs(state, stop - 1, stop)
+        first = tuple(map(add, first, last))
+    return (second + first if k & 1 else first + second), state
+
+
+def _pair_splits(state: tuple, k: int, stop: int,
+                 ys: bool) -> tuple[tuple, tuple]:
+    """_pair_runs with each sum split by the parity of the index, as
+    _unit_splits; when ``ys``, the sums of y k, y and y // k follow those
+    of x at each parity."""
+    x, y, f0, f1, f2, n, dn, n2, d, dd, d2 = state
+    s0 = s1 = s2 = s3 = s4 = s5 = r0 = r1 = r2 = r3 = r4 = r5 = 0
+    for j in range(k, stop - 1, 2):
+        s0 += x * j
+        s1 += x
+        s2 += x // j
+        if ys:
+            s3 += y * j
+            s4 += y
+            s5 += y // j
+        x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
+        n += dn
+        dn += n2
+        d += dd
+        dd += d2
+        j += 1
+        r0 += x * j
+        r1 += x
+        r2 += x // j
+        if ys:
+            r3 += y * j
+            r4 += y
+            r5 += y // j
+        x, y = n * (f0 * x + f1 * y) // d, n * (f1 * x + f2 * y) // d
+        n += dn
+        dn += n2
+        d += dd
+        dd += d2
+    first, second = ((s0, s1, s2, s3, s4, s5), (r0, r1, r2, r3, r4, r5)
+                     ) if ys else ((s0, s1, s2), (r0, r1, r2))
+    state = (x, y, f0, f1, f2, n, dn, n2, d, dd, d2)
+    if (stop - k) & 1:
+        j = stop - 1
+        last, state = _pair_runs(state, j, stop)
+        if ys:
+            last += (y * j, y, y // j)
+        first = tuple(map(add, first, last))
+    return (second + first if k & 1 else first + second), state
+
+
 def _start(spec: SeriesSpec, bits: int, c: int) -> tuple:
     """The kernel state at k = 1 for the scale 2^bits, carrying b_k / k^c
     (c = 0 or 1): (t, ratio) for the unit weight, else (x, y, Q^m, ratio),
@@ -390,9 +473,12 @@ def _log_base(log_z: float, k: int) -> float:
             + math.lgamma(k + 1) + math.lgamma(2 * k + 1))
 
 
-def _roundoff_ulps(spec: SeriesSpec, K: int, c: int) -> int:
+def _roundoff_ulps(spec: SeriesSpec, K: int, c: int,
+                   off_fib: bool = False) -> int:
     """Bound on sum_{k<=K} |t_k 2^B - (term k of the kernel)|, any B, for
-    a kernel state that carries b_k 2^B / k^c, c = 0 or 1.
+    a kernel state that carries b_k 2^B / k^c, c = 0 or 1; for a Lucas
+    spec read as 2y - x off the Fibonacci pair state of its m when
+    ``off_fib``.
 
     Each step floors every state component (error < 1 each, so < s in the
     2-norm: s = 1 unit, sqrt2 pair) and multiplies the inherited error by
@@ -404,7 +490,10 @@ def _roundoff_ulps(spec: SeriesSpec, K: int, c: int) -> int:
     x or x // k, it is within s k G k^(c-a) of t_k 2^B, plus 1 for the
     floor, so the sum is within 2 s G sum_{k<=K} k^(1+c-a) + K, with
     sum k^-1 <= 1 + ln K.  G is evaluated in floats with a factor 2 of
-    slack.
+    slack.  The bound depends on |z| alone, so it holds for the terms of
+    -z read off the state of z.  A read 2y - x, L(n) = 2F(n+1) - F(n),
+    multiplies the state's error by at most |(-1, 2)| = sqrt5 and floors
+    three times where x floors once: 2 sqrt5 s G sum k^(1+c-a) + 3K.
     """
     if K < 1 or _vanishes(spec):
         return 0
@@ -415,9 +504,11 @@ def _roundoff_ulps(spec: SeriesSpec, K: int, c: int) -> int:
     log_growth = (_log_base(log_z, top) - _log_base(log_z, 1)
                   + (top - 1) * abs(spec.weight.m) * _LOG_PHI)
     s = 1.0 if spec.weight.kind == "unit" else math.sqrt(2)
+    read, floors = (math.sqrt(5), 3) if off_fib else (1.0, 1)
     spread = (1 + math.log(K), K, K * (K + 1) / 2,
               K * (K + 1) * (2 * K + 1) / 6)[2 + c - spec.a]  # sum k^(1+c-a)
-    return math.ceil(2 * s * math.exp(log_growth) * spread) + K
+    return (math.ceil(2 * s * read * math.exp(log_growth) * spread)
+            + floors * K)
 
 
 def _kernel_bits(roundoff: int, finest: float) -> int:
@@ -683,34 +774,72 @@ def plan(spec: SeriesSpec, digits: int, budget: int) -> Plan:
 
 def _kernel_group(specs: list[SeriesSpec], plans: list[Plan],
                   digits: int) -> list[Summed]:
-    """The kernel plans ``plans`` of the series ``specs``, which share z
-    and the weight, run by one pass of the kernel to ``digits`` digits.
+    """The kernel plans ``plans`` of the series ``specs``, which share |z|
+    and the weight's recurrence (the unit weight, or Fibonacci and Lucas
+    weights of one m), run by one pass of the kernel to ``digits`` digits.
 
-    The pass runs at the largest scale that _execute would give a member
-    and up to the largest K + 1.  Its state carries b_k 2^B / k (c = 1)
-    whatever the members' a, and it keeps one sum per a (_unit_runs,
-    _pair_runs): x k at a = 0, x at a = 1 and x // k at a = 2.  A member
-    at a = 1 or 2 so gets the head and term of its own _kernel at the
+    The pass runs the state of its first member's z, the Fibonacci state
+    of the m when the group holds both kinds, at the largest scale that
+    _execute would give a member and up to the largest K + 1.  Its state
+    carries b_k 2^B / k (c = 1) whatever the members' a, and it keeps one
+    sum per a: x k at a = 0, x at a = 1 and x // k at a = 2.  A group of
+    one sign and one kind keeps those sums whole (_unit_runs, _pair_runs),
+    as a pass of its own; any other keeps each split by the parity of k
+    into E and O (_unit_splits, _pair_splits), and the same sums of y too
+    where a Lucas member reads the Fibonacci state.  Each member reads:
+
+    - E + O (the whole sum) when its z is the pass's;
+    - E - O when it is -z, as b_k(-z) = (-1)^k b_k(z), so that its term at
+      K + 1 takes the sign (-1)^(K+1);
+    - 2y - x in place of x when it is a Lucas member of a group of both
+      kinds, as L(n) = 2F(n+1) - F(n).
+
+    A member of the pass's z and state so gets the sums of a pass of its
+    own weight: at a = 1 or 2 the head and term of its own _kernel at the
     pass's scale, bit for bit; one at a = 0 gets x k in place of the b_k
     2^B that its own _kernel carries.  Each member's roundoff is
-    _roundoff_ulps at c = 1, which holds at any scale, so _execute
+    _roundoff_ulps at c = 1.  It holds at any scale, and for the reads of
+    -z unchanged, as it depends on |z| alone; a read 2y - x multiplies
+    its state part by |(-1, 2)| = sqrt5 and its floors by 3.  So _execute
     certifies each member with its own K, roundoff and tail.
     """
+    z = specs[0].z
+    both = len({spec.weight.kind for spec in specs}) > 1  # F and L of one m
+    off_fib = [both and spec.weight.kind == "lucas" for spec in specs]
+    flips = [(spec.z.numerator < 0) != (z.numerator < 0) for spec in specs]
     cutoffs = [chosen.terms for chosen in plans]
-    roundoffs = [_roundoff_ulps(spec, K + 1, 1)
-                 for spec, K in zip(specs, cutoffs)]
+    roundoffs = [_roundoff_ulps(spec, K + 1, 1, lucas)
+                 for spec, K, lucas in zip(specs, cutoffs, off_fib)]
     bits = _kernel_bits(max(roundoffs), -digits * _BITS_PER_DIGIT)
-    run = _unit_runs if specs[0].weight.kind == "unit" else _pair_runs
-    state, k, sums = _start(specs[0], bits, 1), 1, (0, 0, 0)
-    heads, terms = {}, {}
+    first = (SeriesSpec(z, 0, Weight("fib", specs[0].weight.m)) if both
+             else specs[0])
+    unit, ys, split = first.weight.kind == "unit", any(off_fib), (
+        both or any(flips))
+    if split:
+        run = _unit_splits if unit else partial(_pair_splits, ys=ys)
+    else:  # one sign and one kind: the sums of a pass of its own
+        run = _unit_runs if unit else _pair_runs
+    width = 6 if ys else 3  # the sums of one parity, or of the whole pass
+    state, k = _start(first, bits, 1), 1
+    sums, heads, terms = (0,) * (2 * width if split else width), {}, {}
     for K in sorted(set(cutoffs)):
         more, state = run(state, k, K + 1)
         sums, k = tuple(map(add, sums, more)), K + 1
         heads[K], terms[K] = sums, run(state, k, k + 1)[0]
-    return [Summed(chosen, bits, heads[K][spec.a], terms[K][spec.a],
-                   roundoff)
-            for spec, chosen, K, roundoff in zip(specs, plans, cutoffs,
-                                                 roundoffs)]
+
+    def read(sums, a, flip, lucas):
+        """x, or 2y - x, at a: the whole sum, or E + O, or E - O for -z."""
+        even = 2 * sums[a + 3] - sums[a] if lucas else sums[a]
+        if not split:
+            return even
+        a += width
+        odd = 2 * sums[a + 3] - sums[a] if lucas else sums[a]
+        return even - odd if flip else even + odd
+
+    return [Summed(chosen, bits, read(heads[K], spec.a, flip, lucas),
+                   read(terms[K], spec.a, flip, lucas), roundoff)
+            for spec, chosen, K, roundoff, flip, lucas in zip(
+                specs, plans, cutoffs, roundoffs, flips, off_fib)]
 
 
 def _execute(spec: SeriesSpec, chosen: Union[Plan, Summed], digits: int,

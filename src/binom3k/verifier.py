@@ -26,11 +26,16 @@ working precision, and counts its digits by the same comparison with no
 tail.
 
 :func:`verify_all` plans every record once (:func:`series.plan`) and
-groups the records whose kernel plans share the series argument z and
-the weight (:func:`_groups`): such records differ only in the exponent a,
-and one kernel pass (``series._kernel_group``) sums them all, each then
-certified with its own K, roundoff and tail.  It prices each group off
-its plans (:func:`_group_cost`, from :func:`_cost`, the one cost model),
+groups the records whose kernel plans share |z| and the weight's
+recurrence, the unit weight or the m of a Fibonacci or Lucas weight
+(:func:`_groups`).  One kernel pass (``series._kernel_group``) sums each
+group, each member then certified with its own K, roundoff and tail: a
+member of the pass's z reads its sum whole, one of -z reads the sum
+over even k less the sum over odd k, and a Lucas member of a group that
+holds Fibonacci members too reads 2y - x off the Fibonacci pair, whose
+roundoff bound is sqrt5 times as wide in its state part.  It prices each
+group by what it runs (:func:`_group_cost`, from :func:`_cost`, the one
+cost model),
 splits the groups by those prices (:func:`lpt_partition`, longest
 first), verifies one part in this process and each other part in a
 forked child process, and hands each sum its record's plan, or its share
@@ -229,7 +234,10 @@ def _verify_record(record: IdentityRecord, digits: int,
 # sum at a = 1 reads its term with no division, one at a = 2 divides
 # once by k < 2^30, and a shared pass adds one product and one division
 # by k per step.  The prices are kept, as the split they give stays
-# balanced (_cost).  A CRVZ
+# balanced (_cost).  A pass that keeps the y sums of a Lucas member read
+# off a Fibonacci state costs _LUCAS_READ_SHARE more: the six pn2-q5
+# records took 1.24-1.36 times a Fibonacci pass at 1000 digits and 1.37
+# times at 100.  A CRVZ
 # term is a kernel term read on its own plus one product with a weight of
 # about n log2(3 + sqrt8) bits; the telescope adds O(J^2) products of its
 # coefficients.
@@ -239,9 +247,17 @@ _STEP_NS = 300.0
 _STEP_NS_PER_BIT = 0.36
 _DIVISION_SHARE = 1.5  # a >= 1
 _PAIR_SHARE = 2.3
+_LUCAS_READ_SHARE = 0.3
 _WIDE_NS_PER_BIT = 0.55
 _CRVZ_NS_PER_BIT = 6.5
 _TELESCOPE_NS_PER_BIT = 0.8  # per J^2
+
+
+def _levels(record: IdentityRecord) -> int:
+    """The levels a closed form is priced at, one per branch, read off the
+    weight and not the tree: two for a Fibonacci or Lucas weight, which
+    Binet splits, else one."""
+    return 1 if record.lhs.weight.kind == "unit" else 2
 
 
 def _cost(record: IdentityRecord, digits: int, chosen: Optional[Plan]
@@ -250,21 +266,19 @@ def _cost(record: IdentityRecord, digits: int, chosen: Optional[Plan]
     record's _planned: 0 for a skipped record, and no sum when ``chosen``
     is None.
 
-    A closed form costs one level per branch, read off the weight and
-    not the tree: two for a Fibonacci or Lucas weight, which Binet
-    splits, else one.  Every member's closed form is still priced so,
-    though a record that repeats an argument an earlier record of its
-    part evaluated now reads it back for free (_verify_groups).  The
-    split stays balanced all the same, and so it does with the kernel
-    state that carries 1/k: at jobs=2 the two parts of the benchmark's 40
-    hiprec records at 1000 digits took 55.2 and 55.8 ms, and those of the
-    catalog at 100 digits 10.3 and 11.1 ms, best of 5 in one process on
-    the guest above.
+    A closed form costs its _levels.  A record alone pays for all of
+    them; _group_cost prices the members of a group by what they share.
+    The split stays balanced so, with the kernel state that carries 1/k
+    and one pass per |z| and weight recurrence: at jobs=2 the two parts
+    of the benchmark's 40 hiprec records at 1000 digits took 53.7 and
+    55.9 ms, those of the catalog at 100 digits 10.8 and 11.9 ms, and
+    those of the sweep's 237 points at 25 digits 10.5 and 9.8 ms, best of
+    5 to 9 in one process on the guest above, one part after the other.
     """
     if record.convergence == "divergent_formal":
         return 0.0
     spec, weighted = record.lhs, record.lhs.weight.kind != "unit"
-    cost = _REPORT_NS + (2 if weighted else 1) * (
+    cost = _REPORT_NS + _levels(record) * (
         _LEVEL_NS + _LEVEL_NS_PER_DIGIT2 * digits * digits)
     if chosen is None:
         return cost
@@ -283,21 +297,27 @@ def _cost(record: IdentityRecord, digits: int, chosen: Optional[Plan]
                    + chosen.J * chosen.J * bits * _TELESCOPE_NS_PER_BIT)
 
 
+def _key(spec: series.SeriesSpec, z: Fraction) -> tuple:
+    """z, by its integers as a Fraction hashes slowly, and the weight's
+    recurrence: the unit weight, or the m of a Fibonacci or Lucas one."""
+    return (z.numerator, z.denominator,
+            "unit" if spec.weight.kind == "unit" else spec.weight.m)
+
+
 def _groups(records: Sequence[IdentityRecord],
             plans: Sequence[Optional[Plan]]) -> list[list[int]]:
     """The indices of ``records`` in groups, in the order of their first
     members: the geometric records whose plans run the kernel over the same
-    z and weight form one group, which series._kernel_group sums in one
-    pass, and every other record is a group of its own."""
+    |z| and weight recurrence (_key: the unit weight, or the m of a
+    Fibonacci or Lucas weight) form one group, which series._kernel_group
+    sums in one pass, and every other record is a group of its own."""
     groups, shared = [], {}
     for i, (record, chosen) in enumerate(zip(records, plans)):
         if (chosen is None or chosen.method != "kernel" or not chosen.terms
                 or record.convergence != "geometric"):
             groups.append([i])
             continue
-        z = record.lhs.z  # keyed by its integers: a Fraction hashes slowly
-        group = shared.setdefault((z.numerator, z.denominator,
-                                   record.lhs.weight), [])
+        group = shared.setdefault(_key(record.lhs, abs(record.lhs.z)), [])
         if not group:
             groups.append(group)
         group.append(i)
@@ -308,13 +328,32 @@ def _group_cost(records: Sequence[IdentityRecord],
                 plans: Sequence[Optional[Plan]], group: list[int],
                 digits: int) -> float:
     """Planned ns of verifying a group: the _cost of a record alone, else
-    its members' _cost without a sum, plus the largest of their sums, which
-    the group's one pass stands for."""
-    full = [_cost(records[i], digits, plans[i]) for i in group]
+    what the group runs.  Each member pays its report and the walk of its
+    closed form (_REPORT_NS and _LEVEL_NS per level), and the cube roots,
+    arctangents and logarithms of its levels (_LEVEL_NS_PER_DIGIT2 d^2
+    per level) are priced once per z and weight recurrence: the members of
+    one z and the unit weight, or of one z and m, Fibonacci or Lucas,
+    evaluate them at the same arguments and read them back
+    (_verify_groups).  The one pass costs what the sum of its dearest
+    member costs, plus _LUCAS_READ_SHARE of that where it keeps the y sums
+    of a Lucas member read off a Fibonacci state; splitting the sums by
+    the parity of k is priced at nothing, as those loops take two terms a
+    step."""
     if len(group) == 1:
-        return full[0]
-    bare = [_cost(records[i], digits, None) for i in group]
-    return sum(bare) + max(f - b for f, b in zip(full, bare))
+        return _cost(records[group[0]], digits, plans[group[0]])
+    walks, functions, summed, kinds = 0.0, {}, 0.0, set()
+    for i in group:
+        record = records[i]
+        levels = _levels(record)
+        walks += _REPORT_NS + levels * _LEVEL_NS
+        functions[_key(record.lhs, record.lhs.z)] = (
+            levels * _LEVEL_NS_PER_DIGIT2 * digits * digits)
+        summed = max(summed, _cost(record, digits, plans[i])
+                     - _cost(record, digits, None))
+        kinds.add(record.lhs.weight.kind)
+    if len(kinds) > 1:
+        summed *= 1 + _LUCAS_READ_SHARE
+    return walks + sum(functions.values()) + summed
 
 
 def _schedule(records: Sequence[IdentityRecord], digits: int, budget: int,
@@ -413,15 +452,17 @@ def verify_all(catalog: Sequence[IdentityRecord], digits: int,
 
     Digits below 5, and a context that targets fewer digits, are refused
     before anything starts.  The records,
-    sorted by id, are each planned once here, grouped by the series
-    argument of their kernel plans and split into at most ``jobs`` parts
-    of about equal price, each holding a group (_schedule), with one
-    process per part.  This process verifies part 0, and one child
+    sorted by id, are each planned once here, grouped by |z| and the
+    weight recurrence of their kernel plans, so that z and -z, and the
+    Fibonacci and Lucas weights of one m, share a group, and split into at
+    most ``jobs`` parts of about equal price, each holding a group
+    (_schedule), with one process per part.  This process verifies part 0, and one child
     process per other part, started from the default
     multiprocessing context with a one-way pipe, verifies its part and
     sends its reports back as _raw tuples; under fork the records and
     their plans are inherited, not pickled.  Every group of more than one
-    record is summed by one kernel pass, and every other sum runs its
+    record is summed by one kernel pass, which each member reads with its
+    sign and weight (series._kernel_group), and every other sum runs its
     record's plan, or plans again where planning raised (_verify_groups).
     Each process evaluates each cube root, arctangent and logarithm of its
     part's right-hand sides once per argument and W, and a record that

@@ -1,12 +1,13 @@
 """The generator-free summation loop against the per-term reference
 scaled_terms, the pass shared by series of one argument against the same
-reference on a state that carries 1/k and against the loop, and the exact
-convergence kind without rho."""
+reference on a state that carries 1/k and against the loop, the pass
+shared by both signs of |z| or both weight kinds of m against the exact
+sums, and the exact convergence kind without rho."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from binom3k import series
@@ -97,6 +98,59 @@ def test_a_shared_pass_is_each_members_kernel_bit_for_bit(case):
         exact += exact_term(spec, K + 1) * 2 ** bits
         assert (abs(member.head + member.term - exact)
                 <= _roundoff_ulps(spec, K + 1, 1))
+
+
+@st.composite
+def mixed_group_cases(draw):
+    """2-4 series of one geometric |z| and the unit weight, or Fibonacci
+    and Lucas weights of one m, each with its own sign, a and K, of both
+    signs or of both weight kinds."""
+    m = draw(st.one_of(st.none(), st.integers(-4, 4)))
+    z = Fraction(draw(st.integers(1, 2000)), draw(st.integers(1, 300)))
+    if _radius_side(SeriesSpec(z, 0, Weight("fib", m or 0))) >= 0:
+        z /= 1 + 8 * z  # onto the geometric side
+    size = draw(st.integers(2, 4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size,
+                          max_size=size))
+    kinds = (["unit"] * size if m is None else
+             draw(st.lists(st.sampled_from(["fib", "lucas"]), min_size=size,
+                           max_size=size)))
+    assume(len(set(signs)) > 1 or len(set(kinds)) > 1)
+    specs = [SeriesSpec(sign * z, draw(st.sampled_from([0, 1, 2])),
+                        UNIT_WEIGHT if kind == "unit" else Weight(kind, m))
+             for sign, kind in zip(signs, kinds)]
+    cutoffs = draw(st.lists(st.integers(1, 60), min_size=size,
+                            max_size=size))
+    return specs, cutoffs, draw(st.integers(5, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mixed_group_cases())
+@example(case=([SeriesSpec(Fraction(54, 25), a, Weight(kind, 1))
+                for a in (0, 2, 1) for kind in ("fib", "lucas")],
+               [38, 39, 35, 36, 37, 37], 40))
+@example(case=([SeriesSpec(Fraction(s, 3), a) for s, a in
+                ((-8, 2), (8, 2), (8, 0), (8, 1))], [25, 25, 27, 26], 30))
+def test_a_pass_of_both_signs_or_both_kinds_is_within_each_members_bound(
+        case):
+    specs, cutoffs, digits = case
+    plans = [Plan("kernel", K, 0) for K in cutoffs]
+    shared = _kernel_group(specs, plans, digits)
+    both = len({spec.weight.kind for spec in specs}) > 1
+    for spec, chosen, K, member in zip(specs, plans, cutoffs, shared):
+        off_fib = both and spec.weight.kind == "lucas"
+        assert (member.plan, member.roundoff) == (
+            chosen, _roundoff_ulps(spec, K + 1, 1, off_fib))
+        if spec.z == specs[0].z and not off_fib:
+            # the pass's own z and state: the reads of a pass of its own
+            assert (member.head, [member.term]) == reference_kernel(
+                spec, member.bits, K, 1, 1)
+        scale = 2 ** member.bits
+        exact = exact_partial_sum(spec, K) * scale
+        assert abs(member.head - exact) <= _roundoff_ulps(spec, K, 1, off_fib)
+        term = exact_term(spec, K + 1) * scale
+        assert abs(member.term - term) <= member.roundoff
+        assert abs(member.head + member.term - exact - term) <= member.roundoff
 
 
 @pytest.mark.parametrize("record_id", ["eq-27-4", "alt-27-4"])

@@ -373,13 +373,13 @@ def test_verify_all_gives_the_same_reports_at_every_job_count(catalog):
 @pytest.mark.parametrize("jobs", [42, 73])
 def test_verify_all_starts_a_process_only_for_a_part_that_holds_a_group(
         catalog, monkeypatch, jobs):
-    # the catalog's 42 groups at 30 digits fill 39 parts: 38 children
+    # the catalog's 34 groups at 30 digits fill 31 parts: 30 children
     started, real = [], multiprocessing.Process.start
     monkeypatch.setattr(multiprocessing.Process, "start",
                         lambda process: started.append(process)
                         or real(process))
     parallel = verify_all(catalog, 30, jobs=jobs)
-    assert len(started) == 38
+    assert len(started) == 30
     assert multiprocessing.active_children() == []
     serial = verify_all(catalog, 30, jobs=1)
     assert ([_fields(r) for r in parallel["reports"]]
@@ -429,7 +429,7 @@ HIPREC_IDS = (
 
 
 @pytest.mark.parametrize("digits,hiprec,passes", [
-    (30, False, None), (100, False, 38), (1000, True, 18)])
+    (30, False, None), (100, False, 30), (1000, True, 14)])
 def test_verify_all_prints_what_verify_prints(catalog, monkeypatch, digits,
                                               hiprec, passes):
     # the members of a shared pass sum at its scale, so only raw trailing
@@ -743,6 +743,19 @@ def test_a_shared_pass_stays_in_one_part(catalog, digits, parts):
             assert max(alone) <= price * (1 + 1e-12)
             assert price <= sum(alone) * (1 + 1e-12)
             assert len(group) > 1 or price == alone[0]
+
+
+@pytest.mark.parametrize("digits", [30, 100, 1000])
+def test_one_pass_serves_both_signs_and_both_weight_kinds(catalog, digits):
+    # groups are keyed by |z| and the weight's recurrence: the Fibonacci
+    # and Lucas records of one (z, m) share a pass, and so do z and -z
+    records = sorted(catalog, key=lambda r: r.id)
+    plans = [verifier._planned(r, digits, 10 ** 6) for r in records]
+    ids = {tuple(records[i].id for i in group)
+           for group in verifier._groups(records, plans)}
+    assert tuple(f"thm{n}-{kind}-pn2-q5" for n in (10, 7, 9)
+                 for kind in ("fib", "luc")) in ids
+    assert ("alt-8-3", "eq-italy", "xy-8-1-a0", "xy-8-1-a1") in ids
 
 
 @settings(max_examples=200, deadline=None)
